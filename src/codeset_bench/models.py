@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from . import neuralcore as nc
 from .errors import ConfigError, DatasetError, NumericError, ShapeError
@@ -182,15 +183,6 @@ class LogisticSubmodel:
     degenerate: bool
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _train_logistic_column(x, y, iters: int, lr: float) -> LogisticSubmodel:
     """Full-batch gradient descent from zero weights on clipped BCE.
 
@@ -205,7 +197,7 @@ def _train_logistic_column(x, y, iters: int, lr: float) -> LogisticSubmodel:
     eps = nc.BCE_EPS
     for _ in range(iters):
         z = x @ w + b
-        p = _sigmoid(z)
+        p = expit(z)
         g = np.where((p >= eps) & (p <= 1.0 - eps), p - y, 0.0) / n
         gw = x.T @ g
         if sp.issparse(gw):  # sparse x makes x.T @ g a matrix
@@ -675,7 +667,7 @@ def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.nd
                 z = features @ sub.w + sub.b
                 if sp.issparse(z):
                     z = np.asarray(z).ravel()
-                cols.append(_sigmoid(np.asarray(z, dtype=np.float64)))
+                cols.append(expit(np.asarray(z, dtype=np.float64)))
             return np.column_stack(cols)
         # random forest: mean of hard tree votes
         x = features

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import expit
 
 from ..errors import ConfigError, ShapeError
 from .core import Layer, Parameter, glorot_uniform
@@ -53,14 +55,8 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x, train: bool = False):
-        # stable in both tails
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
+        self._out = expit(x)
+        return self._out
 
     def backward(self, grad):
         return grad * self._out * (1.0 - self._out)
@@ -89,6 +85,12 @@ class Conv1d(Layer):
 
     Each of the f filters spans the full channel width k over a window of
     h positions, so filters have shape [f, h, k].
+
+    Both passes loop over the h filter taps with one batched matmul per
+    tap, all on BLAS and without an im2col copy of the input. Backward
+    takes the input gradient as grad @ W[:, t, :] and the weight gradient
+    as the per-example [f, L] @ [L, k] product grad^T x[t : t+L], summed
+    over the batch.
     """
 
     def __init__(
@@ -132,10 +134,10 @@ class Conv1d(Layer):
         x = self._x
         h = self.width
         length = grad.shape[1]
+        grad_t = grad.transpose(0, 2, 1)
         dx = np.zeros_like(x)
         for dt in range(h):
-            x_slice = x[:, dt : dt + length, :]
-            self.w.grad[:, dt, :] += np.einsum("blf,blk->fk", grad, x_slice)
+            self.w.grad[:, dt, :] += (grad_t @ x[:, dt : dt + length, :]).sum(axis=0)
             dx[:, dt : dt + length, :] += grad @ self.w.value[:, dt, :]
         self.b.grad += grad.sum(axis=(0, 1))
         return dx[0] if self._squeeze else dx
@@ -176,10 +178,8 @@ class MaxPool1d(Layer):
         if self._squeeze:
             grad = grad[None]
         dx = np.zeros(self._in_shape)
-        batch, n_win, f = grad.shape
-        b_idx = np.arange(batch)[:, None, None]
-        f_idx = np.arange(f)[None, None, :]
-        np.add.at(dx, (b_idx, self._argmax, f_idx), grad)
+        # windows are disjoint, so no input position receives two gradients
+        np.put_along_axis(dx, self._argmax, grad, axis=1)
         return dx[0] if self._squeeze else dx
 
 
@@ -197,10 +197,7 @@ class MaxOverTime(Layer):
         if self._squeeze:
             grad = grad[None]
         dx = np.zeros(self._in_shape)
-        batch, _, f = self._in_shape
-        b_idx = np.arange(batch)[:, None]
-        f_idx = np.arange(f)[None, :]
-        np.add.at(dx, (b_idx, self._argmax, f_idx), grad)
+        np.put_along_axis(dx, self._argmax[:, None, :], grad[:, None, :], axis=1)
         return dx[0] if self._squeeze else dx
 
 
@@ -214,7 +211,13 @@ class Flatten(Layer):
 
 
 class Embedding(Layer):
-    """Index lookup [B, T] -> [B, T, d]; row 0 is the frozen pad row."""
+    """Index lookup [B, T] -> [B, T, d]; row 0 is the frozen pad row.
+
+    Backward scatters the [B*T, d] output gradient into the rows it was
+    read from as one sparse product: a [V+1, B*T] one-hot matrix in CSR
+    form times the gradient. Each row sums its tokens in input order, as
+    an ``np.add.at`` scatter would.
+    """
 
     def __init__(self, matrix: np.ndarray, trainable: bool = True, name: str = "emb"):
         self.m = Parameter(f"{name}.M", np.array(matrix, dtype=np.float64), trainable)
@@ -229,7 +232,12 @@ class Embedding(Layer):
 
     def backward(self, grad):
         if self.m.trainable:
-            np.add.at(self.m.grad, self._idx, grad)
+            flat = self._idx.ravel()
+            n = flat.size
+            onehot = sp.csr_matrix(
+                (np.ones(n), (flat, np.arange(n))), shape=(self.m.shape[0], n)
+            )
+            self.m.grad += onehot @ grad.reshape(n, -1)
             self.m.grad[0] = 0.0  # pad row stays zero
         return None
 

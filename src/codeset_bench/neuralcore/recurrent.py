@@ -19,18 +19,10 @@ checked in isolation:
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import ShapeError
 from .core import Layer, Parameter, glorot_uniform, orthogonal
-
-
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def rnn_step(x, h, wx, wh, b):
@@ -45,10 +37,10 @@ def lstm_step(x, h, c, w, u, b):
     """
     z = x @ w + h @ u + b
     n = h.shape[-1]
-    i = _sigmoid(z[..., :n])
-    f = _sigmoid(z[..., n : 2 * n])
+    i = expit(z[..., :n])
+    f = expit(z[..., n : 2 * n])
     g = np.tanh(z[..., 2 * n : 3 * n])
-    o = _sigmoid(z[..., 3 * n :])
+    o = expit(z[..., 3 * n :])
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new, (i, f, g, o)
@@ -59,8 +51,8 @@ def gru_step(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
 
     Returns (h_new, (z, r, h_tilde)).
     """
-    z = _sigmoid(x @ wz + h @ uz + bz)
-    r = _sigmoid(x @ wr + h @ ur + br)
+    z = expit(x @ wz + h @ uz + bz)
+    r = expit(x @ wr + h @ ur + br)
     h_tilde = np.tanh(x @ wh + (r * h) @ uh + bh)
     h_new = (1.0 - z) * h + z * h_tilde
     return h_new, (z, r, h_tilde)

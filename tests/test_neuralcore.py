@@ -86,6 +86,21 @@ def test_conv_gradients_match_finite_differences():
     assert err < 1e-6
 
 
+def test_conv_backward_accumulates_and_keeps_unbatched_shape():
+    layer = nc.Conv1d(in_channels=3, n_filters=4, width=5, rng=rng(1))
+    x = rng(2).standard_normal((3, 11, 3))
+    grad = rng(3).standard_normal(layer.forward(x, train=True).shape)
+    layer.backward(grad)
+    w_once, b_once = layer.w.grad.copy(), layer.b.grad.copy()
+    layer.backward(grad)
+    np.testing.assert_allclose(layer.w.grad, 2 * w_once, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(layer.b.grad, 2 * b_once, rtol=1e-12, atol=0)
+
+    out = layer.forward(x[0], train=True)
+    dx = layer.backward(np.ones_like(out))
+    assert out.shape == (7, 4) and dx.shape == (11, 3)
+
+
 # ---------------------------------------------------------------- pooling
 
 def test_max_pool_hand_value():
@@ -222,6 +237,17 @@ def test_embedding_repeated_indices_accumulate_gradient():
     layer.forward(np.array([[1, 1, 1]]), train=True)
     layer.backward(np.ones((1, 3, 2)))
     assert layer.params()[0].grad[1].tolist() == [3.0, 3.0]
+
+    # a batch with repeats and pad tokens matches an np.add.at scatter bit for bit
+    layer = nc.Embedding(rng(0).standard_normal((6, 4)), trainable=True)
+    idx = np.array([[1, 3, 3, 0, 5], [3, 0, 1, 1, 3]])
+    grad = rng(1).standard_normal((2, 5, 4))
+    layer.forward(idx, train=True)
+    layer.backward(grad)
+    expected = np.zeros((6, 4))
+    np.add.at(expected, idx, grad)
+    expected[0] = 0.0  # pad row stays zero
+    assert np.array_equal(layer.m.grad, expected)
 
 
 def test_embedding_rejects_float_indices():
