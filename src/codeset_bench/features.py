@@ -1,11 +1,14 @@
 """Document feature extraction: tf-idf vectors, word embeddings trained
 with CBOW negative sampling, averaged document embeddings, and padded
-word-index sequences, plus plain-text persistence for each artifact.
+word-index sequences, plus persistence for each artifact: NumPy
+``.npy``/``.npz`` for the numeric ones, and the standard word2vec text
+format for embeddings.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -371,76 +374,60 @@ def encode_corpus_sequences(
 # ---------------------------------------------------------------------------
 
 
+def _load(path: str | Path, reader):
+    """Run ``reader`` on the open file, turning a malformed or truncated
+    NumPy file into a FormatError that names the path."""
+    with open(path, "rb") as fh:
+        try:
+            return reader(fh)
+        except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+
 def save_sparse(matrix: sp.csr_matrix, path: str | Path) -> None:
-    """Text triplet format: header "rows cols nnz", then one
-    "row col value" line per stored entry in row-major order."""
-    coo = matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {coo.nnz}\n")
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {float(coo.data[i])!r}\n")
+    """Uncompressed ``scipy.sparse`` .npz; written through an open file so
+    that the path keeps its name."""
+    with open(path, "wb") as fh:
+        sp.save_npz(fh, matrix, compressed=False)
 
 
 def load_sparse(path: str | Path) -> sp.csr_matrix:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise FormatError(f"{path}: bad sparse header")
-        n_rows, n_cols, nnz = (int(x) for x in header)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        for i in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}: truncated at entry {i}")
-            rows[i], cols[i], data[i] = int(parts[0]), int(parts[1]), float(parts[2])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+    return _load(path, sp.load_npz)
 
 
 def save_dense(matrix: np.ndarray, path: str | Path) -> None:
-    """Text matrix: header "rows cols", then space-separated float reprs
-    (full precision, round-trip exact)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(" ".join(repr(v) for v in row.tolist()) + "\n")
+    """2-D float64 .npy (round-trip exact)."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.atleast_2d(np.asarray(matrix, dtype=np.float64)))
+
+
+def _load_array(path: str | Path) -> np.ndarray:
+    arr = _load(path, lambda fh: np.load(fh, allow_pickle=False))
+    if arr.ndim != 2:
+        raise FormatError(f"{path}: expected a 2-D array, got shape {arr.shape}")
+    return arr
 
 
 def load_dense(path: str | Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: bad dense header")
-        n_rows, n_cols = int(header[0]), int(header[1])
-        out = np.empty((n_rows, n_cols), dtype=np.float64)
-        for i in range(n_rows):
-            parts = fh.readline().split()
-            if len(parts) != n_cols:
-                raise FormatError(f"{path}: row {i} has {len(parts)} values, want {n_cols}")
-            out[i] = [float(p) for p in parts]
-    return out
+    arr = _load_array(path)
+    if arr.dtype != np.float64:
+        raise FormatError(f"{path}: expected float64, got {arr.dtype}")
+    return arr
 
 
 def save_sequences(seqs: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{seqs.shape[0]} {seqs.shape[1]}\n")
-        for row in seqs:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    """2-D .npy of vocabulary indices (never negative) in the narrowest
+    unsigned dtype that holds the largest one."""
+    seqs = np.asarray(seqs)
+    with open(path, "wb") as fh:
+        np.save(fh, seqs.astype(np.min_scalar_type(seqs.max(initial=0))))
 
 
 def load_sequences(path: str | Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: bad sequence header")
-        n, m = int(header[0]), int(header[1])
-        out = np.empty((n, m), dtype=np.int64)
-        for i in range(n):
-            out[i] = [int(v) for v in fh.readline().split()]
-    return out
+    arr = _load_array(path)
+    if arr.dtype.kind not in "ui":
+        raise FormatError(f"{path}: expected integer indices, got {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 def save_word2vec_text(result: Word2VecResult | EmbeddingMatrix, path: str | Path) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import corpus, features, metrics, models, textproc
+from . import neuralcore as nc
 from .errors import ConfigError, PipelineError
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,11 @@ DEFAULTS: dict[str, str] = {
     "train.threshold": "0.5",
     "train.seed": "0",
 }
+
+# Version of the on-disk layout of cached artifacts. It is part of every
+# stage hash, so a workspace written in an older layout is rebuilt rather
+# than read.
+ARTIFACT_FORMAT = "npy-1"
 
 TRACK_KINDS = {
     "tfidf40k": "sparse",
@@ -278,7 +284,7 @@ class ExperimentConfig:
             "features": ("dataset.", "feature."),
             "run": ("dataset.", "feature.", "model.", "train."),
         }[stage]
-        text = self.canonical_text(prefixes)
+        text = f"artifact_format = {ARTIFACT_FORMAT}\n" + self.canonical_text(prefixes)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -675,8 +681,6 @@ def run_pipeline(
 
 
 def _save_model(model: models.TrainedModel, ckpt_dir: Path, cfg: ExperimentConfig) -> None:
-    from . import neuralcore as nc
-
     manifest = {
         "preset": cfg.get("model.preset") or cfg.get("model.family"),
         "family": model.spec.family,
@@ -684,75 +688,17 @@ def _save_model(model: models.TrainedModel, ckpt_dir: Path, cfg: ExperimentConfi
         "stopped_epoch": model.stopped_epoch,
         "best_epoch": model.best_epoch,
     }
-    if model.network is not None:
+    if model.spec.family == "rforest":
+        models_save_forest(model, ckpt_dir, manifest)
+    elif model.network is not None:
         nc.save_checkpoint(ckpt_dir, nc.model_tensors(model.network), manifest)
-        return
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    with open(ckpt_dir / "manifest.txt", "w", encoding="utf-8") as fh:
-        for key in sorted(manifest):
-            fh.write(f"{key} = {manifest[key]}\n")
-    if model.spec.family == "logreg":
-        for j, sub in enumerate(model.submodels):
-            sub_dir = ckpt_dir / f"label_{j:03d}"
-            nc.save_checkpoint(
-                sub_dir,
-                {"w": sub.w, "b": np.array([sub.b])},
-                {"label": j, "degenerate": sub.degenerate},
-            )
     else:
-        for j, sub in enumerate(model.submodels):
-            sub_dir = ckpt_dir / f"label_{j:03d}"
-            sub_dir.mkdir(parents=True, exist_ok=True)
-            models_save_forest(sub, sub_dir / "trees.txt")
+        nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
 
 
-def models_save_forest(sub, path: Path) -> None:
-    """Preorder text dump of a forest: 'n feature threshold' inner nodes,
-    'l mean' leaves."""
-    lines = [f"trees {len(sub.trees)}"]
-
-    def walk(node):
-        if node.leaf_mean >= 0:
-            lines.append(f"l {float(node.leaf_mean)!r}")
-        else:
-            lines.append(f"n {node.feature} {float(node.threshold)!r}")
-            walk(node.left)
-            walk(node.right)
-
-    for i, tree in enumerate(sub.trees):
-        lines.append(f"tree {i}")
-        walk(tree)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def models_load_forest(path: Path):
-    """Inverse of models_save_forest; returns the tree list."""
-    from .models import _TreeNode
-
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("trees "):
-        raise PipelineError(f"{path}: bad forest header")
-    pos = 1
-    trees = []
-
-    def parse() -> _TreeNode:
-        nonlocal pos
-        parts = lines[pos].split()
-        pos += 1
-        if parts[0] == "l":
-            return _TreeNode(leaf_mean=float(parts[1]))
-        node = _TreeNode(feature=int(parts[1]), threshold=float(parts[2]))
-        node.left = parse()
-        node.right = parse()
-        return node
-
-    while pos < len(lines):
-        if lines[pos].startswith("tree "):
-            pos += 1
-            trees.append(parse())
-        else:
-            pos += 1
-    return trees
+def models_save_forest(model: models.TrainedModel, ckpt_dir: Path, manifest: dict) -> None:
+    # a function of its own so that a traced run can time forest saves by name
+    nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
 
 
 def _write_summary(

@@ -7,8 +7,6 @@ training, and patience-based early stopping.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,10 +137,13 @@ RNN_REGIME = TrainConfig(max_epochs=200, patience=5)
 
 @dataclass
 class TrainedModel:
+    """A fitted model: a network (neural families) or named arrays
+    (``W``/``b`` for logistic regression, flat node arrays for forests)."""
+
     spec: ModelSpec
     threshold: float
     network: nc.Sequential | None = None
-    submodels: list | None = None
+    submodels: dict[str, np.ndarray] | None = None
     history: list[tuple[float, float]] = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int = 0
@@ -150,25 +151,15 @@ class TrainedModel:
 
     @property
     def k(self) -> int:
-        if self.submodels is not None:
-            return len(self.submodels)
-        return self.network.layers[-2].b.shape[0]
+        if self.submodels is None:
+            return self.network.layers[-2].b.shape[0]
+        if self.spec.family == "logreg":
+            return self.submodels["b"].shape[0]
+        return self.submodels["roots"].shape[0]
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("CODESET_BENCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ovr_map(fn, jobs: list):
-    workers = _n_workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+def _degenerate_columns(labels: np.ndarray) -> list[int]:
+    return [int(j) for j in np.nonzero(labels.min(axis=0) == labels.max(axis=0))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +167,19 @@ def _ovr_map(fn, jobs: list):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LogisticSubmodel:
-    w: np.ndarray
-    b: float
-    degenerate: bool
-
-
-def _train_logistic_column(x, y, iters: int, lr: float) -> LogisticSubmodel:
-    """Full-batch gradient descent from zero weights on clipped BCE.
-
-    The gradient is exact for the clipped loss: examples whose prediction
-    sits in the clipped region contribute nothing, which also bounds
-    weight growth on separable data.
-    """
-    n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
-    y = y.astype(np.float64)
-    eps = nc.BCE_EPS
-    for _ in range(iters):
-        z = x @ w + b
-        p = expit(z)
-        g = np.where((p >= eps) & (p <= 1.0 - eps), p - y, 0.0) / n
-        gw = x.T @ g
-        if sp.issparse(gw):  # sparse x makes x.T @ g a matrix
-            gw = np.asarray(gw).ravel()
-        w -= lr * gw
-        b -= lr * float(g.sum())
-    if not np.all(np.isfinite(w)) or not math.isfinite(b):
-        raise NumericError("logistic regression diverged")
-    return LogisticSubmodel(w=w, b=b, degenerate=bool(y.min() == y.max()))
-
-
 def train_logreg_ovr(
     features, labels: np.ndarray, iters: int = 100, lr: float = 0.5, k: int | None = None
 ) -> TrainedModel:
-    """k independent binary logistic regressions, one per label column.
+    """k independent binary logistic regressions, one per label column,
+    trained together as one [d, k] weight matrix.
 
-    Deterministic: zero initialization and full-batch descent leave no
-    randomness. Degenerate (single-class) columns still train but are
-    flagged.
+    Full-batch gradient descent from zero weights on clipped BCE. The
+    gradient is exact for the clipped loss: examples whose prediction
+    sits in the clipped region contribute nothing, which also bounds
+    weight growth on separable data. Columns never mix, so each is the
+    binary problem for its label. Deterministic: zero initialization and
+    full-batch descent leave no randomness. Degenerate (single-class)
+    columns still train but are flagged.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
@@ -229,36 +192,31 @@ def train_logreg_ovr(
         raise ConfigError("iters must be >= 0")
     x = features if sp.issparse(features) else np.asarray(features, dtype=np.float64)
 
-    subs = _ovr_map(
-        lambda j: _train_logistic_column(x, labels[:, j], iters, lr), list(range(k))
-    )
+    n, d = x.shape
+    w = np.zeros((d, k))
+    b = np.zeros(k)
+    y = labels.astype(np.float64)
+    eps = nc.BCE_EPS
+    for _ in range(iters):
+        p = expit(x @ w + b)
+        g = np.where((p >= eps) & (p <= 1.0 - eps), p - y, 0.0) / n
+        w -= lr * (x.T @ g)
+        b -= lr * g.sum(axis=0)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise NumericError("logistic regression diverged")
     spec = ModelSpec("logreg", "sparse" if sp.issparse(x) else "dense", name="logreg")
     return TrainedModel(
         spec=spec,
         threshold=0.5,
-        submodels=subs,
+        submodels={"W": w, "b": b},
         stopped_epoch=iters,
-        degenerate_labels=[j for j, s in enumerate(subs) if s.degenerate],
+        degenerate_labels=_degenerate_columns(labels),
     )
 
 
 # ---------------------------------------------------------------------------
 # Random forest (one-vs-rest)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    leaf_mean: float = -1.0  # >= 0 marks a leaf
-
-    def depth(self) -> int:
-        if self.leaf_mean >= 0:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
 
 
 def _best_split(x, y, feats) -> tuple[float, int, float] | None:
@@ -290,46 +248,24 @@ def _best_split(x, y, feats) -> tuple[float, int, float] | None:
     return best
 
 
-def _grow_tree(x, y, rng, max_depth: int, n_try: int, depth: int = 0) -> _TreeNode:
+def _grow_tree(x, y, rng, max_depth: int, n_try: int, nodes: list, depth: int = 0) -> int:
+    """Append the tree to ``nodes`` in preorder as [feature, threshold,
+    left, right, value] rows and return its root's index. Leaves have
+    feature -1 and hold the mean label of their rows as value."""
+    node = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, float(y.mean())])
     if depth >= max_depth or len(y) < 2 or y.min() == y.max():
-        return _TreeNode(leaf_mean=float(y.mean()))
+        return node
     feats = rng.choice(x.shape[1], size=n_try, replace=False)
     best = _best_split(x, y, feats)
     if best is None:
-        return _TreeNode(leaf_mean=float(y.mean()))
+        return node
     _, f, thr = best
     mask = x[:, f] <= thr
-    return _TreeNode(
-        feature=f,
-        threshold=thr,
-        left=_grow_tree(x[mask], y[mask], rng, max_depth, n_try, depth + 1),
-        right=_grow_tree(x[~mask], y[~mask], rng, max_depth, n_try, depth + 1),
-    )
-
-
-def _tree_votes(node: _TreeNode, x: np.ndarray) -> np.ndarray:
-    """Hard 0/1 vote per row (leaf mean >= 0.5 votes positive)."""
-    out = np.empty(x.shape[0], dtype=np.float64)
-    idx = np.arange(x.shape[0])
-
-    def descend(node, rows):
-        if node.leaf_mean >= 0:
-            out[rows] = 1.0 if node.leaf_mean >= 0.5 else 0.0
-            return
-        mask = x[rows, node.feature] <= node.threshold
-        if mask.any():
-            descend(node.left, rows[mask])
-        if (~mask).any():
-            descend(node.right, rows[~mask])
-
-    descend(node, idx)
-    return out
-
-
-@dataclass
-class ForestSubmodel:
-    trees: list[_TreeNode]
-    degenerate: bool
+    left = _grow_tree(x[mask], y[mask], rng, max_depth, n_try, nodes, depth + 1)
+    right = _grow_tree(x[~mask], y[~mask], rng, max_depth, n_try, nodes, depth + 1)
+    nodes[node] = [f, thr, left, right, -1.0]
+    return node
 
 
 def train_random_forest_ovr(
@@ -346,7 +282,9 @@ def train_random_forest_ovr(
     predicts the fraction of positive tree votes.
 
     Every label column uses the identical seed stream, so permuting the
-    label columns permutes the fitted sub-models correspondingly.
+    label columns permutes the fitted sub-models correspondingly. All
+    trees share one set of flat node arrays; ``roots[j, t]`` is the root
+    of tree t for label j.
     """
     labels = np.asarray(labels)
     if k is None:
@@ -364,24 +302,52 @@ def train_random_forest_ovr(
     n, d = x.shape
     n_try = max(1, int(round(math.sqrt(d))))
 
-    def fit_label(j: int) -> ForestSubmodel:
+    nodes: list = []
+    roots = np.empty((k, n_trees), dtype=np.int64)
+    for j in range(k):
         y = labels[:, j].astype(np.int64)
         rng = np.random.default_rng(seed)  # same stream for every label
-        trees = []
-        for _ in range(n_trees):
+        for t in range(n_trees):
             boot = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(x[boot], y[boot], rng, max_depth, n_try))
-        return ForestSubmodel(trees=trees, degenerate=bool(y.min() == y.max()))
-
-    subs = _ovr_map(fit_label, list(range(k)))
+            roots[j, t] = _grow_tree(x[boot], y[boot], rng, max_depth, n_try, nodes)
+    feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
+    arrays = {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "value": np.array(value, dtype=np.float64),
+        "roots": roots,
+    }
     spec = ModelSpec("rforest", "dense", name="rforest")
     return TrainedModel(
         spec=spec,
         threshold=0.5,
-        submodels=subs,
+        submodels=arrays,
         stopped_epoch=n_trees,
-        degenerate_labels=[j for j, s in enumerate(subs) if s.degenerate],
+        degenerate_labels=_degenerate_columns(labels[:, :k]),
     )
+
+
+def _forest_proba(arrays: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Fraction of trees voting positive (leaf value >= 0.5) per label;
+    every row descends every tree of one label at once."""
+    feature, threshold = arrays["feature"], arrays["threshold"]
+    left, right, value = arrays["left"], arrays["right"], arrays["value"]
+    roots = arrays["roots"]
+    rows = np.arange(x.shape[0])[:, None]
+    out = np.empty((x.shape[0], roots.shape[0]))
+    for j, label_roots in enumerate(roots):
+        node = np.broadcast_to(label_roots, (x.shape[0], label_roots.size))
+        while True:
+            f = feature[node]
+            inner = f >= 0
+            if not inner.any():
+                break
+            go_left = x[rows, np.maximum(f, 0)] <= threshold[node]
+            node = np.where(inner, np.where(go_left, left[node], right[node]), node)
+        out[:, j] = (value[node] >= 0.5).sum(axis=1) / label_roots.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -660,27 +626,12 @@ def replace_spec(model: TrainedModel, spec: ModelSpec, threshold: float) -> Trai
 
 def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.ndarray:
     """Per-label probabilities, [n, k]."""
-    if model.submodels is not None:
-        if model.spec.family == "logreg":
-            cols = []
-            for sub in model.submodels:
-                z = features @ sub.w + sub.b
-                if sp.issparse(z):
-                    z = np.asarray(z).ravel()
-                cols.append(expit(np.asarray(z, dtype=np.float64)))
-            return np.column_stack(cols)
-        # random forest: mean of hard tree votes
-        x = features
-        if sp.issparse(x):
-            x = np.asarray(x.todense(), dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        cols = []
-        for sub in model.submodels:
-            votes = np.zeros(x.shape[0])
-            for tree in sub.trees:
-                votes += _tree_votes(tree, x)
-            cols.append(votes / len(sub.trees))
-        return np.column_stack(cols)
+    if model.spec.family == "logreg":
+        arrays = model.submodels
+        return expit(features @ arrays["W"] + arrays["b"])
+    if model.spec.family == "rforest":
+        x = features.toarray() if sp.issparse(features) else features
+        return _forest_proba(model.submodels, np.asarray(x, dtype=np.float64))
 
     net = model.network
     n = features.shape[0]

@@ -4,11 +4,9 @@ and checkpoint I/O. float64 throughout."""
 
 from .checkpoint import (
     load_checkpoint,
-    load_tensor,
     model_tensors,
     restore_model,
     save_checkpoint,
-    save_tensor,
 )
 from .core import (
     Layer,
@@ -72,7 +70,6 @@ __all__ = [
     "gru_step",
     "guard_finite",
     "load_checkpoint",
-    "load_tensor",
     "lstm_step",
     "make_optimizer",
     "model_tensors",
@@ -80,5 +77,4 @@ __all__ = [
     "restore_model",
     "rnn_step",
     "save_checkpoint",
-    "save_tensor",
 ]

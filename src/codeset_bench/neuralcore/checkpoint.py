@@ -1,8 +1,9 @@
-"""Checkpoint layout: a key=value manifest, a tensor index, and one
-binary blob per tensor (ascii shape header + little-endian float64)."""
+"""Checkpoint layout: a ``key = value`` text manifest and one uncompressed
+``tensors.npz`` holding every named array in its own dtype."""
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -10,46 +11,19 @@ import numpy as np
 from ..errors import FormatError
 
 MANIFEST_NAME = "manifest.txt"
-INDEX_NAME = "tensors.idx"
-
-
-def save_tensor(arr: np.ndarray, path: str | Path) -> None:
-    arr = np.asarray(arr, dtype=np.float64)
-    with open(path, "wb") as fh:
-        header = "float64 " + " ".join(str(d) for d in arr.shape) + "\n"
-        fh.write(header.encode("ascii"))
-        fh.write(arr.astype("<f8").tobytes(order="C"))
-
-
-def load_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if not header or header[0] != "float64":
-            raise FormatError(f"{path}: bad tensor header")
-        shape = tuple(int(d) for d in header[1:])
-        count = 1
-        for d in shape:
-            count *= d
-        data = np.frombuffer(fh.read(), dtype="<f8", count=count)
-        if data.size != count:
-            raise FormatError(f"{path}: expected {count} values, got {data.size}")
-    return data.reshape(shape).astype(np.float64)
+TENSORS_NAME = "tensors.npz"
 
 
 def save_checkpoint(
     out_dir: str | Path, tensors: dict[str, np.ndarray], manifest: dict[str, object]
 ) -> Path:
-    """Write manifest + indexed tensor blobs under out_dir."""
+    """Write the manifest and the named tensors under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         for key in sorted(manifest):
             fh.write(f"{key} = {manifest[key]}\n")
-    with open(out_dir / INDEX_NAME, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(tensors):
-            filename = f"t{i:04d}.bin"
-            fh.write(f"{filename}\t{name}\n")
-            save_tensor(tensors[name], out_dir / filename)
+    np.savez(out_dir / TENSORS_NAME, **tensors)
     return out_dir
 
 
@@ -63,17 +37,14 @@ def load_checkpoint(ckpt_dir: str | Path) -> tuple[dict[str, np.ndarray], dict[s
                 continue
             key, _, value = line.partition("=")
             manifest[key.strip()] = value.strip()
-    tensors: dict[str, np.ndarray] = {}
-    index_path = ckpt_dir / INDEX_NAME
-    if not index_path.exists():
-        raise FormatError(f"{ckpt_dir}: missing tensor index")
-    for line in index_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        filename, _, name = line.partition("\t")
-        if not name:
-            raise FormatError(f"{index_path}: bad index line {line!r}")
-        tensors[name] = load_tensor(ckpt_dir / filename)
+    tensors_path = ckpt_dir / TENSORS_NAME
+    if not tensors_path.exists():
+        raise FormatError(f"{ckpt_dir}: missing {TENSORS_NAME}")
+    try:
+        with np.load(tensors_path, allow_pickle=False) as archive:
+            tensors = {name: archive[name] for name in archive.files}
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{tensors_path}: {exc}") from None
     return tensors, manifest
 
 

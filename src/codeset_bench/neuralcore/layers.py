@@ -162,15 +162,12 @@ class MaxPool1d(Layer):
         x, self._squeeze = _as_batched(x)
         batch, m, f = x.shape
         n_win = math.ceil(m / self.pool)
-        out = np.empty((batch, n_win, f))
-        self._argmax = np.empty((batch, n_win, f), dtype=np.int64)
-        for w in range(n_win):
-            lo = w * self.pool
-            hi = min(lo + self.pool, m)
-            window = x[:, lo:hi, :]
-            idx = window.argmax(axis=1)  # first max per (batch, channel)
-            self._argmax[:, w, :] = idx + lo
-            out[:, w, :] = np.take_along_axis(window, idx[:, None, :], axis=1)[:, 0, :]
+        # -inf padding never wins a window, so the tail keeps its own max
+        padded = np.pad(x, ((0, 0), (0, n_win * self.pool - m), (0, 0)), constant_values=-np.inf)
+        windows = padded.reshape(batch, n_win, self.pool, f)
+        idx = windows.argmax(axis=2)  # first max per (batch, window, channel)
+        out = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        self._argmax = idx + (np.arange(n_win) * self.pool)[None, :, None]
         self._in_shape = x.shape
         return out[0] if self._squeeze else out
 

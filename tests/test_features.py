@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeset_bench.errors import ConfigError, DatasetError
+from codeset_bench.errors import ConfigError, DatasetError, FormatError
 from codeset_bench.features import (
     TFIDF_FILTERED,
     TFIDF_LARGE,
@@ -255,10 +256,48 @@ def test_dense_round_trip_is_exact(tmp_path):
 
 
 def test_sequences_round_trip(tmp_path):
-    seqs = np.array([[0, 0, 3], [1, 2, 3]], dtype=np.int64)
-    path = tmp_path / "x.seq"
-    save_sequences(seqs, path)
-    assert np.array_equal(load_sequences(path), seqs)
+    # stored narrow (uint8, uint16, uint32 here), always read back as int64
+    for largest in (3, 300, 70000):
+        seqs = np.array([[0, 0, 3], [1, 2, largest]], dtype=np.int64)
+        path = tmp_path / "x.seq"
+        save_sequences(seqs, path)
+        loaded = load_sequences(path)
+        assert loaded.dtype == np.int64
+        assert np.array_equal(loaded, seqs)
+
+
+def _write_npy(path, arr):
+    with open(path, "wb") as fh:
+        np.save(fh, arr)
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 40])
+
+
+@pytest.mark.parametrize(
+    "loader, write",
+    [
+        # the earlier text layouts: header line, then values
+        (load_sparse, lambda p: p.write_text("2 2 1\n0 1 1.5\n")),
+        (load_dense, lambda p: p.write_text("1 2\n0.5 1.5\n")),
+        (load_sequences, lambda p: p.write_text("1 2\n0 3\n")),
+        (load_sparse, lambda p: (save_sparse(sp.eye(30, format="csr"), p), _truncate(p))),
+        (load_dense, lambda p: (save_dense(np.ones((20, 20)), p), _truncate(p))),
+        (load_sequences, lambda p: (save_sequences(np.ones((20, 20), np.int64) * 999, p),
+                                    _truncate(p))),
+        (load_dense, lambda p: _write_npy(p, np.ones(4))),
+        (load_dense, lambda p: _write_npy(p, np.ones((2, 2, 2)))),
+        (load_dense, lambda p: _write_npy(p, np.ones((2, 2), dtype=np.float32))),
+        (load_sequences, lambda p: _write_npy(p, np.ones((2, 2)))),
+    ],
+)
+def test_loaders_reject_malformed_files_naming_the_path(tmp_path, loader, write):
+    path = tmp_path / "artifact"
+    write(path)
+    with pytest.raises(FormatError, match="artifact"):
+        loader(path)
 
 
 def test_word2vec_text_round_trip_omits_pad(tmp_path):

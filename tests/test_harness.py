@@ -1,6 +1,7 @@
 """Config parsing, stage hashing/caching, the pipeline driver, the CLI."""
 
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from codeset_bench import cli, harness, models
+from codeset_bench import neuralcore as nc
 from codeset_bench.errors import ConfigError, PipelineError
 pytestmark = pytest.mark.filterwarnings("ignore:dataset.k")
 
@@ -15,7 +17,6 @@ from codeset_bench.harness import (
     ExperimentConfig,
     Workspace,
     compare_runs,
-    models_load_forest,
     models_save_forest,
     parse_config_text,
     rewrite_reports,
@@ -170,6 +171,17 @@ def test_cache_collision_detected(tmp_path):
         ws.stage_cached("corpus", cfg.stage_hash("corpus"))
 
 
+def test_artifact_format_change_rebuilds_cached_features(tmp_path, monkeypatch):
+    cfg = make_cfg()
+    ws = tmp_path / "ws"
+    run_pipeline(cfg, ws, run_name="first", log=lambda *a: None)
+    assert Workspace(ws).stage_cached("features", cfg.stage_hash("features"))
+    monkeypatch.setattr(harness, "ARTIFACT_FORMAT", "older-layout")
+    assert not Workspace(ws).stage_cached("features", cfg.stage_hash("features"))
+    record = run_pipeline(cfg, ws, run_name="second", log=lambda *a: None)
+    assert not any(hit.startswith("features:") for hit in record.cache_hits)
+
+
 # --------------------------------------------------------------- pipeline
 
 @pytest.fixture(scope="module")
@@ -188,7 +200,8 @@ def test_run_writes_all_artifacts(finished_run):
                  "metrics_test.json", "pr_train.csv", "pr_test.csv", "summary.txt",
                  "record.json"):
         assert (run_dir / name).exists(), name
-    assert (run_dir / "checkpoint").is_dir()
+    assert sorted(p.name for p in (run_dir / "checkpoint").iterdir()) == [
+        "manifest.txt", "tensors.npz"]
 
 
 def test_record_fields_are_consistent(finished_run):
@@ -288,17 +301,52 @@ def test_compare_rejects_mismatched_datasets(tmp_path):
 
 # ------------------------------------------------------- forest round trip
 
-def test_forest_text_dump_round_trips(tmp_path):
+def test_forest_checkpoint_round_trips(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((60, 3))
     y = (x[:, 0] > 0).astype(np.uint8).reshape(-1, 1)
     model = models.train_random_forest_ovr(x, y, n_trees=4, max_depth=3, seed=0)
-    path = tmp_path / "trees.txt"
-    models_save_forest(model.submodels[0], path)
-    trees = models_load_forest(path)
+    models_save_forest(model, tmp_path, {"family": "rforest"})
+    arrays, manifest = nc.load_checkpoint(tmp_path)
+    assert manifest == {"family": "rforest"}
     probs_before = models.predict_proba(model, x)
-    model.submodels[0] = models.ForestSubmodel(trees=trees, degenerate=False)
+    model.submodels = arrays
     assert np.array_equal(models.predict_proba(model, x), probs_before)
+
+
+def test_logreg_checkpoint_round_trips(tmp_path):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((50, 4))
+    y = (x[:, :3] > 0).astype(np.uint8)
+    model = models.train_logreg_ovr(x, y, iters=30)
+    harness._save_model(model, tmp_path, make_cfg())
+    arrays, manifest = nc.load_checkpoint(tmp_path)
+    assert manifest["family"] == "logreg"
+    assert sorted(arrays) == ["W", "b"]
+    probs_before = models.predict_proba(model, x)
+    model.submodels = arrays
+    assert np.array_equal(models.predict_proba(model, x), probs_before)
+
+
+# ------------------------------------------------------- traced benchmark
+
+def test_traced_benchmark_wraps_only_existing_names(monkeypatch):
+    # the traced benchmark run wraps package functions by attribute name;
+    # install raises AttributeError when one of them is gone
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    import instrument
+    import spans
+
+    original = harness.models_save_forest
+    tracer = spans.Tracer()
+    try:
+        instrument.install(tracer)
+        assert harness.models_save_forest is not original
+    finally:
+        tracer.restore()
+        sys.modules.pop("instrument", None)
+        sys.modules.pop("spans", None)
+    assert harness.models_save_forest is original
 
 
 # -------------------------------------------------------------------- cli

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from codeset_bench import models
+from codeset_bench import neuralcore as nc
 from codeset_bench.errors import ConfigError, DatasetError
 from codeset_bench.models import (
     CNN_REGIME,
@@ -88,7 +90,8 @@ def test_logreg_trains_one_submodel_per_label():
     x = rng.standard_normal((30, 5))
     y = (rng.random((30, 3)) < 0.5).astype(np.uint8)
     model = train_logreg_ovr(x, y, iters=5)
-    assert len(model.submodels) == 3
+    assert model.submodels["W"].shape == (5, 3)
+    assert model.submodels["b"].shape == (3,)
     assert model.k == 3
 
 
@@ -113,8 +116,8 @@ def test_logreg_is_deterministic():
     x, y = separable_problem(40, seed=4)
     a = train_logreg_ovr(x, y, iters=30)
     b = train_logreg_ovr(x, y, iters=30)
-    for sa, sb in zip(a.submodels, b.submodels):
-        assert np.array_equal(sa.w, sb.w) and sa.b == sb.b
+    assert np.array_equal(a.submodels["W"], b.submodels["W"])
+    assert np.array_equal(a.submodels["b"], b.submodels["b"])
 
 
 def test_logreg_columns_train_independently():
@@ -125,6 +128,34 @@ def test_logreg_columns_train_independently():
     base = predict_proba(train_logreg_ovr(x, y, iters=40), x)
     swapped = predict_proba(train_logreg_ovr(x, y[:, ::-1], iters=40), x)
     assert np.array_equal(base, swapped[:, ::-1])
+
+
+def logistic_column_reference(x, y, iters, lr):
+    """One label's full-batch descent on clipped BCE, one column at a time."""
+    n = x.shape[0]
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for _ in range(iters):
+        p = expit(x @ w + b)
+        g = np.where((p >= nc.BCE_EPS) & (p <= 1.0 - nc.BCE_EPS), p - y, 0.0) / n
+        w -= lr * np.asarray(x.T @ g).ravel()
+        b -= lr * float(g.sum())
+    return w, b
+
+
+@pytest.mark.parametrize("to_sparse", [False, True])
+def test_logreg_matrix_descent_matches_per_column_reference(to_sparse):
+    # the [d, k] descent only reorders sums, so it agrees to rounding
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((40, 6)) * (rng.random((40, 6)) < 0.5)
+    y = (rng.random((40, 4)) < 0.4).astype(np.uint8)
+    y[:, 3] = 0  # a degenerate column trains too
+    feats = sp.csr_matrix(x) if to_sparse else x
+    model = train_logreg_ovr(feats, y, iters=60, lr=0.5)
+    for j in range(y.shape[1]):
+        w, b = logistic_column_reference(feats, y[:, j].astype(np.float64), 60, 0.5)
+        np.testing.assert_allclose(model.submodels["W"][:, j], w, rtol=1e-12, atol=1e-15)
+        assert abs(model.submodels["b"][j] - b) <= 1e-14
 
 
 # ------------------------------------------------------------ random forest
@@ -146,13 +177,24 @@ def test_forest_votes_are_fractions_of_trees():
     assert np.all((probs * 8) % 1 < 1e-9)  # multiples of 1/8
 
 
+def tree_depths(arrays):
+    """Depth of every tree in the forest's roots table, from left/right."""
+    left, right = arrays["left"], arrays["right"]
+
+    def depth(node):
+        if left[node] < 0:
+            return 0
+        return 1 + max(depth(left[node]), depth(right[node]))
+
+    return [depth(r) for r in arrays["roots"].ravel()]
+
+
 def test_forest_depth_limit_is_respected():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((100, 3))
     y = (rng.random((100, 1)) < 0.5).astype(np.uint8)
     model = train_random_forest_ovr(x, y, n_trees=5, max_depth=2, seed=2)
-    for tree in model.submodels[0].trees:
-        assert tree.depth() <= 2
+    assert max(tree_depths(model.submodels)) <= 2
 
 
 def test_forest_pure_label_yields_constant_trees():
@@ -160,8 +202,7 @@ def test_forest_pure_label_yields_constant_trees():
     y = np.ones((30, 1), dtype=np.uint8)
     model = train_random_forest_ovr(x, y, n_trees=4, max_depth=5, seed=3)
     assert np.all(predict_proba(model, x) == 1.0)
-    for tree in model.submodels[0].trees:
-        assert tree.depth() == 0
+    assert tree_depths(model.submodels) == [0] * 4
 
 
 def test_forest_label_columns_use_the_same_randomness():
@@ -192,6 +233,24 @@ def test_forest_is_seed_deterministic():
     a = train_random_forest_ovr(x, y, n_trees=5, max_depth=3, seed=9)
     b = train_random_forest_ovr(x, y, n_trees=5, max_depth=3, seed=9)
     assert np.array_equal(predict_proba(a, x), predict_proba(b, x))
+
+
+def test_forest_vectorized_descent_matches_per_row_walk():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((70, 5))
+    y = np.column_stack([x[:, 0] > 0, x[:, 1] + x[:, 2] > 0.5, x[:, 3] > 1]).astype(np.uint8)
+    model = train_random_forest_ovr(x, y, n_trees=7, max_depth=4, seed=2)
+    a = model.submodels
+    votes = np.zeros((70, 3))
+    for j, roots in enumerate(a["roots"]):
+        for root in roots:
+            for i, row in enumerate(x):
+                node = root
+                while a["feature"][node] >= 0:
+                    go_left = row[a["feature"][node]] <= a["threshold"][node]
+                    node = a["left"][node] if go_left else a["right"][node]
+                votes[i, j] += 1.0 if a["value"][node] >= 0.5 else 0.0
+    assert np.array_equal(predict_proba(model, x), votes / 7)
 
 
 # ------------------------------------------------------------ training loop

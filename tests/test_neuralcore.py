@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codeset_bench.neuralcore as nc
-from codeset_bench.errors import NumericError, ShapeError
+from codeset_bench.errors import FormatError, NumericError, ShapeError
 
 
 def rng(seed=0):
@@ -432,6 +432,36 @@ def test_restore_model_round_trip(tmp_path):
     tensors, _ = nc.load_checkpoint(tmp_path)
     nc.restore_model(fresh, tensors)
     assert np.array_equal(fresh.forward(x), before)
+
+
+def _checkpoint_without_archive(d):
+    (d / "manifest.txt").write_text("arch = dense\n")
+
+
+def _checkpoint_in_blob_layout(d):
+    # the earlier layout: an index of one binary blob per tensor
+    (d / "tensors.idx").write_text("t0000.bin\tlayer0.w\n")
+    (d / "t0000.bin").write_bytes(b"float64 2\n" + np.ones(2).tobytes())
+
+
+def _checkpoint_truncated(d):
+    nc.save_checkpoint(d, {"w": np.ones((30, 30))}, {})
+    data = (d / "tensors.npz").read_bytes()
+    (d / "tensors.npz").write_bytes(data[: len(data) // 2])
+
+
+def _checkpoint_not_a_zip(d):
+    (d / "tensors.npz").write_text("w 1.0 2.0\n")
+
+
+@pytest.mark.parametrize("write", [_checkpoint_without_archive, _checkpoint_in_blob_layout,
+                                   _checkpoint_truncated, _checkpoint_not_a_zip])
+def test_load_checkpoint_rejects_malformed_directories(tmp_path, write):
+    d = tmp_path / "ckpt"
+    d.mkdir()
+    write(d)
+    with pytest.raises(FormatError, match="ckpt"):
+        nc.load_checkpoint(d)
 
 
 def test_model_tensors_rejects_duplicate_names():
