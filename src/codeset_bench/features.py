@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from .errors import ConfigError, FormatError, NumericError
 from .textproc import PAD_INDEX, Vocabulary, build_vocabulary
@@ -171,6 +173,11 @@ def _restrict_vocabulary(vocab: Vocabulary, keep: set[str]) -> Vocabulary:
 # CBOW word2vec with negative sampling
 # ---------------------------------------------------------------------------
 
+# Centers trained together as one block of array operations. Every center of
+# a block reads the weights as they were at the block's start, so larger
+# blocks run faster but train on staler weights; one block per epoch stalls.
+CBOW_BLOCK = 128
+
 
 @dataclass
 class Word2VecResult:
@@ -192,33 +199,39 @@ def train_word2vec_cbow(
 ) -> Word2VecResult:
     """Continuous bag-of-words embeddings trained by negative sampling.
 
-    Single-threaded seeded SGD: for each center word the context vectors
-    inside a per-position window (width drawn uniformly from 1..window)
-    are averaged, scored against the true center and ``negatives`` noise
-    words drawn from the unigram distribution raised to 3/4, and both
-    embedding tables are updated from the logistic loss. The learning
-    rate decays linearly over all scheduled steps.
+    Seeded SGD with one step per token of the corpus: the context vectors
+    inside a per-position window (width drawn uniformly from 1..window,
+    never crossing the center's document) are averaged, scored against
+    the true center and ``negatives`` noise words drawn from the unigram
+    distribution raised to 3/4, and both embedding tables are updated from
+    the logistic loss. The learning rate decays linearly over all
+    scheduled steps.
+
+    Steps run in blocks of ``CBOW_BLOCK`` consecutive corpus positions,
+    each block as a few array operations: one sparse averaging matrix for
+    the contexts, one batched product for the scores and one sparse
+    product per table for the updates. Every center of a block reads both
+    tables as they were at the block's start; the block's updates are
+    summed in at its end.
     """
     if dim < 1 or window < 1 or negatives < 0 or epochs < 1:
         raise ConfigError("invalid word2vec hyperparameters")
     vocab = build_vocabulary(docs, min_doc_freq=1)
     if min_count > 1:
-        counts: dict[str, int] = {}
-        for doc in docs:
-            for tok in doc:
-                counts[tok] = counts.get(tok, 0) + 1
+        counts = Counter(tok for doc in docs for tok in doc)
         keep = {t for t, c in counts.items() if c >= min_count and t in vocab.token_to_index}
         if not keep:
             raise ConfigError("min_count removed every token")
         vocab = _restrict_vocabulary(vocab, keep)
 
-    encoded = [
-        [vocab.token_to_index[t] for t in doc if t in vocab.token_to_index]
-        for doc in docs
-    ]
-    encoded = [doc for doc in encoded if len(doc) >= 2]
+    # the corpus as one flat index array; document d is corpus[offsets[d]:offsets[d + 1]]
+    lookup = vocab.token_to_index
+    encoded = [np.fromiter((lookup[t] for t in doc if t in lookup), dtype=np.int64) for doc in docs]
+    encoded = [doc for doc in encoded if doc.size >= 2]
     if not encoded:
         raise ConfigError("no document retains two in-vocabulary tokens")
+    corpus = np.concatenate(encoded)
+    offsets = np.cumsum([0] + [doc.size for doc in encoded])
 
     n_slots = len(vocab.index_to_token)
     rng = np.random.default_rng(seed)
@@ -226,55 +239,90 @@ def train_word2vec_cbow(
     w_out = np.zeros((n_slots, dim), dtype=np.float64)
     w_in[PAD_INDEX] = 0.0
 
-    # noise distribution: unigram counts over the encoded corpus, ^0.75
-    freq = np.zeros(n_slots, dtype=np.float64)
-    for doc in encoded:
-        for i in doc:
-            freq[i] += 1.0
-    noise = freq**0.75
-    noise[PAD_INDEX] = 0.0
-    noise /= noise.sum()
+    # noise distribution: unigram counts over the corpus, ^0.75, as a CDF
+    noise_cdf = np.cumsum(np.bincount(corpus, minlength=n_slots) ** 0.75)
+    noise_cdf /= noise_cdf[-1]
 
-    total_steps = epochs * sum(len(doc) for doc in encoded)
+    n = corpus.size
+    total_steps = epochs * n
     losses = np.empty(total_steps, dtype=np.float64)
-    step = 0
-    for _ in range(epochs):
-        for doc in encoded:
-            for t, center in enumerate(doc):
-                lr = max(
-                    min_learning_rate,
-                    learning_rate * (1.0 - step / total_steps),
-                )
-                b = int(rng.integers(1, window + 1))
-                lo, hi = max(0, t - b), min(len(doc), t + b + 1)
-                context = [doc[p] for p in range(lo, hi) if p != t]
-                if not context:
-                    losses[step] = 0.0
-                    step += 1
-                    continue
-                h = w_in[context].mean(axis=0)
-                targets = [center] + list(
-                    rng.choice(n_slots, size=negatives, p=noise)
-                )
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-                grad_h = np.zeros(dim)
-                loss = 0.0
-                for tgt, y in zip(targets, labels):
-                    score = float(w_out[tgt] @ h)
-                    p = 1.0 / (1.0 + math.exp(-score)) if score > -500 else 0.0
-                    g = p - y
-                    loss -= math.log(max(p if y else 1.0 - p, 1e-10))
-                    grad_h += g * w_out[tgt]
-                    w_out[tgt] -= lr * g * h
-                upd = lr * grad_h / len(context)
-                for c in context:
-                    w_in[c] -= upd
-                losses[step] = loss
-                step += 1
+    for epoch in range(epochs):
+        for start in range(0, n, CBOW_BLOCK):
+            centers = np.arange(start, min(start + CBOW_BLOCK, n))
+            steps = epoch * n + centers
+            lr = np.maximum(min_learning_rate, learning_rate * (1.0 - steps / total_steps))
+            widths = rng.integers(1, window + 1, size=centers.size)
+            context = _context_average(corpus, offsets, centers, widths, n_slots)
+            noise = noise_cdf.searchsorted(rng.random((centers.size, negatives)), side="right")
+            targets = np.column_stack([corpus[centers], noise])
+            losses[steps] = _cbow_block_update(w_in, w_out, context, targets, lr)
     if not np.all(np.isfinite(w_in)):
         raise NumericError("non-finite values in trained embeddings")
-    return Word2VecResult(vocabulary=vocab, vectors=w_in, losses=losses[:step])
+    return Word2VecResult(vocabulary=vocab, vectors=w_in, losses=losses)
+
+
+def _context_average(
+    corpus: np.ndarray, offsets: np.ndarray, centers: np.ndarray, widths: np.ndarray, n_slots: int
+) -> sp.csr_matrix:
+    """[B, n_slots] matrix whose row i averages the context of corpus
+    position ``centers[i]``: every position at most ``widths[i]`` away in
+    the same document, the center excluded. A word that occurs twice in a
+    window has two entries in its row."""
+    doc = offsets.searchsorted(centers, side="right") - 1
+    reach = int(widths.max())
+    shifts = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+    positions = centers[:, None] + shifts
+    inside = (
+        (np.abs(shifts) <= widths[:, None])
+        & (positions >= offsets[doc, None])
+        & (positions < offsets[doc + 1, None])
+    )
+    counts = inside.sum(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    weights = np.repeat(1.0 / counts, counts)
+    return sp.csr_matrix((weights, corpus[positions[inside]], indptr), shape=(centers.size, n_slots))
+
+
+def _cbow_block_update(
+    w_in: np.ndarray, w_out: np.ndarray, context: sp.csr_matrix, targets: np.ndarray, lr: np.ndarray
+) -> np.ndarray:
+    """One SGD step for each of a block of B centers, in place; returns the
+    B losses.
+
+    ``context`` is the [B, V] averaging matrix of ``_context_average``,
+    ``targets`` is [B, 1 + negatives] with the true center first, and
+    ``lr`` holds each center's learning rate. Every center scores and
+    takes gradients against both tables as they are on entry; all updates
+    are then added in, so repeated context words and duplicate targets
+    add up.
+    """
+    h = context @ w_in  # [B, dim] context averages
+    out = w_out[targets]  # [B, K, dim]
+    p = expit(np.einsum("bkd,bd->bk", out, h))
+    fit = 1.0 - p  # probability given to each target's label
+    fit[:, 0] = p[:, 0]
+    loss = -np.log(np.maximum(fit, 1e-10)).sum(axis=1)
+    g = p
+    g[:, 0] -= 1.0  # p - label
+    grad_h = np.einsum("bk,bkd->bd", g, out)
+    b, k = targets.shape
+    _add_rows(w_out, targets.ravel(), np.arange(0, b * k + 1, k), (lr[:, None] * g).ravel(), -h)
+    _add_rows(w_in, context.indices, context.indptr, context.data, -lr[:, None] * grad_h)
+    return loss
+
+
+def _add_rows(
+    table: np.ndarray, rows: np.ndarray, indptr: np.ndarray, weights: np.ndarray, values: np.ndarray
+) -> None:
+    """``table[rows[j]] += weights[j] * values[i]`` for every i and every j
+    in ``indptr[i]:indptr[i + 1]``, a repeated row getting every term.
+
+    The terms are summed by one sparse product over the distinct rows, so
+    the cost does not grow with the size of the table.
+    """
+    distinct, slot = np.unique(rows, return_inverse=True)
+    scatter = sp.csc_matrix((weights, slot, indptr), shape=(distinct.size, len(indptr) - 1))
+    table[distinct] += scatter @ values
 
 
 # ---------------------------------------------------------------------------

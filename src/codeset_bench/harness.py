@@ -83,10 +83,11 @@ DEFAULTS: dict[str, str] = {
     "train.seed": "0",
 }
 
-# Version of the on-disk layout of cached artifacts. It is part of every
-# stage hash, so a workspace written in an older layout is rebuilt rather
-# than read.
-ARTIFACT_FORMAT = "npy-1"
+# Version of what the cached stages compute and of their on-disk layout.
+# It is part of every stage hash, so a workspace written by code that
+# computed or stored a stage differently is rebuilt rather than read. Bump
+# it with any change to a stage's output (npy-2: blocked CBOW updates).
+ARTIFACT_FORMAT = "npy-2"
 
 TRACK_KINDS = {
     "tfidf40k": "sparse",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from codeset_bench.errors import ConfigError, DatasetError, FormatError
 from codeset_bench.features import (
+    CBOW_BLOCK,
     TFIDF_FILTERED,
     TFIDF_LARGE,
     EmbeddingMatrix,
@@ -32,6 +33,8 @@ from codeset_bench.features import (
     select_tfidf_config,
     tfidf_vectorize,
     train_word2vec_cbow,
+    _cbow_block_update,
+    _context_average,
 )
 from codeset_bench.textproc import PAD_INDEX
 
@@ -158,6 +161,89 @@ def test_cbow_min_count_restricts_vocabulary():
     docs = [["common", "common", "rare"], ["common", "other"], ["common", "other"]]
     res = train_word2vec_cbow(docs, dim=4, epochs=1, min_count=2, seed=0)
     assert "rare" not in res.vocabulary.token_to_index
+
+
+def test_cbow_block_update_matches_scalar_reference():
+    # every center reads both tables as they were on entry and every update
+    # is added in, so a loop over centers and targets agrees to rounding
+    rng = np.random.default_rng(11)
+    w_in = rng.standard_normal((8, 5))
+    w_in[PAD_INDEX] = 0.0
+    w_out = 0.5 * rng.standard_normal((8, 5))
+    w_out[PAD_INDEX] = 0.0
+    contexts = [[1, 2, 2, 3], [4], [5, 5, 5], [1, 6, 2, 7], [3, 7]]
+    targets = np.array([
+        [1, 4, 6],  # plain
+        [2, 2, 2],  # both negatives equal to the center
+        [3, 6, 6],  # duplicate negatives
+        [6, 1, 6],  # a negative equal to the center
+        [7, 1, 2],
+    ])
+    lr = np.array([0.9, 0.5, 0.3, 0.7, 0.1])
+    indptr = np.cumsum([0] + [len(c) for c in contexts])
+    weights = np.concatenate([np.full(len(c), 1.0 / len(c)) for c in contexts])
+    context = sp.csr_matrix((weights, np.concatenate(contexts), indptr), shape=(5, 8))
+
+    got_in, got_out = w_in.copy(), w_out.copy()
+    got_losses = _cbow_block_update(got_in, got_out, context, targets, lr)
+
+    ref_in, ref_out = w_in.copy(), w_out.copy()
+    for i, ctx in enumerate(contexts):
+        h = w_in[ctx].mean(axis=0)
+        grad_h = np.zeros(5)
+        loss = 0.0
+        for k, tgt in enumerate(targets[i]):
+            y = 1.0 if k == 0 else 0.0
+            p = 1.0 / (1.0 + math.exp(-float(w_out[tgt] @ h)))
+            loss -= math.log(max(p if y else 1.0 - p, 1e-10))
+            grad_h += (p - y) * w_out[tgt]
+            ref_out[tgt] -= lr[i] * (p - y) * h
+        for c in ctx:
+            ref_in[c] -= lr[i] * grad_h / len(ctx)
+        assert got_losses[i] == pytest.approx(loss, rel=1e-12)
+    np.testing.assert_allclose(got_in, ref_in, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got_out, ref_out, rtol=1e-12, atol=1e-15)
+    assert not got_in[PAD_INDEX].any() and not got_out[PAD_INDEX].any()
+
+
+def test_cbow_context_stays_inside_its_document_and_skips_the_center():
+    offsets = np.array([0, 2, 7, 30, 32])  # documents of 2, 5, 23 and 2 tokens
+    n = int(offsets[-1])
+    corpus = np.arange(1, n + 1)  # token = position + 1, so columns name positions
+    centers = np.arange(n)
+    widths = np.random.default_rng(2).integers(1, 7, size=n)
+    context = _context_average(corpus, offsets, centers, widths, n + 1)
+    assert context.shape == (n, n + 1)
+    for t in centers:
+        d = np.searchsorted(offsets, t, side="right") - 1
+        expected = [
+            p for p in range(offsets[d], offsets[d + 1]) if p != t and abs(p - t) <= widths[t]
+        ]
+        row = slice(context.indptr[t], context.indptr[t + 1])
+        assert sorted(context.indices[row] - 1) == expected
+        np.testing.assert_allclose(context.data[row], 1.0 / len(expected), rtol=1e-15)
+
+
+@pytest.mark.parametrize("negatives, window", [(0, 5), (5, 1), (0, 1)])
+def test_cbow_trains_without_negatives_or_with_unit_window(negatives, window):
+    docs = two_topic_docs(5)
+    res = train_word2vec_cbow(docs, dim=6, window=window, negatives=negatives, epochs=2, seed=4)
+    assert not res.vectors[PAD_INDEX].any()
+    assert np.all(np.isfinite(res.vectors))
+    assert res.losses.shape == (2 * sum(len(d) for d in docs),)
+    assert np.all(np.isfinite(res.losses)) and np.all(res.losses >= 0.0)
+
+
+@pytest.mark.parametrize("n_docs", [1, CBOW_BLOCK // 2 + 3])
+def test_cbow_records_one_loss_per_token_step_across_blocks(n_docs):
+    # 6-token documents: one doc is shorter than a block, the other corpus
+    # fills three blocks and part of a fourth; a 1-token doc does not train
+    docs = [[f"w{(i + j) % 9}" for j in range(6)] for i in range(n_docs)] + [["w0"]]
+    n_tokens = 6 * n_docs
+    assert (n_tokens < CBOW_BLOCK) == (n_docs == 1)
+    res = train_word2vec_cbow(docs, dim=4, epochs=3, seed=1)
+    assert res.losses.shape == (3 * n_tokens,)
+    assert not res.vectors[PAD_INDEX].any()
 
 
 # ------------------------------------------------------------- embeddings
