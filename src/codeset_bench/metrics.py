@@ -126,15 +126,12 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     n = scores.size
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
     s = scores[order]
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    bounds = np.flatnonzero(s[1:] != s[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [n])) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -201,25 +198,18 @@ def average_precision(
     if n_pos == 0:
         return None, None
     order = np.argsort(-s, kind="stable")
-    tp = 0
-    recalls, precisions, thresholds = [], [], []
-    ap = 0.0
-    prev_recall = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if t[idx]:
-            tp += 1
-            r = tp / n_pos
-            p = tp / rank
-            ap += (r - prev_recall) * p
-            prev_recall = r
-            recalls.append(r)
-            precisions.append(p)
-            thresholds.append(s[idx])
+    ranks = np.flatnonzero(t[order]) + 1
+    tp = np.arange(1, n_pos + 1)
+    recalls = tp / n_pos
+    precisions = tp / ranks
+    prev_recalls = np.concatenate(([0.0], recalls[:-1]))
+    # cumsum adds the terms left to right, as a running total would
+    ap = np.cumsum((recalls - prev_recalls) * precisions)[-1]
     curve = PRCurve(
         label=label,
-        recall=np.array(recalls),
-        precision=np.array(precisions),
-        thresholds=np.array(thresholds),
+        recall=recalls,
+        precision=precisions,
+        thresholds=s[order[ranks - 1]],
     )
     return float(ap), curve
 
@@ -234,13 +224,12 @@ def precision_at_k(probs: np.ndarray, truth: np.ndarray, k: int = 5) -> float:
         raise ShapeError(f"probs {probs.shape} vs truth {t.shape}")
     if k > probs.shape[1]:
         raise ConfigError(f"k={k} exceeds label count {probs.shape[1]}")
-    vals = []
-    for i in range(probs.shape[0]):
-        if not t[i].any():
-            continue
-        top = np.argsort(-probs[i], kind="stable")[:k]
-        vals.append(t[i, top].sum() / k)
-    return float(np.mean(vals)) if vals else 0.0
+    keep = t.any(axis=1)
+    if not keep.any():
+        return 0.0
+    top = np.argsort(-probs[keep], axis=1, kind="stable")[:, :k]
+    vals = np.take_along_axis(t[keep], top, axis=1).sum(axis=1) / k
+    return float(np.mean(vals))
 
 
 @dataclass

@@ -220,50 +220,63 @@ def train_logreg_ovr(
 
 
 def _best_split(x, y, feats) -> tuple[float, int, float] | None:
-    """Lowest weighted Gini over candidate features; thresholds are
-    midpoints between consecutive distinct values. First feature / lowest
-    threshold wins ties."""
+    """Lowest weighted Gini over the candidate columns ``feats``, given as
+    the node's ``[m, len(feats)]`` block ``x`` with labels ``y``.
+
+    One pass over the block: a stable sort per column, a cumulative count
+    of positives and the Gini of every cut, with cuts between equal values
+    masked to +inf. Thresholds are midpoints between consecutive distinct
+    values. Ties follow the sequential rule: the lowest threshold wins in a
+    column, and a later candidate replaces the best only if its Gini is
+    lower by more than 1e-15. None when every candidate is constant."""
     m = len(y)
     total_pos = float(y.sum())
+    order = np.argsort(x, axis=0, kind="stable")
+    sv = np.take_along_axis(x, order, axis=0)
+    pos_l = np.cumsum(y[order].astype(np.float64), axis=0)[:-1]
+    n_l = np.arange(1.0, m)[:, None]
+    n_r = m - n_l
+    pos_r = total_pos - pos_l
+    p_l = pos_l / n_l
+    p_r = pos_r / n_r
+    gini = (n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)) / m
+    valid = sv[:-1] < sv[1:]
+    gini[~valid] = np.inf
+    cols = np.flatnonzero(valid.any(axis=0))
+    cuts = gini[:, cols].argmin(axis=0)
     best = None
-    for f in feats:
-        vals = x[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y[order].astype(np.float64)
-        cut = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cut.size == 0:
-            continue
-        n_l = (cut + 1).astype(np.float64)
-        n_r = m - n_l
-        pos_l = np.cumsum(sy)[cut]
-        pos_r = total_pos - pos_l
-        p_l = pos_l / n_l
-        p_r = pos_r / n_r
-        gini = (n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)) / m
-        i = int(np.argmin(gini))
-        if best is None or gini[i] < best[0] - 1e-15:
-            thr = float((sv[cut[i]] + sv[cut[i] + 1]) / 2.0)
-            best = (float(gini[i]), int(f), thr)
+    for c, i, g in zip(cols.tolist(), cuts.tolist(), gini[cuts, cols].tolist()):
+        if best is None or g < best[0] - 1e-15:
+            thr = float((sv[i, c] + sv[i + 1, c]) / 2.0)
+            best = (g, int(feats[c]), thr)
     return best
 
 
-def _grow_tree(x, y, rng, max_depth: int, n_try: int, nodes: list, depth: int = 0) -> int:
-    """Append the tree to ``nodes`` in preorder as [feature, threshold,
-    left, right, value] rows and return its root's index. Leaves have
-    feature -1 and hold the mean label of their rows as value."""
+def _grow_tree(x, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth: int = 0) -> int:
+    """Append the tree grown on ``rows`` of the dense ``x`` and labels
+    ``y`` to ``nodes`` in preorder as [feature, threshold, left, right,
+    value] rows and return its root's index. Leaves have feature -1 and
+    hold the mean label of their rows as value.
+
+    A node holds only its row indices, in draw order: the bootstrap draw
+    at the root, then the rows going each way. It gathers just its
+    ``[len(rows), n_try]`` block of candidate columns; ``x`` itself is
+    never copied. The RNG is called once per non-leaf node, in preorder,
+    to draw ``n_try`` candidates without replacement.
+    """
     node = len(nodes)
-    nodes.append([-1, 0.0, -1, -1, float(y.mean())])
-    if depth >= max_depth or len(y) < 2 or y.min() == y.max():
+    yr = y[rows]
+    nodes.append([-1, 0.0, -1, -1, float(yr.mean())])
+    if depth >= max_depth or len(yr) < 2 or yr.min() == yr.max():
         return node
     feats = rng.choice(x.shape[1], size=n_try, replace=False)
-    best = _best_split(x, y, feats)
+    best = _best_split(x[np.ix_(rows, feats)], yr, feats)
     if best is None:
         return node
     _, f, thr = best
-    mask = x[:, f] <= thr
-    left = _grow_tree(x[mask], y[mask], rng, max_depth, n_try, nodes, depth + 1)
-    right = _grow_tree(x[~mask], y[~mask], rng, max_depth, n_try, nodes, depth + 1)
+    mask = x[rows, f] <= thr
+    left = _grow_tree(x, y, rows[mask], rng, max_depth, n_try, nodes, depth + 1)
+    right = _grow_tree(x, y, rows[~mask], rng, max_depth, n_try, nodes, depth + 1)
     nodes[node] = [f, thr, left, right, -1.0]
     return node
 
@@ -295,7 +308,7 @@ def train_random_forest_ovr(
                 f"densifying {features.shape[1]}-dim sparse features needs "
                 "allow_dense_blowup=True"
             )
-        features = np.asarray(features.todense(), dtype=np.float64)
+        features = features.toarray()
     x = np.asarray(features, dtype=np.float64)
     if x.size == 0:
         raise DatasetError("empty feature matrix")
@@ -309,7 +322,7 @@ def train_random_forest_ovr(
         rng = np.random.default_rng(seed)  # same stream for every label
         for t in range(n_trees):
             boot = rng.integers(0, n, size=n)
-            roots[j, t] = _grow_tree(x[boot], y[boot], rng, max_depth, n_try, nodes)
+            roots[j, t] = _grow_tree(x, y, boot, rng, max_depth, n_try, nodes)
     feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
     arrays = {
         "feature": np.array(feature, dtype=np.int64),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeset_bench import oracles
+from codeset_bench import metrics, oracles
 from codeset_bench.errors import ConfigError
 from codeset_bench.metrics import (
     PredictionRun,
@@ -226,6 +226,106 @@ def test_precision_at_k_breaks_ties_by_index():
 def test_precision_at_k_rejects_k_beyond_labels():
     with pytest.raises(ConfigError):
         precision_at_k(np.array([[0.5]]), U8([[1]]), k=5)
+
+
+# ------------------------------------------- array forms vs loop references
+
+def average_ranks_reference(scores):
+    """Walk the sorted scores one tie group at a time."""
+    n = scores.size
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    s = scores[order]
+    while i < n:
+        j = i
+        while j + 1 < n and s[j + 1] == s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def average_precision_reference(s, t):
+    """Running sum over descending-score ranks; (ap, recall, precision,
+    thresholds), or None without positives."""
+    t = t.astype(bool)
+    n_pos = int(t.sum())
+    if n_pos == 0:
+        return None
+    tp = 0
+    recalls, precisions, thresholds = [], [], []
+    ap = 0.0
+    prev_recall = 0.0
+    for rank, idx in enumerate(np.argsort(-s, kind="stable"), start=1):
+        if t[idx]:
+            tp += 1
+            r = tp / n_pos
+            p = tp / rank
+            ap += (r - prev_recall) * p
+            prev_recall = r
+            recalls.append(r)
+            precisions.append(p)
+            thresholds.append(s[idx])
+    return ap, np.array(recalls), np.array(precisions), np.array(thresholds)
+
+
+def precision_at_k_reference(probs, truth, k):
+    """One row at a time, skipping rows with no true label."""
+    t = truth.astype(bool)
+    vals = []
+    for i in range(probs.shape[0]):
+        if not t[i].any():
+            continue
+        top = np.argsort(-probs[i], kind="stable")[:k]
+        vals.append(t[i, top].sum() / k)
+    return float(np.mean(vals)) if vals else 0.0
+
+
+def reference_columns():
+    """(scores, truth) columns: all tied, tie groups at both ends, a single
+    positive, no positives, and random columns with many ties."""
+    cols = [
+        (np.full(7, 0.3), U8([0, 1, 0, 1, 1, 0, 0])),
+        (np.array([0.1, 0.9, 0.1, 0.5, 0.9, 0.1, 0.4, 0.9]), U8([1, 0, 0, 1, 1, 0, 1, 0])),
+        (np.array([0.2, 0.7, 0.7, 0.1, 0.4]), U8([0, 0, 1, 0, 0])),
+        (np.array([0.2, 0.7, 0.7, 0.1]), U8([0, 0, 0, 0])),
+        (np.array([0.6]), U8([1])),
+    ]
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 10, 57, 400):
+        cols.append((np.round(rng.random(n), 1), (rng.random(n) < 0.3).astype(np.uint8)))
+        cols.append((rng.random(n), (rng.random(n) < 0.1).astype(np.uint8)))
+    return cols
+
+
+def test_average_ranks_match_loop_reference():
+    for scores, _ in reference_columns():
+        assert np.array_equal(metrics._average_ranks(scores), average_ranks_reference(scores))
+
+
+def test_average_precision_matches_loop_reference():
+    for scores, truth in reference_columns():
+        ap, curve = average_precision(scores, truth, label="x")
+        want = average_precision_reference(scores, truth)
+        if want is None:
+            assert (ap, curve) == (None, None)
+            continue
+        assert ap == want[0]
+        for got, expected in zip((curve.recall, curve.precision, curve.thresholds), want[1:]):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
+def test_precision_at_k_matches_loop_reference():
+    rng = np.random.default_rng(13)
+    probs = np.round(rng.random((60, 8)), 1)
+    truth = (rng.random((60, 8)) < 0.2).astype(np.uint8)
+    truth[::7] = 0  # rows with empty truth are skipped
+    for k in (1, 3, 8):
+        assert precision_at_k(probs, truth, k=k) == precision_at_k_reference(probs, truth, k)
+    empty = np.zeros_like(truth)
+    assert precision_at_k(probs, empty, k=2) == precision_at_k_reference(probs, empty, 2) == 0.0
 
 
 # ----------------------------------------------------------------- report

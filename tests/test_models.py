@@ -253,6 +253,135 @@ def test_forest_vectorized_descent_matches_per_row_walk():
     assert np.array_equal(predict_proba(model, x), votes / 7)
 
 
+def best_split_reference(x, y, feats):
+    """One candidate feature at a time: sort, count, keep the first best."""
+    m = len(y)
+    total_pos = float(y.sum())
+    best = None
+    for f in feats:
+        vals = x[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y[order].astype(np.float64)
+        cut = np.nonzero(sv[:-1] < sv[1:])[0]
+        if cut.size == 0:
+            continue
+        n_l = (cut + 1).astype(np.float64)
+        n_r = m - n_l
+        pos_l = np.cumsum(sy)[cut]
+        pos_r = total_pos - pos_l
+        p_l = pos_l / n_l
+        p_r = pos_r / n_r
+        gini = (n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)) / m
+        i = int(np.argmin(gini))
+        if best is None or gini[i] < best[0] - 1e-15:
+            thr = float((sv[cut[i]] + sv[cut[i] + 1]) / 2.0)
+            best = (float(gini[i]), int(f), thr)
+    return best
+
+
+def grow_tree_reference(x, y, rng, max_depth, n_try, nodes, depth=0):
+    """Preorder growth on copied row subsets of the node's matrix."""
+    node = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, float(y.mean())])
+    if depth >= max_depth or len(y) < 2 or y.min() == y.max():
+        return node
+    feats = rng.choice(x.shape[1], size=n_try, replace=False)
+    best = best_split_reference(x, y, feats)
+    if best is None:
+        return node
+    _, f, thr = best
+    mask = x[:, f] <= thr
+    left = grow_tree_reference(x[mask], y[mask], rng, max_depth, n_try, nodes, depth + 1)
+    right = grow_tree_reference(x[~mask], y[~mask], rng, max_depth, n_try, nodes, depth + 1)
+    nodes[node] = [f, thr, left, right, -1.0]
+    return node
+
+
+def forest_reference(features, labels, n_trees, max_depth, seed):
+    x = features.toarray() if sp.issparse(features) else np.asarray(features, dtype=np.float64)
+    n, d = x.shape
+    n_try = max(1, int(round(np.sqrt(d))))
+    nodes = []
+    roots = np.empty((labels.shape[1], n_trees), dtype=np.int64)
+    for j in range(labels.shape[1]):
+        y = labels[:, j].astype(np.int64)
+        rng = np.random.default_rng(seed)
+        for t in range(n_trees):
+            boot = rng.integers(0, n, size=n)
+            roots[j, t] = grow_tree_reference(x[boot], y[boot], rng, max_depth, n_try, nodes)
+    feature, threshold, left, right, value = zip(*nodes)
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "value": np.array(value, dtype=np.float64),
+        "roots": roots,
+    }
+
+
+def forest_case(name):
+    rng = np.random.default_rng(11)
+    if name == "rounded":  # many ties within a column
+        x = np.round(rng.standard_normal((80, 16)), 1)
+    elif name == "constant-columns":
+        x = rng.standard_normal((60, 9))
+        x[:, [2, 5, 6, 7]] = 0.25
+    elif name == "all-candidates-constant":
+        x = np.tile([1.0, -2.0, 0.5, 3.0], (40, 1))
+    elif name == "two-row":
+        x = rng.standard_normal((2, 4))
+    elif name == "small-deep":  # many two-row nodes
+        x = rng.standard_normal((9, 4))
+    elif name == "duplicated-columns":  # exactly equal Ginis: first candidate wins
+        x = np.tile(rng.standard_normal((50, 4)), (1, 4))
+    elif name == "near-tied-binary":  # Ginis a few ulps apart at one node
+        x = (rng.random((20, 9)) < 0.5).astype(np.float64)
+    elif name == "csr":
+        x = sp.random(70, 25, density=0.3, format="csr", random_state=3)
+    else:
+        raise KeyError(name)
+    dense = x.toarray() if sp.issparse(x) else x
+    y = np.column_stack([
+        dense[:, 0] + 0.5 * rng.standard_normal(len(dense)) > 0,
+        rng.random(len(dense)) < 0.5,
+        dense[:, 1] > np.median(dense[:, 1]),
+    ]).astype(np.uint8)
+    if name == "two-row":
+        y = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    return x, y
+
+
+@pytest.mark.parametrize("name", [
+    "rounded", "constant-columns", "all-candidates-constant", "two-row", "small-deep",
+    "duplicated-columns", "near-tied-binary", "csr",
+])
+def test_forest_matches_copying_reference_bit_for_bit(name):
+    x, y = forest_case(name)
+    depth = 10 if name in ("two-row", "small-deep") else 6
+    model = train_random_forest_ovr(x, y, n_trees=4, max_depth=depth, seed=5)
+    expected = forest_reference(x, y, n_trees=4, max_depth=depth, seed=5)
+    assert model.submodels.keys() == expected.keys()
+    for key, want in expected.items():
+        got = model.submodels[key]
+        assert got.dtype == want.dtype, key
+        assert np.array_equal(got, want), key
+    if name == "all-candidates-constant":
+        assert np.all(expected["feature"] == -1)  # every root is a leaf despite mixed labels
+
+
+def test_best_split_keeps_first_candidate_within_tolerance():
+    # six rows, three positive: isolating the negative row 0 (column 0) and
+    # isolating the positive row 5 (column 1) have the same Gini, 0.4, but
+    # round to 0.4000000000000001 and 0.39999999999999997
+    y = np.array([0, 0, 0, 1, 1, 1])
+    x = np.array([[0, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 1]], dtype=np.float64)
+    feats = np.array([7, 3])
+    assert best_split_reference(x, y, [0, 1]) == (0.4000000000000001, 0, 0.5)
+    assert models._best_split(x, y, feats) == (0.4000000000000001, 7, 0.5)
+
+
 # ------------------------------------------------------------ training loop
 
 def scripted_loop(losses, max_epochs, patience):
