@@ -641,31 +641,16 @@ def scan_order_sensitive_labels(
 # Dataset artifacts
 # ---------------------------------------------------------------------------
 
-_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
+_UNESCAPE = re.compile(r"\\[\\nrt]")
 
 
 def _escape_text(text: str) -> str:
-    out = text.replace("\\", "\\\\")
-    for raw, esc in _ESCAPES.items():
-        if raw == "\\":
-            continue
-        out = out.replace(raw, esc)
-    return out
+    return text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
 
 
 def _unescape_text(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        pair = text[i : i + 2]
-        if pair in _UNESCAPES:
-            out.append(_UNESCAPES[pair])
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    return _UNESCAPE.sub(lambda m: _UNESCAPES[m.group()], text)
 
 
 def save_split(dataset: LabeledDataset, path: str | Path) -> None:

@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import ConfigError, FormatError, NumericError
+from .neuralcore import sigmoid
 from .textproc import PAD_INDEX, Vocabulary, build_vocabulary
 
 
@@ -298,7 +298,7 @@ def _cbow_block_update(
     """
     h = context @ w_in  # [B, dim] context averages
     out = w_out[targets]  # [B, K, dim]
-    p = expit(np.einsum("bkd,bd->bk", out, h))
+    p = sigmoid(np.einsum("bkd,bd->bk", out, h))
     fit = 1.0 - p  # probability given to each target's label
     fit[:, 0] = p[:, 0]
     loss = -np.log(np.maximum(fit, 1e-10)).sum(axis=1)

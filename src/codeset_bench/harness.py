@@ -86,8 +86,8 @@ DEFAULTS: dict[str, str] = {
 # Version of what the cached stages compute and of their on-disk layout.
 # It is part of every stage hash, so a workspace written by code that
 # computed or stored a stage differently is rebuilt rather than read. Bump
-# it with any change to a stage's output (npy-2: blocked CBOW updates).
-ARTIFACT_FORMAT = "npy-2"
+# it with any change to a stage's output (npy-3: numpy sigmoid in CBOW).
+ARTIFACT_FORMAT = "npy-3"
 
 TRACK_KINDS = {
     "tfidf40k": "sparse",

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from . import neuralcore as nc
 from .errors import ConfigError, DatasetError, NumericError, ShapeError
@@ -198,7 +197,7 @@ def train_logreg_ovr(
     y = labels.astype(np.float64)
     eps = nc.BCE_EPS
     for _ in range(iters):
-        p = expit(x @ w + b)
+        p = nc.sigmoid(x @ w + b)
         g = np.where((p >= eps) & (p <= 1.0 - eps), p - y, 0.0) / n
         w -= lr * (x.T @ g)
         b -= lr * g.sum(axis=0)
@@ -641,7 +640,7 @@ def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.nd
     """Per-label probabilities, [n, k]."""
     if model.spec.family == "logreg":
         arrays = model.submodels
-        return expit(features @ arrays["W"] + arrays["b"])
+        return nc.sigmoid(features @ arrays["W"] + arrays["b"])
     if model.spec.family == "rforest":
         x = features.toarray() if sp.issparse(features) else features
         return _forest_proba(model.submodels, np.asarray(x, dtype=np.float64))

@@ -15,6 +15,7 @@ from .core import (
     glorot_uniform,
     guard_finite,
     orthogonal,
+    sigmoid,
 )
 from .gradcheck import gradient_check
 from .layers import (
@@ -77,4 +78,5 @@ __all__ = [
     "restore_model",
     "rnn_step",
     "save_checkpoint",
+    "sigmoid",
 ]

@@ -22,6 +22,17 @@ def guard_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) in float64, into ``out`` when given (it may be z).
+    Below z = -709 exp overflows and the result is exactly 0, as in expit."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.negative(z, out=np.empty_like(z) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 class Parameter:
     """Named weight tensor with a shape-matched gradient accumulator."""
 

@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from ..errors import ConfigError, ShapeError
-from .core import Layer, Parameter, glorot_uniform
+from .core import Layer, Parameter, glorot_uniform, sigmoid
 
 
 class Dense(Layer):
@@ -55,7 +54,7 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x, train: bool = False):
-        self._out = expit(x)
+        self._out = sigmoid(x)
         return self._out
 
     def backward(self, grad):

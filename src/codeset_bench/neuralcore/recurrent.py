@@ -14,15 +14,24 @@ checked in isolation:
               h_t = o * tanh(c_t)
   GRU (Cho)   z,r = sigmoid(.), h~ = tanh(x W_h + (r*h) U_h + b_h),
               h_t = (1-z)*h + z*h~
+
+The layers run these equations time-major, with a step's gate values in
+one contiguous [G, B, H] block, ordered (o, i, f, g) for the LSTM and
+(r, z, h~) for the GRU so that one sigmoid call covers a step's sigmoid
+gates. As in Appleyard et al. 2016 (arXiv 1604.01946), forward computes
+x W + b for all steps before the time loop, which keeps one stacked
+h @ U product and the elementwise work. Backward forms the derivative
+factors of a block of steps at once, its loop keeps only the products
+with U^T, and the block's W, U and b gradients and dx are one GEMM each.
+Backward reads, and leaves intact, what forward (train or not) cached.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ShapeError
-from .core import Layer, Parameter, glorot_uniform, orthogonal
+from .core import Layer, Parameter, glorot_uniform, orthogonal, sigmoid
 
 
 def rnn_step(x, h, wx, wh, b):
@@ -37,10 +46,10 @@ def lstm_step(x, h, c, w, u, b):
     """
     z = x @ w + h @ u + b
     n = h.shape[-1]
-    i = expit(z[..., :n])
-    f = expit(z[..., n : 2 * n])
+    i = sigmoid(z[..., :n])
+    f = sigmoid(z[..., n : 2 * n])
     g = np.tanh(z[..., 2 * n : 3 * n])
-    o = expit(z[..., 3 * n :])
+    o = sigmoid(z[..., 3 * n :])
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new, (i, f, g, o)
@@ -51,18 +60,74 @@ def gru_step(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
 
     Returns (h_new, (z, r, h_tilde)).
     """
-    z = expit(x @ wz + h @ uz + bz)
-    r = expit(x @ wr + h @ ur + br)
+    z = sigmoid(x @ wz + h @ uz + bz)
+    r = sigmoid(x @ wr + h @ ur + br)
     h_tilde = np.tanh(x @ wh + (r * h) @ uh + bh)
     h_new = (1.0 - z) * h + z * h_tilde
     return h_new, (z, r, h_tilde)
 
 
-def _check_input(x, d):
+def _with_ones(x, d):
+    """[B, T, d] input as time-major rows [T, B, d+1] whose last column is
+    1, so that one product with the stacked [W; b] adds the bias too."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != d:
         raise ShapeError(f"recurrent layer expects [batch, time, {d}], got {x.shape}")
-    return x
+    return np.concatenate([x.transpose(1, 0, 2), np.ones((x.shape[1], x.shape[0], 1))], axis=2)
+
+
+def _project(x1, gates, out=None):
+    """Input projection x W + b of every step and gate, [T, G, B, H]."""
+    wb = np.stack([np.vstack((w.value[:, cols], b.value[cols])) for w, _, b, cols in gates])
+    return np.matmul(x1[:, None], wb, out=out)
+
+
+def _stack_u(gates):
+    return np.stack([u.value[:, cols] for _, u, _, cols in gates])
+
+
+def _bptt(grad, return_sequences, x1, h_prev, gates, factors, step, extra=0, h_cand=None):
+    """Backpropagate through time in blocks of steps, the last block first,
+    and return dx [B, T, d]. ``factors(lo, hi, d)`` fills d [hi-lo, G+extra,
+    B, H] with the derivative factors of steps lo..hi-1: one slot per gate,
+    then ``extra`` slots for the cell's own use. ``step(t, d[t-lo], dh)``
+    scales the gate slots into pre-activation gradients and turns dh into
+    the gradient entering step t-1. Each gate's U multiplies h_prev, or
+    h_cand for the last gate when given (the GRU's r*h).
+    """
+    T, batch, n = h_prev.shape
+    n_gates = len(gates)
+    g_out = grad.transpose(1, 0, 2) if return_sequences else None
+    dh = np.array(grad[:, -1] if return_sequences else grad)
+    size = max(1, _BLOCK_ROWS // batch)
+    buf = np.empty((min(size, T), n_gates + extra, batch, n))
+    w_cat = np.hstack([w.value[:, cols] for w, _, _, cols in gates])
+    gwb, gu = np.zeros((w_cat.shape[0] + 1, n_gates * n)), np.zeros((n, n_gates * n))
+    split = n_gates * n - (0 if h_cand is None else n)
+    dx = np.empty((T, batch, w_cat.shape[0]))
+    for hi in range(T, 0, -size):
+        lo = max(hi - size, 0)
+        d = buf[: hi - lo]
+        factors(lo, hi, d)
+        for t in range(hi - 1, lo - 1, -1):
+            step(t, d[t - lo], dh)
+            if g_out is not None and t:
+                dh += g_out[t - 1]
+        rows = d[:, :n_gates].transpose(0, 2, 1, 3).reshape(-1, n_gates * n)
+        gwb += x1[lo:hi].reshape(len(rows), -1).T @ rows
+        gu[:, :split] += h_prev[lo:hi].reshape(len(rows), n).T @ rows[:, :split]
+        if h_cand is not None:
+            gu[:, split:] += h_cand[lo:hi].reshape(len(rows), n).T @ rows[:, split:]
+        np.matmul(rows, w_cat.T, out=dx[lo:hi].reshape(len(rows), -1))
+    for k, (w, u, b, cols) in enumerate(gates):
+        blk = slice(k * n, (k + 1) * n)
+        w.grad[:, cols] += gwb[:-1, blk]
+        b.grad[cols] += gwb[-1, blk]
+        u.grad[:, cols] += gu[:, blk]
+    return dx.transpose(1, 0, 2)
+
+
+_BLOCK_ROWS = 512  # rows (steps x batch) per backward block
 
 
 class SimpleRNN(Layer):
@@ -81,35 +146,36 @@ class SimpleRNN(Layer):
         self.n_hidden = n_hidden
         self.return_sequences = return_sequences
 
-    def step(self, x_t, h):
-        return rnn_step(x_t, h, self.wx.value, self.wh.value, self.b.value)
+    def _gates(self):
+        return [(self.wx, self.wh, self.b, slice(None))]
 
     def forward(self, x, train: bool = False):
-        x = _check_input(x, self.n_in)
-        batch, T, _ = x.shape
-        hs = np.zeros((batch, T + 1, self.n_hidden))
+        x1 = _with_ones(x, self.n_in)
+        T, batch = x1.shape[:2]
+        hs = np.zeros((T + 1, batch, self.n_hidden))
+        _project(x1, self._gates(), out=hs[1:, None])
+        wh = self.wh.value
+        rec = np.empty((batch, self.n_hidden))
         for t in range(T):
-            hs[:, t + 1] = self.step(x[:, t], hs[:, t])
-        self._x, self._hs = x, hs
-        return hs[:, 1:] if self.return_sequences else hs[:, -1]
+            np.matmul(hs[t], wh, out=rec)
+            h = hs[t + 1]
+            np.tanh(np.add(h, rec, out=h), out=h)
+        self._x1, self._hs = x1, hs
+        return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[-1]
 
     def backward(self, grad):
-        x, hs = self._x, self._hs
-        batch, T, _ = x.shape
-        dx = np.zeros_like(x)
-        carry = np.zeros((batch, self.n_hidden))
-        for t in range(T - 1, -1, -1):
-            if self.return_sequences:
-                dh = carry + grad[:, t]
-            else:
-                dh = carry + (grad if t == T - 1 else 0.0)
-            da = dh * (1.0 - hs[:, t + 1] ** 2)
-            self.wx.grad += x[:, t].T @ da
-            self.wh.grad += hs[:, t].T @ da
-            self.b.grad += da.sum(axis=0)
-            dx[:, t] = da @ self.wx.value.T
-            carry = da @ self.wh.value.T
-        return dx
+        hs = self._hs
+        wh_t = self.wh.value.T
+
+        def factors(lo, hi, d):
+            np.subtract(1.0, np.square(hs[lo + 1 : hi + 1], out=d[:, 0]), out=d[:, 0])
+
+        def step(t, dt, dh):
+            dt[0] *= dh
+            np.matmul(dt[0], wh_t, out=dh)
+
+        return _bptt(grad, self.return_sequences, self._x1, hs[:-1], self._gates(),
+                     factors, step)
 
     def params(self):
         return [self.wx, self.wh, self.b]
@@ -139,62 +205,69 @@ class LSTM(Layer):
         self.n_hidden = n_hidden
         self.return_sequences = return_sequences
 
-    def step(self, x_t, h, c):
-        h_new, c_new, _ = lstm_step(x_t, h, c, self.w.value, self.u.value, self.b.value)
-        return h_new, c_new
+    def _gates(self):
+        # internal order (o, i, f, g) of the parameters' (i, f, g, o) column blocks
+        n = self.n_hidden
+        return [(self.w, self.u, self.b, slice(k * n, (k + 1) * n)) for k in (3, 0, 1, 2)]
 
     def forward(self, x, train: bool = False):
-        x = _check_input(x, self.n_in)
-        batch, T, _ = x.shape
+        x1 = _with_ones(x, self.n_in)
+        T, batch = x1.shape[:2]
         n = self.n_hidden
-        hs = np.zeros((batch, T + 1, n))
-        cs = np.zeros((batch, T + 1, n))
-        gates = []
+        gates = self._gates()
+        a = _project(x1, gates)
+        u = _stack_u(gates)
+        hs = np.zeros((T + 1, batch, n))
+        cs = np.zeros((T + 1, batch, n))
+        rec = np.empty((4, batch, n))
+        tmp = np.empty((batch, n))
         for t in range(T):
-            h_new, c_new, g = lstm_step(
-                x[:, t], hs[:, t], cs[:, t], self.w.value, self.u.value, self.b.value
-            )
-            hs[:, t + 1] = h_new
-            cs[:, t + 1] = c_new
-            gates.append(g)
-        self._x, self._hs, self._cs, self._gates = x, hs, cs, gates
-        return hs[:, 1:] if self.return_sequences else hs[:, -1]
+            o, i, f, g = at = a[t]
+            np.matmul(hs[t], u, out=rec)
+            at += rec
+            sigmoid(at[:3], out=at[:3])
+            np.tanh(g, out=g)
+            c = cs[t + 1]
+            np.multiply(f, cs[t], out=c)
+            np.multiply(i, g, out=tmp)
+            c += tmp
+            np.tanh(c, out=tmp)
+            np.multiply(o, tmp, out=hs[t + 1])
+        self._x1, self._hs, self._cs, self._a = x1, hs, cs, a
+        return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[-1]
 
     def backward(self, grad):
-        x, hs, cs = self._x, self._hs, self._cs
-        batch, T, _ = x.shape
-        n = self.n_hidden
-        dx = np.zeros_like(x)
-        dh_carry = np.zeros((batch, n))
-        dc_carry = np.zeros((batch, n))
-        for t in range(T - 1, -1, -1):
-            i, f, g, o = self._gates[t]
-            if self.return_sequences:
-                dh = dh_carry + grad[:, t]
-            else:
-                dh = dh_carry + (grad if t == T - 1 else 0.0)
-            tc = np.tanh(cs[:, t + 1])
-            do = dh * tc
-            dc = dc_carry + dh * o * (1.0 - tc**2)
-            di = dc * g
-            dg = dc * i
-            df = dc * cs[:, t]
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            self.w.grad += x[:, t].T @ dz
-            self.u.grad += hs[:, t].T @ dz
-            self.b.grad += dz.sum(axis=0)
-            dx[:, t] = dz @ self.w.value.T
-            dh_carry = dz @ self.u.value.T
-            dc_carry = dc * f
-        return dx
+        cs, a = self._cs, self._a
+        gates = self._gates()
+        u_t = _stack_u(gates).transpose(0, 2, 1)
+        dc, tmp = np.zeros(a.shape[2:]), np.empty(a.shape[2:])
+        rec = np.empty(a.shape[1:])
+
+        def factors(lo, hi, d):
+            o, i, f, g = a[lo:hi].transpose(1, 0, 2, 3)
+            p = d[:, 4]
+            np.tanh(cs[lo + 1 : hi + 1], out=p)
+            np.subtract(1.0, a[lo:hi, :3], out=d[:, :3])
+            d[:, :3] *= a[lo:hi, :3]  # sigmoid' of o, i, f
+            d[:, 0] *= p  # do_pre / dh = tanh(c) o'
+            d[:, 1] *= g  # di_pre / dc = g i'
+            d[:, 2] *= cs[lo:hi]  # df_pre / dc = c_prev f'
+            np.subtract(1.0, np.square(g, out=d[:, 3]), out=d[:, 3])
+            d[:, 3] *= i  # dg_pre / dc = i tanh'(g)
+            np.subtract(1.0, np.square(p, out=p), out=p)
+            p *= o  # dc / dh = o tanh'(c)
+
+        def step(t, dt, dh):
+            np.multiply(dh, dt[4], out=tmp)
+            np.add(dc, tmp, out=dc)
+            dt[0] *= dh
+            dt[1:4] *= dc
+            np.multiply(dc, a[t, 2], out=dc)
+            np.matmul(dt[:4], u_t, out=rec)
+            rec.sum(axis=0, out=dh)
+
+        return _bptt(grad, self.return_sequences, self._x1, self._hs[:-1], gates,
+                     factors, step, extra=1)
 
     def params(self):
         return [self.w, self.u, self.b]
@@ -225,77 +298,73 @@ class GRU(Layer):
         self.n_hidden = n_hidden
         self.return_sequences = return_sequences
 
-    def step(self, x_t, h):
-        h_new, _ = gru_step(
-            x_t, h,
-            self.wz.value, self.uz.value, self.bz.value,
-            self.wr.value, self.ur.value, self.br.value,
-            self.wh.value, self.uh.value, self.bh.value,
-        )
-        return h_new
+    def _gates(self):  # internal order (r, z, h~)
+        trios = (self.wr, self.ur, self.br), (self.wz, self.uz, self.bz), (self.wh, self.uh, self.bh)
+        return [(w, u, b, slice(None)) for w, u, b in trios]
 
     def forward(self, x, train: bool = False):
-        x = _check_input(x, self.n_in)
-        batch, T, _ = x.shape
+        x1 = _with_ones(x, self.n_in)
+        T, batch = x1.shape[:2]
         n = self.n_hidden
-        hs = np.zeros((batch, T + 1, n))
-        gates = []
+        gates = self._gates()
+        a = _project(x1, gates)
+        u = _stack_u(gates[:2])
+        uh = self.uh.value
+        hs = np.zeros((T + 1, batch, n))
+        rh = np.empty((T, batch, n))
+        rec = np.empty((2, batch, n))
+        tmp = np.empty((batch, n))
         for t in range(T):
-            h_new, g = gru_step(
-                x[:, t], hs[:, t],
-                self.wz.value, self.uz.value, self.bz.value,
-                self.wr.value, self.ur.value, self.br.value,
-                self.wh.value, self.uh.value, self.bh.value,
-            )
-            hs[:, t + 1] = h_new
-            gates.append(g)
-        self._x, self._hs, self._gates = x, hs, gates
-        return hs[:, 1:] if self.return_sequences else hs[:, -1]
+            h, rz = hs[t], a[t, :2]
+            r, z, c = a[t]
+            np.matmul(h, u, out=rec)
+            rz += rec
+            sigmoid(rz, out=rz)
+            np.multiply(r, h, out=rh[t])
+            np.matmul(rh[t], uh, out=tmp)
+            c += tmp
+            np.tanh(c, out=c)
+            h_new = hs[t + 1]
+            np.subtract(c, h, out=h_new)
+            h_new *= z
+            h_new += h
+        self._x1, self._hs, self._rh, self._a = x1, hs, rh, a
+        return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[-1]
 
     def backward(self, grad):
-        x, hs = self._x, self._hs
-        batch, T, _ = x.shape
-        n = self.n_hidden
-        dx = np.zeros_like(x)
-        carry = np.zeros((batch, n))
-        for t in range(T - 1, -1, -1):
-            z, r, ht = self._gates[t]
-            h_prev = hs[:, t]
-            if self.return_sequences:
-                dh = carry + grad[:, t]
-            else:
-                dh = carry + (grad if t == T - 1 else 0.0)
-            dht = dh * z
-            dz = dh * (ht - h_prev)
-            dh_prev = dh * (1.0 - z)
+        hs, a = self._hs, self._a
+        gates = self._gates()
+        u_t = _stack_u(gates[:2]).transpose(0, 2, 1)
+        uh_t = self.uh.value.T
+        d_rh = np.empty(a.shape[2:])
+        rec = np.empty((2,) + d_rh.shape)
 
-            da_h = dht * (1.0 - ht**2)
-            self.wh.grad += x[:, t].T @ da_h
-            self.uh.grad += (r * h_prev).T @ da_h
-            self.bh.grad += da_h.sum(axis=0)
-            d_rh = da_h @ self.uh.value.T
-            dr = d_rh * h_prev
-            dh_prev += d_rh * r
+        def factors(lo, hi, d):
+            r, z, c = a[lo:hi].transpose(1, 0, 2, 3)
+            h_prev = hs[lo:hi]
+            np.subtract(1.0, z, out=d[:, 3])  # dh_prev / dh along the direct path
+            np.subtract(1.0, r, out=d[:, 0])
+            d[:, 0] *= r
+            d[:, 0] *= h_prev  # dr_pre / d(r*h) = h r'
+            np.subtract(c, h_prev, out=d[:, 1])
+            d[:, 1] *= z
+            d[:, 1] *= d[:, 3]  # dz_pre / dh = (h~ - h) z'
+            np.subtract(1.0, np.square(c, out=d[:, 2]), out=d[:, 2])
+            d[:, 2] *= z  # dh~_pre / dh = z tanh'(h~)
 
-            da_z = dz * z * (1.0 - z)
-            self.wz.grad += x[:, t].T @ da_z
-            self.uz.grad += h_prev.T @ da_z
-            self.bz.grad += da_z.sum(axis=0)
-            dh_prev += da_z @ self.uz.value.T
+        def step(t, dt, dh):
+            dt[1:3] *= dh
+            np.matmul(dt[2], uh_t, out=d_rh)
+            dt[0] *= d_rh
+            dh *= dt[3]
+            np.multiply(d_rh, a[t, 0], out=d_rh)
+            dh += d_rh
+            np.matmul(dt[:2], u_t, out=rec)
+            dh += rec[0]
+            dh += rec[1]
 
-            da_r = dr * r * (1.0 - r)
-            self.wr.grad += x[:, t].T @ da_r
-            self.ur.grad += h_prev.T @ da_r
-            self.br.grad += da_r.sum(axis=0)
-            dh_prev += da_r @ self.ur.value.T
-
-            dx[:, t] = (
-                da_z @ self.wz.value.T
-                + da_r @ self.wr.value.T
-                + da_h @ self.wh.value.T
-            )
-            carry = dh_prev
-        return dx
+        return _bptt(grad, self.return_sequences, self._x1, hs[:-1], gates,
+                     factors, step, extra=1, h_cand=self._rh)
 
     def params(self):
         return [
@@ -319,20 +388,15 @@ class Bidirectional(Layer):
 
     def forward(self, x, train: bool = False):
         out_f = self.fwd.forward(x, train=train)
-        out_b = self.bwd.forward(np.ascontiguousarray(x[:, ::-1]), train=train)
+        out_b = self.bwd.forward(x[:, ::-1], train=train)
         if self.return_sequences:
             out_b = out_b[:, ::-1]
         return np.concatenate([out_f, out_b], axis=-1)
 
     def backward(self, grad):
         n = grad.shape[-1] // 2
-        g_f = grad[..., :n]
-        g_b = grad[..., n:]
-        if self.return_sequences:
-            g_b = np.ascontiguousarray(g_b[:, ::-1])
-        dx_f = self.fwd.backward(np.ascontiguousarray(g_f))
-        dx_b = self.bwd.backward(np.ascontiguousarray(g_b))
-        return dx_f + dx_b[:, ::-1]
+        g_b = grad[:, ::-1, n:] if self.return_sequences else grad[..., n:]
+        return self.fwd.backward(grad[..., :n]) + self.bwd.backward(g_b)[:, ::-1]
 
     def params(self):
         return self.fwd.params() + self.bwd.params()

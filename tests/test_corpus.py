@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from codeset_bench import corpus
 from codeset_bench.corpus import (
     DiagnosisRecord,
     LabelCatalog,
@@ -378,6 +379,38 @@ def test_split_round_trip_preserves_newline_texts(tmp_path):
     assert loaded.examples[0].text == ds.examples[0].text
     assert loaded.examples[0].hadm_id == 100
     assert loaded.examples[0].label_vector.tolist() == [1]
+
+
+def _unescape_reference(text):
+    """The character loop the regex form replaced: scan left to right,
+    turning each escape pair into its character and copying the rest."""
+    table = {"\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
+    out, i = [], 0
+    while i < len(text):
+        if text[i : i + 2] in table:
+            out.append(table[text[i : i + 2]])
+            i += 2
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "a\\nb", "a\\\\nb", "\\\\\\n", "\\x\\q", "ends with \\",
+    "\\", "\\\\\\", "tab\\tcr\\rnl\\n", "\\\\t",
+])
+def test_unescape_matches_character_loop(text):
+    assert corpus._unescape_text(text) == _unescape_reference(text)
+
+
+def test_unescape_matches_character_loop_and_inverts_escape_on_random_text():
+    gen = np.random.default_rng(0)
+    alphabet = list("ab\\nrtx\n\r\t ")
+    for _ in range(3000):
+        text = "".join(gen.choice(alphabet, size=gen.integers(0, 12)))
+        assert corpus._unescape_text(text) == _unescape_reference(text)
+        assert corpus._unescape_text(corpus._escape_text(text)) == text
 
 
 def test_catalog_round_trip(tmp_path):

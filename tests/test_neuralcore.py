@@ -5,6 +5,11 @@ established against central finite differences.
 """
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 import codeset_bench.neuralcore as nc
 from codeset_bench.errors import FormatError, NumericError, ShapeError
+from codeset_bench.neuralcore import recurrent
 
 
 def rng(seed=0):
@@ -135,6 +141,40 @@ def test_pool_gradients_match_finite_differences():
     assert err < 1e-6
 
 
+# ---------------------------------------------------------------- sigmoid
+
+def test_sigmoid_within_four_ulp_of_scipy_expit():
+    from scipy.special import expit
+
+    z = np.linspace(-750.0, 750.0, 300_001)
+    expected = expit(z)
+    ulps = np.abs(nc.sigmoid(z) - expected) / np.spacing(expected)
+    assert ulps.max() <= 4.0
+
+
+def test_sigmoid_exact_at_zero_and_saturation_without_warnings():
+    z = np.array([0.0, 800.0, -800.0, np.inf, -np.inf, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nc.sigmoid(z)
+        np.testing.assert_array_equal(out, [0.5, 1.0, 0.0, 1.0, 0.0, 0.0])
+        assert nc.sigmoid(z, out=z) is z  # the out= form may overwrite its input
+    np.testing.assert_array_equal(z, out)
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    code = (
+        "import sys, codeset_bench.harness, codeset_bench.cli; "
+        "print('scipy.special' in sys.modules)"
+    )
+    src = str(Path(nc.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 # -------------------------------------------------------- recurrent steps
 
 def test_rnn_step_zero_weights_give_zero_state():
@@ -216,6 +256,171 @@ def test_reversing_input_swaps_bidirectional_halves():
     swapped = nc.Bidirectional(bwd, fwd).forward(x[:, ::-1])
     assert np.allclose(out[:, :3], swapped[:, 3:], atol=1e-12)
     assert np.allclose(out[:, 3:], swapped[:, :3], atol=1e-12)
+
+
+# Loop-form references: forward through the public step functions one
+# step at a time, backward as a per-step BPTT loop on batch-major arrays.
+# Each returns (output, dx, {parameter name: gradient}).
+
+def _incoming(grad, t, steps, return_sequences):
+    if return_sequences:
+        return grad[:, t]
+    return grad if t == steps - 1 else 0.0
+
+
+def _rnn_reference(layer, x, grad):
+    wx, wh, b = (p.value for p in layer.params())
+    batch, steps, _ = x.shape
+    hs = np.zeros((batch, steps + 1, layer.n_hidden))
+    for t in range(steps):
+        hs[:, t + 1] = nc.rnn_step(x[:, t], hs[:, t], wx, wh, b)
+    gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    dx = np.zeros_like(x)
+    carry = np.zeros((batch, layer.n_hidden))
+    for t in range(steps - 1, -1, -1):
+        dh = carry + _incoming(grad, t, steps, layer.return_sequences)
+        da = dh * (1.0 - hs[:, t + 1] ** 2)
+        gwx += x[:, t].T @ da
+        gwh += hs[:, t].T @ da
+        gb += da.sum(axis=0)
+        dx[:, t] = da @ wx.T
+        carry = da @ wh.T
+    out = hs[:, 1:] if layer.return_sequences else hs[:, -1]
+    return out, dx, {layer.wx.name: gwx, layer.wh.name: gwh, layer.b.name: gb}
+
+
+def _lstm_reference(layer, x, grad):
+    w, u, b = (p.value for p in layer.params())
+    batch, steps, _ = x.shape
+    n = layer.n_hidden
+    hs = np.zeros((batch, steps + 1, n))
+    cs = np.zeros((batch, steps + 1, n))
+    gates = []
+    for t in range(steps):
+        hs[:, t + 1], cs[:, t + 1], g = nc.lstm_step(x[:, t], hs[:, t], cs[:, t], w, u, b)
+        gates.append(g)
+    gw, gu, gb = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
+    dx = np.zeros_like(x)
+    dh_carry = np.zeros((batch, n))
+    dc_carry = np.zeros((batch, n))
+    for t in range(steps - 1, -1, -1):
+        i, f, g, o = gates[t]
+        dh = dh_carry + _incoming(grad, t, steps, layer.return_sequences)
+        tc = np.tanh(cs[:, t + 1])
+        dc = dc_carry + dh * o * (1.0 - tc**2)
+        dz = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * cs[:, t] * f * (1.0 - f),
+            dc * i * (1.0 - g**2),
+            dh * tc * o * (1.0 - o),
+        ], axis=1)
+        gw += x[:, t].T @ dz
+        gu += hs[:, t].T @ dz
+        gb += dz.sum(axis=0)
+        dx[:, t] = dz @ w.T
+        dh_carry = dz @ u.T
+        dc_carry = dc * f
+    out = hs[:, 1:] if layer.return_sequences else hs[:, -1]
+    return out, dx, {layer.w.name: gw, layer.u.name: gu, layer.b.name: gb}
+
+
+def _gru_reference(layer, x, grad):
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (p.value for p in layer.params())
+    batch, steps, _ = x.shape
+    hs = np.zeros((batch, steps + 1, layer.n_hidden))
+    gates = []
+    for t in range(steps):
+        hs[:, t + 1], g = nc.gru_step(x[:, t], hs[:, t], wz, uz, bz, wr, ur, br, wh, uh, bh)
+        gates.append(g)
+    grads = {p.name: np.zeros_like(p.value) for p in layer.params()}
+    gwz, guz, gbz, gwr, gur, gbr, gwh, guh, gbh = grads.values()
+    dx = np.zeros_like(x)
+    carry = np.zeros((batch, layer.n_hidden))
+    for t in range(steps - 1, -1, -1):
+        z, r, ht = gates[t]
+        h_prev = hs[:, t]
+        dh = carry + _incoming(grad, t, steps, layer.return_sequences)
+        da_h = dh * z * (1.0 - ht**2)
+        gwh += x[:, t].T @ da_h
+        guh += (r * h_prev).T @ da_h
+        gbh += da_h.sum(axis=0)
+        d_rh = da_h @ uh.T
+        da_z = dh * (ht - h_prev) * z * (1.0 - z)
+        gwz += x[:, t].T @ da_z
+        guz += h_prev.T @ da_z
+        gbz += da_z.sum(axis=0)
+        da_r = d_rh * h_prev * r * (1.0 - r)
+        gwr += x[:, t].T @ da_r
+        gur += h_prev.T @ da_r
+        gbr += da_r.sum(axis=0)
+        dx[:, t] = da_z @ wz.T + da_r @ wr.T + da_h @ wh.T
+        carry = dh * (1.0 - z) + d_rh * r + da_z @ uz.T + da_r @ ur.T
+    out = hs[:, 1:] if layer.return_sequences else hs[:, -1]
+    return out, dx, grads
+
+
+_RECURRENT_REFERENCES = [
+    pytest.param(nc.SimpleRNN, _rnn_reference, id="rnn"),
+    pytest.param(nc.LSTM, _lstm_reference, id="lstm"),
+    pytest.param(nc.GRU, _gru_reference, id="gru"),
+]
+
+
+def _randomized(cls, n_in, n_hidden, seed, return_sequences):
+    """A layer whose every parameter, biases included, is random."""
+    layer = cls(n_in, n_hidden, rng(seed), return_sequences=return_sequences)
+    values = rng(seed + 100)
+    for p in layer.params():
+        p.value[...] = values.normal(scale=0.6, size=p.shape)
+    return layer
+
+
+def _assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cls, reference", _RECURRENT_REFERENCES)
+@pytest.mark.parametrize("return_sequences", [False, True], ids=["last", "seq"])
+@pytest.mark.parametrize("batch, steps", [(3, 6), (1, 5), (2, 1), (1, 1)], ids=str)
+@pytest.mark.parametrize("block_rows", [512, 4], ids=["one-block", "4-row-blocks"])
+def test_recurrent_layer_matches_step_loop_reference(
+    cls, reference, return_sequences, batch, steps, block_rows, monkeypatch
+):
+    # 4-row blocks split the backward pass into blocks of 1 to 4 steps,
+    # the earliest one partial when the steps do not divide evenly
+    monkeypatch.setattr(recurrent, "_BLOCK_ROWS", block_rows)
+    layer = _randomized(cls, 3, 4, 1, return_sequences)
+    x = rng(2).standard_normal((batch, steps, 3))
+    out = layer.forward(x, train=False)
+    grad = rng(3).standard_normal(out.shape)
+    ref_out, ref_dx, ref_grads = reference(layer, x, grad)
+    _assert_close(out, ref_out)
+    for calls in (1, 2):  # a second backward adds the same gradients again
+        _assert_close(layer.backward(grad), ref_dx)
+        for p in layer.params():
+            _assert_close(p.grad, calls * ref_grads[p.name])
+
+
+@pytest.mark.parametrize("cls, reference", _RECURRENT_REFERENCES)
+@pytest.mark.parametrize("return_sequences", [False, True], ids=["last", "seq"])
+def test_bidirectional_matches_step_loop_reference(cls, reference, return_sequences):
+    fwd = _randomized(cls, 3, 4, 1, return_sequences)
+    bwd = _randomized(cls, 3, 4, 7, return_sequences)
+    x = rng(2).standard_normal((2, 5, 3))
+    out = nc.Bidirectional(fwd, bwd)
+    y = out.forward(x)
+    grad = rng(3).standard_normal(y.shape)
+    dx = out.backward(grad)
+    f_out, f_dx, f_grads = reference(fwd, x, grad[..., :4])
+    g_b = grad[:, ::-1, 4:] if return_sequences else grad[..., 4:]
+    b_out, b_dx, b_grads = reference(bwd, x[:, ::-1], g_b)
+    if return_sequences:
+        b_out = b_out[:, ::-1]
+    _assert_close(y, np.concatenate([f_out, b_out], axis=-1))
+    _assert_close(dx, f_dx + b_dx[:, ::-1])
+    for layer, grads in ((fwd, f_grads), (bwd, b_grads)):
+        for p in layer.params():
+            _assert_close(p.grad, grads[p.name])
 
 
 # -------------------------------------------------------------- embedding
