@@ -124,85 +124,84 @@ def _header_positions(header: list[str], required: Sequence[str], path) -> dict[
     return pos
 
 
-def iter_noteevents(path: str | Path, stats: IngestStats | None = None) -> Iterator[Note]:
-    """Stream Notes from a NOTEEVENTS-style CSV (RFC 4180, header row).
+def _iter_csv(path, required: Sequence[str], stats: IngestStats, parse) -> Iterator:
+    """Stream the records parsed from a CSV (RFC 4180) whose header row
+    names the ``required`` columns; extra columns are ignored.
 
-    Rows with an empty HADM_ID are skipped and counted in stats. Extra
-    columns are ignored. Malformed quoting raises FormatError with the
-    offending row number.
+    ``parse(row, pos)`` turns one non-blank data row into a record, or
+    into None for a row to skip, counted in ``stats``. Malformed quoting,
+    a row too short for a required column and a non-integer id each raise
+    FormatError with the offending row number.
     """
-    stats = stats if stats is not None else IngestStats()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row")
-        pos = _header_positions(header, NOTE_COLUMNS, path)
+        pos = None
         while True:
             try:
                 row = next(reader)
             except StopIteration:
                 break
             except csv.Error as exc:
-                raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
+                raise FormatError(f"{path}: row {reader.line_num}: {exc}") from None
+            if pos is None:
+                pos = _header_positions(row, required, path)
+                continue
             if not row:
                 continue
             stats.rows += 1
-            hadm_raw = row[pos["HADM_ID"]].strip()
-            if not hadm_raw:
+            try:
+                record = parse(row, pos)
+            except IndexError:
+                raise FormatError(f"{path}: row {reader.line_num}: only {len(row)} fields") from None
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {reader.line_num}: {exc}") from None
+            if record is None:
                 stats.skipped_no_hadm += 1
-                continue
-            yield Note(
-                row_id=int(row[pos["ROW_ID"]]),
-                subject_id=int(row[pos["SUBJECT_ID"]]),
-                hadm_id=int(hadm_raw),
-                category=row[pos["CATEGORY"]],
-                text=row[pos["TEXT"]],
-            )
+            else:
+                yield record
+    if pos is None:
+        raise SchemaError(f"{path}: empty file, no header row")
+
+
+def _parse_note(row: list[str], pos: dict[str, int]) -> Note | None:
+    hadm_raw = row[pos["HADM_ID"]].strip()
+    if not hadm_raw:
+        return None
+    return Note(
+        row_id=int(row[pos["ROW_ID"]]),
+        subject_id=int(row[pos["SUBJECT_ID"]]),
+        hadm_id=int(hadm_raw),
+        category=row[pos["CATEGORY"]],
+        text=row[pos["TEXT"]],
+    )
 
 
 def load_noteevents(path: str | Path) -> tuple[list[Note], IngestStats]:
+    """Notes of a NOTEEVENTS-style CSV; rows with an empty HADM_ID are
+    skipped and counted."""
     stats = IngestStats()
-    notes = list(iter_noteevents(path, stats))
-    return notes, stats
+    return list(_iter_csv(path, NOTE_COLUMNS, stats, _parse_note)), stats
 
 
-def iter_diagnoses(path: str | Path, stats: IngestStats | None = None) -> Iterator[DiagnosisRecord]:
-    """Stream DiagnosisRecords from a DIAGNOSES_ICD-style CSV.
-
-    Rows with empty HADM_ID, SEQ_NUM, or ICD9_CODE are skipped and counted.
-    """
-    stats = stats if stats is not None else IngestStats()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row")
-        pos = _header_positions(header, DIAGNOSIS_COLUMNS, path)
-        for row in reader:
-            if not row:
-                continue
-            stats.rows += 1
-            hadm_raw = row[pos["HADM_ID"]].strip()
-            seq_raw = row[pos["SEQ_NUM"]].strip()
-            code = row[pos["ICD9_CODE"]].strip().strip('"')
-            if not hadm_raw or not seq_raw or not code:
-                stats.skipped_no_hadm += 1
-                continue
-            yield DiagnosisRecord(
-                subject_id=int(row[pos["SUBJECT_ID"]]),
-                hadm_id=int(hadm_raw),
-                seq_num=int(seq_raw),
-                icd9_code=code,
-            )
+def _parse_diagnosis(row: list[str], pos: dict[str, int]) -> DiagnosisRecord | None:
+    hadm_raw = row[pos["HADM_ID"]].strip()
+    seq_raw = row[pos["SEQ_NUM"]].strip()
+    code = row[pos["ICD9_CODE"]].strip().strip('"')
+    if not hadm_raw or not seq_raw or not code:
+        return None
+    return DiagnosisRecord(
+        subject_id=int(row[pos["SUBJECT_ID"]]),
+        hadm_id=int(hadm_raw),
+        seq_num=int(seq_raw),
+        icd9_code=code,
+    )
 
 
 def load_diagnoses(path: str | Path) -> tuple[list[DiagnosisRecord], IngestStats]:
+    """Diagnosis rows of a DIAGNOSES_ICD-style CSV; rows with an empty
+    HADM_ID, SEQ_NUM or ICD9_CODE are skipped and counted."""
     stats = IngestStats()
-    records = list(iter_diagnoses(path, stats))
-    return records, stats
+    return list(_iter_csv(path, DIAGNOSIS_COLUMNS, stats, _parse_diagnosis)), stats
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +288,7 @@ def sanitize_note(text: str, catalog: LabelCatalog) -> str:
     """Remove every standalone occurrence of a catalog label string, in
     both undotted ("4019") and dotted ("401.9") forms. Only the label
     token itself is removed; surrounding prose is untouched."""
-    pattern = _compile_label_pattern(catalog)
-    if pattern is None:
-        return text
-    return pattern.sub("", text)
+    return NoteSanitizer(catalog)(text)
 
 
 class NoteSanitizer:

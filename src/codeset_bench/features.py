@@ -1,8 +1,12 @@
 """Document feature extraction: tf-idf vectors, word embeddings trained
 with CBOW negative sampling, averaged document embeddings, and padded
-word-index sequences, plus persistence for each artifact: NumPy
-``.npy``/``.npz`` for the numeric ones, and the standard word2vec text
-format for embeddings.
+word-index sequences, plus persistence.
+
+Every numeric artifact is NumPy ``.npy``/``.npz``. A ``FeatureSet`` (the
+three featurized splits of one track, its vocabulary and its embedding)
+is written and read as one directory by ``save_feature_set`` and
+``load_feature_set``. The standard word2vec text format is only the
+import and export format for embeddings made elsewhere.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import textproc
 from .errors import ConfigError, FormatError, NumericError
 from .neuralcore import sigmoid
 from .textproc import PAD_INDEX, Vocabulary, build_vocabulary
@@ -508,3 +513,66 @@ def load_word2vec_text(path: str | Path) -> tuple[list[str], np.ndarray]:
             tokens.append(parts[0])
             vectors[i] = [float(p) for p in parts[1:]]
     return tokens, vectors
+
+
+# ---------------------------------------------------------------------------
+# Feature sets
+# ---------------------------------------------------------------------------
+
+SPLIT_NAMES = ("train", "val", "test")
+
+
+@dataclass
+class FeatureSet:
+    """Featurized splits plus whatever the model stage needs alongside."""
+
+    kind: str  # sparse | dense | sequence
+    train: object
+    val: object
+    test: object
+    vocab: Vocabulary
+    embedding: EmbeddingMatrix | None = None
+
+
+def _split_codec(kind: str):
+    """(file suffix, writer, reader) for the splits of one feature kind.
+
+    Resolved on every call, never held in a table built at import, so that
+    a module function replaced from outside (a tracer) is the one called.
+    """
+    if kind == "sparse":
+        return ".sparse", save_sparse, load_sparse
+    if kind == "dense":
+        return ".dense", save_dense, load_dense
+    if kind == "sequence":
+        return ".seq", save_sequences, load_sequences
+    raise ConfigError(f"unknown feature kind {kind!r}")
+
+
+def save_feature_set(fs: FeatureSet, d: str | Path) -> None:
+    """Write ``fs`` into directory ``d``: ``vocab.tsv``, ``embedding.npy``
+    when there is an embedding, and one file per split in the format of
+    ``fs.kind``."""
+    d = Path(d)
+    suffix, write, _ = _split_codec(fs.kind)
+    textproc.save_vocabulary(fs.vocab, d / "vocab.tsv")
+    if fs.embedding is not None:
+        save_dense(fs.embedding.matrix, d / "embedding.npy")
+    for name in SPLIT_NAMES:
+        write(getattr(fs, name), d / f"{name}{suffix}")
+
+
+def load_feature_set(d: str | Path, kind: str) -> FeatureSet:
+    """Read back what ``save_feature_set`` wrote into ``d``."""
+    d = Path(d)
+    suffix, _, read = _split_codec(kind)
+    vocab = textproc.load_vocabulary(d / "vocab.tsv")
+    embedding = None
+    path = d / "embedding.npy"
+    if path.exists():
+        try:
+            embedding = EmbeddingMatrix(vocab, load_dense(path))
+        except ConfigError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    splits = [read(d / f"{name}{suffix}") for name in SPLIT_NAMES]
+    return FeatureSet(kind, *splits, vocab=vocab, embedding=embedding)

@@ -15,7 +15,7 @@ import json
 import shutil
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +86,9 @@ DEFAULTS: dict[str, str] = {
 # Version of what the cached stages compute and of their on-disk layout.
 # It is part of every stage hash, so a workspace written by code that
 # computed or stored a stage differently is rebuilt rather than read. Bump
-# it with any change to a stage's output (npy-3: numpy sigmoid in CBOW).
-ARTIFACT_FORMAT = "npy-3"
+# it with any change to a stage's output (npy-4: embeddings cached as .npy,
+# n_docs in vocab.tsv).
+ARTIFACT_FORMAT = "npy-4"
 
 TRACK_KINDS = {
     "tfidf40k": "sparse",
@@ -195,16 +196,7 @@ class ExperimentConfig:
         if name:
             spec = models.preset(name)
             if self.get_bool("model.bidirectional") and not spec.bidirectional:
-                spec = models.ModelSpec(
-                    family=spec.family,
-                    input_kind=spec.input_kind,
-                    hidden=spec.hidden,
-                    conv_blocks=spec.conv_blocks,
-                    fc=spec.fc,
-                    dropout=spec.dropout,
-                    bidirectional=True,
-                    name=spec.name + "-bidi",
-                )
+                spec = replace(spec, bidirectional=True, name=spec.name + "-bidi")
             return spec
         family = self.get("model.family")
         if not family:
@@ -437,18 +429,6 @@ def stage_dataset(
     return train, val, test, catalog
 
 
-@dataclass
-class FeatureSet:
-    """Featurized splits plus whatever the model stage needs alongside."""
-
-    kind: str  # sparse | dense | sequence
-    train: object
-    val: object
-    test: object
-    vocab: textproc.Vocabulary | None = None
-    embedding: features.EmbeddingMatrix | None = None
-
-
 def _tokenized_splits(cfg: ExperimentConfig, splits) -> list[list[list[str]]]:
     stop = textproc.load_default_stopwords() if cfg.get_bool("feature.remove_stopwords") else None
     out = []
@@ -463,24 +443,20 @@ def _tokenized_splits(cfg: ExperimentConfig, splits) -> list[list[list[str]]]:
     return out
 
 
-def _self_trained_embedding(cfg: ExperimentConfig, train_docs) -> features.Word2VecResult:
-    return features.train_word2vec_cbow(
-        train_docs,
-        dim=cfg.get_int("feature.w2v_dim"),
-        window=cfg.get_int("feature.window"),
-        negatives=cfg.get_int("feature.negatives"),
-        epochs=cfg.get_int("feature.epochs"),
-        min_count=cfg.get_int("feature.min_count"),
-        seed=cfg.get_int("feature.seed"),
-    )
-
-
 def _resolve_embedding(
     cfg: ExperimentConfig, train_docs
 ) -> tuple[textproc.Vocabulary, features.EmbeddingMatrix | None]:
     source = cfg.get("feature.embedding_source")
     if source == "self":
-        result = _self_trained_embedding(cfg, train_docs)
+        result = features.train_word2vec_cbow(
+            train_docs,
+            dim=cfg.get_int("feature.w2v_dim"),
+            window=cfg.get_int("feature.window"),
+            negatives=cfg.get_int("feature.negatives"),
+            epochs=cfg.get_int("feature.epochs"),
+            min_count=cfg.get_int("feature.min_count"),
+            seed=cfg.get_int("feature.seed"),
+        )
         return result.vocabulary, features.EmbeddingMatrix(result.vocabulary, result.vectors)
     vocab = textproc.build_vocabulary(train_docs, min_doc_freq=cfg.get_int("feature.min_count"))
     if source == "pretrained":
@@ -492,80 +468,46 @@ def _resolve_embedding(
     return vocab, None  # random: model stage draws its own matrix
 
 
-def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> FeatureSet:
+def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> features.FeatureSet:
     track = cfg.get("feature.track")
     h = cfg.stage_hash("features")
-    d = ws.stage_dir("features", h)
     if ws.stage_cached("features", h):
-        return _load_features(track, d)
-    train_docs, val_docs, test_docs = _tokenized_splits(cfg, splits)
-    d = ws.fresh_stage_dir("features", h)
+        return features.load_feature_set(ws.stage_dir("features", h), TRACK_KINDS[track])
+    fs = _build_features(cfg, track, _tokenized_splits(cfg, splits))
+    features.save_feature_set(fs, ws.fresh_stage_dir("features", h))
+    ws.finish_stage("features", h)
+    return fs
 
-    if track in ("tfidf40k", "tfidf20k"):
+
+def _build_features(cfg: ExperimentConfig, track: str, docs) -> features.FeatureSet:
+    """Featurize the tokenized train/val/test documents for one track;
+    the vocabulary and any embedding are fitted on the training split."""
+    train_docs = docs[0]
+    if TRACK_KINDS[track] == "sparse":
         table = features.build_tfidf_table(train_docs, features.select_tfidf_config(track))
-        mats = [features.tfidf_vectorize(docs, table) for docs in (train_docs, val_docs, test_docs)]
-        textproc.save_vocabulary(table.vocabulary, d / "vocab.tsv")
-        (d / "n_docs.txt").write_text(str(table.vocabulary.n_docs) + "\n", encoding="utf-8")
-        for name, m in zip(("train", "val", "test"), mats):
-            features.save_sparse(m, d / f"{name}.sparse")
-        ws.finish_stage("features", h)
-        return FeatureSet("sparse", *mats, vocab=table.vocabulary)
+        mats = [features.tfidf_vectorize(split, table) for split in docs]
+        return features.FeatureSet("sparse", *mats, vocab=table.vocabulary)
 
+    vocab, emb = _resolve_embedding(cfg, train_docs)
     if track == "w2v-avg":
-        vocab, emb = _resolve_embedding(cfg, train_docs)
         if emb is None:
             raise ConfigError("w2v-avg track needs a real embedding (self or pretrained)")
         mats = []
-        for docs in (train_docs, val_docs, test_docs):
+        for split in docs:
             rows = []
-            for toks in docs:
+            for toks in split:
                 idx = [vocab.token_to_index[t] for t in toks if t in vocab.token_to_index]
                 rows.append(features.average_embedding(idx, emb))
             mats.append(np.array(rows) if rows else np.zeros((0, emb.dim)))
-        textproc.save_vocabulary(vocab, d / "vocab.tsv")
-        features.save_word2vec_text(emb, d / "embedding.txt")
-        for name, m in zip(("train", "val", "test"), mats):
-            features.save_dense(m, d / f"{name}.dense")
-        ws.finish_stage("features", h)
-        return FeatureSet("dense", *mats, vocab=vocab, embedding=emb)
+        return features.FeatureSet("dense", *mats, vocab=vocab, embedding=emb)
 
-    if track == "wordseq":
-        vocab, emb = _resolve_embedding(cfg, train_docs)
-        seq_len = cfg.get_int("feature.seq_len")
-        seqs = [
-            features.encode_corpus_sequences(docs, vocab, seq_len)
-            for docs in (train_docs, val_docs, test_docs)
-        ]
-        textproc.save_vocabulary(vocab, d / "vocab.tsv")
-        if emb is not None:
-            features.save_word2vec_text(emb, d / "embedding.txt")
-        for name, s in zip(("train", "val", "test"), seqs):
-            features.save_sequences(s, d / f"{name}.seq")
-        ws.finish_stage("features", h)
-        return FeatureSet("sequence", *seqs, vocab=vocab, embedding=emb)
-
-    raise ConfigError(f"unknown feature track {track!r}")
-
-
-def _load_features(track: str, d: Path) -> FeatureSet:
-    vocab = textproc.load_vocabulary(d / "vocab.tsv")
-    if track in ("tfidf40k", "tfidf20k"):
-        vocab.n_docs = int((d / "n_docs.txt").read_text(encoding="utf-8").strip())
-        mats = [features.load_sparse(d / f"{n}.sparse") for n in ("train", "val", "test")]
-        return FeatureSet("sparse", *mats, vocab=vocab)
-    emb = None
-    if (d / "embedding.txt").exists():
-        tokens, vectors = features.load_word2vec_text(d / "embedding.txt")
-        emb = features.align_embeddings(vocab, tokens, vectors)
-    if track == "w2v-avg":
-        mats = [features.load_dense(d / f"{n}.dense") for n in ("train", "val", "test")]
-        return FeatureSet("dense", *mats, vocab=vocab, embedding=emb)
-    seqs = [features.load_sequences(d / f"{n}.seq") for n in ("train", "val", "test")]
-    return FeatureSet("sequence", *seqs, vocab=vocab, embedding=emb)
+    seq_len = cfg.get_int("feature.seq_len")
+    seqs = [features.encode_corpus_sequences(split, vocab, seq_len) for split in docs]
+    return features.FeatureSet("sequence", *seqs, vocab=vocab, embedding=emb)
 
 
 def stage_train(
-    cfg: ExperimentConfig, feats: FeatureSet, y_train, y_val
+    cfg: ExperimentConfig, feats: features.FeatureSet, y_train, y_val
 ) -> models.TrainedModel:
     spec = cfg.model_spec()
     tc = cfg.train_config()
@@ -575,7 +517,7 @@ def stage_train(
         (feats.val, y_val),
         tc,
         embedding=feats.embedding,
-        vocab_size=len(feats.vocab) if feats.vocab is not None else None,
+        vocab_size=len(feats.vocab),
         embed_dim=cfg.get_int("feature.w2v_dim"),
         logreg_iters=cfg.get_int("model.logreg_iters"),
         logreg_lr=cfg.get_float("model.logreg_lr"),
@@ -706,14 +648,13 @@ def _write_summary(
     path: Path, cfg: ExperimentConfig, rep_train: metrics.MetricsReport, rep_test
 ) -> None:
     name = cfg.get("model.preset") or cfg.get("model.family")
-    cols = ("precision", "recall", "accuracy", "f1", "hamming_loss", "macro_auc", "precision_at_5")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"model: {name}   track: {cfg.get('feature.track')}\n\n")
-        fh.write(f"{'split':<8}" + "".join(f"{c:>16}" for c in cols) + "\n")
+        fh.write(f"{'split':<8}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS) + "\n")
         for split, rep in (("train", rep_train), ("test", rep_test)):
             fh.write(
                 f"{split:<8}"
-                + "".join(f"{getattr(rep, c):>16.4f}" for c in cols)
+                + "".join(f"{getattr(rep, c):>16.4f}" for c in COMPARE_COLUMNS)
                 + "\n"
             )
 

@@ -28,8 +28,6 @@ from .layers import (
     MaxPool1d,
     ReLU,
     Sigmoid,
-    Tanh,
-    dropout,
 )
 from .losses import BCE_EPS, bce_loss
 from .optim import RMSprop, SGD, make_optimizer
@@ -63,9 +61,7 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "SimpleRNN",
-    "Tanh",
     "bce_loss",
-    "dropout",
     "glorot_uniform",
     "gradient_check",
     "gru_step",

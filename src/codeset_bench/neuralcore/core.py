@@ -94,12 +94,8 @@ class Sequential(Layer):
         for p in self.params():
             p.zero_grad()
 
-    def param_count(self, trainable_only: bool = False) -> int:
-        return sum(
-            p.value.size
-            for p in self.params()
-            if p.trainable or not trainable_only
-        )
+    def param_count(self) -> int:
+        return sum(p.value.size for p in self.params())
 
 
 def glorot_uniform(

@@ -61,15 +61,6 @@ class Sigmoid(Layer):
         return grad * self._out * (1.0 - self._out)
 
 
-class Tanh(Layer):
-    def forward(self, x, train: bool = False):
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad):
-        return grad * (1.0 - self._out**2)
-
-
 def _as_batched(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -263,11 +254,3 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-
-def dropout(x, rate: float, mode: str, rng: np.random.Generator):
-    """Functional dropout; mode is "train" or "eval"."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown dropout mode {mode!r}")
-    layer = Dropout(rate, rng)
-    return layer.forward(x, train=(mode == "train"))

@@ -150,24 +150,33 @@ def build_vocabulary(
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """One line per token: index<TAB>token<TAB>doc_freq, ordered by index."""
+    """A ``#n_docs=N`` header line holding the number of documents the
+    vocabulary was built over, then one line per token:
+    index<TAB>token<TAB>doc_freq, ordered by index."""
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#n_docs={vocab.n_docs}\n")
         for idx in range(1, len(vocab.index_to_token)):
             tok = vocab.index_to_token[idx]
             fh.write(f"{idx}\t{tok}\t{vocab.doc_freq[tok]}\n")
 
 
-def load_vocabulary(path: str | Path, n_docs: int = 0) -> Vocabulary:
-    vocab = Vocabulary(n_docs=n_docs)
+def load_vocabulary(path: str | Path) -> Vocabulary:
+    vocab = Vocabulary()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            idx, tok, freq = int(parts[0]), parts[1], int(parts[2])
+            try:
+                if line.startswith("#n_docs="):
+                    vocab.n_docs = int(line[len("#n_docs="):])
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+                idx, tok, freq = int(parts[0]), parts[1], int(parts[2])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected an integer") from None
             if idx != len(vocab.index_to_token):
                 raise FormatError(f"{path}:{lineno}: indices must be contiguous from 1")
             vocab.token_to_index[tok] = idx

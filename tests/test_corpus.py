@@ -31,7 +31,7 @@ from codeset_bench.corpus import (
     synthetic_code,
     synthetic_keywords,
 )
-from codeset_bench.errors import ConfigError, DatasetError, SchemaError
+from codeset_bench.errors import ConfigError, DatasetError, FormatError, SchemaError
 
 
 def write_csv(path, header, rows):
@@ -95,6 +95,32 @@ def test_diagnoses_loader_skips_empty_code_or_hadm(tmp_path):
     records, stats = load_diagnoses(path)
     assert [(r.hadm_id, r.icd9_code) for r in records] == [(100, "4019")]
     assert stats.skipped_no_hadm >= 1
+
+
+GOOD_FIELDS = {"ROW_ID": "1", "SUBJECT_ID": "7", "HADM_ID": "100", "CHARTDATE": "2100-01-01",
+               "CATEGORY": "Discharge summary", "DESCRIPTION": "Report", "TEXT": "txt",
+               "SEQ_NUM": "1", "ICD9_CODE": "4019"}
+MALFORMED_ROWS = {
+    # the last field opens a quote that never closes and outgrows the csv field limit
+    "unterminated_quote": lambda header: ",".join(GOOD_FIELDS[c] for c in header[:-1])
+    + ',"' + "x" * (129 * 1024),
+    "too_few_fields": lambda header: ",".join(GOOD_FIELDS[c] for c in header[:2]),
+    "non_integer_id": lambda header: ",".join(
+        "1O0" if c == "HADM_ID" else GOOD_FIELDS[c] for c in header),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+@pytest.mark.parametrize("loader, header", [(load_noteevents, NOTE_HEADER),
+                                            (load_diagnoses, DIAG_HEADER)],
+                         ids=["noteevents", "diagnoses"])
+def test_malformed_row_is_format_error_naming_path_and_row(tmp_path, loader, header, case):
+    path = tmp_path / "in.csv"
+    good = ",".join(GOOD_FIELDS[c] for c in header)
+    path.write_text(",".join(header) + "\n" + good + "\n" + MALFORMED_ROWS[case](header) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"in\.csv: row 3: "):
+        loader(path)
 
 
 # ------------------------------------------------- discharge summary filter

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from codeset_bench import cli, harness, models
+from codeset_bench import cli, features, harness, models, textproc
 from codeset_bench import neuralcore as nc
-from codeset_bench.errors import ConfigError, PipelineError
+from codeset_bench.errors import ConfigError, FormatError, PipelineError
 pytestmark = pytest.mark.filterwarnings("ignore:dataset.k")
 
 from codeset_bench.harness import (
@@ -182,6 +183,90 @@ def test_artifact_format_change_rebuilds_cached_features(tmp_path, monkeypatch):
     assert not any(hit.startswith("features:") for hit in record.cache_hits)
 
 
+# ---------------------------------------------------------- feature cache
+
+SEQ_FEATURES = {"feature.track": "wordseq", "model.preset": "", "model.family": "gru",
+                "model.hidden": "4", "train.max_epochs": "1", "feature.seq_len": "20",
+                "feature.w2v_dim": "8", "feature.epochs": "1"}
+
+
+def _splits(cfg, ws):
+    notes, diags = harness.stage_corpus(cfg, ws)
+    return harness.stage_dataset(cfg, ws, notes, diags)[:3]
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_split(a, b):
+    if sp.issparse(a):
+        return (a.format == b.format == "csr" and a.shape == b.shape
+                and all(_same_array(getattr(a, n), getattr(b, n))
+                        for n in ("data", "indices", "indptr")))
+    return _same_array(a, b)
+
+
+def _pretrained_file(tmp_path):
+    """A word2vec text file covering every other training token, so that
+    the aligned matrix has both copied and zero rows."""
+    ws = Workspace(tmp_path / "probe", log=lambda *a: None)
+    docs = [textproc.tokenize(t) for t in _splits(make_cfg(**SEQ_FEATURES), ws)[0].texts()]
+    vocab = textproc.build_vocabulary(docs)
+    kept = vocab.index_to_token[1::2]
+    matrix = np.random.default_rng(3).standard_normal((len(kept) + 1, 8))
+    path = tmp_path / "pretrained.txt"
+    features.save_word2vec_text(features.EmbeddingMatrix(
+        textproc.Vocabulary({t: i for i, t in enumerate(kept, 1)}, [""] + kept,
+                            {t: vocab.doc_freq[t] for t in kept}), matrix), path)
+    return path
+
+
+@pytest.mark.parametrize("overrides", [
+    {"feature.track": "tfidf40k"},
+    {**SEQ_FEATURES, "feature.track": "w2v-avg", "model.family": "logreg", "model.hidden": ""},
+    {**SEQ_FEATURES, "feature.embedding_source": "self"},
+    {**SEQ_FEATURES, "feature.embedding_source": "random"},
+    {**SEQ_FEATURES, "feature.embedding_source": "pretrained"},
+], ids=["tfidf40k", "w2v-avg", "wordseq-self", "wordseq-random", "wordseq-pretrained"])
+def test_warm_feature_set_equals_cold(tmp_path, overrides):
+    if overrides.get("feature.embedding_source") == "pretrained":
+        overrides = {**overrides, "feature.pretrained_path": str(_pretrained_file(tmp_path))}
+    cfg = make_cfg(**overrides)
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    splits = _splits(cfg, ws)
+    cold = harness.stage_features(cfg, ws, splits)
+    warm = harness.stage_features(cfg, ws, splits)
+    assert ws.cache_hits[-1] == "features:" + cfg.stage_hash("features")[:12]
+    assert warm.kind == cold.kind == harness.TRACK_KINDS[cfg.get("feature.track")]
+    for name in ("train", "val", "test"):
+        assert _same_split(getattr(warm, name), getattr(cold, name)), name
+    assert warm.vocab.token_to_index == cold.vocab.token_to_index
+    assert warm.vocab.index_to_token == cold.vocab.index_to_token
+    assert warm.vocab.doc_freq == cold.vocab.doc_freq
+    assert warm.vocab.n_docs == cold.vocab.n_docs == len(splits[0])
+    if cold.embedding is None:
+        assert warm.embedding is None
+    else:
+        assert _same_array(warm.embedding.matrix, cold.embedding.matrix)
+        assert warm.embedding.vocabulary is warm.vocab
+
+
+@pytest.mark.parametrize("damage", ["truncated", "row_count"])
+def test_damaged_cached_embedding_is_format_error_naming_it(tmp_path, damage):
+    cfg = make_cfg(**SEQ_FEATURES)
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    splits = _splits(cfg, ws)
+    cold = harness.stage_features(cfg, ws, splits)
+    path = ws.stage_dir("features", cfg.stage_hash("features")) / "embedding.npy"
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-40])
+    else:
+        features.save_dense(cold.embedding.matrix[:-1], path)
+    with pytest.raises(FormatError, match="embedding.npy"):
+        harness.stage_features(cfg, ws, splits)
+
+
 # --------------------------------------------------------------- pipeline
 
 @pytest.fixture(scope="module")
@@ -347,6 +432,37 @@ def test_traced_benchmark_wraps_only_existing_names(monkeypatch):
         sys.modules.pop("instrument", None)
         sys.modules.pop("spans", None)
     assert harness.models_save_forest is original
+
+
+def test_traced_feature_cache_io_sits_under_stage_features(tmp_path, monkeypatch):
+    # features.artifact_{write,read}_s sum these spans; a feature-cache codec
+    # holding the functions it captured at import would bypass the wrappers
+    # and leave both metrics at 0
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    import instrument
+    import spans
+
+    cfg = make_cfg(**SEQ_FEATURES)
+    saves = ("features.save_dense", "features.save_sequences", "textproc.save_vocabulary")
+    loads = tuple(name.replace(".save_", ".load_") for name in saves)
+    under = {}
+    tracer = spans.Tracer()
+    try:
+        instrument.install(tracer)
+        tracer.recording = True
+        for run in ("cold", "warm"):
+            tracer.reset()
+            run_pipeline(cfg, tmp_path, run_name=run, log=lambda *a: None)
+            index = spans.SpanIndex(tracer.spans)
+            under[run] = {name: index.total([name], ancestor="harness.stage_features")
+                          for name in saves + loads}
+    finally:
+        tracer.restore()
+        sys.modules.pop("instrument", None)
+        sys.modules.pop("spans", None)
+    for save, load in zip(saves, loads):
+        assert under["cold"][save] > 0 and under["cold"][load] == 0, save
+        assert under["warm"][load] > 0 and under["warm"][save] == 0, load
 
 
 # -------------------------------------------------------------------- cli

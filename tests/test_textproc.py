@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeset_bench.errors import DatasetError
+from codeset_bench.errors import DatasetError, FormatError
 from codeset_bench.textproc import (
     PAD_INDEX,
     build_vocabulary,
@@ -117,8 +117,17 @@ def test_vocabulary_round_trip(tmp_path):
     vocab = build_vocabulary(docs)
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
-    loaded = load_vocabulary(path, n_docs=vocab.n_docs)
+    loaded = load_vocabulary(path)
     assert loaded.token_to_index == vocab.token_to_index
     assert loaded.index_to_token == vocab.index_to_token
     assert loaded.doc_freq == vocab.doc_freq
     assert loaded.n_docs == vocab.n_docs
+
+
+@pytest.mark.parametrize("text, line", [("#n_docs=many\n1\ta\t1\n", 1),
+                                        ("#n_docs=2\n1\ta\tone\n", 2)])
+def test_vocabulary_non_integer_field_is_format_error(tmp_path, text, line):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"vocab\.tsv:{line}: "):
+        load_vocabulary(path)
