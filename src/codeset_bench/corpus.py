@@ -6,6 +6,11 @@ top-k label catalogs over codes or their hierarchical categories, joins
 notes with diagnoses into multi-hot labeled datasets, and splits them
 deterministically. A seeded synthetic generator stands in for the real
 access-restricted data at desk scale.
+
+A split dataset is written and read as one directory by ``save_dataset``
+and ``load_dataset``: ``catalog.tsv`` (a ``#mode=`` header, then one
+label and its admission count per line) and ``train.tsv``, ``val.tsv``,
+``test.tsv`` (a ``#coverage=`` header, then one example per line).
 """
 
 from __future__ import annotations
@@ -114,6 +119,7 @@ class IngestStats:
     def __init__(self):
         self.rows = 0
         self.skipped_no_hadm = 0
+        self.skipped_no_code = 0
 
 
 def _header_positions(header: list[str], required: Sequence[str], path) -> dict[str, int]:
@@ -126,11 +132,14 @@ def _header_positions(header: list[str], required: Sequence[str], path) -> dict[
 
 def _iter_csv(path, required: Sequence[str], stats: IngestStats, parse) -> Iterator:
     """Stream the records parsed from a CSV (RFC 4180) whose header row
-    names the ``required`` columns; extra columns are ignored.
+    names the ``required`` columns (HADM_ID among them); extra columns
+    are ignored.
 
-    ``parse(row, pos)`` turns one non-blank data row into a record, or
-    into None for a row to skip, counted in ``stats``. Malformed quoting,
-    a row too short for a required column and a non-integer id each raise
+    A row with an empty HADM_ID is skipped and counted in
+    ``stats.skipped_no_hadm``. ``parse(row, pos)`` turns any other
+    non-blank data row into a record, or into None for a row to skip,
+    counted in ``stats.skipped_no_code``. Malformed quoting, a row too
+    short for a required column and a non-integer id each raise
     FormatError with the offending row number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -150,27 +159,27 @@ def _iter_csv(path, required: Sequence[str], stats: IngestStats, parse) -> Itera
                 continue
             stats.rows += 1
             try:
+                if not row[pos["HADM_ID"]].strip():
+                    stats.skipped_no_hadm += 1
+                    continue
                 record = parse(row, pos)
             except IndexError:
                 raise FormatError(f"{path}: row {reader.line_num}: only {len(row)} fields") from None
             except ValueError as exc:
                 raise FormatError(f"{path}: row {reader.line_num}: {exc}") from None
             if record is None:
-                stats.skipped_no_hadm += 1
+                stats.skipped_no_code += 1
             else:
                 yield record
     if pos is None:
         raise SchemaError(f"{path}: empty file, no header row")
 
 
-def _parse_note(row: list[str], pos: dict[str, int]) -> Note | None:
-    hadm_raw = row[pos["HADM_ID"]].strip()
-    if not hadm_raw:
-        return None
+def _parse_note(row: list[str], pos: dict[str, int]) -> Note:
     return Note(
         row_id=int(row[pos["ROW_ID"]]),
         subject_id=int(row[pos["SUBJECT_ID"]]),
-        hadm_id=int(hadm_raw),
+        hadm_id=int(row[pos["HADM_ID"]]),
         category=row[pos["CATEGORY"]],
         text=row[pos["TEXT"]],
     )
@@ -184,14 +193,13 @@ def load_noteevents(path: str | Path) -> tuple[list[Note], IngestStats]:
 
 
 def _parse_diagnosis(row: list[str], pos: dict[str, int]) -> DiagnosisRecord | None:
-    hadm_raw = row[pos["HADM_ID"]].strip()
     seq_raw = row[pos["SEQ_NUM"]].strip()
     code = row[pos["ICD9_CODE"]].strip().strip('"')
-    if not hadm_raw or not seq_raw or not code:
+    if not seq_raw or not code:
         return None
     return DiagnosisRecord(
         subject_id=int(row[pos["SUBJECT_ID"]]),
-        hadm_id=int(hadm_raw),
+        hadm_id=int(row[pos["HADM_ID"]]),
         seq_num=int(seq_raw),
         icd9_code=code,
     )
@@ -199,7 +207,8 @@ def _parse_diagnosis(row: list[str], pos: dict[str, int]) -> DiagnosisRecord | N
 
 def load_diagnoses(path: str | Path) -> tuple[list[DiagnosisRecord], IngestStats]:
     """Diagnosis rows of a DIAGNOSES_ICD-style CSV; rows with an empty
-    HADM_ID, SEQ_NUM or ICD9_CODE are skipped and counted."""
+    HADM_ID (``skipped_no_hadm``) or an empty SEQ_NUM or ICD9_CODE
+    (``skipped_no_code``) are skipped and counted."""
     stats = IngestStats()
     return list(_iter_csv(path, DIAGNOSIS_COLUMNS, stats, _parse_diagnosis)), stats
 
@@ -395,7 +404,6 @@ class SyntheticSpec:
     note_length_mean: int = 50
     note_length_jitter: int = 15
     label_rate: float = 0.35
-    cooccur_boost: float = 0.0
     noise_code_rate: float = 0.15
     extra_note_rate: float = 0.05
     order_sensitive: bool = False
@@ -443,13 +451,7 @@ def _filler_words(n: int) -> list[str]:
 
 
 def _draw_active_labels(rng: np.random.Generator, spec: SyntheticSpec) -> list[int]:
-    active = [j for j in range(spec.n_labels) if rng.random() < spec.label_rate]
-    if spec.cooccur_boost > 0:
-        for j in list(active):
-            nxt = (j + 1) % spec.n_labels
-            if nxt not in active and rng.random() < spec.cooccur_boost:
-                active.append(nxt)
-    return sorted(set(active))
+    return [j for j in range(spec.n_labels) if rng.random() < spec.label_rate]
 
 
 def generate_synthetic_corpus(
@@ -650,19 +652,25 @@ def _unescape_text(text: str) -> str:
 
 
 def save_split(dataset: LabeledDataset, path: str | Path) -> None:
-    """Tab-separated rows: hadm_id, multi-hot bits as a 0/1 string, text
-    with newlines (and tabs/backslashes) escaped."""
+    """A ``#coverage=<repr>`` header line, then tab-separated rows:
+    hadm_id, multi-hot bits as a 0/1 string, text with newlines (and
+    tabs/backslashes) escaped."""
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#coverage={dataset.coverage!r}\n")
         for ex in dataset.examples:
             bits = "".join(str(int(b)) for b in ex.label_vector)
             fh.write(f"{ex.hadm_id}\t{bits}\t{_escape_text(ex.text)}\n")
 
 
-def load_split(path: str | Path, catalog: LabelCatalog, coverage: float = 0.0) -> LabeledDataset:
+def load_split(path: str | Path, catalog: LabelCatalog) -> LabeledDataset:
     examples = []
+    coverage = 0.0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
+            if line.startswith("#coverage="):
+                coverage = float(line[len("#coverage="):])
+                continue
             if not line:
                 continue
             parts = line.split("\t", 2)
@@ -676,21 +684,6 @@ def load_split(path: str | Path, catalog: LabelCatalog, coverage: float = 0.0) -
                 Example(hadm_id=int(hadm_id), text=_unescape_text(text), label_vector=vec.astype(np.uint8))
             )
     return LabeledDataset(examples=examples, catalog=catalog, coverage=coverage)
-
-
-def save_manifest(path: str | Path, mode: str, k: int, seed: int, coverage: float) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"mode={mode}\nk={k}\nseed={seed}\ncoverage={coverage!r}\n")
-
-
-def load_manifest(path: str | Path) -> dict[str, str]:
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def save_catalog(catalog: LabelCatalog, path: str | Path) -> None:
@@ -712,3 +705,28 @@ def load_catalog(path: str | Path) -> LabelCatalog:
         name, count = line.split("\t")
         labels.append((name, int(count)))
     return LabelCatalog(mode=mode, labels=tuple(labels))
+
+
+SPLIT_NAMES = ("train", "val", "test")
+
+
+def save_dataset(
+    d: str | Path, train: LabeledDataset, val: LabeledDataset, test: LabeledDataset
+) -> None:
+    """Write the three splits of one dataset into directory ``d``:
+    ``catalog.tsv`` and ``train.tsv``, ``val.tsv``, ``test.tsv``."""
+    d = Path(d)
+    save_catalog(train.catalog, d / "catalog.tsv")
+    for name, split in zip(SPLIT_NAMES, (train, val, test)):
+        save_split(split, d / f"{name}.tsv")
+
+
+def load_dataset(
+    d: str | Path,
+) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset, LabelCatalog]:
+    """Read back what ``save_dataset`` wrote into ``d`` as
+    ``(train, val, test, catalog)``."""
+    d = Path(d)
+    catalog = load_catalog(d / "catalog.tsv")
+    train, val, test = (load_split(d / f"{name}.tsv", catalog) for name in SPLIT_NAMES)
+    return train, val, test, catalog

@@ -143,15 +143,11 @@ def build_tfidf_table(
     table = compute_idf(vocab)
     if config.max_features is None or len(vocab.token_to_index) <= config.max_features:
         return table
+    # summed over the documents in order, as the column sums of the
+    # train tf-idf matrix (whose column j is vocabulary index j + 1)
+    m = tfidf_vectorize(train_docs, table)
     mass = np.zeros(len(vocab.index_to_token), dtype=np.float64)
-    for doc in train_docs:
-        counts: dict[int, int] = {}
-        for tok in doc:
-            i = vocab.token_to_index.get(tok)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + 1
-        for i, c in counts.items():
-            mass[i] += c * table.idf[i]
+    mass[1:] = np.bincount(m.indices, weights=m.data, minlength=len(vocab.token_to_index))
     # rank by (-summed mass, token) for a deterministic cut
     order = sorted(
         vocab.token_to_index.items(), key=lambda kv: (-mass[kv[1]], kv[0])

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,9 +89,9 @@ DEFAULTS: dict[str, str] = {
 # Version of what the cached stages compute and of their on-disk layout.
 # It is part of every stage hash, so a workspace written by code that
 # computed or stored a stage differently is rebuilt rather than read. Bump
-# it with any change to a stage's output (npy-4: embeddings cached as .npy,
-# n_docs in vocab.tsv).
-ARTIFACT_FORMAT = "npy-4"
+# it with any change to a stage's output (npy-5: the dataset stage is
+# catalog.tsv plus three split TSVs with a #coverage= header, no manifest).
+ARTIFACT_FORMAT = "npy-5"
 
 TRACK_KINDS = {
     "tfidf40k": "sparse",
@@ -116,11 +119,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def load_config(path: str | Path) -> "ExperimentConfig":
-    raw = parse_config_text(Path(path).read_text(encoding="utf-8"), str(path))
-    return ExperimentConfig(raw)
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -303,22 +301,7 @@ class RunRecord:
     timestamp: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "config_hash": self.config_hash,
-            "dataset_hash": self.dataset_hash,
-            "feature_hash": self.feature_hash,
-            "split_sizes": self.split_sizes,
-            "coverage": self.coverage,
-            "history": self.history,
-            "stopped_epoch": self.stopped_epoch,
-            "best_epoch": self.best_epoch,
-            "metrics_train": self.metrics_train,
-            "metrics_test": self.metrics_test,
-            "cache_hits": self.cache_hits,
-            "artifacts": self.artifacts,
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 class Workspace:
@@ -347,16 +330,32 @@ class Workspace:
         self.log(f"cache hit: {stage} {full_hash[:12]}")
         return True
 
-    def finish_stage(self, stage: str, full_hash: str) -> None:
-        d = self.stage_dir(stage, full_hash)
-        (d / ".complete").write_text(full_hash + "\n", encoding="utf-8")
+    @contextmanager
+    def new_stage(self, stage: str, full_hash: str) -> Iterator[Path]:
+        """Yield a private directory to write one stage into, then publish
+        it as ``stage_dir(stage, full_hash)`` with one rename.
 
-    def fresh_stage_dir(self, stage: str, full_hash: str) -> Path:
-        d = self.stage_dir(stage, full_hash)
-        if d.exists():
-            shutil.rmtree(d)
-        d.mkdir(parents=True)
-        return d
+        The marker goes in before the rename, so a stage directory is
+        either absent or complete. When a concurrent run published the
+        same stage first, the private copy is dropped: both runs built
+        the same content. On an exception the private copy is deleted and
+        nothing is published. A killed run may leave a ``*.tmp-*``
+        sibling behind, which nothing reads.
+        """
+        final = self.stage_dir(stage, full_hash)
+        final.parent.mkdir(parents=True, exist_ok=True)
+        private = final.with_name(f"{final.name}.tmp-{os.getpid()}-{os.urandom(4).hex()}")
+        private.mkdir()
+        try:
+            yield private
+            (private / ".complete").write_text(full_hash + "\n", encoding="utf-8")
+            try:
+                os.rename(private, final)
+            except OSError:
+                if not (final / ".complete").exists():
+                    raise
+        finally:
+            shutil.rmtree(private, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,30 +373,19 @@ def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
                 raise PipelineError(f"stage corpus: missing input {p}")
         return notes, diags
     h = cfg.stage_hash("corpus")
+    if not ws.stage_cached("corpus", h):
+        with ws.new_stage("corpus", h) as d:
+            corpus.generate_synthetic_corpus(cfg.synthetic_spec(), d)
     d = ws.stage_dir("corpus", h)
-    if ws.stage_cached("corpus", h):
-        return d / "NOTEEVENTS.csv", d / "DIAGNOSES_ICD.csv"
-    d = ws.fresh_stage_dir("corpus", h)
-    notes, diags = corpus.generate_synthetic_corpus(cfg.synthetic_spec(), d)
-    ws.finish_stage("corpus", h)
-    return notes, diags
+    return d / "NOTEEVENTS.csv", d / "DIAGNOSES_ICD.csv"
 
 
 def stage_dataset(
     cfg: ExperimentConfig, ws: Workspace, notes_path: Path, diags_path: Path
 ) -> tuple[corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabelCatalog]:
     h = cfg.stage_hash("dataset")
-    d = ws.stage_dir("dataset", h)
     if ws.stage_cached("dataset", h):
-        catalog = corpus.load_catalog(d / "catalog.tsv")
-        manifest = corpus.load_manifest(d / "manifest.txt")
-        coverage = float(manifest.get("coverage", "0"))
-        return (
-            corpus.load_split(d / "train.tsv", catalog, coverage),
-            corpus.load_split(d / "val.tsv", catalog, coverage),
-            corpus.load_split(d / "test.tsv", catalog, coverage),
-            catalog,
-        )
+        return corpus.load_dataset(ws.stage_dir("dataset", h))
     notes, _ = corpus.load_noteevents(notes_path)
     diagnoses, _ = corpus.load_diagnoses(diags_path)
     summaries = corpus.filter_discharge_summaries(notes)
@@ -412,20 +400,8 @@ def stage_dataset(
         ]
     dataset = corpus.build_dataset(summaries, diagnoses, catalog)
     train, val, test = corpus.split_dataset(dataset, cfg.split_spec())
-
-    d = ws.fresh_stage_dir("dataset", h)
-    corpus.save_catalog(catalog, d / "catalog.tsv")
-    corpus.save_manifest(
-        d / "manifest.txt",
-        mode=catalog.mode,
-        k=catalog.k,
-        seed=cfg.get_int("dataset.split_seed"),
-        coverage=dataset.coverage,
-    )
-    corpus.save_split(train, d / "train.tsv")
-    corpus.save_split(val, d / "val.tsv")
-    corpus.save_split(test, d / "test.tsv")
-    ws.finish_stage("dataset", h)
+    with ws.new_stage("dataset", h) as d:
+        corpus.save_dataset(d, train, val, test)
     return train, val, test, catalog
 
 
@@ -474,8 +450,8 @@ def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> features.Fea
     if ws.stage_cached("features", h):
         return features.load_feature_set(ws.stage_dir("features", h), TRACK_KINDS[track])
     fs = _build_features(cfg, track, _tokenized_splits(cfg, splits))
-    features.save_feature_set(fs, ws.fresh_stage_dir("features", h))
-    ws.finish_stage("features", h)
+    with ws.new_stage("features", h) as d:
+        features.save_feature_set(fs, d)
     return fs
 
 
@@ -575,29 +551,20 @@ def run_pipeline(
     except PipelineError as exc:
         raise PipelineError(f"stage train: {exc}") from exc
 
-    names = catalog.names
-    probs_train = models.predict_proba(model, feats.train)
-    probs_test = models.predict_proba(model, feats.test)
-    rep_train, curves_train = report_from_probs(probs_train, y_train, model.threshold, names)
-    rep_test, curves_test = report_from_probs(probs_test, y_test, model.threshold, names)
-
     run_hash = cfg.stage_hash("run")
     run_dir = ws.root / "runs" / (run_name or run_hash[:12])
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
     corpus.save_catalog(catalog, run_dir / "catalog.tsv")
-    for tag, probs, truth in (
-        ("train", probs_train, y_train),
-        ("test", probs_test, y_test),
-    ):
+    outputs = {
+        "train": (models.predict_proba(model, feats.train), y_train),
+        "test": (models.predict_proba(model, feats.test), y_test),
+    }
+    for tag, (probs, truth) in outputs.items():
         features.save_dense(probs, run_dir / f"probs_{tag}.dense")
         features.save_dense(truth.astype(np.float64), run_dir / f"truth_{tag}.dense")
-    (run_dir / "metrics_train.json").write_text(rep_train.to_json(), encoding="utf-8")
-    (run_dir / "metrics_test.json").write_text(rep_test.to_json(), encoding="utf-8")
-    metrics.write_pr_curves(curves_train, run_dir / "pr_train.csv")
-    metrics.write_pr_curves(curves_test, run_dir / "pr_test.csv")
+    reports = _write_reports(run_dir, cfg, outputs, model.threshold, catalog.names)
     _save_model(model, run_dir / "checkpoint", cfg)
-    _write_summary(run_dir / "summary.txt", cfg, rep_train, rep_test)
 
     record = RunRecord(
         config_hash=run_hash,
@@ -608,8 +575,8 @@ def run_pipeline(
         history=model.history,
         stopped_epoch=model.stopped_epoch,
         best_epoch=model.best_epoch,
-        metrics_train=rep_train.to_dict(),
-        metrics_test=rep_test.to_dict(),
+        metrics_train=reports["train"].to_dict(),
+        metrics_test=reports["test"].to_dict(),
         cache_hits=list(ws.cache_hits),
         artifacts={
             "run_dir": str(run_dir),
@@ -619,7 +586,7 @@ def run_pipeline(
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(t0)),
     )
     (run_dir / "record.json").write_text(record.to_json(), encoding="utf-8")
-    log(f"run complete: {run_dir} (test f1 {rep_test.f1:.4f})")
+    log(f"run complete: {run_dir} (test f1 {reports['test'].f1:.4f})")
     return record
 
 
@@ -644,19 +611,36 @@ def models_save_forest(model: models.TrainedModel, ckpt_dir: Path, manifest: dic
     nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
 
 
-def _write_summary(
-    path: Path, cfg: ExperimentConfig, rep_train: metrics.MetricsReport, rep_test
-) -> None:
-    name = cfg.get("model.preset") or cfg.get("model.family")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"model: {name}   track: {cfg.get('feature.track')}\n\n")
-        fh.write(f"{'split':<8}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS) + "\n")
-        for split, rep in (("train", rep_train), ("test", rep_test)):
-            fh.write(
-                f"{split:<8}"
-                + "".join(f"{getattr(rep, c):>16.4f}" for c in COMPARE_COLUMNS)
-                + "\n"
-            )
+def _write_reports(
+    run_dir: Path,
+    cfg: ExperimentConfig,
+    outputs: dict[str, tuple[np.ndarray, np.ndarray]],
+    threshold: float,
+    label_names: list[str],
+    with_curves: bool = True,
+) -> dict[str, metrics.MetricsReport]:
+    """Write ``metrics_<tag>.json`` for each ``tag -> (probs, truth)``
+    and, ``with_curves``, its ``pr_<tag>.csv`` and the train/test
+    ``summary.txt``."""
+    reports = {}
+    for tag, (probs, truth) in outputs.items():
+        rep, curves = report_from_probs(probs, truth, threshold, label_names)
+        (run_dir / f"metrics_{tag}.json").write_text(rep.to_json(), encoding="utf-8")
+        if with_curves:
+            metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.csv")
+        reports[tag] = rep
+    if with_curves:
+        name = cfg.get("model.preset") or cfg.get("model.family")
+        with open(run_dir / "summary.txt", "w", encoding="utf-8") as fh:
+            fh.write(f"model: {name}   track: {cfg.get('feature.track')}\n\n")
+            fh.write(f"{'split':<8}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS) + "\n")
+            for split in ("train", "test"):
+                fh.write(
+                    f"{split:<8}"
+                    + "".join(f"{getattr(reports[split], c):>16.4f}" for c in COMPARE_COLUMNS)
+                    + "\n"
+                )
+    return reports
 
 
 def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
@@ -669,19 +653,16 @@ def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, 
         parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
     )
     catalog = corpus.load_catalog(run_dir / "catalog.tsv")
-    threshold = cfg.get_float("train.threshold")
-    reports = {}
-    for tag in ("train", "test"):
-        probs = features.load_dense(run_dir / f"probs_{tag}.dense")
-        truth = features.load_dense(run_dir / f"truth_{tag}.dense").astype(np.uint8)
-        rep, curves = report_from_probs(probs, truth, threshold, catalog.names)
-        (run_dir / f"metrics_{tag}.json").write_text(rep.to_json(), encoding="utf-8")
-        if with_curves:
-            metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.csv")
-        reports[tag] = rep
-    if with_curves:
-        _write_summary(run_dir / "summary.txt", cfg, reports["train"], reports["test"])
-    return reports
+    outputs = {
+        tag: (
+            features.load_dense(run_dir / f"probs_{tag}.dense"),
+            features.load_dense(run_dir / f"truth_{tag}.dense").astype(np.uint8),
+        )
+        for tag in ("train", "test")
+    }
+    return _write_reports(
+        run_dir, cfg, outputs, cfg.get_float("train.threshold"), catalog.names, with_curves
+    )
 
 
 # ---------------------------------------------------------------------------

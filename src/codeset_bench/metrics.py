@@ -12,7 +12,7 @@ replacement is counted in an audit field rather than silently dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -246,18 +246,7 @@ class MetricsReport:
     nan_replacements: int
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "hamming_loss": self.hamming_loss,
-            "macro_auc": self.macro_auc,
-            "precision_at_5": self.precision_at_5,
-            "ap_per_label": self.ap_per_label,
-            "mean_ap": self.mean_ap,
-            "nan_replacements": self.nan_replacements,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -106,10 +106,6 @@ def preset(name: str) -> ModelSpec:
         ) from None
 
 
-def preset_names() -> list[str]:
-    return sorted(_PRESETS)
-
-
 @dataclass
 class TrainConfig:
     max_epochs: int = 200

@@ -90,10 +90,6 @@ class Sequential(Layer):
             out.extend(layer.params())
         return out
 
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
-
     def param_count(self) -> int:
         return sum(p.value.size for p in self.params())
 

@@ -34,7 +34,6 @@ def gradient_check(
     eps: float = 1e-5,
     max_coords: int = 200,
     seed: int = 0,
-    check_input: bool = True,
 ) -> float:
     """Max relative error between analytic and numeric gradients.
 
@@ -79,7 +78,7 @@ def gradient_check(
             numeric = (up - down) / (2.0 * eps)
             worst = max(worst, _relative_error(flat_g[i], numeric))
 
-    if check_input and grad_x is not None:
+    if grad_x is not None:
         flat_x = x.ravel()
         flat_gx = np.asarray(grad_x, dtype=np.float64).ravel()
         for i in _sample_coords(rng, flat_x.size, max_coords):

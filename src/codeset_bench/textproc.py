@@ -71,11 +71,6 @@ def load_default_stopwords() -> StopwordList:
     return StopwordList(frozenset(w for w in text.split() if w))
 
 
-def load_stopwords(path: str | Path) -> StopwordList:
-    words = Path(path).read_text(encoding="utf-8").split()
-    return StopwordList(frozenset(w.lower() for w in words))
-
-
 PAD_INDEX = 0
 
 

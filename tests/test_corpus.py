@@ -94,7 +94,8 @@ def test_diagnoses_loader_skips_empty_code_or_hadm(tmp_path):
     ])
     records, stats = load_diagnoses(path)
     assert [(r.hadm_id, r.icd9_code) for r in records] == [(100, "4019")]
-    assert stats.skipped_no_hadm >= 1
+    assert stats.skipped_no_hadm == 1
+    assert stats.skipped_no_code == 1
 
 
 GOOD_FIELDS = {"ROW_ID": "1", "SUBJECT_ID": "7", "HADM_ID": "100", "CHARTDATE": "2100-01-01",
@@ -401,7 +402,8 @@ def test_split_round_trip_preserves_newline_texts(tmp_path):
     ds = build_dataset(notes, [diag(100, "1110")], cat)
     path = tmp_path / "train.tsv"
     save_split(ds, path)
-    loaded = load_split(path, cat, coverage=ds.coverage)
+    loaded = load_split(path, cat)
+    assert loaded.coverage == ds.coverage
     assert loaded.examples[0].text == ds.examples[0].text
     assert loaded.examples[0].hadm_id == 100
     assert loaded.examples[0].label_vector.tolist() == [1]

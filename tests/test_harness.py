@@ -1,6 +1,7 @@
 """Config parsing, stage hashing/caching, the pipeline driver, the CLI."""
 
 import json
+import multiprocessing
 import sys
 import types
 from pathlib import Path
@@ -183,6 +184,54 @@ def test_artifact_format_change_rebuilds_cached_features(tmp_path, monkeypatch):
     assert not any(hit.startswith("features:") for hit in record.cache_hits)
 
 
+def test_failed_stage_build_publishes_nothing(tmp_path):
+    cfg = make_cfg()
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    h = cfg.stage_hash("corpus")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with ws.new_stage("corpus", h) as d:
+            (d / "NOTEEVENTS.csv").write_text("ROW_ID\n")
+            raise RuntimeError("mid-write")
+    assert list(ws.stage_dir("corpus", h).parent.iterdir()) == []
+    assert not ws.stage_cached("corpus", h)
+    record = run_pipeline(cfg, ws.root, run_name="after", log=lambda *a: None)
+    assert record.cache_hits == []
+    assert ws.stage_cached("corpus", h)
+
+
+RACE_ROUNDS = 4
+
+
+def _race_worker(root: Path, worker: int, barrier) -> None:
+    # one pipeline run per round, each round on a new empty workspace that
+    # the other worker fills at the same time
+    for r in range(RACE_ROUNDS):
+        barrier.wait(timeout=120)
+        try:
+            run_pipeline(make_cfg(), root / f"round{r}", run_name=f"w{worker}",
+                         log=lambda *a: None)
+        except Exception as exc:  # noqa: BLE001 - reported by the test
+            (root / f"round{r}-w{worker}.err").write_text(repr(exc))
+
+
+def test_concurrent_runs_share_one_workspace(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    workers = [ctx.Process(target=_race_worker, args=(tmp_path, i, barrier)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=600)
+    assert [w.exitcode for w in workers] == [0, 0]
+    errors = {p.name: p.read_text() for p in tmp_path.glob("*.err")}
+    assert errors == {}
+    for r in range(RACE_ROUNDS):
+        runs = tmp_path / f"round{r}" / "runs"
+        assert ((runs / "w0" / "metrics_test.json").read_bytes()
+                == (runs / "w1" / "metrics_test.json").read_bytes())
+    assert list(tmp_path.glob("**/*.tmp-*")) == []
+
+
 # ---------------------------------------------------------- feature cache
 
 SEQ_FEATURES = {"feature.track": "wordseq", "model.preset": "", "model.family": "gru",
@@ -193,6 +242,23 @@ SEQ_FEATURES = {"feature.track": "wordseq", "model.preset": "", "model.family": 
 def _splits(cfg, ws):
     notes, diags = harness.stage_corpus(cfg, ws)
     return harness.stage_dataset(cfg, ws, notes, diags)[:3]
+
+
+def test_warm_dataset_equals_cold(tmp_path):
+    cfg = make_cfg()
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    notes, diags = harness.stage_corpus(cfg, ws)
+    *cold, cold_catalog = harness.stage_dataset(cfg, ws, notes, diags)
+    *warm, warm_catalog = harness.stage_dataset(cfg, ws, notes, diags)
+    assert ws.cache_hits[-1] == "dataset:" + cfg.stage_hash("dataset")[:12]
+    assert warm_catalog == cold_catalog
+    for w, c in zip(warm, cold):
+        assert w.catalog == c.catalog
+        assert w.coverage == c.coverage
+        assert [ex.hadm_id for ex in w.examples] == [ex.hadm_id for ex in c.examples]
+        assert w.texts() == c.texts()
+        assert all(_same_array(a.label_vector, b.label_vector)
+                   for a, b in zip(w.examples, c.examples))
 
 
 def _same_array(a, b):
@@ -435,16 +501,21 @@ def test_traced_benchmark_wraps_only_existing_names(monkeypatch):
 
 
 def test_traced_feature_cache_io_sits_under_stage_features(tmp_path, monkeypatch):
-    # features.artifact_{write,read}_s sum these spans; a feature-cache codec
-    # holding the functions it captured at import would bypass the wrappers
-    # and leave both metrics at 0
+    # features.artifact_{write,read}_s and corpus.split_{write,read}_s sum
+    # these spans; a stage codec holding the functions it captured at
+    # import would bypass the wrappers and leave the metrics at 0
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
     import instrument
     import spans
 
     cfg = make_cfg(**SEQ_FEATURES)
-    saves = ("features.save_dense", "features.save_sequences", "textproc.save_vocabulary")
-    loads = tuple(name.replace(".save_", ".load_") for name in saves)
+    io = {  # stage span -> (saves, loads) in that stage's codec
+        "harness.stage_features": (
+            ("features.save_dense", "features.save_sequences", "textproc.save_vocabulary"),
+            ("features.load_dense", "features.load_sequences", "textproc.load_vocabulary")),
+        "harness.stage_dataset": (
+            ("corpus.save_split", "corpus.save_catalog"), ("corpus.load_split",)),
+    }
     under = {}
     tracer = spans.Tracer()
     try:
@@ -454,15 +525,17 @@ def test_traced_feature_cache_io_sits_under_stage_features(tmp_path, monkeypatch
             tracer.reset()
             run_pipeline(cfg, tmp_path, run_name=run, log=lambda *a: None)
             index = spans.SpanIndex(tracer.spans)
-            under[run] = {name: index.total([name], ancestor="harness.stage_features")
-                          for name in saves + loads}
+            under[run] = {(stage, name): index.total([name], ancestor=stage)
+                          for stage, names in io.items() for name in sum(names, ())}
     finally:
         tracer.restore()
         sys.modules.pop("instrument", None)
         sys.modules.pop("spans", None)
-    for save, load in zip(saves, loads):
-        assert under["cold"][save] > 0 and under["cold"][load] == 0, save
-        assert under["warm"][load] > 0 and under["warm"][save] == 0, load
+    for stage, (saves, loads) in io.items():
+        for save in saves:
+            assert under["cold"][stage, save] > 0 and under["warm"][stage, save] == 0, save
+        for load in loads:
+            assert under["warm"][stage, load] > 0 and under["cold"][stage, load] == 0, load
 
 
 # -------------------------------------------------------------------- cli
