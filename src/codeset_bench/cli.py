@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -187,10 +188,13 @@ def _dispatch(args) -> int:
         return 0 if ok else 2
 
     if args.command == "oracle":
+        start = time.perf_counter()
         worst = oracles.run_oracle_suite(n_pairs=args.pairs, seed=args.seed)
+        elapsed = time.perf_counter() - start
         for name, dev in sorted(worst.items()):
             print(f"{name:<12} max deviation {dev:.3e}")
         print(f"{args.pairs} random runs agree with the brute-force oracles")
+        print(f"oracle suite took {elapsed:.2f} s ({args.pairs / elapsed:.0f} runs/s)")
         return 0
 
     return 1

@@ -4,6 +4,12 @@ Deliberately naive: explicit Python sets, O(n^2) pairwise AUC, full
 prefix scans for AP. These share no code with the metrics module so that
 agreement between the two is evidence, not tautology. Used by the test
 suite and the `oracle` CLI subcommand.
+
+Each oracle converts its inputs to Python lists once, with `.tolist()`,
+and then loops over plain floats and ints. The conversion is exact
+(float64 becomes a Python float bit for bit, label bits become ints or
+bools), so the values are the ones a loop over numpy scalars would give;
+it only avoids boxing a numpy scalar at every element access.
 """
 
 from __future__ import annotations
@@ -12,10 +18,7 @@ import numpy as np
 
 
 def _row_sets(matrix) -> list[set[int]]:
-    out = []
-    for row in np.asarray(matrix):
-        out.append({j for j, v in enumerate(row) if v})
-    return out
+    return [{j for j, v in enumerate(row) if v} for row in np.asarray(matrix).tolist()]
 
 
 def oracle_example_metrics(predicted, truth) -> tuple[float, float, float, float, int]:
@@ -49,12 +52,11 @@ def oracle_example_metrics(predicted, truth) -> tuple[float, float, float, float
 
 def oracle_hamming(predicted, truth) -> float:
     p = np.asarray(predicted)
-    t = np.asarray(truth)
-    wrong = 0
     n, q = p.shape
-    for i in range(n):
-        for j in range(q):
-            if bool(p[i, j]) != bool(t[i, j]):
+    wrong = 0
+    for p_row, t_row in zip(p.tolist(), np.asarray(truth).tolist()):
+        for a, b in zip(p_row, t_row):
+            if bool(a) != bool(b):
                 wrong += 1
     return wrong / (n * q)
 
@@ -62,10 +64,10 @@ def oracle_hamming(predicted, truth) -> float:
 def oracle_label_auc(scores, truth) -> float | None:
     """Pairwise comparison count: each (positive, negative) pair scores
     1 when the positive outranks the negative, 0.5 on a tie."""
-    s = np.asarray(scores, dtype=float)
-    t = np.asarray(truth).astype(bool)
-    pos = [s[i] for i in range(len(s)) if t[i]]
-    neg = [s[i] for i in range(len(s)) if not t[i]]
+    s = np.asarray(scores, dtype=float).tolist()
+    t = np.asarray(truth).astype(bool).tolist()
+    pos = [v for v, y in zip(s, t) if y]
+    neg = [v for v, y in zip(s, t) if not y]
     if not pos or not neg:
         return None
     total = 0.0
@@ -96,17 +98,17 @@ def oracle_average_precision(scores, truth) -> float | None:
     """AP by scanning every prefix of the descending-score ranking and
     accumulating (R_n - R_{n-1}) * P_n at every rank (the increment is
     zero at non-positive ranks, so this equals the positive-only sum)."""
-    s = np.asarray(scores, dtype=float)
-    t = np.asarray(truth).astype(bool)
-    n_pos = int(t.sum())
+    s = np.asarray(scores, dtype=float).tolist()
+    t = np.asarray(truth).astype(bool).tolist()
+    n_pos = sum(t)
     if n_pos == 0:
         return None
     order = sorted(range(len(s)), key=lambda i: (-s[i], i))
+    hits = [t[i] for i in order]
     ap = 0.0
     prev_r = 0.0
-    for rank in range(1, len(order) + 1):
-        prefix = order[:rank]
-        tp = sum(1 for i in prefix if t[i])
+    for rank in range(1, len(hits) + 1):
+        tp = sum(hits[:rank])
         r = tp / n_pos
         p = tp / rank
         ap += (r - prev_r) * p
@@ -115,14 +117,13 @@ def oracle_average_precision(scores, truth) -> float | None:
 
 
 def oracle_precision_at_k(probs, truth, k: int = 5) -> float:
-    probs = np.asarray(probs, dtype=float)
-    t = np.asarray(truth).astype(bool)
+    t = np.asarray(truth).astype(bool).tolist()
     vals = []
-    for i in range(probs.shape[0]):
-        if not t[i].any():
+    for row, t_row in zip(np.asarray(probs, dtype=float).tolist(), t):
+        if not any(t_row):
             continue
-        ranked = sorted(range(probs.shape[1]), key=lambda j: (-probs[i, j], j))
-        hits = sum(1 for j in ranked[:k] if t[i, j])
+        ranked = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        hits = sum(1 for j in ranked[:k] if t_row[j])
         vals.append(hits / k)
     return sum(vals) / len(vals) if vals else 0.0
 
@@ -136,9 +137,8 @@ def random_run(rng: np.random.Generator, n: int, q: int):
     predicted = (rng.random((n, q)) < 0.4).astype(np.uint8)
     truth = (rng.random((n, q)) < 0.35).astype(np.uint8)
     # dataset invariant: at least one truth bit per row
-    for i in range(n):
-        if not truth[i].any():
-            truth[i, int(rng.integers(q))] = 1
+    for i in np.flatnonzero(~truth.any(axis=1)):
+        truth[i, int(rng.integers(q))] = 1
     return probs, predicted, truth
 
 
@@ -150,6 +150,7 @@ def run_oracle_suite(n_pairs: int = 1000, n: int = 64, q: int = 10, seed: int = 
     from . import metrics
 
     rng = np.random.default_rng(seed)
+    k = min(5, q)  # p@5 clamped to the label count, as metrics.report does
     worst: dict[str, float] = {
         "precision": 0.0, "recall": 0.0, "f1": 0.0, "accuracy": 0.0,
         "hamming": 0.0, "auc": 0.0, "ap": 0.0, "p_at_5": 0.0,
@@ -184,8 +185,8 @@ def run_oracle_suite(n_pairs: int = 1000, n: int = 64, q: int = 10, seed: int = 
         worst["p_at_5"] = max(
             worst["p_at_5"],
             abs(
-                metrics.precision_at_k(probs, truth, k=5)
-                - oracle_precision_at_k(probs, truth, k=5)
+                metrics.precision_at_k(probs, truth, k=k)
+                - oracle_precision_at_k(probs, truth, k=k)
             ),
         )
     for name, dev in worst.items():

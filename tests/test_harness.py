@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import sys
 import types
 from pathlib import Path
@@ -586,4 +587,6 @@ def test_cli_seed_flag_overrides_every_seed_key(tmp_path):
 
 def test_cli_oracle_subcommand(capsys):
     assert cli.main(["oracle", "--pairs", "20"]) == 0
-    assert "max deviation" in capsys.readouterr().out.lower()
+    out = capsys.readouterr().out
+    assert "max deviation" in out.lower()
+    assert re.search(r"^oracle suite took \d+\.\d{2} s \(\d+ runs/s\)$", out, re.M)

@@ -1,5 +1,6 @@
 """Multi-label evaluation: hand values, invariants, oracle agreement."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -411,3 +412,121 @@ def test_oracle_catches_a_wrong_auc():
     truth = np.array([1, 0], dtype=np.uint8)
     assert oracles.oracle_label_auc(scores, truth) == 1.0
     assert oracles.oracle_label_auc(scores, 1 - truth) == 0.0
+
+
+def test_oracle_ap_hand_value_with_index_tie_break():
+    # ranks by (-score, index): 0.9+, 0.8-, 0.8+, 0.1- -> positives at ranks 1 and 3
+    scores = np.array([0.9, 0.8, 0.8, 0.1])
+    truth = U8([1, 0, 1, 0])
+    assert oracles.oracle_average_precision(scores, truth) == (1 / 1 + 2 / 3) / 2
+
+
+def test_oracle_precision_at_k_ties_prefer_smaller_index_and_skip_empty_rows():
+    probs = np.array([[0.5, 0.5, 0.1], [0.9, 0.1, 0.2]])
+    # the 0.5 tie puts label 0 first; row 1 has no truth and is left out
+    assert oracles.oracle_precision_at_k(probs, U8([[1, 0, 0], [0, 0, 0]]), k=1) == 1.0
+    assert oracles.oracle_precision_at_k(probs, U8([[0, 1, 0], [0, 0, 0]]), k=1) == 0.0
+    assert oracles.oracle_precision_at_k(probs, U8([[0, 1, 0], [0, 0, 0]]), k=2) == 0.5
+
+
+def test_oracle_hamming_hand_value():
+    predicted = U8([[1, 0, 1], [0, 0, 0]])
+    truth = U8([[1, 1, 0], [0, 0, 1]])
+    assert oracles.oracle_hamming(predicted, truth) == 3 / 6
+
+
+def test_oracle_example_metrics_counts_nans_for_empty_sets():
+    # row 0 predicts nothing (precision 0/0), row 1 has no truth (recall 0/0)
+    predicted = U8([[0, 0], [1, 0]])
+    truth = U8([[1, 0], [0, 0]])
+    assert oracles.oracle_example_metrics(predicted, truth) == (0.0, 0.0, 0.0, 0.0, 2)
+    assert example_based_metrics(predicted, truth).nan_replacements == 2
+
+
+def test_oracle_suite_clamps_p_at_5_to_label_count():
+    worst = oracles.run_oracle_suite(n_pairs=3, n=16, q=3)
+    assert "p_at_5" in worst
+    assert max(worst.values()) < 1e-12
+
+
+def _nudge(value):
+    return None if value is None else value + 1e-9
+
+
+def test_oracle_suite_catches_ap_off_by_1e9(monkeypatch):
+    real = metrics.average_precision
+
+    def nudged(*args, **kwargs):
+        ap, curve = real(*args, **kwargs)
+        return _nudge(ap), curve
+
+    monkeypatch.setattr(metrics, "average_precision", nudged)
+    with pytest.raises(AssertionError, match="^ap deviates"):
+        oracles.run_oracle_suite(n_pairs=5)
+
+
+def test_oracle_suite_catches_auc_off_by_1e9(monkeypatch):
+    real = metrics.label_auc
+    monkeypatch.setattr(metrics, "label_auc", lambda *args: _nudge(real(*args)))
+    with pytest.raises(AssertionError, match="^auc deviates"):
+        oracles.run_oracle_suite(n_pairs=5)
+
+
+# Digests pinned on the list-free oracles of commit 23e49f0 (before the
+# oracles converted their inputs with `.tolist()`): every oracle must keep
+# returning exactly the same values, of the same Python types, and
+# `random_run` the same arrays and generator state.
+ORACLE_DIGEST = "67bac4bb5c88b559d69359276998168ed4a75afa91883092c9d56d87dd3a1fd4"
+RANDOM_RUN_DIGEST = "2c415690b2497b53847ab6f2b2d5a675f56fe41f12230da1d077528948beaf49"
+DIGEST_SHAPES = ((64, 10), (5, 3), (1, 4), (30, 7), (12, 1))
+
+
+def _digest_runs():
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        probs, predicted, truth = oracles.random_run(rng, *DIGEST_SHAPES[i % len(DIGEST_SHAPES)])
+        if i % 4 == 1:  # an empty truth row and an empty prediction row
+            truth[0, :] = 0
+            predicted[-1, :] = 0
+        elif i % 4 == 3:  # a fully tied score column and a single-class truth column
+            probs[:, 0] = 0.5
+            truth[:, -1] = 1
+        yield probs, predicted, truth
+
+
+def _oracle_values(probs, predicted, truth):
+    q = probs.shape[1]
+    yield oracles.oracle_example_metrics(predicted, truth)
+    yield oracles.oracle_hamming(predicted, truth)
+    yield oracles.oracle_macro_auc(probs, truth)
+    for j in range(q):
+        yield oracles.oracle_label_auc(probs[:, j], truth[:, j])
+        yield oracles.oracle_average_precision(probs[:, j], truth[:, j])
+    for k in sorted({1, min(3, q), min(5, q)}):
+        yield oracles.oracle_precision_at_k(probs, truth, k=k)
+
+
+def oracle_digest() -> str:
+    h = hashlib.sha256()
+    for run in _digest_runs():
+        for value in _oracle_values(*run):
+            h.update(repr(value).encode() + b"\n")
+    return h.hexdigest()
+
+
+def random_run_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    for i in range(400):
+        for a in oracles.random_run(rng, *DIGEST_SHAPES[i % len(DIGEST_SHAPES)]):
+            h.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+    h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+def test_oracle_values_match_pinned_digest():
+    assert oracle_digest() == ORACLE_DIGEST
+
+
+def test_random_run_matches_pinned_digest():
+    assert random_run_digest() == RANDOM_RUN_DIGEST
