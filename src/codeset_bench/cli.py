@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("evaluate", "recompute metrics JSONs from a run directory"),
-        ("report", "rewrite metrics JSONs, PR CSVs, and the summary table"),
+        ("report", "rewrite metrics JSONs, PR curves (.npz), and the summary table"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--run", required=True, help="run directory")

@@ -620,14 +620,14 @@ def _write_reports(
     with_curves: bool = True,
 ) -> dict[str, metrics.MetricsReport]:
     """Write ``metrics_<tag>.json`` for each ``tag -> (probs, truth)``
-    and, ``with_curves``, its ``pr_<tag>.csv`` and the train/test
+    and, ``with_curves``, its ``pr_<tag>.npz`` and the train/test
     ``summary.txt``."""
     reports = {}
     for tag, (probs, truth) in outputs.items():
         rep, curves = report_from_probs(probs, truth, threshold, label_names)
         (run_dir / f"metrics_{tag}.json").write_text(rep.to_json(), encoding="utf-8")
         if with_curves:
-            metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.csv")
+            metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.npz")
         reports[tag] = rep
     if with_curves:
         name = cfg.get("model.preset") or cfg.get("model.family")
@@ -644,7 +644,7 @@ def _write_reports(
 
 
 def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
-    """Recompute metrics JSONs (and optionally PR CSVs + summary) from a
+    """Recompute metrics JSONs (and optionally PR curves + summary) from a
     run directory's stored probability and truth matrices."""
     run_dir = Path(run_dir)
     if not (run_dir / "config.txt").exists():

@@ -7,17 +7,22 @@ predicted set, recall over the truth set) and average over examples.
 Per-example values that are undefined (empty predicted set, empty truth,
 single-class score column) are replaced by 0 or excluded, and every such
 replacement is counted in an audit field rather than silently dropped.
+
+A label column's AUC, AP and PR curve come from one stable descending
+sort, the same code in ``report`` and the public per-column functions. A
+split's PR curves are stored as one ``.npz`` of flat arrays.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 
 @dataclass
@@ -122,50 +127,12 @@ def hamming_loss(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float((p ^ t).mean())
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    n = scores.size
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    bounds = np.flatnonzero(s[1:] != s[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [n])) - 1
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
-
-
-def label_auc(scores: np.ndarray, truth: np.ndarray) -> float | None:
-    """ROC AUC for one label column via the rank (Mann-Whitney U)
-    formulation; tied scores contribute half credit. None when the
-    column is single-class."""
-    t = np.asarray(truth).astype(bool)
-    s = np.asarray(scores, dtype=np.float64)
-    n_pos = int(t.sum())
-    n_neg = t.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = _average_ranks(s)
-    u = ranks[t].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def macro_auc(probs: np.ndarray, truth: np.ndarray) -> tuple[float, int]:
-    """Unweighted mean of per-label AUC; single-class columns are
-    excluded from the mean and counted in the second return value."""
-    probs = np.asarray(probs, dtype=np.float64)
-    t = np.asarray(truth)
-    if probs.shape != t.shape:
-        raise ShapeError(f"probs {probs.shape} vs truth {t.shape}")
-    aucs = []
-    excluded = 0
-    for j in range(probs.shape[1]):
-        a = label_auc(probs[:, j], t[:, j])
-        if a is None:
-            excluded += 1
-        else:
-            aucs.append(a)
-    return (float(np.mean(aucs)) if aucs else 0.0), excluded
+def _doubled_ranks(key: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Twice the ascending 1-based average rank of positions ``at`` of the
+    descending-sorted scores' negation ``key``: a tie group at descending
+    positions a..b holds ranks n-b..n-a, doubled average 2n - a - b."""
+    v = key[at]
+    return 2 * key.size + 1 - key.searchsorted(v, "left") - key.searchsorted(v, "right")
 
 
 @dataclass
@@ -183,6 +150,60 @@ class PRCurve:
             raise ShapeError("PR curve arrays must be parallel")
 
 
+def _score_column(
+    scores: np.ndarray, truth: np.ndarray, label: str = "label"
+) -> tuple[float | None, float | None, PRCurve | None]:
+    """``label_auc``, then ``average_precision``'s AP and curve, of one
+    label column from one stable descending sort of its scores."""
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(truth)
+    if s.shape != t.shape or s.ndim != 1:
+        raise ShapeError("label columns must be parallel 1-D arrays")
+    key = -s
+    order = key.argsort(kind="stable")
+    key = key[order]
+    hits = t[order].nonzero()[0]  # descending positions of the positives
+    n_pos = hits.size
+    if n_pos == 0:
+        return None, None, None
+    n_neg = s.size - n_pos
+    auc = None
+    if n_neg:
+        # twice the Mann-Whitney U, exact in integers
+        u2 = int(_doubled_ranks(key, hits).sum()) - n_pos * (n_pos + 1)
+        auc = u2 / 2 / (n_pos * n_neg)
+    tp = np.arange(1.0, n_pos + 1)
+    recalls = tp / n_pos
+    precisions = tp / (hits + 1)
+    # cumsum adds the terms left to right, as a running total would
+    ap = ((recalls - (tp - 1) / n_pos) * precisions).cumsum()[-1]
+    return auc, float(ap), PRCurve(label, recalls, precisions, s[order[hits]])
+
+
+def _mean_defined(values: list[float | None]) -> tuple[float, int]:
+    """Mean of the defined values (0.0 when there are none) and how many
+    were None."""
+    defined = [v for v in values if v is not None]
+    return (float(np.mean(defined)) if defined else 0.0), len(values) - len(defined)
+
+
+def label_auc(scores: np.ndarray, truth: np.ndarray) -> float | None:
+    """ROC AUC for one label column via the rank (Mann-Whitney U)
+    formulation; tied scores contribute half credit. None when the
+    column is single-class."""
+    return _score_column(scores, truth)[0]
+
+
+def macro_auc(probs: np.ndarray, truth: np.ndarray) -> tuple[float, int]:
+    """Unweighted mean of per-label AUC; single-class columns are
+    excluded from the mean and counted in the second return value."""
+    probs = np.asarray(probs, dtype=np.float64)
+    t = np.asarray(truth)
+    if probs.shape != t.shape:
+        raise ShapeError(f"probs {probs.shape} vs truth {t.shape}")
+    return _mean_defined([label_auc(probs[:, j], t[:, j]) for j in range(probs.shape[1])])
+
+
 def average_precision(
     scores: np.ndarray, truth: np.ndarray, label: str = "label"
 ) -> tuple[float | None, PRCurve | None]:
@@ -190,28 +211,8 @@ def average_precision(
     descending-score ranks, which is the mean of the precisions at the
     ranks where each positive enters. Tied scores keep ascending index
     order. Returns (None, None) when the column has no positives."""
-    s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(truth).astype(bool)
-    if s.shape != t.shape or s.ndim != 1:
-        raise ShapeError("average_precision expects parallel 1-D columns")
-    n_pos = int(t.sum())
-    if n_pos == 0:
-        return None, None
-    order = np.argsort(-s, kind="stable")
-    ranks = np.flatnonzero(t[order]) + 1
-    tp = np.arange(1, n_pos + 1)
-    recalls = tp / n_pos
-    precisions = tp / ranks
-    prev_recalls = np.concatenate(([0.0], recalls[:-1]))
-    # cumsum adds the terms left to right, as a running total would
-    ap = np.cumsum((recalls - prev_recalls) * precisions)[-1]
-    curve = PRCurve(
-        label=label,
-        recall=recalls,
-        precision=precisions,
-        thresholds=s[order[ranks - 1]],
-    )
-    return float(ap), curve
+    _, ap, curve = _score_column(scores, truth, label)
+    return ap, curve
 
 
 def precision_at_k(probs: np.ndarray, truth: np.ndarray, k: int = 5) -> float:
@@ -222,8 +223,8 @@ def precision_at_k(probs: np.ndarray, truth: np.ndarray, k: int = 5) -> float:
     t = np.asarray(truth).astype(bool)
     if probs.shape != t.shape:
         raise ShapeError(f"probs {probs.shape} vs truth {t.shape}")
-    if k > probs.shape[1]:
-        raise ConfigError(f"k={k} exceeds label count {probs.shape[1]}")
+    if not 1 <= k <= probs.shape[1]:
+        raise ConfigError(f"k={k} outside 1..{probs.shape[1]} (the label count)")
     keep = t.any(axis=1)
     if not keep.any():
         return 0.0
@@ -260,23 +261,16 @@ def report(run: PredictionRun, at_k: int = 5) -> tuple[MetricsReport, list[PRCur
     """
     ex = example_based_metrics(run.predicted, run.truth)
     ham = hamming_loss(run.predicted, run.truth)
-    auc, auc_excluded = macro_auc(run.probs, run.truth)
     k = min(at_k, run.q)
     p_at = precision_at_k(run.probs, run.truth, k=k)
-
-    aps: list[float | None] = []
-    curves: list[PRCurve] = []
-    ap_excluded = 0
-    for j in range(run.q):
-        ap, curve = average_precision(
-            run.probs[:, j], run.truth[:, j], label=run.label_names[j]
-        )
-        aps.append(ap)
-        if ap is None:
-            ap_excluded += 1
-        else:
-            curves.append(curve)
-    defined = [a for a in aps if a is not None]
+    columns = [
+        _score_column(run.probs[:, j], run.truth[:, j], run.label_names[j])
+        for j in range(run.q)
+    ]
+    auc, auc_excluded = _mean_defined([auc for auc, _, _ in columns])
+    aps = [ap for _, ap, _ in columns]
+    mean_ap, ap_excluded = _mean_defined(aps)
+    curves = [curve for _, _, curve in columns if curve is not None]
     rep = MetricsReport(
         precision=ex.precision,
         recall=ex.recall,
@@ -286,18 +280,45 @@ def report(run: PredictionRun, at_k: int = 5) -> tuple[MetricsReport, list[PRCur
         macro_auc=auc,
         precision_at_5=p_at,
         ap_per_label=aps,
-        mean_ap=float(np.mean(defined)) if defined else 0.0,
+        mean_ap=mean_ap,
         nan_replacements=ex.nan_replacements + auc_excluded + ap_excluded,
     )
     return rep, curves
 
 
+PR_KEYS = ("label", "count", "threshold", "recall", "precision")
+
+
 def write_pr_curves(curves: list[PRCurve], path: str | Path) -> None:
-    """CSV with one row per curve point: label, threshold, recall,
-    precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label,threshold,recall,precision\n")
-        for curve in curves:
-            for thr, r, p in zip(curve.thresholds.tolist(), curve.recall.tolist(),
-                                  curve.precision.tolist()):
-                fh.write(f"{curve.label},{thr!r},{r!r},{p!r}\n")
+    """One uncompressed .npz: ``label`` (unicode, one per curve), ``count``
+    (int64, points per curve) and ``threshold``, ``recall``, ``precision``
+    (float64, every curve's points concatenated in label order)."""
+    arrays = {"label": np.array([c.label for c in curves], dtype=str),
+              "count": np.array([len(c.recall) for c in curves], dtype=np.int64)}
+    for key, attr in zip(PR_KEYS[2:], ("thresholds", "recall", "precision")):
+        arrays[key] = np.concatenate([np.empty(0)] + [getattr(c, attr) for c in curves])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_pr_curves(path: str | Path) -> list[PRCurve]:
+    """The curves ``write_pr_curves`` wrote; FormatError, naming the path,
+    for a malformed file, a missing key, a wrong dtype or counts that do
+    not add up to the point columns."""
+    with open(path, "rb") as fh:
+        try:
+            with np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive:
+                arrays = {key: archive[key] for key in PR_KEYS}
+        except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    label, count = arrays["label"], arrays["count"]
+    points = [arrays[key] for key in PR_KEYS[2:]]
+    n = points[0].size
+    if (label.dtype.kind != "U" or label.ndim != 1 or count.dtype != np.int64
+            or count.shape != label.shape or (count < 0).any() or count.sum() != n
+            or any(a.dtype != np.float64 or a.shape != (n,) for a in points)):
+        raise FormatError(f"{path}: want a 1-D unicode label, a non-negative int64 count per "
+                          "label summing to the length of 1-D float64 point columns")
+    thresholds, recalls, precisions = (np.split(a, np.cumsum(count)[:-1]) for a in points)
+    return [PRCurve(str(name), r, p, thr)
+            for name, thr, r, p in zip(label, thresholds, recalls, precisions)]

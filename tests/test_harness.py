@@ -228,8 +228,8 @@ def test_concurrent_runs_share_one_workspace(tmp_path):
     assert errors == {}
     for r in range(RACE_ROUNDS):
         runs = tmp_path / f"round{r}" / "runs"
-        assert ((runs / "w0" / "metrics_test.json").read_bytes()
-                == (runs / "w1" / "metrics_test.json").read_bytes())
+        for name in ("metrics_test.json", "pr_test.npz"):
+            assert (runs / "w0" / name).read_bytes() == (runs / "w1" / name).read_bytes()
     assert list(tmp_path.glob("**/*.tmp-*")) == []
 
 
@@ -349,7 +349,7 @@ def test_run_writes_all_artifacts(finished_run):
     run_dir = root / "runs" / "base"
     for name in ("config.txt", "catalog.tsv", "probs_train.dense", "probs_test.dense",
                  "truth_train.dense", "truth_test.dense", "metrics_train.json",
-                 "metrics_test.json", "pr_train.csv", "pr_test.csv", "summary.txt",
+                 "metrics_test.json", "pr_train.npz", "pr_test.npz", "summary.txt",
                  "record.json"):
         assert (run_dir / name).exists(), name
     assert sorted(p.name for p in (run_dir / "checkpoint").iterdir()) == [
@@ -377,9 +377,10 @@ def test_config_echo_reparses_to_the_same_hash(finished_run):
 def test_rewrite_reports_reproduces_stored_metrics(finished_run):
     root, _ = finished_run
     run_dir = root / "runs" / "base"
-    before = (run_dir / "metrics_test.json").read_bytes()
+    names = ("metrics_test.json", "pr_test.npz")
+    before = [(run_dir / name).read_bytes() for name in names]
     rewrite_reports(run_dir)
-    assert (run_dir / "metrics_test.json").read_bytes() == before
+    assert [(run_dir / name).read_bytes() for name in names] == before
 
 
 def test_probs_dense_matrices_align_with_truth(finished_run):

@@ -9,19 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeset_bench import metrics, oracles
-from codeset_bench.errors import ConfigError
+from codeset_bench.errors import ConfigError, FormatError
 from codeset_bench.metrics import (
     PredictionRun,
     average_precision,
     example_based_metrics,
     hamming_loss,
     label_auc,
+    load_pr_curves,
     macro_auc,
     precision_at_k,
     report,
     restrict_run,
     write_pr_curves,
 )
+
+# a 0/0 or an overflow inside a metric fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def U8(rows):
@@ -229,6 +233,14 @@ def test_precision_at_k_rejects_k_beyond_labels():
         precision_at_k(np.array([[0.5]]), U8([[1]]), k=5)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_precision_at_k_rejects_k_below_one(k):
+    probs = np.array([[0.9, 0.5, 0.1]] * 4)
+    truth = U8([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    with pytest.raises(ConfigError):
+        precision_at_k(probs, truth, k=k)
+
+
 # ------------------------------------------- array forms vs loop references
 
 def average_ranks_reference(scores):
@@ -301,8 +313,13 @@ def reference_columns():
 
 
 def test_average_ranks_match_loop_reference():
+    # the AUC's ranks, read off the descending order that AP also uses
     for scores, _ in reference_columns():
-        assert np.array_equal(metrics._average_ranks(scores), average_ranks_reference(scores))
+        key = -scores
+        order = np.argsort(key, kind="stable")
+        ranks = np.empty(scores.size)
+        ranks[order] = metrics._doubled_ranks(key[order], np.arange(scores.size)) / 2.0
+        assert np.array_equal(ranks, average_ranks_reference(scores))
 
 
 def test_average_precision_matches_loop_reference():
@@ -389,14 +406,92 @@ def test_run_shape_mismatch_rejected():
                       truth=np.zeros((3, 3), dtype=np.uint8))
 
 
-def test_pr_csv_format(tmp_path):
-    _, curves = report(make_run(3))
-    path = tmp_path / "pr.csv"
+def report_link_runs():
+    """Seeded runs with tied scores, single-class and all-negative columns."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        probs, predicted, truth = oracles.random_run(rng, int(rng.integers(2, 40)),
+                                                     int(rng.integers(2, 9)))
+        probs[:, 0] = np.round(probs[:, 0], 1)  # ties
+        truth[:, 1] = seed % 2  # all negative, or all positive
+        yield PredictionRun(probs=probs, predicted=predicted, truth=truth)
+
+
+def test_report_agrees_with_public_metric_functions():
+    for run in report_link_runs():
+        rep, curves = report(run)
+        auc, auc_excluded = macro_auc(run.probs, run.truth)
+        assert rep.macro_auc == auc
+        public = [average_precision(run.probs[:, j], run.truth[:, j], run.label_names[j])
+                  for j in range(run.q)]
+        assert rep.ap_per_label == [ap for ap, _ in public]
+        want_curves = [c for _, c in public if c is not None]
+        assert [c.label for c in curves] == [c.label for c in want_curves]
+        for got, want in zip(curves, want_curves):
+            for name in ("recall", "precision", "thresholds"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        ap_excluded = sum(ap is None for ap, _ in public)
+        ex_nans = example_based_metrics(run.predicted, run.truth).nan_replacements
+        assert rep.nan_replacements == ex_nans + auc_excluded + ap_excluded
+
+
+# ------------------------------------------------------------ PR-curve codec
+
+def test_pr_curves_round_trip(tmp_path):
+    _, curves = report(make_run(3, n=40, q=6))
+    path = tmp_path / "pr.npz"
     write_pr_curves(curves, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "label,threshold,recall,precision"
-    label, thr, rec, prec = lines[1].split(",")
-    float(thr), float(rec), float(prec)  # parseable full-precision floats
+    loaded = load_pr_curves(path)
+    assert [c.label for c in loaded] == [c.label for c in curves]
+    for got, want in zip(loaded, curves):
+        for name in ("recall", "precision", "thresholds"):
+            assert getattr(got, name).dtype == np.float64
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    with np.load(path, allow_pickle=False) as archive:
+        assert sorted(archive.files) == sorted(metrics.PR_KEYS)
+        assert archive["count"].tolist() == [len(c.recall) for c in curves]
+
+
+def test_run_without_positives_writes_zero_curves(tmp_path):
+    run = PredictionRun(probs=np.full((3, 2), 0.5), predicted=np.zeros((3, 2), dtype=np.uint8),
+                        truth=np.zeros((3, 2), dtype=np.uint8))
+    _, curves = report(run)
+    assert curves == []
+    write_pr_curves(curves, tmp_path / "pr.npz")
+    assert load_pr_curves(tmp_path / "pr.npz") == []
+
+
+def _rewrite_npz(path, **changes):
+    """Write the .npz again with some arrays replaced; None drops a key."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{key: a for key, a in arrays.items() if a is not None})
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "bad_count", "negative_count",
+                                    "float32_recall", "bytes_label"])
+def test_damaged_pr_curves_are_format_errors(tmp_path, damage):
+    _, curves = report(make_run(4, n=20, q=4))
+    path = tmp_path / "pr.npz"
+    write_pr_curves(curves, path)
+    with np.load(path, allow_pickle=False) as archive:
+        count, recall, label = archive["count"], archive["recall"], archive["label"]
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-40])
+    elif damage == "missing_key":
+        _rewrite_npz(path, precision=None)
+    elif damage == "bad_count":
+        _rewrite_npz(path, count=np.concatenate(([count[0] + 1], count[1:])))
+    elif damage == "negative_count":  # still sums to the column length
+        _rewrite_npz(path, count=np.concatenate(([-1, count[0] + count[1] + 1], count[2:])))
+    elif damage == "float32_recall":
+        _rewrite_npz(path, recall=recall.astype(np.float32))
+    else:
+        _rewrite_npz(path, label=label.astype(bytes))
+    with pytest.raises(FormatError, match="pr.npz"):
+        load_pr_curves(path)
 
 
 # ------------------------------------------------------- oracle agreement
