@@ -374,7 +374,8 @@ def build_network(
     seed: int = 0,
     train_embedding: bool = True,
 ) -> nc.Sequential:
-    """Instantiate a Sequential for a neural ModelSpec.
+    """Instantiate a Sequential for a neural ModelSpec, its parameters
+    cast to float32.
 
     fnn needs input_dim. Sequence families need an embedding matrix (or
     vocab_size + embed_dim for a seeded random one); cnn additionally
@@ -397,7 +398,7 @@ def build_network(
             prev = width
         layers.append(nc.Dense(prev, k, rng, name="out"))
         layers.append(nc.Sigmoid())
-        return nc.Sequential(layers)
+        return _float32(nc.Sequential(layers))
 
     # sequence families share the embedding front end
     if embedding is not None:
@@ -436,7 +437,7 @@ def build_network(
             flat = spec.fc
         layers.append(nc.Dense(flat, k, rng, name="out"))
         layers.append(nc.Sigmoid())
-        return nc.Sequential(layers)
+        return _float32(nc.Sequential(layers))
 
     # recurrent families
     if not spec.hidden:
@@ -457,7 +458,14 @@ def build_network(
             layers.append(nc.Dropout(spec.dropout, rng))
     layers.append(nc.Dense(prev, k, rng, name="out"))
     layers.append(nc.Sigmoid())
-    return nc.Sequential(layers)
+    return _float32(nc.Sequential(layers))
+
+
+def _float32(net: nc.Sequential) -> nc.Sequential:
+    for p in net.params():
+        p.value = p.value.astype(np.float32)
+        p.grad = np.zeros_like(p.value)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +514,8 @@ def run_training_loop(
 def _batch_rows(x, idx):
     rows = x[idx]
     if sp.issparse(rows):
-        rows = np.asarray(rows.todense(), dtype=np.float64)
+        # densify in the networks' float32, never as a float64 batch
+        rows = rows.astype(np.float32).toarray()
     return rows
 
 
@@ -633,7 +642,7 @@ def replace_spec(model: TrainedModel, spec: ModelSpec, threshold: float) -> Trai
 
 
 def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.ndarray:
-    """Per-label probabilities, [n, k]."""
+    """Per-label probabilities, [n, k], in float64."""
     if model.spec.family == "logreg":
         arrays = model.submodels
         return nc.sigmoid(features @ arrays["W"] + arrays["b"])
@@ -647,7 +656,7 @@ def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.nd
     for lo in range(0, n, batch_size):
         idx = np.arange(lo, min(lo + batch_size, n))
         out.append(net.forward(_batch_rows(features, idx), train=False))
-    return np.vstack(out)
+    return np.vstack(out, dtype=np.float64)
 
 
 def predict(model: TrainedModel, features, threshold: float | None = None) -> np.ndarray:

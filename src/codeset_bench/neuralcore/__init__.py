@@ -1,6 +1,8 @@
 """Minimal dense-tensor numerical core: layers with exact analytic
 gradients, BCE loss, SGD/RMSprop, finite-difference gradient checking,
-and checkpoint I/O. float64 throughout."""
+and checkpoint I/O. Parameters are float64 unless cast, and each layer
+computes in its parameters' dtype; ``models.build_network`` trains in
+float32, gradient checks run in float64."""
 
 from .checkpoint import (
     load_checkpoint,

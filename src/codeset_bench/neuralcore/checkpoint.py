@@ -59,7 +59,8 @@ def model_tensors(model) -> dict[str, np.ndarray]:
 
 
 def restore_model(model, tensors: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint tensors into a structurally matching model."""
+    """Copy checkpoint tensors into a model whose parameters match them in
+    name, shape and dtype."""
     for p in model.params():
         if p.name not in tensors:
             raise FormatError(f"checkpoint missing tensor {p.name!r}")
@@ -67,5 +68,9 @@ def restore_model(model, tensors: dict[str, np.ndarray]) -> None:
         if src.shape != p.value.shape:
             raise FormatError(
                 f"tensor {p.name!r}: checkpoint shape {src.shape} != model {p.value.shape}"
+            )
+        if src.dtype != p.value.dtype:
+            raise FormatError(
+                f"tensor {p.name!r}: checkpoint dtype {src.dtype} != model {p.value.dtype}"
             )
         p.value[...] = src

@@ -1,8 +1,10 @@
 """Parameter container, layer protocol, and initializers.
 
-Everything runs on float64 numpy arrays. Layers cache whatever their
-backward pass needs during forward, so a forward/backward pair must not
-be interleaved with another forward on the same layer instance.
+Parameters are float64 unless cast (``models.build_network`` casts its
+networks to float32), and every layer computes in its parameters' dtype,
+or in its input's when it has none. Layers cache whatever their backward
+pass needs during forward, so a forward/backward pair must not be
+interleaved with another forward on the same layer instance.
 """
 
 from __future__ import annotations
@@ -22,10 +24,21 @@ def guard_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def as_float(x, dtype=None) -> np.ndarray:
+    """x as an array of ``dtype``; by default float32 stays float32 and
+    anything else becomes float64."""
+    x = np.asarray(x)
+    if dtype is None:
+        dtype = np.float32 if x.dtype == np.float32 else np.float64
+    return x.astype(dtype, copy=False)
+
+
 def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-z)) in float64, into ``out`` when given (it may be z).
-    Below z = -709 exp overflows and the result is exactly 0, as in expit."""
-    z = np.asarray(z, dtype=np.float64)
+    """1 / (1 + exp(-z)) in float32 for float32 z, else in float64, into
+    ``out`` when given (it may be z). Where exp(-z) overflows (z below
+    -88.7 in float32, -709 in float64) the result is exactly 0, as in
+    expit."""
+    z = as_float(z)
     out = np.negative(z, out=np.empty_like(z) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)

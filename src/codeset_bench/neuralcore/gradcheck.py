@@ -41,10 +41,12 @@ def gradient_check(
     otherwise it is sum(model(x) * R) for a fixed seeded projection R.
     Checks up to ``max_coords`` coordinates per parameter tensor (all of
     them when smaller), plus the input gradient when the model
-    propagates one.
+    propagates one. Integer x (indices into an Embedding) is kept as is.
     """
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.integer):
+        x = x.astype(np.float64)
 
     projection = {}
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigError, ShapeError
-from .core import Layer, Parameter, glorot_uniform, sigmoid
+from .core import Layer, Parameter, as_float, glorot_uniform, sigmoid
 
 
 class Dense(Layer):
@@ -26,7 +26,7 @@ class Dense(Layer):
         self._x = None
 
     def forward(self, x, train: bool = False):
-        x = np.asarray(x, dtype=np.float64)
+        x = as_float(x, self.w.value.dtype)
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeError(
                 f"dense expects [batch, {self.w.shape[0]}], got {x.shape}"
@@ -61,8 +61,8 @@ class Sigmoid(Layer):
         return grad * self._out * (1.0 - self._out)
 
 
-def _as_batched(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batched(x, dtype=None) -> tuple[np.ndarray, bool]:
+    x = as_float(x, dtype)
     if x.ndim == 2:
         return x[None], True
     if x.ndim == 3:
@@ -104,7 +104,7 @@ class Conv1d(Layer):
         self._squeeze = False
 
     def forward(self, x, train: bool = False):
-        x, self._squeeze = _as_batched(x)
+        x, self._squeeze = _as_batched(x, self.w.value.dtype)
         batch, n, k = x.shape
         h = self.width
         if k != self.w.shape[2]:
@@ -139,8 +139,9 @@ class Conv1d(Layer):
 class MaxPool1d(Layer):
     """Per-channel window max: [B, m, f] -> [B, ceil(m/pool), f].
 
-    The tail window may be shorter. Backward routes each window's
-    gradient to the first position attaining the max.
+    The tail window may be shorter. Forward takes only the max and keeps
+    the windows; backward finds in them the first position attaining
+    each window's max and routes the window's gradient there.
     """
 
     def __init__(self, pool: int):
@@ -154,37 +155,37 @@ class MaxPool1d(Layer):
         n_win = math.ceil(m / self.pool)
         # -inf padding never wins a window, so the tail keeps its own max
         padded = np.pad(x, ((0, 0), (0, n_win * self.pool - m), (0, 0)), constant_values=-np.inf)
-        windows = padded.reshape(batch, n_win, self.pool, f)
-        idx = windows.argmax(axis=2)  # first max per (batch, window, channel)
-        out = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        self._argmax = idx + (np.arange(n_win) * self.pool)[None, :, None]
-        self._in_shape = x.shape
+        self._windows = padded.reshape(batch, n_win, self.pool, f)
+        self._length = m
+        out = self._windows.max(axis=2)
         return out[0] if self._squeeze else out
 
     def backward(self, grad):
         if self._squeeze:
             grad = grad[None]
-        dx = np.zeros(self._in_shape)
+        windows = self._windows
+        dx = np.zeros_like(windows)
         # windows are disjoint, so no input position receives two gradients
-        np.put_along_axis(dx, self._argmax, grad, axis=1)
+        np.put_along_axis(dx, windows.argmax(axis=2)[:, :, None], grad[:, :, None], axis=2)
+        dx = dx.reshape(len(dx), -1, dx.shape[3])[:, : self._length]
         return dx[0] if self._squeeze else dx
 
 
 class MaxOverTime(Layer):
-    """Max across all time positions: [B, m, f] -> [B, f]."""
+    """Max across all time positions: [B, m, f] -> [B, f]. Backward routes
+    the gradient to the first position attaining the max."""
 
     def forward(self, x, train: bool = False):
         x, self._squeeze = _as_batched(x)
-        self._argmax = x.argmax(axis=1)
-        self._in_shape = x.shape
-        out = np.take_along_axis(x, self._argmax[:, None, :], axis=1)[:, 0, :]
+        self._x = x
+        out = x.max(axis=1)
         return out[0] if self._squeeze else out
 
     def backward(self, grad):
         if self._squeeze:
             grad = grad[None]
-        dx = np.zeros(self._in_shape)
-        np.put_along_axis(dx, self._argmax[:, None, :], grad[:, None, :], axis=1)
+        dx = np.zeros_like(self._x)
+        np.put_along_axis(dx, self._x.argmax(axis=1)[:, None], grad[:, None], axis=1)
         return dx[0] if self._squeeze else dx
 
 
@@ -222,7 +223,7 @@ class Embedding(Layer):
             flat = self._idx.ravel()
             n = flat.size
             onehot = sp.csr_matrix(
-                (np.ones(n), (flat, np.arange(n))), shape=(self.m.shape[0], n)
+                (np.ones(n, self.m.value.dtype), (flat, np.arange(n))), shape=(self.m.shape[0], n)
             )
             self.m.grad += onehot @ grad.reshape(n, -1)
             self.m.grad[0] = 0.0  # pad row stays zero
@@ -247,7 +248,8 @@ class Dropout(Layer):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        self._mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        keep = self.rng.random(x.shape) >= self.rate
+        self._mask = keep.astype(x.dtype) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, grad):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .core import guard_finite
+from .core import as_float, guard_finite
 
 BCE_EPS = 1e-7
 
@@ -16,7 +16,10 @@ def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     Predictions are clipped to [eps, 1-eps] before the logs; the returned
     gradient is exact for the clipped function, i.e. zero wherever the
     clip is active. The mean runs over every element (batch x labels).
+    The loss is computed in float64; the gradient comes back in float32
+    for float32 predictions, float64 otherwise.
     """
+    dtype = as_float(predictions).dtype
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if p.shape != y.shape:
@@ -27,4 +30,4 @@ def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     guard_finite("bce loss", np.asarray(loss))
     inside = (p >= BCE_EPS) & (p <= 1.0 - BCE_EPS)
     grad = np.where(inside, (clipped - y) / (clipped * (1.0 - clipped)) / n, 0.0)
-    return float(loss), grad
+    return float(loss), grad.astype(dtype, copy=False)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .core import Layer, Parameter, glorot_uniform, orthogonal, sigmoid
+from .core import Layer, Parameter, as_float, glorot_uniform, orthogonal, sigmoid
 
 
 def rnn_step(x, h, wx, wh, b):
@@ -67,13 +67,15 @@ def gru_step(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     return h_new, (z, r, h_tilde)
 
 
-def _with_ones(x, d):
-    """[B, T, d] input as time-major rows [T, B, d+1] whose last column is
-    1, so that one product with the stacked [W; b] adds the bias too."""
-    x = np.asarray(x, dtype=np.float64)
+def _with_ones(x, d, dtype):
+    """[B, T, d] input as time-major rows [T, B, d+1] of ``dtype`` whose
+    last column is 1, so that one product with the stacked [W; b] adds the
+    bias too."""
+    x = as_float(x, dtype)
     if x.ndim != 3 or x.shape[2] != d:
         raise ShapeError(f"recurrent layer expects [batch, time, {d}], got {x.shape}")
-    return np.concatenate([x.transpose(1, 0, 2), np.ones((x.shape[1], x.shape[0], 1))], axis=2)
+    ones = np.ones((x.shape[1], x.shape[0], 1), x.dtype)
+    return np.concatenate([x.transpose(1, 0, 2), ones], axis=2)
 
 
 def _project(x1, gates, out=None):
@@ -94,17 +96,24 @@ def _bptt(grad, return_sequences, x1, h_prev, gates, factors, step, extra=0, h_c
     scales the gate slots into pre-activation gradients and turns dh into
     the gradient entering step t-1. Each gate's U multiplies h_prev, or
     h_cand for the last gate when given (the GRU's r*h).
+
+    After each block, entries of dh below the smallest normal float are
+    set to 0: over long sequences dh decays into subnormals, on which
+    every later step's arithmetic runs many times slower.
     """
     T, batch, n = h_prev.shape
     n_gates = len(gates)
+    dtype = x1.dtype
     g_out = grad.transpose(1, 0, 2) if return_sequences else None
-    dh = np.array(grad[:, -1] if return_sequences else grad)
+    dh = np.array(grad[:, -1] if return_sequences else grad, dtype)
+    tiny = np.finfo(dtype).tiny
     size = max(1, _BLOCK_ROWS // batch)
-    buf = np.empty((min(size, T), n_gates + extra, batch, n))
+    buf = np.empty((min(size, T), n_gates + extra, batch, n), dtype)
     w_cat = np.hstack([w.value[:, cols] for w, _, _, cols in gates])
-    gwb, gu = np.zeros((w_cat.shape[0] + 1, n_gates * n)), np.zeros((n, n_gates * n))
+    gwb = np.zeros((w_cat.shape[0] + 1, n_gates * n), dtype)
+    gu = np.zeros((n, n_gates * n), dtype)
     split = n_gates * n - (0 if h_cand is None else n)
-    dx = np.empty((T, batch, w_cat.shape[0]))
+    dx = np.empty((T, batch, w_cat.shape[0]), dtype)
     for hi in range(T, 0, -size):
         lo = max(hi - size, 0)
         d = buf[: hi - lo]
@@ -113,6 +122,7 @@ def _bptt(grad, return_sequences, x1, h_prev, gates, factors, step, extra=0, h_c
             step(t, d[t - lo], dh)
             if g_out is not None and t:
                 dh += g_out[t - 1]
+        dh[np.abs(dh) < tiny] = 0.0
         rows = d[:, :n_gates].transpose(0, 2, 1, 3).reshape(-1, n_gates * n)
         gwb += x1[lo:hi].reshape(len(rows), -1).T @ rows
         gu[:, :split] += h_prev[lo:hi].reshape(len(rows), n).T @ rows[:, :split]
@@ -150,12 +160,12 @@ class SimpleRNN(Layer):
         return [(self.wx, self.wh, self.b, slice(None))]
 
     def forward(self, x, train: bool = False):
-        x1 = _with_ones(x, self.n_in)
+        x1 = _with_ones(x, self.n_in, self.wx.value.dtype)
         T, batch = x1.shape[:2]
-        hs = np.zeros((T + 1, batch, self.n_hidden))
+        hs = np.zeros((T + 1, batch, self.n_hidden), x1.dtype)
         _project(x1, self._gates(), out=hs[1:, None])
         wh = self.wh.value
-        rec = np.empty((batch, self.n_hidden))
+        rec = np.empty((batch, self.n_hidden), x1.dtype)
         for t in range(T):
             np.matmul(hs[t], wh, out=rec)
             h = hs[t + 1]
@@ -211,16 +221,16 @@ class LSTM(Layer):
         return [(self.w, self.u, self.b, slice(k * n, (k + 1) * n)) for k in (3, 0, 1, 2)]
 
     def forward(self, x, train: bool = False):
-        x1 = _with_ones(x, self.n_in)
+        x1 = _with_ones(x, self.n_in, self.w.value.dtype)
         T, batch = x1.shape[:2]
         n = self.n_hidden
         gates = self._gates()
         a = _project(x1, gates)
         u = _stack_u(gates)
-        hs = np.zeros((T + 1, batch, n))
-        cs = np.zeros((T + 1, batch, n))
-        rec = np.empty((4, batch, n))
-        tmp = np.empty((batch, n))
+        hs = np.zeros((T + 1, batch, n), a.dtype)
+        cs = np.zeros((T + 1, batch, n), a.dtype)
+        rec = np.empty((4, batch, n), a.dtype)
+        tmp = np.empty((batch, n), a.dtype)
         for t in range(T):
             o, i, f, g = at = a[t]
             np.matmul(hs[t], u, out=rec)
@@ -240,8 +250,8 @@ class LSTM(Layer):
         cs, a = self._cs, self._a
         gates = self._gates()
         u_t = _stack_u(gates).transpose(0, 2, 1)
-        dc, tmp = np.zeros(a.shape[2:]), np.empty(a.shape[2:])
-        rec = np.empty(a.shape[1:])
+        dc, tmp = np.zeros(a.shape[2:], a.dtype), np.empty(a.shape[2:], a.dtype)
+        rec = np.empty(a.shape[1:], a.dtype)
 
         def factors(lo, hi, d):
             o, i, f, g = a[lo:hi].transpose(1, 0, 2, 3)
@@ -303,17 +313,17 @@ class GRU(Layer):
         return [(w, u, b, slice(None)) for w, u, b in trios]
 
     def forward(self, x, train: bool = False):
-        x1 = _with_ones(x, self.n_in)
+        x1 = _with_ones(x, self.n_in, self.wz.value.dtype)
         T, batch = x1.shape[:2]
         n = self.n_hidden
         gates = self._gates()
         a = _project(x1, gates)
         u = _stack_u(gates[:2])
         uh = self.uh.value
-        hs = np.zeros((T + 1, batch, n))
-        rh = np.empty((T, batch, n))
-        rec = np.empty((2, batch, n))
-        tmp = np.empty((batch, n))
+        hs = np.zeros((T + 1, batch, n), a.dtype)
+        rh = np.empty((T, batch, n), a.dtype)
+        rec = np.empty((2, batch, n), a.dtype)
+        tmp = np.empty((batch, n), a.dtype)
         for t in range(T):
             h, rz = hs[t], a[t, :2]
             r, z, c = a[t]
@@ -336,8 +346,8 @@ class GRU(Layer):
         gates = self._gates()
         u_t = _stack_u(gates[:2]).transpose(0, 2, 1)
         uh_t = self.uh.value.T
-        d_rh = np.empty(a.shape[2:])
-        rec = np.empty((2,) + d_rh.shape)
+        d_rh = np.empty(a.shape[2:], a.dtype)
+        rec = np.empty((2,) + d_rh.shape, a.dtype)
 
         def factors(lo, hi, d):
             r, z, c = a[lo:hi].transpose(1, 0, 2, 3)

@@ -523,6 +523,72 @@ def test_count_parameters_matches_manual_sum():
     assert count_parameters(net) == manual
 
 
+# ----------------------------------------------------------- dtype contract
+
+DTYPE_SPECS = [preset(n) for n in ("fnn-desk", "cnn-desk", "lstm-desk", "gru-desk", "rnn-desk")]
+DTYPE_SPECS.append(ModelSpec(family="gru", input_kind="sequence", hidden=(6, 5),
+                             bidirectional=True, dropout=0.5, name="gru-bidi-drop"))
+
+
+def _tiny_problem(spec, n=6, k=3):
+    r = np.random.default_rng(0)
+    y = (r.random((n, k)) < 0.5).astype(np.uint8)
+    if spec.input_kind == "sparse":
+        return sp.csr_matrix(r.random((n, 20)) * (r.random((n, 20)) < 0.5)), y, {}
+    # 25 positions leave cnn-desk's second conv block one position; no pad
+    # index 0, whose frozen embedding row gets no gradient
+    return r.integers(1, 30, size=(n, 25)), y, {"vocab_size": 29, "embed_dim": 8}
+
+
+@pytest.mark.parametrize("spec", DTYPE_SPECS, ids=lambda s: s.name)
+def test_built_networks_train_in_float32_and_predict_float64(spec, monkeypatch, tmp_path):
+    x, y, kw = _tiny_problem(spec)
+    made = []
+    make = nc.make_optimizer
+    monkeypatch.setattr(nc, "make_optimizer", lambda *a, **k: made.append(make(*a, **k)) or made[-1])
+    cfg = TrainConfig(max_epochs=1, patience=1, batch_size=len(y), seed=0)  # one step
+    model = fit(spec, (x, y), (x, y), cfg, **kw)
+    net = model.network
+    assert {p.value.dtype for p in net.params()} == {np.dtype(np.float32)}
+    assert {p.grad.dtype for p in net.params()} == {np.dtype(np.float32)}
+    assert {s.dtype for s in made[0].sq} == {np.dtype(np.float32)}
+
+    h = x.toarray() if sp.issparse(x) else x
+    for layer in net.layers:
+        h = layer.forward(h, train=True)
+        assert h.dtype == np.float32, type(layer).__name__
+    _, grad = nc.bce_loss(h, y)
+    for layer in reversed(net.layers):
+        assert grad.dtype == np.float32, type(layer).__name__
+        grad = layer.backward(grad)
+
+    probs = predict_proba(model, x)
+    assert probs.dtype == np.float64
+    nc.save_checkpoint(tmp_path, nc.model_tensors(net), {})
+    tensors, _ = nc.load_checkpoint(tmp_path)
+    assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+    fresh = build_network(spec, k=y.shape[1], input_dim=x.shape[1], vocab_size=kw.get("vocab_size"),
+                          embed_dim=kw.get("embed_dim", 32), seq_len=x.shape[1], seed=1)
+    nc.restore_model(fresh, tensors)
+    restored = models.TrainedModel(spec=spec, threshold=0.5, network=fresh)
+    assert predict_proba(restored, x).tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("spec", DTYPE_SPECS, ids=lambda s: s.name)
+def test_float64_built_networks_pass_gradient_checks(spec):
+    from codeset_bench.cli import RECURRENT_TOL
+
+    x, y, kw = _tiny_problem(spec)
+    net = build_network(spec, k=y.shape[1], input_dim=x.shape[1], seq_len=x.shape[1], seed=0, **kw)
+    for p in net.params():
+        p.value = p.value.astype(np.float64)
+        p.grad = np.zeros_like(p.value)
+    x = x.toarray() if sp.issparse(x) else x
+    # whole feedforward stacks are held to the 1e-5 of the suite's cnn-stack
+    tol = RECURRENT_TOL if spec.family in ("lstm", "gru", "rnn_simple") else 1e-5
+    assert nc.gradient_check(net, x, targets=y.astype(float), max_coords=20) < tol
+
+
 # --------------------------------------------------------------- prediction
 
 def test_predict_thresholds():

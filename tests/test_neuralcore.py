@@ -129,6 +129,26 @@ def test_max_pool_tie_routes_gradient_to_first_position():
     assert grad.ravel().tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("pool", [3, None])  # None: MaxOverTime
+def test_pool_backward_after_eval_forward_routes_to_first_max(pool):
+    # small integers make ties common; length 10 leaves MaxPool1d(3) a short tail
+    x = rng(4).integers(0, 3, size=(3, 10, 4)).astype(np.float64)
+    layer = nc.MaxOverTime() if pool is None else nc.MaxPool1d(pool)
+    width = pool or x.shape[1]
+    grads = []
+    for train in (False, True):
+        grad = rng(5).standard_normal(layer.forward(x, train=train).shape)
+        grads.append(layer.backward(grad))
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+    expected = np.zeros_like(x)
+    g = grad.reshape(x.shape[0], -1, x.shape[2])
+    for b, w, c in np.ndindex(g.shape):
+        lo = w * width
+        expected[b, lo + int(np.argmax(x[b, lo : lo + width, c])), c] = g[b, w, c]
+    np.testing.assert_array_equal(grads[1], expected)
+
+
 def test_max_over_time_reduces_full_length():
     layer = nc.MaxOverTime()
     out = layer.forward(np.array([[[1.0, 9.0], [3.0, 2.0], [2.0, 5.0]]]))
@@ -159,6 +179,29 @@ def test_sigmoid_exact_at_zero_and_saturation_without_warnings():
         out = nc.sigmoid(z)
         np.testing.assert_array_equal(out, [0.5, 1.0, 0.0, 1.0, 0.0, 0.0])
         assert nc.sigmoid(z, out=z) is z  # the out= form may overwrite its input
+    np.testing.assert_array_equal(z, out)
+
+
+def test_sigmoid_float32_within_four_ulp_of_scipy_expit():
+    from scipy.special import expit
+
+    z = np.linspace(-100.0, 100.0, 300_001, dtype=np.float32)
+    expected = expit(z)
+    out = nc.sigmoid(z)
+    assert out.dtype == np.float32
+    ulps = np.abs(out.astype(np.float64) - expected) / np.spacing(expected)
+    assert ulps.max() <= 4.0
+
+
+def test_sigmoid_float32_exact_at_zero_and_saturation_without_warnings():
+    # float32 exp overflows near -88.7, so -100 already takes the overflow path
+    z = np.array([0.0, 100.0, -100.0, np.inf, -np.inf, -1e38], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nc.sigmoid(z)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [0.5, 1.0, 0.0, 1.0, 0.0, 0.0])
+        assert nc.sigmoid(z, out=z) is z
     np.testing.assert_array_equal(z, out)
 
 
@@ -399,6 +442,25 @@ def test_recurrent_layer_matches_step_loop_reference(
         _assert_close(layer.backward(grad), ref_dx)
         for p in layer.params():
             _assert_close(p.grad, calls * ref_grads[p.name])
+
+
+def test_bptt_flushes_subnormal_dh_between_blocks(monkeypatch):
+    # 4-row blocks at batch 1: steps 4-7 are one block, steps 0-3 the next.
+    # An output gradient below float32's smallest normal keeps dh subnormal
+    # (orthogonal Wh times tanh' never grows it), so the first block's dx is
+    # subnormal and the flush after it leaves the next block nothing to carry.
+    monkeypatch.setattr(recurrent, "_BLOCK_ROWS", 4)
+    layer = nc.SimpleRNN(3, 4, rng(1))
+    for p in layer.params():
+        p.value = p.value.astype(np.float32)
+        p.grad = np.zeros_like(p.value)
+    layer.forward(rng(2).standard_normal((1, 8, 3)).astype(np.float32))
+    grad = np.full((1, 4), 1e-39, np.float32)
+    assert 0 < np.abs(grad).max() < np.finfo(np.float32).tiny
+    dx = layer.backward(grad)
+    assert dx.dtype == np.float32
+    assert np.all(dx[:, 4:] != 0)
+    np.testing.assert_array_equal(dx[:, :4], 0.0)
 
 
 @pytest.mark.parametrize("cls, reference", _RECURRENT_REFERENCES)
@@ -682,6 +744,20 @@ def test_restore_model_rejects_shape_mismatch(tmp_path):
     wrong = nc.Sequential([nc.Dense(3, 5, rng(0))])
     with pytest.raises(Exception):
         nc.restore_model(wrong, tensors)
+
+
+@pytest.mark.parametrize("saved, model", [(np.float64, np.float32), (np.float32, np.float64)])
+def test_restore_model_rejects_dtype_mismatch(tmp_path, saved, model):
+    def build(dtype):
+        net = nc.Sequential([nc.Dense(3, 4, rng(0), name="fc")])
+        for p in net.params():
+            p.value = p.value.astype(dtype)
+        return net
+
+    nc.save_checkpoint(tmp_path, nc.model_tensors(build(saved)), {})
+    tensors, _ = nc.load_checkpoint(tmp_path)
+    with pytest.raises(FormatError, match="fc.W"):
+        nc.restore_model(build(model), tensors)
 
 
 # ------------------------------------------------------------- composites
