@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="flat key = value config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config (split, synthetic, feature, train)")
         p.add_argument("--out-dir", default="codeset-out", help="workspace directory")

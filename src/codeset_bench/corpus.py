@@ -293,15 +293,11 @@ def _compile_label_pattern(catalog: LabelCatalog) -> re.Pattern | None:
     return re.compile(rf"(?<![0-9A-Za-z])(?:{body})(?![0-9A-Za-z])")
 
 
-def sanitize_note(text: str, catalog: LabelCatalog) -> str:
-    """Remove every standalone occurrence of a catalog label string, in
-    both undotted ("4019") and dotted ("401.9") forms. Only the label
-    token itself is removed; surrounding prose is untouched."""
-    return NoteSanitizer(catalog)(text)
-
-
 class NoteSanitizer:
-    """Reusable sanitizer holding the compiled pattern for one catalog."""
+    """Removes every standalone occurrence of one catalog's label strings
+    from a note, in both undotted ("4019") and dotted ("401.9") forms.
+    Only the label token itself is removed; surrounding prose is
+    untouched. The pattern is compiled once per catalog."""
 
     def __init__(self, catalog: LabelCatalog):
         self._pattern = _compile_label_pattern(catalog)
@@ -663,26 +659,30 @@ def save_split(dataset: LabeledDataset, path: str | Path) -> None:
 
 
 def load_split(path: str | Path, catalog: LabelCatalog) -> LabeledDataset:
+    """Read what ``save_split`` wrote; FormatError naming ``path:line`` for
+    a bad header or row, including label bits that are not exactly k
+    characters of 0/1."""
     examples = []
     coverage = 0.0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if line.startswith("#coverage="):
-                coverage = float(line[len("#coverage="):])
-                continue
             if not line:
                 continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            hadm_id, bits, text = parts
-            if len(bits) != catalog.k:
-                raise FormatError(f"{path}:{lineno}: bit string length != k")
+            try:
+                if line.startswith("#coverage="):
+                    coverage = float(line[len("#coverage="):])
+                    continue
+                hadm_id, bits, text = line.split("\t", 2)
+                hadm_id = int(hadm_id)
+            except ValueError:
+                raise FormatError(
+                    f"{path}:{lineno}: expected #coverage=<float> or hadm_id<TAB>bits<TAB>text"
+                ) from None
+            if len(bits) != catalog.k or bits.strip("01"):
+                raise FormatError(f"{path}:{lineno}: want {catalog.k} label bits of 0/1, got {bits!r}")
             vec = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-            examples.append(
-                Example(hadm_id=int(hadm_id), text=_unescape_text(text), label_vector=vec.astype(np.uint8))
-            )
+            examples.append(Example(hadm_id=hadm_id, text=_unescape_text(text), label_vector=vec))
     return LabeledDataset(examples=examples, catalog=catalog, coverage=coverage)
 
 
@@ -694,16 +694,23 @@ def save_catalog(catalog: LabelCatalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> LabelCatalog:
+    """Read what ``save_catalog`` wrote; FormatError naming ``path:line``
+    for a mode other than code or category, or a malformed label line."""
     mode = "code"
     labels = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if line.startswith("#mode="):
             mode = line.split("=", 1)[1].strip()
+            if mode not in ("code", "category"):
+                raise FormatError(f"{path}:{lineno}: mode must be code or category, got {mode!r}")
             continue
         if not line.strip():
             continue
-        name, count = line.split("\t")
-        labels.append((name, int(count)))
+        try:
+            name, count = line.split("\t")
+            labels.append((name, int(count)))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: expected label<TAB>admissions") from None
     return LabelCatalog(mode=mode, labels=tuple(labels))
 
 

@@ -16,7 +16,7 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,9 +40,6 @@ class IdfTable:
     vocabulary: Vocabulary
     idf: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.vocabulary.token_to_index)
 
 
 def compute_idf(vocab: Vocabulary) -> IdfTable:
@@ -178,6 +175,9 @@ def _restrict_vocabulary(vocab: Vocabulary, keep: set[str]) -> Vocabulary:
 # a block reads the weights as they were at the block's start, so larger
 # blocks run faster but train on staler weights; one block per epoch stalls.
 CBOW_BLOCK = 128
+# the learning rate decays linearly from the first to the second
+CBOW_LR = 0.025
+CBOW_MIN_LR = 1e-4
 
 
 @dataclass
@@ -193,8 +193,6 @@ def train_word2vec_cbow(
     window: int = 5,
     negatives: int = 5,
     epochs: int = 5,
-    learning_rate: float = 0.025,
-    min_learning_rate: float = 1e-4,
     min_count: int = 1,
     seed: int = 0,
 ) -> Word2VecResult:
@@ -205,8 +203,8 @@ def train_word2vec_cbow(
     never crossing the center's document) are averaged, scored against
     the true center and ``negatives`` noise words drawn from the unigram
     distribution raised to 3/4, and both embedding tables are updated from
-    the logistic loss. The learning rate decays linearly over all
-    scheduled steps.
+    the logistic loss. The learning rate decays linearly from ``CBOW_LR``
+    over all scheduled steps, never below ``CBOW_MIN_LR``.
 
     Steps run in blocks of ``CBOW_BLOCK`` consecutive corpus positions,
     each block as a few array operations: one sparse averaging matrix for
@@ -251,7 +249,7 @@ def train_word2vec_cbow(
         for start in range(0, n, CBOW_BLOCK):
             centers = np.arange(start, min(start + CBOW_BLOCK, n))
             steps = epoch * n + centers
-            lr = np.maximum(min_learning_rate, learning_rate * (1.0 - steps / total_steps))
+            lr = np.maximum(CBOW_MIN_LR, CBOW_LR * (1.0 - steps / total_steps))
             widths = rng.integers(1, window + 1, size=centers.size)
             context = _context_average(corpus, offsets, centers, widths, n_slots)
             noise = noise_cdf.searchsorted(rng.random((centers.size, negatives)), side="right")
@@ -347,31 +345,15 @@ class EmbeddingMatrix:
             raise ConfigError("embedding rows do not match vocabulary slots")
 
 
-def align_embeddings(
-    vocab: Vocabulary,
-    tokens: Sequence[str],
-    vectors: np.ndarray,
-    oov: str = "zeros",
-    seed: int = 0,
-) -> EmbeddingMatrix:
+def align_embeddings(vocab: Vocabulary, tokens: Sequence[str], vectors: np.ndarray) -> EmbeddingMatrix:
     """Build a vocabulary-aligned matrix from (token, vector) pairs.
-
-    Tokens absent from the source get zero rows ("zeros") or small seeded
-    uniform rows ("random").
-    """
-    if oov not in ("zeros", "random"):
-        raise ConfigError(f"unknown oov policy {oov!r}")
-    dim = vectors.shape[1]
+    Tokens absent from the source, and the pad, get zero rows."""
     lookup = {t: i for i, t in enumerate(tokens)}
-    out = np.zeros((len(vocab.index_to_token), dim), dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    out = np.zeros((len(vocab.index_to_token), vectors.shape[1]), dtype=np.float64)
     for token, i in vocab.token_to_index.items():
         j = lookup.get(token)
         if j is not None:
             out[i] = vectors[j]
-        elif oov == "random":
-            out[i] = (rng.random(dim) - 0.5) / dim
-    out[PAD_INDEX] = 0.0
     return EmbeddingMatrix(vocabulary=vocab, matrix=out)
 
 

@@ -513,15 +513,6 @@ def report_from_probs(
     return metrics.report(run)
 
 
-def evaluate_model(
-    model: models.TrainedModel, feats_split, truth: np.ndarray, label_names: list[str]
-) -> tuple[metrics.MetricsReport, list[metrics.PRCurve]]:
-    """Metrics for one split; consumes only that split's features and
-    truth."""
-    probs = models.predict_proba(model, feats_split)
-    return report_from_probs(probs, truth, model.threshold, label_names)
-
-
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------

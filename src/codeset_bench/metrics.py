@@ -49,25 +49,8 @@ class PredictionRun:
             self.label_names = [f"label{j}" for j in range(self.probs.shape[1])]
 
     @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def q(self) -> int:
         return self.probs.shape[1]
-
-
-def restrict_run(run: PredictionRun, m: int) -> PredictionRun:
-    """The run truncated to its first m label columns (catalog order puts
-    the most frequent labels first, so this is the usual "first m" view)."""
-    if not 1 <= m <= run.q:
-        raise ConfigError(f"cannot restrict {run.q} labels to first {m}")
-    return PredictionRun(
-        probs=run.probs[:, :m],
-        predicted=run.predicted[:, :m],
-        truth=run.truth[:, :m],
-        label_names=run.label_names[:m],
-    )
 
 
 @dataclass
@@ -253,16 +236,15 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def report(run: PredictionRun, at_k: int = 5) -> tuple[MetricsReport, list[PRCurve]]:
+def report(run: PredictionRun) -> tuple[MetricsReport, list[PRCurve]]:
     """Every metric over one run, plus per-label PR curves.
 
-    ``at_k`` is clamped to the label count so small desk runs still
-    report a value.
+    Precision@5 is taken at min(5, q) so that runs with fewer than five
+    labels still report a value.
     """
     ex = example_based_metrics(run.predicted, run.truth)
     ham = hamming_loss(run.predicted, run.truth)
-    k = min(at_k, run.q)
-    p_at = precision_at_k(run.probs, run.truth, k=k)
+    p_at = precision_at_k(run.probs, run.truth, k=min(5, run.q))
     columns = [
         _score_column(run.probs[:, j], run.truth[:, j], run.label_names[j])
         for j in range(run.q)

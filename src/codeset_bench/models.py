@@ -144,14 +144,6 @@ class TrainedModel:
     best_epoch: int = 0
     degenerate_labels: list[int] = field(default_factory=list)
 
-    @property
-    def k(self) -> int:
-        if self.submodels is None:
-            return self.network.layers[-2].b.shape[0]
-        if self.spec.family == "logreg":
-            return self.submodels["b"].shape[0]
-        return self.submodels["roots"].shape[0]
-
 
 def _degenerate_columns(labels: np.ndarray) -> list[int]:
     return [int(j) for j in np.nonzero(labels.min(axis=0) == labels.max(axis=0))[0]]
@@ -162,9 +154,7 @@ def _degenerate_columns(labels: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def train_logreg_ovr(
-    features, labels: np.ndarray, iters: int = 100, lr: float = 0.5, k: int | None = None
-) -> TrainedModel:
+def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float = 0.5) -> TrainedModel:
     """k independent binary logistic regressions, one per label column,
     trained together as one [d, k] weight matrix.
 
@@ -179,15 +169,12 @@ def train_logreg_ovr(
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ShapeError("labels must be [n, k]")
-    if k is None:
-        k = labels.shape[1]
-    if k != labels.shape[1]:
-        raise ShapeError(f"k={k} but labels have {labels.shape[1]} columns")
     if iters < 0:
         raise ConfigError("iters must be >= 0")
     x = features if sp.issparse(features) else np.asarray(features, dtype=np.float64)
 
     n, d = x.shape
+    k = labels.shape[1]
     w = np.zeros((d, k))
     b = np.zeros(k)
     y = labels.astype(np.float64)
@@ -282,7 +269,6 @@ def train_random_forest_ovr(
     n_trees: int = 64,
     max_depth: int = 10,
     seed: int = 0,
-    k: int | None = None,
     allow_dense_blowup: bool = False,
 ) -> TrainedModel:
     """Per label: n_trees CART trees on bootstrap resamples, Gini
@@ -295,8 +281,6 @@ def train_random_forest_ovr(
     of tree t for label j.
     """
     labels = np.asarray(labels)
-    if k is None:
-        k = labels.shape[1]
     if sp.issparse(features):
         if features.shape[1] > 4096 and not allow_dense_blowup:
             raise ConfigError(
@@ -308,6 +292,7 @@ def train_random_forest_ovr(
     if x.size == 0:
         raise DatasetError("empty feature matrix")
     n, d = x.shape
+    k = labels.shape[1]
     n_try = max(1, int(round(math.sqrt(d))))
 
     nodes: list = []
@@ -333,7 +318,7 @@ def train_random_forest_ovr(
         threshold=0.5,
         submodels=arrays,
         stopped_epoch=n_trees,
-        degenerate_labels=_degenerate_columns(labels[:, :k]),
+        degenerate_labels=_degenerate_columns(labels),
     )
 
 
@@ -511,6 +496,10 @@ def run_training_loop(
     return history, stopped, best_epoch
 
 
+# rows per eval-mode forward in validation and prediction
+EVAL_BATCH = 256
+
+
 def _batch_rows(x, idx):
     rows = x[idx]
     if sp.issparse(rows):
@@ -519,12 +508,12 @@ def _batch_rows(x, idx):
     return rows
 
 
-def _forward_loss(net, x, y, batch_size: int = 256) -> float:
+def _forward_loss(net, x, y) -> float:
     """Eval-mode BCE over a dataset, streamed in chunks."""
     total = 0.0
     n = x.shape[0]
-    for lo in range(0, n, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, n))
+    for lo in range(0, n, EVAL_BATCH):
+        idx = np.arange(lo, min(lo + EVAL_BATCH, n))
         out = net.forward(_batch_rows(x, idx), train=False)
         loss, _ = nc.bce_loss(out, y[idx])
         total += loss * len(idx)
@@ -597,14 +586,16 @@ def fit(
     y_train = np.asarray(y_train)
     k = y_train.shape[1]
 
-    if spec.family == "logreg":
-        model = train_logreg_ovr(x_train, y_train, iters=logreg_iters, lr=logreg_lr)
-        return replace_spec(model, spec, cfg.threshold)
-    if spec.family == "rforest":
-        model = train_random_forest_ovr(
-            x_train, y_train, n_trees=rf_trees, max_depth=rf_depth, seed=cfg.seed
-        )
-        return replace_spec(model, spec, cfg.threshold)
+    if spec.family in ("logreg", "rforest"):
+        if spec.family == "logreg":
+            model = train_logreg_ovr(x_train, y_train, iters=logreg_iters, lr=logreg_lr)
+        else:
+            model = train_random_forest_ovr(
+                x_train, y_train, n_trees=rf_trees, max_depth=rf_depth, seed=cfg.seed
+            )
+        model.spec = replace(spec, input_kind=model.spec.input_kind)
+        model.threshold = cfg.threshold
+        return model
 
     seq_len = x_train.shape[1] if spec.input_kind == "sequence" else None
     input_dim = x_train.shape[1] if spec.family == "fnn" else None
@@ -630,18 +621,12 @@ def fit(
     )
 
 
-def replace_spec(model: TrainedModel, spec: ModelSpec, threshold: float) -> TrainedModel:
-    model.spec = replace(spec, input_kind=model.spec.input_kind)
-    model.threshold = threshold
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
 
 
-def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.ndarray:
+def predict_proba(model: TrainedModel, features) -> np.ndarray:
     """Per-label probabilities, [n, k], in float64."""
     if model.spec.family == "logreg":
         arrays = model.submodels
@@ -653,8 +638,8 @@ def predict_proba(model: TrainedModel, features, batch_size: int = 256) -> np.nd
     net = model.network
     n = features.shape[0]
     out = []
-    for lo in range(0, n, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, n))
+    for lo in range(0, n, EVAL_BATCH):
+        idx = np.arange(lo, min(lo + EVAL_BATCH, n))
         out.append(net.forward(_batch_rows(features, idx), train=False))
     return np.vstack(out, dtype=np.float64)
 
@@ -665,7 +650,3 @@ def predict(model: TrainedModel, features, threshold: float | None = None) -> np
     if not (0.0 < thr < 1.0):
         raise ConfigError("threshold must lie strictly between 0 and 1")
     return (predict_proba(model, features) >= thr).astype(np.uint8)
-
-
-def count_parameters(net: nc.Sequential) -> int:
-    return net.param_count()

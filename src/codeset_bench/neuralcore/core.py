@@ -103,9 +103,6 @@ class Sequential(Layer):
             out.extend(layer.params())
         return out
 
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params())
-
 
 def glorot_uniform(
     rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int

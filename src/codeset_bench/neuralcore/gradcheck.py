@@ -4,8 +4,8 @@ Two objectives are supported: a fixed random linear projection of the
 model output (exercises any fragment, including ones without a loss),
 and clipped BCE against a target matrix (exercises the full classifier
 head). Both compare every sampled parameter coordinate's analytic
-gradient against (f(t+e) - f(t-e)) / 2e and report the worst relative
-error, |a - n| / max(|a| + |n|, 1e-8).
+gradient against (f(t+e) - f(t-e)) / 2e, with e = ``EPS``, and report
+the worst relative error, |a - n| / max(|a| + |n|, 1e-8).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 from ..errors import NumericError
 from .core import Layer
 from .losses import bce_loss
+
+EPS = 1e-5
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -31,7 +33,6 @@ def gradient_check(
     model: Layer,
     x: np.ndarray,
     targets: np.ndarray | None = None,
-    eps: float = 1e-5,
     max_coords: int = 200,
     seed: int = 0,
 ) -> float:
@@ -40,8 +41,9 @@ def gradient_check(
     With ``targets`` the objective is bce_loss(model(x), targets);
     otherwise it is sum(model(x) * R) for a fixed seeded projection R.
     Checks up to ``max_coords`` coordinates per parameter tensor (all of
-    them when smaller), plus the input gradient when the model
-    propagates one. Integer x (indices into an Embedding) is kept as is.
+    them when smaller), then as many of the input when the model
+    propagates an input gradient. Integer x (indices into an Embedding)
+    is kept as is.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x)
@@ -66,30 +68,20 @@ def gradient_check(
         p.zero_grad()
     grad_x = model.backward(grad_out)
 
+    pairs = [(p.value, p.grad) for p in model.params()]
+    if grad_x is not None:
+        pairs.append((x, np.asarray(grad_x, dtype=np.float64)))
     worst = 0.0
-    for p in model.params():
-        flat_v = p.value.ravel()
-        flat_g = p.grad.ravel()
+    for value, grad in pairs:
+        flat_v = value.ravel()
+        flat_g = grad.ravel()
         for i in _sample_coords(rng, flat_v.size, max_coords):
             orig = flat_v[i]
-            flat_v[i] = orig + eps
+            flat_v[i] = orig + EPS
             up, _ = objective()
-            flat_v[i] = orig - eps
+            flat_v[i] = orig - EPS
             down, _ = objective()
             flat_v[i] = orig
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * EPS)
             worst = max(worst, _relative_error(flat_g[i], numeric))
-
-    if grad_x is not None:
-        flat_x = x.ravel()
-        flat_gx = np.asarray(grad_x, dtype=np.float64).ravel()
-        for i in _sample_coords(rng, flat_x.size, max_coords):
-            orig = flat_x[i]
-            flat_x[i] = orig + eps
-            up, _ = objective()
-            flat_x[i] = orig - eps
-            down, _ = objective()
-            flat_x[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            worst = max(worst, _relative_error(flat_gx[i], numeric))
     return worst

@@ -199,7 +199,8 @@ class Flatten(Layer):
 
 
 class Embedding(Layer):
-    """Index lookup [B, T] -> [B, T, d]; row 0 is the frozen pad row.
+    """Index lookup [B, T] -> [B, T, d]; row 0 is the frozen pad row, and
+    pad positions read zeros whatever it holds.
 
     Backward scatters the [B*T, d] output gradient into the rows it was
     read from as one sparse product: a [V+1, B*T] one-hot matrix in CSR
@@ -216,7 +217,9 @@ class Embedding(Layer):
         if not np.issubdtype(idx.dtype, np.integer):
             raise ShapeError("embedding input must be integer indices")
         self._idx = idx
-        return self.m.value[idx]
+        out = self.m.value[idx]
+        out[idx == 0] = 0.0
+        return out
 
     def backward(self, grad):
         if self.m.trainable:

@@ -57,9 +57,9 @@ class RMSprop:
             p.zero_grad()
 
 
-def make_optimizer(kind: str, params: list[Parameter], lr: float | None = None, **kw):
+def make_optimizer(kind: str, params: list[Parameter], lr: float | None = None):
     if kind == "sgd":
         return SGD(params, lr=lr if lr is not None else 0.01)
     if kind == "rmsprop":
-        return RMSprop(params, lr=lr if lr is not None else 0.001, **kw)
+        return RMSprop(params, lr=lr if lr is not None else 0.001)
     raise ConfigError(f"unknown optimizer {kind!r}")

@@ -48,13 +48,6 @@ class StopwordList:
     def __contains__(self, token: str) -> bool:
         return token.lower() in self.tokens
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def is_stopword(token: str, stopwords: StopwordList) -> bool:
-    return token in stopwords
-
 
 def remove_stopwords(tokens: Sequence[str], stopwords: StopwordList) -> list[str]:
     """Tokens with stopwords dropped; order otherwise preserved."""
@@ -89,17 +82,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.token_to_index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
-    def index(self, token: str) -> int | None:
-        return self.token_to_index.get(token)
-
-    def token(self, index: int) -> str:
-        if index <= 0 or index >= len(self.index_to_token):
-            raise KeyError(index)
-        return self.index_to_token[index]
 
 
 def build_vocabulary(

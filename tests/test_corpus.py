@@ -22,7 +22,6 @@ from codeset_bench.corpus import (
     load_diagnoses,
     load_noteevents,
     load_split,
-    sanitize_note,
     save_catalog,
     save_split,
     scan_order_sensitive_labels,
@@ -219,7 +218,7 @@ def catalog_of(*names):
 
 def test_sanitize_removes_standalone_code_tokens():
     cat = catalog_of("4019")
-    out = sanitize_note("dx 4019 and 401.9 noted", cat)
+    out = NoteSanitizer(cat)("dx 4019 and 401.9 noted")
     assert "4019" not in out
     assert "401.9" not in out
     assert "dx" in out and "noted" in out
@@ -227,19 +226,12 @@ def test_sanitize_removes_standalone_code_tokens():
 
 def test_sanitize_leaves_embedded_digits_alone():
     cat = catalog_of("4019")
-    assert sanitize_note("a14019b stays, 24019 stays", cat) == "a14019b stays, 24019 stays"
+    assert NoteSanitizer(cat)("a14019b stays, 24019 stays") == "a14019b stays, 24019 stays"
 
 
 def test_sanitize_is_boundary_aware_not_whitespace_tokenized():
     cat = catalog_of("4019")
-    assert "4019" not in sanitize_note("(4019)", cat)
-
-
-def test_sanitizer_matches_function(tmp_path):
-    cat = catalog_of("4019", "25000")
-    s = NoteSanitizer(cat)
-    text = "codes 4019, 250.00 here"
-    assert s(text) == sanitize_note(text, cat)
+    assert "4019" not in NoteSanitizer(cat)("(4019)")
 
 
 # ------------------------------------------------------------ join + split
@@ -449,6 +441,26 @@ def test_catalog_round_trip(tmp_path):
     assert loaded.mode == "category"
     assert loaded.labels == cat.labels
     assert loaded.label_index() == {"401": 0, "250": 1}
+
+
+@pytest.mark.parametrize("name, text, bad_line", [
+    ("train.tsv", "#coverage=0.5\n7\t2a\tnote\n", 2),
+    ("train.tsv", "#coverage=0.5\n7\t011\tnote\n", 2),
+    ("train.tsv", "#coverage=abc\n7\t01\tnote\n", 1),
+    ("train.tsv", "#coverage=0.5\nx7\t01\tnote\n", 2),
+    ("train.tsv", "#coverage=0.5\n7\t01\n", 2),
+    ("catalog.tsv", "#mode=code\n4019\t3\n2500 2\n", 3),
+    ("catalog.tsv", "#mode=code\n4019\tmany\n", 2),
+    ("catalog.tsv", "#mode=bogus\n4019\t3\n", 1),
+])
+def test_dataset_readers_reject_corrupt_lines_naming_them(tmp_path, name, text, bad_line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"{name}:{bad_line}: "):
+        if name == "catalog.tsv":
+            load_catalog(path)
+        else:
+            load_split(path, catalog_of("1110", "2220"))
 
 
 def test_label_matrix_layout():

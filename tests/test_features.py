@@ -251,21 +251,12 @@ def test_cbow_records_one_loss_per_token_step_across_blocks(n_docs):
 def test_align_embeddings_copies_known_and_zeros_unknown():
     vocab = build_vocabulary([["a", "b", "c"]])
     vecs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    emb = align_embeddings(vocab, ["b", "a"], vecs, oov="zeros")
+    emb = align_embeddings(vocab, ["b", "a"], vecs)
     assert emb.matrix.shape == (4, 2)
     assert emb.matrix[vocab.token_to_index["a"]].tolist() == [3.0, 4.0]
     assert emb.matrix[vocab.token_to_index["b"]].tolist() == [1.0, 2.0]
     assert not emb.matrix[vocab.token_to_index["c"]].any()
     assert not emb.matrix[PAD_INDEX].any()
-
-
-def test_align_embeddings_random_oov_is_seeded():
-    vocab = build_vocabulary([["a", "b"]])
-    vecs = np.array([[1.0, 2.0]])
-    e1 = align_embeddings(vocab, ["a"], vecs, oov="random", seed=5)
-    e2 = align_embeddings(vocab, ["a"], vecs, oov="random", seed=5)
-    assert np.array_equal(e1.matrix, e2.matrix)
-    assert e1.matrix[vocab.token_to_index["b"]].any()
 
 
 def test_average_embedding_drops_pads():

@@ -20,7 +20,6 @@ from codeset_bench.metrics import (
     macro_auc,
     precision_at_k,
     report,
-    restrict_run,
     write_pr_curves,
 )
 
@@ -369,21 +368,6 @@ def test_report_on_perfect_run():
     # label 3 has no positives: excluded from mean but kept as a placeholder
     assert rep.ap_per_label == [1.0, 1.0, 1.0, None, 1.0]
     assert len(curves) == 4  # curves only for evaluable labels
-
-
-def test_restricted_label_view_equals_recomputation_on_slice():
-    run = make_run(5, n=30, q=6)
-    first = restrict_run(run, 3)  # first 3 label columns
-    direct = PredictionRun(probs=run.probs[:, :3], predicted=run.predicted[:, :3],
-                           truth=run.truth[:, :3], label_names=run.label_names[:3])
-    rep_a, _ = report(first)
-    rep_b, _ = report(direct)
-    assert rep_a.to_dict() == rep_b.to_dict()
-
-
-def test_restrict_run_beyond_label_count_rejected():
-    with pytest.raises(ConfigError):
-        restrict_run(make_run(0, n=4, q=3), 7)
 
 
 def test_report_json_is_stable_and_sorted():

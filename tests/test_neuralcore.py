@@ -252,8 +252,7 @@ def test_gru_step_zero_weights_halve_the_state():
 def test_recurrent_layers_share_weights_across_time():
     for cls in (nc.SimpleRNN, nc.LSTM, nc.GRU):
         layer = cls(4, 3, rng(0))
-        n_params = layer.param_count() if hasattr(layer, "param_count") else sum(
-            p.value.size for p in layer.params())
+        n_params = sum(p.value.size for p in layer.params())
         layer.forward(rng(1).standard_normal((2, 3, 4)))
         short = sum(p.value.size for p in layer.params())
         layer.forward(rng(1).standard_normal((2, 11, 4)))
@@ -515,6 +514,16 @@ def test_embedding_repeated_indices_accumulate_gradient():
     np.add.at(expected, idx, grad)
     expected[0] = 0.0  # pad row stays zero
     assert np.array_equal(layer.m.grad, expected)
+
+
+def test_embedding_pad_positions_read_zeros_and_pass_gradient_check():
+    # row 0 is nonzero here, as a gradient check's perturbation leaves it
+    matrix = rng(0).standard_normal((5, 3))
+    layer = nc.Embedding(matrix, trainable=True)
+    assert not layer.forward(np.array([[0, 2, 0]]))[0, [0, 2]].any()
+    model = nc.Sequential([layer, nc.Flatten(), nc.Dense(12, 2, rng(1))])
+    idx = np.array([[0, 1, 4, 0], [3, 0, 2, 2]])  # pads among the tokens
+    assert nc.gradient_check(model, idx, max_coords=10**6) < 1e-6
 
 
 def test_embedding_rejects_float_indices():

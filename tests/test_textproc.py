@@ -8,7 +8,6 @@ from codeset_bench.errors import DatasetError, FormatError
 from codeset_bench.textproc import (
     PAD_INDEX,
     build_vocabulary,
-    is_stopword,
     load_default_stopwords,
     load_vocabulary,
     remove_stopwords,
@@ -41,8 +40,8 @@ def test_tokenize_empty_and_symbol_only():
 def test_default_stopwords_contain_function_words():
     sw = load_default_stopwords()
     for w in ("the", "and", "of", "was", "with"):
-        assert is_stopword(w, sw)
-    assert not is_stopword("hypertension", sw)
+        assert w in sw
+    assert "hypertension" not in sw
 
 
 def test_remove_stopwords_preserves_order():
