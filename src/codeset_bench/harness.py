@@ -160,8 +160,16 @@ class ExperimentConfig:
     def get_bool(self, key: str) -> bool:
         return _parse_bool(self.values[key], key)
 
+    def _ints(self, key: str, parts: list[str]) -> tuple[int, ...]:
+        try:
+            return tuple(int(v) for v in parts if v.strip())
+        except ValueError:
+            raise ConfigError(f"{key}: expected integers, got {self.values[key]!r}") from None
+
     # validation -----------------------------------------------------------
     def _validate(self) -> None:
+        """Parse every key, so that a malformed value raises ConfigError
+        naming its key before any stage runs."""
         if self.get("dataset.source") not in ("synthetic", "csv"):
             raise ConfigError("dataset.source must be synthetic or csv")
         if self.get("dataset.source") == "csv" and not (
@@ -187,40 +195,48 @@ class ExperimentConfig:
                 f"with model family {spec.family!r}"
             )
         self.train_config()  # raises on bad training block
+        self.split_spec()
+        self.synthetic_spec()
+        for key in ("dataset.sanitize", "feature.remove_stopwords", "feature.embedding_trainable"):
+            self.get_bool(key)
+        for key in (
+            "feature.w2v_dim", "feature.window", "feature.epochs", "feature.negatives",
+            "feature.min_count", "feature.seq_len", "feature.seed",
+            "model.logreg_iters", "model.rf_trees", "model.rf_depth",
+        ):
+            self.get_int(key)
+        self.get_float("model.logreg_lr")
 
     # resolved objects -----------------------------------------------------
     def model_spec(self) -> models.ModelSpec:
+        # every model key is parsed, including those a preset ignores
+        hidden = self._ints("model.hidden", self.get("model.hidden").split(","))
+        blocks = []
+        for chunk in self.get("model.conv_blocks").split(","):
+            if chunk.strip():
+                blocks.append(self._ints("model.conv_blocks", chunk.split(":")))
+                if len(blocks[-1]) != 3:
+                    raise ConfigError("model.conv_blocks entries are filters:width:pool")
+        fc = self.get_int("model.fc") or None
+        dropout = self.get_float("model.dropout")
+        bidirectional = self.get_bool("model.bidirectional")
         name = self.get("model.preset")
         if name:
             spec = models.preset(name)
-            if self.get_bool("model.bidirectional") and not spec.bidirectional:
+            if bidirectional and not spec.bidirectional:
                 spec = replace(spec, bidirectional=True, name=spec.name + "-bidi")
             return spec
         family = self.get("model.family")
         if not family:
             raise ConfigError("set model.preset or model.family")
-        hidden = tuple(
-            int(v) for v in self.get("model.hidden").split(",") if v.strip()
-        )
-        blocks = []
-        for chunk in self.get("model.conv_blocks").split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise ConfigError("model.conv_blocks entries are filters:width:pool")
-            blocks.append(tuple(int(p) for p in parts))
-        fc = self.get_int("model.fc") or None
-        input_kind = TRACK_KINDS[self.get("feature.track")]
         return models.ModelSpec(
             family=family,
-            input_kind=input_kind,
+            input_kind=TRACK_KINDS[self.get("feature.track")],
             hidden=hidden,
             conv_blocks=tuple(blocks),
             fc=fc,
-            dropout=self.get_float("model.dropout"),
-            bidirectional=self.get_bool("model.bidirectional"),
+            dropout=dropout,
+            bidirectional=bidirectional,
             name=family,
         )
 
@@ -231,7 +247,7 @@ class ExperimentConfig:
             patience=self.get_int("train.patience"),
             batch_size=self.get_int("train.batch_size"),
             optimizer=self.get("train.optimizer"),
-            learning_rate=float(lr) if lr else None,
+            learning_rate=self.get_float("train.learning_rate") if lr else None,
             threshold=self.get_float("train.threshold"),
             seed=self.get_int("train.seed"),
         )

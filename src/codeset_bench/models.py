@@ -263,13 +263,29 @@ def _grow_tree(x, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth: 
     return node
 
 
+DENSE_LIMIT_BYTES = 1 << 30  # largest dense float64 copy the forest makes of sparse features
+
+
+def _dense_float64(features) -> np.ndarray:
+    """features as a dense float64 array; sparse input is refused when that
+    copy would take more than DENSE_LIMIT_BYTES."""
+    if sp.issparse(features):
+        n, d = features.shape
+        if n * d * 8 > DENSE_LIMIT_BYTES:
+            raise ConfigError(
+                f"densifying {n}x{d} sparse features takes {n * d * 8 / 2**30:.2f} GiB, "
+                f"over the forest's {DENSE_LIMIT_BYTES / 2**30:g} GiB limit"
+            )
+        features = features.toarray()
+    return np.asarray(features, dtype=np.float64)
+
+
 def train_random_forest_ovr(
     features,
     labels: np.ndarray,
     n_trees: int = 64,
     max_depth: int = 10,
     seed: int = 0,
-    allow_dense_blowup: bool = False,
 ) -> TrainedModel:
     """Per label: n_trees CART trees on bootstrap resamples, Gini
     impurity, sqrt(d) random feature candidates per split; the forest
@@ -281,14 +297,7 @@ def train_random_forest_ovr(
     of tree t for label j.
     """
     labels = np.asarray(labels)
-    if sp.issparse(features):
-        if features.shape[1] > 4096 and not allow_dense_blowup:
-            raise ConfigError(
-                f"densifying {features.shape[1]}-dim sparse features needs "
-                "allow_dense_blowup=True"
-            )
-        features = features.toarray()
-    x = np.asarray(features, dtype=np.float64)
+    x = _dense_float64(features)
     if x.size == 0:
         raise DatasetError("empty feature matrix")
     n, d = x.shape
@@ -632,8 +641,7 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
         arrays = model.submodels
         return nc.sigmoid(features @ arrays["W"] + arrays["b"])
     if model.spec.family == "rforest":
-        x = features.toarray() if sp.issparse(features) else features
-        return _forest_proba(model.submodels, np.asarray(x, dtype=np.float64))
+        return _forest_proba(model.submodels, _dense_float64(features))
 
     net = model.network
     n = features.shape[0]

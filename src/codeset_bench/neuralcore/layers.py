@@ -1,9 +1,8 @@
 """Feedforward layers: dense, activations, 1D convolution, max pooling,
 embedding lookup, flatten, and inverted dropout.
 
-Convolution and pooling operate on time-major word matrices: a single
-example is [n, k] (n positions, k channels) and a batch is [B, n, k].
-Single-example 2D inputs are accepted everywhere and return 2D outputs.
+Convolution and pooling operate on batches of time-major word matrices,
+[B, n, k] (n positions, k channels), and reject any other shape.
 """
 
 from __future__ import annotations
@@ -61,13 +60,11 @@ class Sigmoid(Layer):
         return grad * self._out * (1.0 - self._out)
 
 
-def _as_batched(x, dtype=None) -> tuple[np.ndarray, bool]:
+def _as_batch(x, dtype=None) -> np.ndarray:
     x = as_float(x, dtype)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected [n, k] or [batch, n, k], got shape {x.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"expected [batch, n, k], got shape {x.shape}")
+    return x
 
 
 class Conv1d(Layer):
@@ -101,10 +98,9 @@ class Conv1d(Layer):
         self.b = Parameter(f"{name}.b", np.zeros(n_filters))
         self.width = width
         self._x = None
-        self._squeeze = False
 
     def forward(self, x, train: bool = False):
-        x, self._squeeze = _as_batched(x, self.w.value.dtype)
+        x = _as_batch(x, self.w.value.dtype)
         batch, n, k = x.shape
         h = self.width
         if k != self.w.shape[2]:
@@ -116,11 +112,9 @@ class Conv1d(Layer):
         out = np.broadcast_to(self.b.value, (batch, length, self.w.shape[0])).copy()
         for dt in range(h):
             out += x[:, dt : dt + length, :] @ self.w.value[:, dt, :].T
-        return out[0] if self._squeeze else out
+        return out
 
     def backward(self, grad):
-        if self._squeeze:
-            grad = grad[None]
         x = self._x
         h = self.width
         length = grad.shape[1]
@@ -130,7 +124,7 @@ class Conv1d(Layer):
             self.w.grad[:, dt, :] += (grad_t @ x[:, dt : dt + length, :]).sum(axis=0)
             dx[:, dt : dt + length, :] += grad @ self.w.value[:, dt, :]
         self.b.grad += grad.sum(axis=(0, 1))
-        return dx[0] if self._squeeze else dx
+        return dx
 
     def params(self):
         return [self.w, self.b]
@@ -150,25 +144,21 @@ class MaxPool1d(Layer):
         self.pool = pool
 
     def forward(self, x, train: bool = False):
-        x, self._squeeze = _as_batched(x)
+        x = _as_batch(x)
         batch, m, f = x.shape
         n_win = math.ceil(m / self.pool)
         # -inf padding never wins a window, so the tail keeps its own max
         padded = np.pad(x, ((0, 0), (0, n_win * self.pool - m), (0, 0)), constant_values=-np.inf)
         self._windows = padded.reshape(batch, n_win, self.pool, f)
         self._length = m
-        out = self._windows.max(axis=2)
-        return out[0] if self._squeeze else out
+        return self._windows.max(axis=2)
 
     def backward(self, grad):
-        if self._squeeze:
-            grad = grad[None]
         windows = self._windows
         dx = np.zeros_like(windows)
         # windows are disjoint, so no input position receives two gradients
         np.put_along_axis(dx, windows.argmax(axis=2)[:, :, None], grad[:, :, None], axis=2)
-        dx = dx.reshape(len(dx), -1, dx.shape[3])[:, : self._length]
-        return dx[0] if self._squeeze else dx
+        return dx.reshape(len(dx), -1, dx.shape[3])[:, : self._length]
 
 
 class MaxOverTime(Layer):
@@ -176,17 +166,13 @@ class MaxOverTime(Layer):
     the gradient to the first position attaining the max."""
 
     def forward(self, x, train: bool = False):
-        x, self._squeeze = _as_batched(x)
-        self._x = x
-        out = x.max(axis=1)
-        return out[0] if self._squeeze else out
+        self._x = _as_batch(x)
+        return self._x.max(axis=1)
 
     def backward(self, grad):
-        if self._squeeze:
-            grad = grad[None]
         dx = np.zeros_like(self._x)
         np.put_along_axis(dx, self._x.argmax(axis=1)[:, None], grad[:, None], axis=1)
-        return dx[0] if self._squeeze else dx
+        return dx
 
 
 class Flatten(Layer):

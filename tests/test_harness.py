@@ -78,6 +78,27 @@ def test_typed_accessor_errors_name_the_key():
         make_cfg(**{"train.batch_size": "many"})
 
 
+def _typed(value):
+    try:
+        float(value)
+        return True
+    except ValueError:
+        return value in ("true", "false")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.learning_rate", "abc"),
+    ("model.hidden", "8,x"),
+    ("model.conv_blocks", "8:a:2"),
+    ("feature.seq_len", "15OO"),
+] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)])
+def test_malformed_value_is_config_error_naming_its_key(key, value):
+    # every numeric or boolean key is parsed when the config is built, not
+    # when its stage first reads it
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        make_cfg(**{key: value})
+
+
 def test_csv_source_requires_paths():
     with pytest.raises(ConfigError):
         ExperimentConfig({"dataset.source": "csv"})

@@ -1,5 +1,7 @@
 """Presets, one-vs-rest trainers, the training loop, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -216,12 +218,23 @@ def test_forest_label_columns_use_the_same_randomness():
 
 
 def test_forest_refuses_silent_dense_blowup():
-    x = sp.csr_matrix((10, 5000))
+    # the guard counts bytes of the dense float64 copy, not columns: a wide
+    # but short matrix trains, and 30000x5000 (1.2 GB dense) is refused
+    # before anything is allocated
     y = np.zeros((10, 1), dtype=np.uint8)
-    with pytest.raises(ConfigError):
-        train_random_forest_ovr(x, y, n_trees=2, max_depth=2, seed=0)
-    # explicit opt-in works
-    train_random_forest_ovr(x, y, n_trees=1, max_depth=1, seed=0, allow_dense_blowup=True)
+    model = train_random_forest_ovr(sp.csr_matrix((10, 5000)), y, n_trees=1, max_depth=1, seed=0)
+    assert predict_proba(model, sp.csr_matrix((10, 5000))).shape == (10, 1)
+    big, y_big = sp.csr_matrix((30000, 5000)), np.zeros((30000, 1), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="GiB"):
+            train_random_forest_ovr(big, y_big, n_trees=1, seed=0)
+        with pytest.raises(ConfigError, match="GiB"):
+            predict_proba(model, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_forest_is_seed_deterministic():

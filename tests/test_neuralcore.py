@@ -57,15 +57,15 @@ def test_conv_all_ones_fixture():
     layer = nc.Conv1d(in_channels=2, n_filters=1, width=2, rng=rng())
     layer.w.value = np.ones_like(layer.w.value)
     layer.b.value = np.zeros_like(layer.b.value)
-    out = layer.forward(np.ones((4, 2)))
-    assert out.shape == (3, 1)
+    out = layer.forward(np.ones((1, 4, 2)))
+    assert out.shape == (1, 3, 1)
     assert out.ravel().tolist() == [4.0, 4.0, 4.0]
 
 
 def test_conv_filter_spanning_whole_input_leaves_one_position():
     layer = nc.Conv1d(in_channels=3, n_filters=2, width=6, rng=rng())
-    out = layer.forward(rng(1).standard_normal((6, 3)))
-    assert out.shape == (1, 2)
+    out = layer.forward(rng(1).standard_normal((2, 6, 3)))
+    assert out.shape == (2, 1, 2)
 
 
 def test_conv_output_length_is_n_minus_width_plus_one():
@@ -76,14 +76,14 @@ def test_conv_output_length_is_n_minus_width_plus_one():
 
 def test_conv_rejects_inputs_shorter_than_filter():
     layer = nc.Conv1d(in_channels=2, n_filters=1, width=5, rng=rng())
-    with pytest.raises(ShapeError):
-        layer.forward(np.ones((4, 2)))
+    with pytest.raises(ShapeError, match="shorter than filter"):
+        layer.forward(np.ones((1, 4, 2)))
 
 
 def test_conv_rejects_channel_mismatch():
     layer = nc.Conv1d(in_channels=3, n_filters=1, width=2, rng=rng())
-    with pytest.raises(ShapeError):
-        layer.forward(np.ones((6, 2)))
+    with pytest.raises(ShapeError, match="channels"):
+        layer.forward(np.ones((1, 6, 2)))
 
 
 def test_conv_gradients_match_finite_differences():
@@ -92,7 +92,7 @@ def test_conv_gradients_match_finite_differences():
     assert err < 1e-6
 
 
-def test_conv_backward_accumulates_and_keeps_unbatched_shape():
+def test_conv_backward_accumulates_gradients():
     layer = nc.Conv1d(in_channels=3, n_filters=4, width=5, rng=rng(1))
     x = rng(2).standard_normal((3, 11, 3))
     grad = rng(3).standard_normal(layer.forward(x, train=True).shape)
@@ -102,22 +102,27 @@ def test_conv_backward_accumulates_and_keeps_unbatched_shape():
     np.testing.assert_allclose(layer.w.grad, 2 * w_once, rtol=1e-12, atol=0)
     np.testing.assert_allclose(layer.b.grad, 2 * b_once, rtol=1e-12, atol=0)
 
-    out = layer.forward(x[0], train=True)
-    dx = layer.backward(np.ones_like(out))
-    assert out.shape == (7, 4) and dx.shape == (11, 3)
+
+@pytest.mark.parametrize("layer", [
+    nc.Conv1d(in_channels=2, n_filters=1, width=2, rng=rng()), nc.MaxPool1d(2), nc.MaxOverTime(),
+], ids=["conv", "max-pool", "max-over-time"])
+def test_conv_and_pooling_reject_unbatched_input(layer):
+    for shape in ((4, 2), (1, 1, 4, 2)):
+        with pytest.raises(ShapeError, match=r"\[batch, n, k\]"):
+            layer.forward(np.ones(shape))
 
 
 # ---------------------------------------------------------------- pooling
 
 def test_max_pool_hand_value():
     layer = nc.MaxPool1d(pool=2)
-    out = layer.forward(np.array([[1.0], [2.0], [3.0], [4.0]]))
+    out = layer.forward(np.array([[[1.0], [2.0], [3.0], [4.0]]]))
     assert out.ravel().tolist() == [2.0, 4.0]
 
 
 def test_max_pool_last_window_may_be_partial():
     layer = nc.MaxPool1d(pool=2)
-    out = layer.forward(np.array([[1.0], [5.0], [3.0]]))
+    out = layer.forward(np.array([[[1.0], [5.0], [3.0]]]))
     assert out.ravel().tolist() == [5.0, 3.0]
 
 
@@ -239,19 +244,19 @@ def test_lstm_step_zero_weights_halve_the_cell():
 
 
 def test_gru_step_zero_weights_halve_the_state():
-    # z = r = sigmoid(0) = 0.5 and candidate tanh(0)=0: h' = 0.5*h
+    # r = z = sigmoid(0) = 0.5 and candidate tanh(0)=0: h' = 0.5*h
     h = np.array([[0.6, -1.0]])
-    zeros32 = np.zeros((3, 2))
-    zeros22 = np.zeros((2, 2))
-    z2 = np.zeros(2)
-    h2, _ = nc.gru_step(np.ones((1, 3)), h, zeros32, zeros22, z2,
-                        zeros32, zeros22, z2, zeros32, zeros22, z2)
+    h2, _ = nc.gru_step(np.ones((1, 3)), h, np.zeros((3, 6)), np.zeros((2, 6)), np.zeros(6))
     assert np.allclose(h2, 0.5 * h, atol=1e-15)
 
 
 def test_recurrent_layers_share_weights_across_time():
-    for cls in (nc.SimpleRNN, nc.LSTM, nc.GRU):
-        layer = cls(4, 3, rng(0))
+    for cls, n_gates in ((nc.SimpleRNN, 1), (nc.LSTM, 4), (nc.GRU, 3)):
+        layer = cls(4, 3, rng(0), name="cell")
+        # one W, U, b triple with one 3-column block per gate
+        assert {p.name: p.shape for p in layer.params()} == {
+            "cell.W": (4, 3 * n_gates), "cell.U": (3, 3 * n_gates), "cell.b": (3 * n_gates,),
+        }
         n_params = sum(p.value.size for p in layer.params())
         layer.forward(rng(1).standard_normal((2, 3, 4)))
         short = sum(p.value.size for p in layer.params())
@@ -328,7 +333,7 @@ def _rnn_reference(layer, x, grad):
         dx[:, t] = da @ wx.T
         carry = da @ wh.T
     out = hs[:, 1:] if layer.return_sequences else hs[:, -1]
-    return out, dx, {layer.wx.name: gwx, layer.wh.name: gwh, layer.b.name: gb}
+    return out, dx, {layer.w.name: gwx, layer.u.name: gwh, layer.b.name: gb}
 
 
 def _lstm_reference(layer, x, grad):
@@ -367,38 +372,34 @@ def _lstm_reference(layer, x, grad):
 
 
 def _gru_reference(layer, x, grad):
-    wz, uz, bz, wr, ur, br, wh, uh, bh = (p.value for p in layer.params())
+    w, u, b = (p.value for p in layer.params())
+    n = layer.n_hidden
+    ur, uz, uh = u[:, :n], u[:, n : 2 * n], u[:, 2 * n :]
     batch, steps, _ = x.shape
-    hs = np.zeros((batch, steps + 1, layer.n_hidden))
+    hs = np.zeros((batch, steps + 1, n))
     gates = []
     for t in range(steps):
-        hs[:, t + 1], g = nc.gru_step(x[:, t], hs[:, t], wz, uz, bz, wr, ur, br, wh, uh, bh)
+        hs[:, t + 1], g = nc.gru_step(x[:, t], hs[:, t], w, u, b)
         gates.append(g)
-    grads = {p.name: np.zeros_like(p.value) for p in layer.params()}
-    gwz, guz, gbz, gwr, gur, gbr, gwh, guh, gbh = grads.values()
+    gw, gu, gb = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
     dx = np.zeros_like(x)
-    carry = np.zeros((batch, layer.n_hidden))
+    carry = np.zeros((batch, n))
     for t in range(steps - 1, -1, -1):
-        z, r, ht = gates[t]
+        r, z, ht = gates[t]
         h_prev = hs[:, t]
         dh = carry + _incoming(grad, t, steps, layer.return_sequences)
         da_h = dh * z * (1.0 - ht**2)
-        gwh += x[:, t].T @ da_h
-        guh += (r * h_prev).T @ da_h
-        gbh += da_h.sum(axis=0)
         d_rh = da_h @ uh.T
         da_z = dh * (ht - h_prev) * z * (1.0 - z)
-        gwz += x[:, t].T @ da_z
-        guz += h_prev.T @ da_z
-        gbz += da_z.sum(axis=0)
         da_r = d_rh * h_prev * r * (1.0 - r)
-        gwr += x[:, t].T @ da_r
-        gur += h_prev.T @ da_r
-        gbr += da_r.sum(axis=0)
-        dx[:, t] = da_z @ wz.T + da_r @ wr.T + da_h @ wh.T
+        da = np.concatenate([da_r, da_z, da_h], axis=1)  # (r, z, h~) blocks
+        gw += x[:, t].T @ da
+        gu += np.concatenate([h_prev.T @ da_r, h_prev.T @ da_z, (r * h_prev).T @ da_h], axis=1)
+        gb += da.sum(axis=0)
+        dx[:, t] = da @ w.T
         carry = dh * (1.0 - z) + d_rh * r + da_z @ uz.T + da_r @ ur.T
     out = hs[:, 1:] if layer.return_sequences else hs[:, -1]
-    return out, dx, grads
+    return out, dx, {layer.w.name: gw, layer.u.name: gu, layer.b.name: gb}
 
 
 _RECURRENT_REFERENCES = [
