@@ -117,13 +117,10 @@ def _load_cfg(args) -> harness.ExperimentConfig:
         Path(args.config).read_text(encoding="utf-8"), args.config
     )
     if args.seed is not None:
-        for key in (
-            "train.seed",
-            "feature.seed",
-            "dataset.split_seed",
-            "dataset.synthetic.seed",
-        ):
-            raw[key] = str(args.seed)
+        for key in harness.DEFAULTS:
+            last = key.rpartition(".")[2]
+            if last == "seed" or last.endswith("_seed"):
+                raw[key] = str(args.seed)
     return harness.ExperimentConfig(raw)
 
 
@@ -155,7 +152,7 @@ def _dispatch(args) -> int:
         splits = harness.stage_dataset(cfg, ws, notes, diags)[:3]
         feats = harness.stage_features(cfg, ws, splits)
         shapes = ", ".join(str(getattr(m, "shape", None)) for m in (feats.train, feats.val, feats.test))
-        print(f"track: {cfg.get('feature.track')} kind: {feats.kind} shapes: {shapes}")
+        print(f"track: {cfg['feature.track']} kind: {feats.kind} shapes: {shapes}")
         return 0
 
     if args.command == "train":

@@ -396,9 +396,9 @@ class SyntheticSpec:
     n_labels: int = 10
     n_notes: int = 200
     keywords_per_label: int = 2
-    filler_vocab_size: int = 80
-    note_length_mean: int = 50
-    note_length_jitter: int = 15
+    filler_vocab: int = 80
+    note_length: int = 50
+    jitter: int = 15
     label_rate: float = 0.35
     noise_code_rate: float = 0.15
     extra_note_rate: float = 0.05
@@ -413,7 +413,7 @@ class SyntheticSpec:
             raise ConfigError("each label needs a non-empty keyword lexicon")
         if not (0.0 < self.label_rate <= 1.0):
             raise ConfigError("label_rate must be in (0, 1]")
-        if self.filler_vocab_size < 1:
+        if self.filler_vocab < 1:
             raise ConfigError("filler vocabulary must be non-empty")
 
 
@@ -464,7 +464,7 @@ def generate_synthetic_corpus(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     keywords = synthetic_keywords(spec)
-    filler = _filler_words(spec.filler_vocab_size)
+    filler = _filler_words(spec.filler_vocab)
     if spec.order_sensitive and spec.negator in {w for lex in keywords for w in lex}:
         raise ConfigError("negator token collides with a label keyword")
 
@@ -551,9 +551,9 @@ def _compose_order_free(
     filler: list[str],
     active: list[int],
 ) -> str:
-    length = spec.note_length_mean
-    if spec.note_length_jitter > 0:
-        length += int(rng.integers(-spec.note_length_jitter, spec.note_length_jitter + 1))
+    length = spec.note_length
+    if spec.jitter > 0:
+        length += int(rng.integers(-spec.jitter, spec.jitter + 1))
     length = max(length, 2 * len(active) + 4)
     tokens = [filler[int(t)] for t in rng.integers(len(filler), size=length)]
     for j in active:

@@ -2,10 +2,16 @@
 evaluate -> report, with content-addressed caching of each stage.
 
 Configs are flat ``key = value`` text with dotted section prefixes
-(``dataset.k = 10``). Every key has a default; unknown keys are
-rejected. Stage outputs are cached under SHA-256 hashes of the
-canonicalized config subset that influences them, so re-running a model
-sweep over shared features reuses the feature stage.
+(``dataset.k = 10``). Every key has a default in ``DEFAULTS``; unknown
+keys are rejected. A key listed in ``CHOICES`` takes one of its values;
+every other key has the type its default reads as (boolean, integer,
+number, else text). ``ExperimentConfig`` parses every key once, then
+checks the values that conflict across keys, so a bad value raises
+``ConfigError`` naming its key before any stage runs.
+
+Stage outputs are cached under SHA-256 hashes of the canonicalized
+config text that influences them, so re-running a model sweep over
+shared features reuses the feature stage.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from .errors import ConfigError, PipelineError
 # ---------------------------------------------------------------------------
 
 DEFAULTS: dict[str, str] = {
-    "dataset.source": "synthetic",  # synthetic | csv
+    "dataset.source": "synthetic",
     "dataset.notes": "",
     "dataset.diagnoses": "",
-    "dataset.mode": "code",  # code | category
+    "dataset.mode": "code",
     "dataset.k": "10",
     "dataset.train_frac": "0.5",
     "dataset.val_frac": "0.25",
@@ -54,7 +60,7 @@ DEFAULTS: dict[str, str] = {
     "dataset.synthetic.extra_note_rate": "0.05",
     "dataset.synthetic.order_sensitive": "false",
     "dataset.synthetic.seed": "0",
-    "feature.track": "tfidf40k",  # tfidf40k | tfidf20k | w2v-avg | wordseq
+    "feature.track": "tfidf40k",
     "feature.remove_stopwords": "false",
     "feature.w2v_dim": "100",
     "feature.window": "5",
@@ -62,7 +68,7 @@ DEFAULTS: dict[str, str] = {
     "feature.negatives": "5",
     "feature.min_count": "1",
     "feature.seq_len": "1500",
-    "feature.embedding_source": "self",  # self | pretrained | random
+    "feature.embedding_source": "self",
     "feature.pretrained_path": "",
     "feature.embedding_trainable": "true",
     "feature.seed": "0",
@@ -100,6 +106,17 @@ TRACK_KINDS = {
     "wordseq": "sequence",
 }
 
+# the allowed values of each key that takes one of a fixed set
+CHOICES: dict[str, tuple[str, ...]] = {
+    "dataset.source": ("synthetic", "csv"),
+    "dataset.mode": ("code", "category"),
+    "feature.track": tuple(TRACK_KINDS),
+    "feature.embedding_source": ("self", "pretrained", "random"),
+    "model.preset": ("", *models.PRESETS),
+    "model.family": ("", *models.FAMILIES),
+    "train.optimizer": models.OPTIMIZERS,
+}
+
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Flat key = value lines; blank lines and #-comment lines ignored."""
@@ -121,17 +138,36 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+def _parse(key: str, text: str):
+    """One value: a ``CHOICES`` key must hold one of its choices; every
+    other key is read as the type its default reads as (boolean,
+    integer, number, else text)."""
+    if key in CHOICES:
+        if text not in CHOICES[key]:
+            raise ConfigError(
+                f"{key}: expected one of {', '.join(map(repr, CHOICES[key]))}, got {text!r}"
+            )
+        return text
+    default = DEFAULTS[key]
+    if default in ("true", "false"):
+        if text.lower() in ("true", "1", "yes", "false", "0", "no"):
+            return text.lower() in ("true", "1", "yes")
+        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    for kind, expected in ((int, "an integer"), (float, "a number")):
+        try:
+            kind(default)
+        except ValueError:
+            continue
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+    return text
 
 
 class ExperimentConfig:
-    """Validated, default-filled view over a flat config dict."""
+    """Validated, default-filled view over a flat config dict: ``values``
+    holds each key's text, ``cfg[key]`` its parsed value."""
 
     def __init__(self, raw: dict[str, str]):
         unknown = sorted(set(raw) - set(DEFAULTS))
@@ -139,140 +175,104 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         self.values = dict(DEFAULTS)
         self.values.update(raw)
+        self._parsed = {key: _parse(key, text) for key, text in self.values.items()}
         self._validate()
 
-    # typed accessors ------------------------------------------------------
-    def get(self, key: str) -> str:
-        return self.values[key]
+    def __getitem__(self, key: str):
+        return self._parsed[key]
 
-    def get_int(self, key: str) -> int:
-        try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {self.values[key]!r}") from None
-
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {self.values[key]!r}") from None
-
-    def get_bool(self, key: str) -> bool:
-        return _parse_bool(self.values[key], key)
+    def section(self, prefix: str) -> dict:
+        """The parsed values of the keys under ``prefix``, named by the
+        rest of their key."""
+        return {k[len(prefix):]: v for k, v in self._parsed.items() if k.startswith(prefix)}
 
     def _ints(self, key: str, parts: list[str]) -> tuple[int, ...]:
         try:
             return tuple(int(v) for v in parts if v.strip())
         except ValueError:
-            raise ConfigError(f"{key}: expected integers, got {self.values[key]!r}") from None
+            raise ConfigError(f"{key}: expected integers, got {self[key]!r}") from None
 
     # validation -----------------------------------------------------------
     def _validate(self) -> None:
-        """Parse every key, so that a malformed value raises ConfigError
-        naming its key before any stage runs."""
-        if self.get("dataset.source") not in ("synthetic", "csv"):
-            raise ConfigError("dataset.source must be synthetic or csv")
-        if self.get("dataset.source") == "csv" and not (
-            self.get("dataset.notes") and self.get("dataset.diagnoses")
+        """Checks that involve more than one key or build a spec, so that
+        a conflicting value raises ConfigError before any stage runs."""
+        if self["dataset.source"] == "csv" and not (
+            self["dataset.notes"] and self["dataset.diagnoses"]
         ):
             raise ConfigError("csv source needs dataset.notes and dataset.diagnoses")
-        if self.get("dataset.mode") not in ("code", "category"):
-            raise ConfigError("dataset.mode must be code or category")
-        k = self.get_int("dataset.k")
+        k = self["dataset.k"]
         if k < 1:
             raise ConfigError("dataset.k must be >= 1")
         if k not in (10, 50):
             warnings.warn(f"dataset.k = {k} departs from the reference settings (10/50)")
-        track = self.get("feature.track")
-        if track not in TRACK_KINDS:
-            raise ConfigError(f"unknown feature.track {track!r}")
-        if self.get("feature.embedding_source") not in ("self", "pretrained", "random"):
-            raise ConfigError("feature.embedding_source must be self, pretrained, or random")
+        if self["model.preset"]:
+            # a preset fixes the architecture; only model.bidirectional modifies it
+            for key in ("model.family", "model.hidden", "model.conv_blocks", "model.fc",
+                        "model.dropout"):
+                if self[key]:
+                    raise ConfigError(f"{key}: fixed by model.preset, leave it at its default")
+        source = self["feature.embedding_source"]
+        if source == "pretrained" and not self["feature.pretrained_path"]:
+            raise ConfigError("feature.pretrained_path: needed by the pretrained embedding source")
+        track = self["feature.track"]
+        if track == "w2v-avg" and source == "random":
+            raise ConfigError("feature.embedding_source: w2v-avg needs a real embedding, not random")
         spec = self.model_spec()
         if TRACK_KINDS[track] not in models.FAMILY_INPUT_KINDS[spec.family]:
             raise ConfigError(
                 f"feature track {track!r} ({TRACK_KINDS[track]}) is incompatible "
                 f"with model family {spec.family!r}"
             )
-        self.train_config()  # raises on bad training block
+        self.train_config()
         self.split_spec()
         self.synthetic_spec()
-        for key in ("dataset.sanitize", "feature.remove_stopwords", "feature.embedding_trainable"):
-            self.get_bool(key)
-        for key in (
-            "feature.w2v_dim", "feature.window", "feature.epochs", "feature.negatives",
-            "feature.min_count", "feature.seq_len", "feature.seed",
-            "model.logreg_iters", "model.rf_trees", "model.rf_depth",
-        ):
-            self.get_int(key)
-        self.get_float("model.logreg_lr")
 
     # resolved objects -----------------------------------------------------
     def model_spec(self) -> models.ModelSpec:
-        # every model key is parsed, including those a preset ignores
-        hidden = self._ints("model.hidden", self.get("model.hidden").split(","))
-        blocks = []
-        for chunk in self.get("model.conv_blocks").split(","):
-            if chunk.strip():
-                blocks.append(self._ints("model.conv_blocks", chunk.split(":")))
-                if len(blocks[-1]) != 3:
-                    raise ConfigError("model.conv_blocks entries are filters:width:pool")
-        fc = self.get_int("model.fc") or None
-        dropout = self.get_float("model.dropout")
-        bidirectional = self.get_bool("model.bidirectional")
-        name = self.get("model.preset")
+        name = self["model.preset"]
         if name:
             spec = models.preset(name)
-            if bidirectional and not spec.bidirectional:
+            if self["model.bidirectional"] and not spec.bidirectional:
                 spec = replace(spec, bidirectional=True, name=spec.name + "-bidi")
             return spec
-        family = self.get("model.family")
+        family = self["model.family"]
         if not family:
             raise ConfigError("set model.preset or model.family")
+        blocks = tuple(
+            self._ints("model.conv_blocks", chunk.split(":"))
+            for chunk in self["model.conv_blocks"].split(",") if chunk.strip()
+        )
+        if any(len(block) != 3 for block in blocks):
+            raise ConfigError("model.conv_blocks entries are filters:width:pool")
         return models.ModelSpec(
             family=family,
-            input_kind=TRACK_KINDS[self.get("feature.track")],
-            hidden=hidden,
-            conv_blocks=tuple(blocks),
-            fc=fc,
-            dropout=dropout,
-            bidirectional=bidirectional,
+            input_kind=TRACK_KINDS[self["feature.track"]],
+            hidden=self._ints("model.hidden", self["model.hidden"].split(",")),
+            conv_blocks=blocks,
+            fc=self["model.fc"] or None,
+            dropout=self["model.dropout"],
+            bidirectional=self["model.bidirectional"],
             name=family,
         )
 
     def train_config(self) -> models.TrainConfig:
-        lr = self.get("train.learning_rate")
-        return models.TrainConfig(
-            max_epochs=self.get_int("train.max_epochs"),
-            patience=self.get_int("train.patience"),
-            batch_size=self.get_int("train.batch_size"),
-            optimizer=self.get("train.optimizer"),
-            learning_rate=self.get_float("train.learning_rate") if lr else None,
-            threshold=self.get_float("train.threshold"),
-            seed=self.get_int("train.seed"),
-        )
+        # an empty learning rate leaves the optimizer's default
+        lr = self["train.learning_rate"]
+        try:
+            lr = float(lr) if lr else None
+        except ValueError:
+            raise ConfigError(f"train.learning_rate: expected a number, got {lr!r}") from None
+        return models.TrainConfig(**{**self.section("train."), "learning_rate": lr})
 
     def synthetic_spec(self) -> corpus.SyntheticSpec:
-        return corpus.SyntheticSpec(
-            n_labels=self.get_int("dataset.synthetic.n_labels"),
-            n_notes=self.get_int("dataset.synthetic.n_notes"),
-            keywords_per_label=self.get_int("dataset.synthetic.keywords_per_label"),
-            filler_vocab_size=self.get_int("dataset.synthetic.filler_vocab"),
-            note_length_mean=self.get_int("dataset.synthetic.note_length"),
-            note_length_jitter=self.get_int("dataset.synthetic.jitter"),
-            label_rate=self.get_float("dataset.synthetic.label_rate"),
-            noise_code_rate=self.get_float("dataset.synthetic.noise_code_rate"),
-            extra_note_rate=self.get_float("dataset.synthetic.extra_note_rate"),
-            order_sensitive=self.get_bool("dataset.synthetic.order_sensitive"),
-            seed=self.get_int("dataset.synthetic.seed"),
-        )
+        return corpus.SyntheticSpec(**self.section("dataset.synthetic."))
 
     def split_spec(self) -> corpus.SplitSpec:
         return corpus.SplitSpec(
-            train_frac=self.get_float("dataset.train_frac"),
-            val_frac=self.get_float("dataset.val_frac"),
-            test_frac=self.get_float("dataset.test_frac"),
-            seed=self.get_int("dataset.split_seed"),
+            train_frac=self["dataset.train_frac"],
+            val_frac=self["dataset.val_frac"],
+            test_frac=self["dataset.test_frac"],
+            seed=self["dataset.split_seed"],
         )
 
     # canonicalization and hashing ------------------------------------------
@@ -381,9 +381,9 @@ class Workspace:
 
 def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
     """Materialize NOTEEVENTS/DIAGNOSES CSVs (generating when synthetic)."""
-    if cfg.get("dataset.source") == "csv":
-        notes = Path(cfg.get("dataset.notes"))
-        diags = Path(cfg.get("dataset.diagnoses"))
+    if cfg["dataset.source"] == "csv":
+        notes = Path(cfg["dataset.notes"])
+        diags = Path(cfg["dataset.diagnoses"])
         for p in (notes, diags):
             if not p.exists():
                 raise PipelineError(f"stage corpus: missing input {p}")
@@ -406,9 +406,9 @@ def stage_dataset(
     diagnoses, _ = corpus.load_diagnoses(diags_path)
     summaries = corpus.filter_discharge_summaries(notes)
     catalog = corpus.select_top_labels(
-        diagnoses, k=cfg.get_int("dataset.k"), mode=cfg.get("dataset.mode")
+        diagnoses, k=cfg["dataset.k"], mode=cfg["dataset.mode"]
     )
-    if cfg.get_bool("dataset.sanitize"):
+    if cfg["dataset.sanitize"]:
         sanitizer = corpus.NoteSanitizer(catalog)
         summaries = [
             corpus.Note(n.row_id, n.subject_id, n.hadm_id, n.category, sanitizer(n.text))
@@ -422,7 +422,7 @@ def stage_dataset(
 
 
 def _tokenized_splits(cfg: ExperimentConfig, splits) -> list[list[list[str]]]:
-    stop = textproc.load_default_stopwords() if cfg.get_bool("feature.remove_stopwords") else None
+    stop = textproc.load_default_stopwords() if cfg["feature.remove_stopwords"] else None
     out = []
     for split in splits:
         docs = []
@@ -438,30 +438,27 @@ def _tokenized_splits(cfg: ExperimentConfig, splits) -> list[list[list[str]]]:
 def _resolve_embedding(
     cfg: ExperimentConfig, train_docs
 ) -> tuple[textproc.Vocabulary, features.EmbeddingMatrix | None]:
-    source = cfg.get("feature.embedding_source")
+    source = cfg["feature.embedding_source"]
     if source == "self":
         result = features.train_word2vec_cbow(
             train_docs,
-            dim=cfg.get_int("feature.w2v_dim"),
-            window=cfg.get_int("feature.window"),
-            negatives=cfg.get_int("feature.negatives"),
-            epochs=cfg.get_int("feature.epochs"),
-            min_count=cfg.get_int("feature.min_count"),
-            seed=cfg.get_int("feature.seed"),
+            dim=cfg["feature.w2v_dim"],
+            window=cfg["feature.window"],
+            negatives=cfg["feature.negatives"],
+            epochs=cfg["feature.epochs"],
+            min_count=cfg["feature.min_count"],
+            seed=cfg["feature.seed"],
         )
         return result.vocabulary, features.EmbeddingMatrix(result.vocabulary, result.vectors)
-    vocab = textproc.build_vocabulary(train_docs, min_doc_freq=cfg.get_int("feature.min_count"))
+    vocab = textproc.build_vocabulary(train_docs, min_doc_freq=cfg["feature.min_count"])
     if source == "pretrained":
-        path = cfg.get("feature.pretrained_path")
-        if not path:
-            raise ConfigError("pretrained embedding source needs feature.pretrained_path")
-        tokens, vectors = features.load_word2vec_text(path)
+        tokens, vectors = features.load_word2vec_text(cfg["feature.pretrained_path"])
         return vocab, features.align_embeddings(vocab, tokens, vectors)
     return vocab, None  # random: model stage draws its own matrix
 
 
 def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> features.FeatureSet:
-    track = cfg.get("feature.track")
+    track = cfg["feature.track"]
     h = cfg.stage_hash("features")
     if ws.stage_cached("features", h):
         return features.load_feature_set(ws.stage_dir("features", h), TRACK_KINDS[track])
@@ -482,8 +479,6 @@ def _build_features(cfg: ExperimentConfig, track: str, docs) -> features.Feature
 
     vocab, emb = _resolve_embedding(cfg, train_docs)
     if track == "w2v-avg":
-        if emb is None:
-            raise ConfigError("w2v-avg track needs a real embedding (self or pretrained)")
         mats = []
         for split in docs:
             rows = []
@@ -493,7 +488,7 @@ def _build_features(cfg: ExperimentConfig, track: str, docs) -> features.Feature
             mats.append(np.array(rows) if rows else np.zeros((0, emb.dim)))
         return features.FeatureSet("dense", *mats, vocab=vocab, embedding=emb)
 
-    seq_len = cfg.get_int("feature.seq_len")
+    seq_len = cfg["feature.seq_len"]
     seqs = [features.encode_corpus_sequences(split, vocab, seq_len) for split in docs]
     return features.FeatureSet("sequence", *seqs, vocab=vocab, embedding=emb)
 
@@ -510,12 +505,12 @@ def stage_train(
         tc,
         embedding=feats.embedding,
         vocab_size=len(feats.vocab),
-        embed_dim=cfg.get_int("feature.w2v_dim"),
-        logreg_iters=cfg.get_int("model.logreg_iters"),
-        logreg_lr=cfg.get_float("model.logreg_lr"),
-        rf_trees=cfg.get_int("model.rf_trees"),
-        rf_depth=cfg.get_int("model.rf_depth"),
-        train_embedding=cfg.get_bool("feature.embedding_trainable"),
+        embed_dim=cfg["feature.w2v_dim"],
+        logreg_iters=cfg["model.logreg_iters"],
+        logreg_lr=cfg["model.logreg_lr"],
+        rf_trees=cfg["model.rf_trees"],
+        rf_depth=cfg["model.rf_depth"],
+        train_embedding=cfg["feature.embedding_trainable"],
     )
 
 
@@ -599,9 +594,9 @@ def run_pipeline(
 
 def _save_model(model: models.TrainedModel, ckpt_dir: Path, cfg: ExperimentConfig) -> None:
     manifest = {
-        "preset": cfg.get("model.preset") or cfg.get("model.family"),
+        "preset": cfg["model.preset"] or cfg["model.family"],
         "family": model.spec.family,
-        "seed": cfg.get("train.seed"),
+        "seed": cfg.values["train.seed"],
         "stopped_epoch": model.stopped_epoch,
         "best_epoch": model.best_epoch,
     }
@@ -637,9 +632,9 @@ def _write_reports(
             metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.npz")
         reports[tag] = rep
     if with_curves:
-        name = cfg.get("model.preset") or cfg.get("model.family")
+        name = cfg["model.preset"] or cfg["model.family"]
         with open(run_dir / "summary.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"model: {name}   track: {cfg.get('feature.track')}\n\n")
+            fh.write(f"model: {name}   track: {cfg['feature.track']}\n\n")
             fh.write(f"{'split':<8}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS) + "\n")
             for split in ("train", "test"):
                 fh.write(
@@ -668,7 +663,7 @@ def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, 
         for tag in ("train", "test")
     }
     return _write_reports(
-        run_dir, cfg, outputs, cfg.get_float("train.threshold"), catalog.names, with_curves
+        run_dir, cfg, outputs, cfg["train.threshold"], catalog.names, with_curves
     )
 
 

@@ -19,6 +19,7 @@ from .features import EmbeddingMatrix
 FAMILIES = ("logreg", "rforest", "fnn", "cnn", "rnn_simple", "lstm", "gru")
 NEURAL_FAMILIES = ("fnn", "cnn", "rnn_simple", "lstm", "gru")
 RECURRENT_FAMILIES = ("rnn_simple", "lstm", "gru")
+OPTIMIZERS = ("sgd", "rmsprop")
 
 # feature kind each family can consume
 FAMILY_INPUT_KINDS = {
@@ -61,7 +62,7 @@ class ModelSpec:
             raise ConfigError("bidirectional applies to recurrent families only")
 
 
-_PRESETS: dict[str, ModelSpec] = {
+PRESETS: dict[str, ModelSpec] = {
     # reference architectures at published scale
     "fnn-best": ModelSpec("fnn", "sparse", hidden=(5000, 500, 100), name="fnn-best"),
     "cnn-best": ModelSpec(
@@ -99,10 +100,10 @@ _PRESETS: dict[str, ModelSpec] = {
 
 def preset(name: str) -> ModelSpec:
     try:
-        return _PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
 
 
@@ -121,7 +122,7 @@ class TrainConfig:
             raise ConfigError("max_epochs, patience, batch_size must be >= 1")
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError("threshold must lie strictly between 0 and 1")
-        if self.optimizer not in ("sgd", "rmsprop"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 

@@ -68,8 +68,8 @@ def test_unknown_keys_rejected_with_name():
 
 def test_defaults_fill_unspecified_keys():
     cfg = make_cfg()
-    assert cfg.get("train.optimizer") == "rmsprop"
-    assert cfg.get_int("train.max_epochs") == 200
+    assert cfg["train.optimizer"] == "rmsprop"
+    assert cfg["train.max_epochs"] == 200
 
 
 def test_typed_accessor_errors_name_the_key():
@@ -91,12 +91,42 @@ def _typed(value):
     ("model.hidden", "8,x"),
     ("model.conv_blocks", "8:a:2"),
     ("feature.seq_len", "15OO"),
-] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)])
+] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)]
+  + [(key, "x") for key in harness.CHOICES])
 def test_malformed_value_is_config_error_naming_its_key(key, value):
-    # every numeric or boolean key is parsed when the config is built, not
-    # when its stage first reads it
+    # every key is parsed when the config is built, not when its stage
+    # first reads it; no preset, so the architecture keys reach their parser
     with pytest.raises(ConfigError, match=re.escape(key)):
-        make_cfg(**{key: value})
+        make_cfg(**{"model.preset": "", "model.family": "gru", "feature.track": "wordseq",
+                    key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.family", "cnn"),
+    ("model.hidden", "999"),
+    ("model.conv_blocks", "8:3:2"),
+    ("model.fc", "16"),
+    ("model.dropout", "0.5"),
+])
+def test_preset_rejects_the_architecture_keys_it_would_ignore(key, value):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        make_cfg(**{"model.preset": "gru-desk", "feature.track": "wordseq", key: value})
+
+
+def test_preset_takes_bidirectional_and_default_architecture_values():
+    cfg = make_cfg(**{"model.preset": "gru-desk", "feature.track": "wordseq",
+                      "model.bidirectional": "true", "model.fc": "0", "model.dropout": "0"})
+    assert cfg.model_spec().name == "gru-desk-bidi"
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"feature.embedding_source": "pretrained"}, "feature.pretrained_path"),
+    ({"feature.track": "w2v-avg", "feature.embedding_source": "random"},
+     "feature.embedding_source"),
+], ids=["pretrained-without-path", "w2v-avg-random"])
+def test_embedding_conflicts_rejected_when_the_config_is_built(overrides, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        make_cfg(**overrides)
 
 
 def test_csv_source_requires_paths():
@@ -151,6 +181,27 @@ def test_stage_hashes_are_stable_across_key_order():
     b = ExperimentConfig(raw)
     for stage in ("corpus", "dataset", "features", "run"):
         assert a.stage_hash(stage) == b.stage_hash(stage)
+
+
+def test_stage_hashes_match_pinned_digests():
+    # digests of this config taken before the config parser was rewritten:
+    # a change to canonical_text or to a stage's prefixes would silently
+    # orphan every cached workspace
+    cfg = ExperimentConfig({
+        "dataset.k": "4", "dataset.synthetic.n_labels": "4", "dataset.synthetic.n_notes": "80",
+        "dataset.synthetic.seed": "1", "dataset.sanitize": "yes",
+        "feature.track": "wordseq", "feature.seq_len": "20", "feature.w2v_dim": "8",
+        "model.family": "gru", "model.hidden": "4",
+        "train.max_epochs": "1", "train.learning_rate": "5e-3",
+    })
+    stages = ("corpus", "dataset", "features", "run")
+    assert {stage: cfg.stage_hash(stage) for stage in stages} == {
+        "corpus": "6c68c9ecb7de5a023cc72b821b4697ad46fcca4605c5d29c1533252c33a1ac0f",
+        "dataset": "18187467d2553b63e97fcdfd2f9098d6ebfa15944985f0d01ce9d1f22ccb83e6",
+        "features": "0f1b01d73edbe9333c76f7ef7f59c93862b429f91ffeb52598512c224f314a91",
+        "run": "7974a0ede72b09247632869612f72520c5700bfe857ec09738bdef82201974c3",
+    }
+    assert cfg.train_config() == models.TrainConfig(max_epochs=1, learning_rate=5e-3)
 
 
 def test_model_keys_do_not_disturb_feature_hash():
@@ -326,7 +377,7 @@ def test_warm_feature_set_equals_cold(tmp_path, overrides):
     cold = harness.stage_features(cfg, ws, splits)
     warm = harness.stage_features(cfg, ws, splits)
     assert ws.cache_hits[-1] == "features:" + cfg.stage_hash("features")[:12]
-    assert warm.kind == cold.kind == harness.TRACK_KINDS[cfg.get("feature.track")]
+    assert warm.kind == cold.kind == harness.TRACK_KINDS[cfg["feature.track"]]
     for name in ("train", "val", "test"):
         assert _same_split(getattr(warm, name), getattr(cold, name)), name
     assert warm.vocab.token_to_index == cold.vocab.token_to_index
@@ -602,10 +653,10 @@ def test_cli_seed_flag_overrides_every_seed_key(tmp_path):
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SYNTH.items()))
     args = types.SimpleNamespace(config=str(cfg_path), seed=123)
     cfg = cli._load_cfg(args)
-    assert cfg.get_int("train.seed") == 123
-    assert cfg.get_int("feature.seed") == 123
-    assert cfg.get_int("dataset.split_seed") == 123
-    assert cfg.get_int("dataset.synthetic.seed") == 123
+    seeds = {key: value for key, value in cfg.section("").items() if "seed" in key}
+    assert set(seeds) >= {"dataset.split_seed", "dataset.synthetic.seed", "feature.seed",
+                          "train.seed"}
+    assert set(seeds.values()) == {123}
 
 
 def test_cli_oracle_subcommand(capsys):
