@@ -112,15 +112,6 @@ TFIDF_FILTERED = TfidfConfig(
 TFIDF_CONFIGS = {c.name: c for c in (TFIDF_LARGE, TFIDF_FILTERED)}
 
 
-def select_tfidf_config(name: str) -> TfidfConfig:
-    try:
-        return TFIDF_CONFIGS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown tfidf config {name!r}; choose from {sorted(TFIDF_CONFIGS)}"
-        ) from None
-
-
 def build_tfidf_table(
     train_docs: Sequence[Sequence[str]], config: TfidfConfig
 ) -> IdfTable:

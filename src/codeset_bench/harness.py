@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import corpus, features, metrics, models, textproc
 from . import neuralcore as nc
@@ -246,7 +245,6 @@ class ExperimentConfig:
             raise ConfigError("model.conv_blocks entries are filters:width:pool")
         return models.ModelSpec(
             family=family,
-            input_kind=TRACK_KINDS[self["feature.track"]],
             hidden=self._ints("model.hidden", self["model.hidden"].split(",")),
             conv_blocks=blocks,
             fc=self["model.fc"] or None,
@@ -399,6 +397,14 @@ def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
 def stage_dataset(
     cfg: ExperimentConfig, ws: Workspace, notes_path: Path, diags_path: Path
 ) -> tuple[corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabelCatalog]:
+    # checked here, not at config build: a stored run's config.txt must
+    # still parse for rewrite_reports
+    n_labels = cfg["dataset.synthetic.n_labels"]
+    if cfg["dataset.source"] == "synthetic" and cfg["dataset.k"] > n_labels:
+        raise ConfigError(
+            f"dataset.k: {cfg['dataset.k']} exceeds the {n_labels} labels of the synthetic "
+            "corpus (dataset.synthetic.n_labels); the rest would be noise codes"
+        )
     h = cfg.stage_hash("dataset")
     if ws.stage_cached("dataset", h):
         return corpus.load_dataset(ws.stage_dir("dataset", h))
@@ -473,7 +479,7 @@ def _build_features(cfg: ExperimentConfig, track: str, docs) -> features.Feature
     the vocabulary and any embedding are fitted on the training split."""
     train_docs = docs[0]
     if TRACK_KINDS[track] == "sparse":
-        table = features.build_tfidf_table(train_docs, features.select_tfidf_config(track))
+        table = features.build_tfidf_table(train_docs, features.TFIDF_CONFIGS[track])
         mats = [features.tfidf_vectorize(split, table) for split in docs]
         return features.FeatureSet("sparse", *mats, vocab=table.vocabulary)
 
@@ -512,16 +518,6 @@ def stage_train(
         rf_depth=cfg["model.rf_depth"],
         train_embedding=cfg["feature.embedding_trainable"],
     )
-
-
-def report_from_probs(
-    probs: np.ndarray, truth: np.ndarray, threshold: float, label_names: list[str]
-) -> tuple[metrics.MetricsReport, list[metrics.PRCurve]]:
-    predicted = (np.asarray(probs) >= threshold).astype(np.uint8)
-    run = metrics.PredictionRun(
-        probs=probs, predicted=predicted, truth=np.asarray(truth), label_names=label_names
-    )
-    return metrics.report(run)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +561,7 @@ def run_pipeline(
     for tag, (probs, truth) in outputs.items():
         features.save_dense(probs, run_dir / f"probs_{tag}.dense")
         features.save_dense(truth.astype(np.float64), run_dir / f"truth_{tag}.dense")
-    reports = _write_reports(run_dir, cfg, outputs, model.threshold, catalog.names)
+    reports = _write_reports(run_dir, cfg, outputs, catalog.names)
     _save_model(model, run_dir / "checkpoint", cfg)
 
     record = RunRecord(
@@ -617,16 +613,18 @@ def _write_reports(
     run_dir: Path,
     cfg: ExperimentConfig,
     outputs: dict[str, tuple[np.ndarray, np.ndarray]],
-    threshold: float,
     label_names: list[str],
     with_curves: bool = True,
 ) -> dict[str, metrics.MetricsReport]:
-    """Write ``metrics_<tag>.json`` for each ``tag -> (probs, truth)``
-    and, ``with_curves``, its ``pr_<tag>.npz`` and the train/test
-    ``summary.txt``."""
+    """Write ``metrics_<tag>.json`` for each ``tag -> (probs, truth)``,
+    deciding at ``train.threshold`` (inclusive), and, ``with_curves``,
+    its ``pr_<tag>.npz`` and the train/test ``summary.txt``."""
     reports = {}
     for tag, (probs, truth) in outputs.items():
-        rep, curves = report_from_probs(probs, truth, threshold, label_names)
+        predicted = (probs >= cfg["train.threshold"]).astype(np.uint8)
+        rep, curves = metrics.report(metrics.PredictionRun(
+            probs=probs, predicted=predicted, truth=truth, label_names=label_names
+        ))
         (run_dir / f"metrics_{tag}.json").write_text(rep.to_json(), encoding="utf-8")
         if with_curves:
             metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.npz")
@@ -662,9 +660,7 @@ def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, 
         )
         for tag in ("train", "test")
     }
-    return _write_reports(
-        run_dir, cfg, outputs, cfg["train.threshold"], catalog.names, with_curves
-    )
+    return _write_reports(run_dir, cfg, outputs, catalog.names, with_curves)
 
 
 # ---------------------------------------------------------------------------

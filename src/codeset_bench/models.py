@@ -7,7 +7,7 @@ training, and patience-based early stopping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +21,7 @@ NEURAL_FAMILIES = ("fnn", "cnn", "rnn_simple", "lstm", "gru")
 RECURRENT_FAMILIES = ("rnn_simple", "lstm", "gru")
 OPTIMIZERS = ("sgd", "rmsprop")
 
-# feature kind each family can consume
+# feature kinds each family can consume; the feature track decides the kind
 FAMILY_INPUT_KINDS = {
     "logreg": ("sparse", "dense"),
     "rforest": ("dense", "sparse"),
@@ -35,7 +35,8 @@ FAMILY_INPUT_KINDS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture plan for one model.
+    """Architecture plan for one model. The feature track, not the spec,
+    decides the kind of features it reads (``FAMILY_INPUT_KINDS``).
 
     hidden: dense widths (fnn) or recurrent unit counts (rnn/lstm/gru).
     conv_blocks: (filters, width, pool) triples applied in order (cnn).
@@ -43,7 +44,6 @@ class ModelSpec:
     """
 
     family: str
-    input_kind: str
     hidden: tuple[int, ...] = ()
     conv_blocks: tuple[tuple[int, int, int], ...] = ()
     fc: int | None = None
@@ -54,47 +54,27 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}")
-        if self.input_kind not in FAMILY_INPUT_KINDS[self.family]:
-            raise ConfigError(
-                f"family {self.family!r} cannot consume {self.input_kind!r} features"
-            )
         if self.bidirectional and self.family not in RECURRENT_FAMILIES:
             raise ConfigError("bidirectional applies to recurrent families only")
 
 
 PRESETS: dict[str, ModelSpec] = {
     # reference architectures at published scale
-    "fnn-best": ModelSpec("fnn", "sparse", hidden=(5000, 500, 100), name="fnn-best"),
+    "fnn-best": ModelSpec("fnn", hidden=(5000, 500, 100), name="fnn-best"),
     "cnn-best": ModelSpec(
-        "cnn",
-        "sequence",
-        conv_blocks=((128, 5, 5), (128, 5, 5), (128, 5, 35)),
-        fc=128,
-        name="cnn-best",
+        "cnn", conv_blocks=((128, 5, 5), (128, 5, 5), (128, 5, 35)), fc=128, name="cnn-best"
     ),
-    "lstm-best": ModelSpec(
-        "lstm", "sequence", hidden=(256, 64), dropout=0.5, name="lstm-best"
-    ),
-    "gru-best": ModelSpec(
-        "gru", "sequence", hidden=(256, 64), dropout=0.5, name="gru-best"
-    ),
-    "rnn-best": ModelSpec(
-        "rnn_simple", "sequence", hidden=(256, 64), dropout=0.5, name="rnn-best"
-    ),
+    "lstm-best": ModelSpec("lstm", hidden=(256, 64), dropout=0.5, name="lstm-best"),
+    "gru-best": ModelSpec("gru", hidden=(256, 64), dropout=0.5, name="gru-best"),
+    "rnn-best": ModelSpec("rnn_simple", hidden=(256, 64), dropout=0.5, name="rnn-best"),
     # shrunk desk-scale counterparts (same shapes, small widths)
-    "fnn-desk": ModelSpec("fnn", "sparse", hidden=(512, 128, 64), name="fnn-desk"),
-    "cnn-desk": ModelSpec(
-        "cnn",
-        "sequence",
-        conv_blocks=((32, 5, 5), (32, 5, 5)),
-        fc=32,
-        name="cnn-desk",
-    ),
-    "lstm-desk": ModelSpec("lstm", "sequence", hidden=(32, 16), name="lstm-desk"),
-    "gru-desk": ModelSpec("gru", "sequence", hidden=(32, 16), name="gru-desk"),
-    "rnn-desk": ModelSpec("rnn_simple", "sequence", hidden=(32, 16), name="rnn-desk"),
-    "logreg": ModelSpec("logreg", "sparse", name="logreg"),
-    "rforest": ModelSpec("rforest", "dense", name="rforest"),
+    "fnn-desk": ModelSpec("fnn", hidden=(512, 128, 64), name="fnn-desk"),
+    "cnn-desk": ModelSpec("cnn", conv_blocks=((32, 5, 5), (32, 5, 5)), fc=32, name="cnn-desk"),
+    "lstm-desk": ModelSpec("lstm", hidden=(32, 16), name="lstm-desk"),
+    "gru-desk": ModelSpec("gru", hidden=(32, 16), name="gru-desk"),
+    "rnn-desk": ModelSpec("rnn_simple", hidden=(32, 16), name="rnn-desk"),
+    "logreg": ModelSpec("logreg", name="logreg"),
+    "rforest": ModelSpec("rforest", name="rforest"),
 }
 
 
@@ -134,20 +114,16 @@ RNN_REGIME = TrainConfig(max_epochs=200, patience=5)
 @dataclass
 class TrainedModel:
     """A fitted model: a network (neural families) or named arrays
-    (``W``/``b`` for logistic regression, flat node arrays for forests)."""
+    (``W``/``b`` for logistic regression, flat node arrays for forests).
+    It holds no decision threshold: ``train.threshold`` in the config is
+    the one the pipeline scores with."""
 
     spec: ModelSpec
-    threshold: float
     network: nc.Sequential | None = None
     submodels: dict[str, np.ndarray] | None = None
     history: list[tuple[float, float]] = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int = 0
-    degenerate_labels: list[int] = field(default_factory=list)
-
-
-def _degenerate_columns(labels: np.ndarray) -> list[int]:
-    return [int(j) for j in np.nonzero(labels.min(axis=0) == labels.max(axis=0))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +140,9 @@ def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float =
     sits in the clipped region contribute nothing, which also bounds
     weight growth on separable data. Columns never mix, so each is the
     binary problem for its label. Deterministic: zero initialization and
-    full-batch descent leave no randomness. Degenerate (single-class)
-    columns still train but are flagged.
+    full-batch descent leave no randomness. Single-class columns train
+    like any other. Takes sparse or dense features; the spec is always
+    ``PRESETS["logreg"]``.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
@@ -187,14 +164,7 @@ def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float =
         b -= lr * g.sum(axis=0)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
         raise NumericError("logistic regression diverged")
-    spec = ModelSpec("logreg", "sparse" if sp.issparse(x) else "dense", name="logreg")
-    return TrainedModel(
-        spec=spec,
-        threshold=0.5,
-        submodels={"W": w, "b": b},
-        stopped_epoch=iters,
-        degenerate_labels=_degenerate_columns(labels),
-    )
+    return TrainedModel(spec=PRESETS["logreg"], submodels={"W": w, "b": b}, stopped_epoch=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +292,7 @@ def train_random_forest_ovr(
         "value": np.array(value, dtype=np.float64),
         "roots": roots,
     }
-    spec = ModelSpec("rforest", "dense", name="rforest")
-    return TrainedModel(
-        spec=spec,
-        threshold=0.5,
-        submodels=arrays,
-        stopped_epoch=n_trees,
-        degenerate_labels=_degenerate_columns(labels),
-    )
+    return TrainedModel(spec=PRESETS["rforest"], submodels=arrays, stopped_epoch=n_trees)
 
 
 def _forest_proba(arrays: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -391,9 +354,7 @@ def build_network(
             if spec.dropout > 0:
                 layers.append(nc.Dropout(spec.dropout, rng))
             prev = width
-        layers.append(nc.Dense(prev, k, rng, name="out"))
-        layers.append(nc.Sigmoid())
-        return _float32(nc.Sequential(layers))
+        return _with_head(layers, prev, k, rng)
 
     # sequence families share the embedding front end
     if embedding is not None:
@@ -430,9 +391,7 @@ def build_network(
             layers.append(nc.Dense(flat, spec.fc, rng, name="fc"))
             layers.append(nc.ReLU())
             flat = spec.fc
-        layers.append(nc.Dense(flat, k, rng, name="out"))
-        layers.append(nc.Sigmoid())
-        return _float32(nc.Sequential(layers))
+        return _with_head(layers, flat, k, rng)
 
     # recurrent families
     if not spec.hidden:
@@ -451,12 +410,14 @@ def build_network(
             prev = units
         if spec.dropout > 0:
             layers.append(nc.Dropout(spec.dropout, rng))
-    layers.append(nc.Dense(prev, k, rng, name="out"))
-    layers.append(nc.Sigmoid())
-    return _float32(nc.Sequential(layers))
+    return _with_head(layers, prev, k, rng)
 
 
-def _float32(net: nc.Sequential) -> nc.Sequential:
+def _with_head(layers: list, width: int, k: int, rng) -> nc.Sequential:
+    """``layers`` followed by the ``out`` Dense to k labels and a Sigmoid,
+    as a Sequential with every parameter cast to float32. ``out`` is the
+    last draw from ``rng``."""
+    net = nc.Sequential([*layers, nc.Dense(width, k, rng, name="out"), nc.Sigmoid()])
     for p in net.params():
         p.value = p.value.astype(np.float32)
         p.grad = np.zeros_like(p.value)
@@ -518,16 +479,22 @@ def _batch_rows(x, idx):
     return rows
 
 
-def _forward_loss(net, x, y) -> float:
-    """Eval-mode BCE over a dataset, streamed in chunks."""
-    total = 0.0
+def _eval_forward(net, x):
+    """Eval-mode outputs over a dataset in chunks of EVAL_BATCH rows:
+    yields (row indices, outputs) in row order."""
     n = x.shape[0]
     for lo in range(0, n, EVAL_BATCH):
         idx = np.arange(lo, min(lo + EVAL_BATCH, n))
-        out = net.forward(_batch_rows(x, idx), train=False)
+        yield idx, net.forward(_batch_rows(x, idx), train=False)
+
+
+def _forward_loss(net, x, y) -> float:
+    """Eval-mode BCE over a dataset, summed chunk by chunk."""
+    total = 0.0
+    for idx, out in _eval_forward(net, x):
         loss, _ = nc.bce_loss(out, y[idx])
         total += loss * len(idx)
-    return total / n
+    return total / x.shape[0]
 
 
 def fit_network(
@@ -594,24 +561,18 @@ def fit(
     x_train, y_train = train
     x_val, y_val = val
     y_train = np.asarray(y_train)
-    k = y_train.shape[1]
+    if spec.family == "logreg":
+        return train_logreg_ovr(x_train, y_train, iters=logreg_iters, lr=logreg_lr)
+    if spec.family == "rforest":
+        return train_random_forest_ovr(
+            x_train, y_train, n_trees=rf_trees, max_depth=rf_depth, seed=cfg.seed
+        )
 
-    if spec.family in ("logreg", "rforest"):
-        if spec.family == "logreg":
-            model = train_logreg_ovr(x_train, y_train, iters=logreg_iters, lr=logreg_lr)
-        else:
-            model = train_random_forest_ovr(
-                x_train, y_train, n_trees=rf_trees, max_depth=rf_depth, seed=cfg.seed
-            )
-        model.spec = replace(spec, input_kind=model.spec.input_kind)
-        model.threshold = cfg.threshold
-        return model
-
-    seq_len = x_train.shape[1] if spec.input_kind == "sequence" else None
+    seq_len = x_train.shape[1] if spec.family == "cnn" else None
     input_dim = x_train.shape[1] if spec.family == "fnn" else None
     net = build_network(
         spec,
-        k=k,
+        k=y_train.shape[1],
         input_dim=input_dim,
         embedding=embedding,
         vocab_size=vocab_size,
@@ -622,12 +583,7 @@ def fit(
     )
     history, stopped, best = fit_network(net, x_train, y_train, x_val, y_val, cfg)
     return TrainedModel(
-        spec=spec,
-        threshold=cfg.threshold,
-        network=net,
-        history=history,
-        stopped_epoch=stopped,
-        best_epoch=best,
+        spec=spec, network=net, history=history, stopped_epoch=stopped, best_epoch=best
     )
 
 
@@ -644,18 +600,11 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
     if model.spec.family == "rforest":
         return _forest_proba(model.submodels, _dense_float64(features))
 
-    net = model.network
-    n = features.shape[0]
-    out = []
-    for lo in range(0, n, EVAL_BATCH):
-        idx = np.arange(lo, min(lo + EVAL_BATCH, n))
-        out.append(net.forward(_batch_rows(features, idx), train=False))
-    return np.vstack(out, dtype=np.float64)
+    return np.vstack([out for _, out in _eval_forward(model.network, features)], dtype=np.float64)
 
 
-def predict(model: TrainedModel, features, threshold: float | None = None) -> np.ndarray:
+def predict(model: TrainedModel, features, threshold: float = 0.5) -> np.ndarray:
     """Multi-hot decisions: bit set iff probability >= threshold."""
-    thr = model.threshold if threshold is None else threshold
-    if not (0.0 < thr < 1.0):
+    if not (0.0 < threshold < 1.0):
         raise ConfigError("threshold must lie strictly between 0 and 1")
-    return (predict_proba(model, features) >= thr).astype(np.uint8)
+    return (predict_proba(model, features) >= threshold).astype(np.uint8)

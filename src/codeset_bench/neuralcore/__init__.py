@@ -26,7 +26,6 @@ from .layers import (
     Dropout,
     Embedding,
     Flatten,
-    MaxOverTime,
     MaxPool1d,
     ReLU,
     Sigmoid,
@@ -54,7 +53,6 @@ __all__ = [
     "GRU",
     "LSTM",
     "Layer",
-    "MaxOverTime",
     "MaxPool1d",
     "Parameter",
     "ReLU",

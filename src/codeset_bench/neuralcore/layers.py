@@ -161,20 +161,6 @@ class MaxPool1d(Layer):
         return dx.reshape(len(dx), -1, dx.shape[3])[:, : self._length]
 
 
-class MaxOverTime(Layer):
-    """Max across all time positions: [B, m, f] -> [B, f]. Backward routes
-    the gradient to the first position attaining the max."""
-
-    def forward(self, x, train: bool = False):
-        self._x = _as_batch(x)
-        return self._x.max(axis=1)
-
-    def backward(self, grad):
-        dx = np.zeros_like(self._x)
-        np.put_along_axis(dx, self._x.argmax(axis=1)[:, None], grad[:, None], axis=1)
-        return dx
-
-
 class Flatten(Layer):
     def forward(self, x, train: bool = False):
         self._shape = x.shape

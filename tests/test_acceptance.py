@@ -86,7 +86,7 @@ def test_metrics_match_bruteforce_oracles_on_1000_random_runs():
 
 def test_gradient_checks_pass_for_every_layer_family():
     """Analytic gradients match central finite differences for dense,
-    conv1d, both pooling modes, the sigmoid+BCE head, a conv stack, and
+    conv1d, max pooling, the sigmoid+BCE head, a conv stack, and
     full BPTT through simple RNN / LSTM / GRU on length-6 sequences:
     relative error < 1e-5 feedforward, < 1e-4 recurrent, under 2 minutes."""
     t0 = time.time()
@@ -94,7 +94,7 @@ def test_gradient_checks_pass_for_every_layer_family():
     elapsed = time.time() - t0
 
     names = {name for name, _, _ in results}
-    for required in ("dense", "conv1d", "max_pool1d", "max_over_time",
+    for required in ("dense", "conv1d", "max_pool1d",
                      "dense+sigmoid+bce", "rnn_simple(bptt-6)", "lstm(bptt-6)",
                      "gru(bptt-6)"):
         assert required in names, f"missing gradient check for {required}"
@@ -205,14 +205,14 @@ def test_each_network_memorizes_separable_synthetic_corpus(tmp_path):
 
     for preset_name, epochs, lr in budgets:
         spec_m = models.preset(preset_name)
-        x = x_sparse if spec_m.input_kind == "sparse" else x_seq
+        x = x_sparse if spec_m.family == "fnn" else x_seq
         cfg = models.TrainConfig(
             max_epochs=epochs, patience=epochs, batch_size=32,
             optimizer="rmsprop", learning_rate=lr, seed=0,
         )
         t0 = time.time()
         kwargs = {}
-        if spec_m.input_kind == "sequence":
+        if spec_m.family != "fnn":
             kwargs = {"vocab_size": len(vocab.index_to_token), "embed_dim": 32}
         model = models.fit(spec_m, (x, y), (x, y), cfg, **kwargs)
         elapsed = time.time() - t0

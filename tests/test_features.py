@@ -8,9 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeset_bench.errors import ConfigError, DatasetError, FormatError
+from codeset_bench.errors import DatasetError, FormatError
 from codeset_bench.features import (
     CBOW_BLOCK,
+    TFIDF_CONFIGS,
     TFIDF_FILTERED,
     TFIDF_LARGE,
     EmbeddingMatrix,
@@ -30,7 +31,6 @@ from codeset_bench.features import (
     save_sequences,
     save_sparse,
     save_word2vec_text,
-    select_tfidf_config,
     tfidf_vectorize,
     train_word2vec_cbow,
     _cbow_block_update,
@@ -108,10 +108,11 @@ def test_df_band_applies_both_bounds():
 
 
 def test_named_configs_resolve():
-    assert select_tfidf_config("tfidf40k") is TFIDF_LARGE
-    assert select_tfidf_config("tfidf20k") is TFIDF_FILTERED
-    with pytest.raises(ConfigError):
-        select_tfidf_config("tfidf99k")
+    from codeset_bench.harness import TRACK_KINDS
+
+    assert TFIDF_CONFIGS == {"tfidf40k": TFIDF_LARGE, "tfidf20k": TFIDF_FILTERED}
+    # the feature stage looks every sparse track up in this table
+    assert {t for t, kind in TRACK_KINDS.items() if kind == "sparse"} == set(TFIDF_CONFIGS)
 
 
 def test_filtered_config_on_tiny_corpus_selects_nothing():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from codeset_bench import cli, features, harness, models, textproc
+from codeset_bench import cli, features, harness, metrics, models, textproc
 from codeset_bench import neuralcore as nc
 from codeset_bench.errors import ConfigError, FormatError, PipelineError
 pytestmark = pytest.mark.filterwarnings("ignore:dataset.k")
@@ -139,6 +139,8 @@ def test_incompatible_track_and_family_rejected_before_any_work():
         make_cfg(**{"feature.track": "tfidf40k", "model.preset": "lstm-desk"})
     with pytest.raises(ConfigError):
         make_cfg(**{"feature.track": "wordseq", "model.preset": "logreg"})
+    with pytest.raises(ConfigError, match="incompatible"):
+        make_cfg(**{"feature.track": "wordseq", "model.preset": "fnn-desk"})
 
 
 def test_unusual_label_count_warns_but_runs():
@@ -485,7 +487,8 @@ def test_evaluation_never_reads_training_labels(finished_run):
     Poisoned.armed = True
     try:
         probs = models.predict_proba(model, x[30:])
-        rep, _ = harness.report_from_probs(probs, y[30:], model.threshold, ["a", "b"])
+        predicted = (probs >= 0.5).astype(np.uint8)
+        rep, _ = metrics.report(metrics.PredictionRun(probs, predicted, y[30:], ["a", "b"]))
     finally:
         Poisoned.armed = False
     assert 0.0 <= rep.f1 <= 1.0
@@ -633,6 +636,17 @@ def test_cli_runtime_failure_exits_two(tmp_path, capsys):
     bad.write_text("dataset.source = csv\n")  # csv without paths
     assert cli.main(["prepare", "--config", str(bad), "--out-dir", str(tmp_path / "ws")]) == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_cli_prepare_rejects_more_labels_than_the_synthetic_corpus_has(tmp_path, capsys):
+    # the 6 labels past the corpus's 4 would be noise codes
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("dataset.k = 10\ndataset.synthetic.n_labels = 4\n"
+                   "dataset.synthetic.n_notes = 40\nmodel.preset = logreg\n")
+    assert cli.main(["prepare", "--config", str(cfg), "--out-dir", str(tmp_path / "ws")]) == 2
+    captured = capsys.readouterr()
+    assert "dataset.k" in captured.err
+    assert "label\tadmissions" not in captured.out
 
 
 def test_cli_train_and_evaluate_flow(tmp_path, capsys):

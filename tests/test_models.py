@@ -95,15 +95,6 @@ def test_logreg_trains_one_submodel_per_label():
     assert model.submodels["b"].shape == (3,)
 
 
-def test_logreg_flags_single_class_labels_as_degenerate():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((20, 3))
-    y = np.zeros((20, 2), dtype=np.uint8)
-    y[:, 1] = (x[:, 0] > 0)
-    model = train_logreg_ovr(x, y, iters=10)
-    assert model.degenerate_labels == [0]
-
-
 def test_logreg_accepts_sparse_features():
     x, y = separable_problem(40, seed=3)
     dense = train_logreg_ovr(x, y, iters=50)
@@ -459,7 +450,7 @@ def tiny_dense_problem(seed=0, n=160, d=6, k=2):
 
 
 def test_fit_feedforward_learns_and_is_deterministic():
-    spec = ModelSpec(family="fnn", input_kind="dense", hidden=(16,), name="t")
+    spec = ModelSpec(family="fnn", hidden=(16,), name="t")
     train, val = tiny_dense_problem()
     cfg = TrainConfig(max_epochs=60, patience=60, batch_size=16, seed=1,
                       optimizer="sgd", learning_rate=0.5)
@@ -472,7 +463,7 @@ def test_fit_feedforward_learns_and_is_deterministic():
 
 
 def test_fit_restores_best_epoch_weights():
-    spec = ModelSpec(family="fnn", input_kind="dense", hidden=(8,), name="t")
+    spec = ModelSpec(family="fnn", hidden=(8,), name="t")
     train, val = tiny_dense_problem(seed=3)
     cfg = TrainConfig(max_epochs=40, patience=40, batch_size=16, seed=2,
                       optimizer="sgd", learning_rate=0.3)
@@ -487,7 +478,7 @@ def test_fit_restores_best_epoch_weights():
 
 
 def test_fit_neural_batch_of_one_matches_batch_rows():
-    spec = ModelSpec(family="fnn", input_kind="dense", hidden=(8,), name="t")
+    spec = ModelSpec(family="fnn", hidden=(8,), name="t")
     train, val = tiny_dense_problem(seed=5)
     model = fit(spec, train, val, TrainConfig(max_epochs=3, patience=3, seed=0))
     full = predict_proba(model, val[0])
@@ -499,7 +490,7 @@ def test_fit_sequence_model_with_trained_embedding():
     rng = np.random.default_rng(7)
     x = rng.integers(0, 12, size=(40, 9))
     y = (x[:, -1] % 2 == 0).astype(np.uint8).reshape(-1, 1)
-    spec = ModelSpec(family="gru", input_kind="sequence", hidden=(8,), name="t")
+    spec = ModelSpec(family="gru", hidden=(8,), name="t")
     cfg = TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=0)
     model = fit(spec, (x[:30], y[:30]), (x[30:], y[30:]), cfg, vocab_size=12, embed_dim=6)
     probs = predict_proba(model, x[30:])
@@ -514,8 +505,8 @@ def test_cnn_rejects_sequences_shorter_than_its_stack():
 
 
 def test_bidirectional_spec_doubles_recurrent_parameters():
-    base = ModelSpec(family="lstm", input_kind="sequence", hidden=(8,), name="t")
-    bidi = ModelSpec(family="lstm", input_kind="sequence", hidden=(8,), bidirectional=True,
+    base = ModelSpec(family="lstm", hidden=(8,), name="t")
+    bidi = ModelSpec(family="lstm", hidden=(8,), bidirectional=True,
                      name="t-bidi")
     net = build_network(base, k=2, vocab_size=10, seq_len=6, seed=0, embed_dim=4)
     net2 = build_network(bidi, k=2, vocab_size=10, seq_len=6, seed=0, embed_dim=4)
@@ -528,7 +519,7 @@ def test_bidirectional_spec_doubles_recurrent_parameters():
 
 
 def test_count_parameters_matches_manual_sum():
-    spec = ModelSpec(family="fnn", input_kind="dense", hidden=(8,), name="t")
+    spec = ModelSpec(family="fnn", hidden=(8,), name="t")
     net = build_network(spec, k=3, input_dim=5, seed=0)
     manual = 5 * 8 + 8 + 8 * 3 + 3
     assert sum(p.value.size for p in net.params()) == manual
@@ -537,14 +528,14 @@ def test_count_parameters_matches_manual_sum():
 # ----------------------------------------------------------- dtype contract
 
 DTYPE_SPECS = [preset(n) for n in ("fnn-desk", "cnn-desk", "lstm-desk", "gru-desk", "rnn-desk")]
-DTYPE_SPECS.append(ModelSpec(family="gru", input_kind="sequence", hidden=(6, 5),
+DTYPE_SPECS.append(ModelSpec(family="gru", hidden=(6, 5),
                              bidirectional=True, dropout=0.5, name="gru-bidi-drop"))
 
 
 def _tiny_problem(spec, n=6, k=3):
     r = np.random.default_rng(0)
     y = (r.random((n, k)) < 0.5).astype(np.uint8)
-    if spec.input_kind == "sparse":
+    if spec.family == "fnn":
         return sp.csr_matrix(r.random((n, 20)) * (r.random((n, 20)) < 0.5)), y, {}
     # 25 positions leave cnn-desk's second conv block one position
     return r.integers(0, 30, size=(n, 25)), y, {"vocab_size": 29, "embed_dim": 8}
@@ -580,7 +571,7 @@ def test_built_networks_train_in_float32_and_predict_float64(spec, monkeypatch, 
     fresh = build_network(spec, k=y.shape[1], input_dim=x.shape[1], vocab_size=kw.get("vocab_size"),
                           embed_dim=kw.get("embed_dim", 32), seq_len=x.shape[1], seed=1)
     nc.restore_model(fresh, tensors)
-    restored = models.TrainedModel(spec=spec, threshold=0.5, network=fresh)
+    restored = models.TrainedModel(spec=spec, network=fresh)
     assert predict_proba(restored, x).tobytes() == probs.tobytes()
 
 
@@ -631,10 +622,8 @@ def test_predict_invalid_threshold_rejected():
 
 def test_model_spec_validation():
     with pytest.raises(ConfigError):
-        ModelSpec(family="transformer", input_kind="dense")
-    with pytest.raises(ConfigError):
-        ModelSpec(family="fnn", input_kind="sequence")  # fnn takes vectors
+        ModelSpec(family="transformer")
     with pytest.raises(ConfigError):
         # conv stack requirement is enforced when the network is realized
-        build_network(ModelSpec(family="cnn", input_kind="sequence", name="t"),
+        build_network(ModelSpec(family="cnn", name="t"),
                       k=2, vocab_size=10, seq_len=8, seed=0)

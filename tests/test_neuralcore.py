@@ -104,8 +104,8 @@ def test_conv_backward_accumulates_gradients():
 
 
 @pytest.mark.parametrize("layer", [
-    nc.Conv1d(in_channels=2, n_filters=1, width=2, rng=rng()), nc.MaxPool1d(2), nc.MaxOverTime(),
-], ids=["conv", "max-pool", "max-over-time"])
+    nc.Conv1d(in_channels=2, n_filters=1, width=2, rng=rng()), nc.MaxPool1d(2),
+], ids=["conv", "max-pool"])
 def test_conv_and_pooling_reject_unbatched_input(layer):
     for shape in ((4, 2), (1, 1, 4, 2)):
         with pytest.raises(ShapeError, match=r"\[batch, n, k\]"):
@@ -134,12 +134,11 @@ def test_max_pool_tie_routes_gradient_to_first_position():
     assert grad.ravel().tolist() == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("pool", [3, None])  # None: MaxOverTime
+@pytest.mark.parametrize("pool", [3, 10])  # 10: one window over the whole length
 def test_pool_backward_after_eval_forward_routes_to_first_max(pool):
     # small integers make ties common; length 10 leaves MaxPool1d(3) a short tail
     x = rng(4).integers(0, 3, size=(3, 10, 4)).astype(np.float64)
-    layer = nc.MaxOverTime() if pool is None else nc.MaxPool1d(pool)
-    width = pool or x.shape[1]
+    layer = nc.MaxPool1d(pool)
     grads = []
     for train in (False, True):
         grad = rng(5).standard_normal(layer.forward(x, train=train).shape)
@@ -149,15 +148,9 @@ def test_pool_backward_after_eval_forward_routes_to_first_max(pool):
     expected = np.zeros_like(x)
     g = grad.reshape(x.shape[0], -1, x.shape[2])
     for b, w, c in np.ndindex(g.shape):
-        lo = w * width
-        expected[b, lo + int(np.argmax(x[b, lo : lo + width, c])), c] = g[b, w, c]
+        lo = w * pool
+        expected[b, lo + int(np.argmax(x[b, lo : lo + pool, c])), c] = g[b, w, c]
     np.testing.assert_array_equal(grads[1], expected)
-
-
-def test_max_over_time_reduces_full_length():
-    layer = nc.MaxOverTime()
-    out = layer.forward(np.array([[[1.0, 9.0], [3.0, 2.0], [2.0, 5.0]]]))
-    assert out.tolist() == [[3.0, 9.0]]
 
 
 def test_pool_gradients_match_finite_differences():
