@@ -386,6 +386,14 @@ def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
             if not p.exists():
                 raise PipelineError(f"stage corpus: missing input {p}")
         return notes, diags
+    # checked before the first stage writes, not at config build: a stored
+    # run's config.txt must still parse for rewrite_reports
+    n_labels = cfg["dataset.synthetic.n_labels"]
+    if cfg["dataset.k"] > n_labels:
+        raise ConfigError(
+            f"dataset.k: {cfg['dataset.k']} exceeds the {n_labels} labels of the synthetic "
+            "corpus (dataset.synthetic.n_labels); the rest would be noise codes"
+        )
     h = cfg.stage_hash("corpus")
     if not ws.stage_cached("corpus", h):
         with ws.new_stage("corpus", h) as d:
@@ -397,14 +405,6 @@ def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
 def stage_dataset(
     cfg: ExperimentConfig, ws: Workspace, notes_path: Path, diags_path: Path
 ) -> tuple[corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabelCatalog]:
-    # checked here, not at config build: a stored run's config.txt must
-    # still parse for rewrite_reports
-    n_labels = cfg["dataset.synthetic.n_labels"]
-    if cfg["dataset.source"] == "synthetic" and cfg["dataset.k"] > n_labels:
-        raise ConfigError(
-            f"dataset.k: {cfg['dataset.k']} exceeds the {n_labels} labels of the synthetic "
-            "corpus (dataset.synthetic.n_labels); the rest would be noise codes"
-        )
     h = cfg.stage_hash("dataset")
     if ws.stage_cached("dataset", h):
         return corpus.load_dataset(ws.stage_dir("dataset", h))

@@ -1,9 +1,12 @@
 """Brute-force reference implementations of every evaluation metric.
 
-Deliberately naive: explicit Python sets, O(n^2) pairwise AUC, full
-prefix scans for AP. These share no code with the metrics module so that
-agreement between the two is evidence, not tautology. Used by the test
-suite and the `oracle` CLI subcommand.
+Deliberately plain: explicit Python sets, AUC as a count of ordered
+(positive, negative) pairs, AP as a running count of true positives down
+the ranking. Both counts are exact integers (or halves), so they give the
+values a loop over every pair or a re-count of every prefix would. These
+share no code with the metrics module so that agreement between the two
+is evidence, not tautology. Used by the test suite and the `oracle` CLI
+subcommand.
 
 Each oracle converts its inputs to Python lists once, with `.tolist()`,
 and then loops over plain floats and ints. The conversion is exact
@@ -13,6 +16,8 @@ it only avoids boxing a numpy scalar at every element access.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -61,32 +66,36 @@ def oracle_hamming(predicted, truth) -> float:
     return wrong / (n * q)
 
 
-def oracle_label_auc(scores, truth) -> float | None:
-    """Pairwise comparison count: each (positive, negative) pair scores
-    1 when the positive outranks the negative, 0.5 on a tie."""
-    s = np.asarray(scores, dtype=float).tolist()
-    t = np.asarray(truth).astype(bool).tolist()
+def _count_auc(s: list[float], t: list) -> float | None:
     pos = [v for v, y in zip(s, t) if y]
-    neg = [v for v, y in zip(s, t) if not y]
+    neg = sorted(v for v, y in zip(s, t) if not y)
     if not pos or not neg:
         return None
     total = 0.0
     for a in pos:
-        for b in neg:
-            if a > b:
-                total += 1.0
-            elif a == b:
-                total += 0.5
+        below = bisect_left(neg, a)
+        total += below + 0.5 * (bisect_right(neg, a) - below)
     return total / (len(pos) * len(neg))
 
 
+def oracle_label_auc(scores, truth) -> float | None:
+    """Pairwise comparison count: each (positive, negative) pair scores
+    1 when the positive outranks the negative, 0.5 on a tie. Each positive
+    bisects the sorted negatives for the lower and the tied ones; every
+    partial sum is a multiple of 0.5 below 2**53, so for scores without
+    NaN the total is exactly the one a double loop over all pairs adds up."""
+    return _count_auc(
+        np.asarray(scores, dtype=float).tolist(), np.asarray(truth).astype(bool).tolist()
+    )
+
+
 def oracle_macro_auc(probs, truth) -> tuple[float, int]:
-    probs = np.asarray(probs, dtype=float)
-    t = np.asarray(truth)
+    cols = np.asarray(probs, dtype=float).T.tolist()
+    t_cols = np.asarray(truth).astype(bool).T.tolist()
     aucs = []
     excluded = 0
-    for j in range(probs.shape[1]):
-        a = oracle_label_auc(probs[:, j], t[:, j])
+    for s, t in zip(cols, t_cols):
+        a = _count_auc(s, t)
         if a is None:
             excluded += 1
         else:
@@ -95,20 +104,23 @@ def oracle_macro_auc(probs, truth) -> tuple[float, int]:
 
 
 def oracle_average_precision(scores, truth) -> float | None:
-    """AP by scanning every prefix of the descending-score ranking and
-    accumulating (R_n - R_{n-1}) * P_n at every rank (the increment is
-    zero at non-positive ranks, so this equals the positive-only sum)."""
+    """AP by walking the descending-score ranking (ties in ascending index
+    order) and accumulating (R_n - R_{n-1}) * P_n at every rank (the
+    increment is zero at non-positive ranks, so this equals the
+    positive-only sum). Each prefix's true positives are a running integer
+    count, so R_n and P_n are the quotients a re-count would give."""
     s = np.asarray(scores, dtype=float).tolist()
     t = np.asarray(truth).astype(bool).tolist()
     n_pos = sum(t)
     if n_pos == 0:
         return None
-    order = sorted(range(len(s)), key=lambda i: (-s[i], i))
-    hits = [t[i] for i in order]
+    # a stable sort keeps tied scores in ascending index order under reverse
+    order = sorted(range(len(s)), key=s.__getitem__, reverse=True)
     ap = 0.0
     prev_r = 0.0
-    for rank in range(1, len(hits) + 1):
-        tp = sum(hits[:rank])
+    tp = 0
+    for rank, i in enumerate(order, start=1):
+        tp += t[i]
         r = tp / n_pos
         p = tp / rank
         ap += (r - prev_r) * p
@@ -122,7 +134,7 @@ def oracle_precision_at_k(probs, truth, k: int = 5) -> float:
     for row, t_row in zip(np.asarray(probs, dtype=float).tolist(), t):
         if not any(t_row):
             continue
-        ranked = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        ranked = sorted(range(len(row)), key=row.__getitem__, reverse=True)
         hits = sum(1 for j in ranked[:k] if t_row[j])
         vals.append(hits / k)
     return sum(vals) / len(vals) if vals else 0.0

@@ -647,6 +647,14 @@ def test_cli_prepare_rejects_more_labels_than_the_synthetic_corpus_has(tmp_path,
     captured = capsys.readouterr()
     assert "dataset.k" in captured.err
     assert "label\tadmissions" not in captured.out
+    # rejected before the corpus stage generates anything
+    assert not any((tmp_path / "ws" / "cache" / "corpus").glob("*"))
+
+
+def test_pipeline_rejects_more_labels_than_the_synthetic_corpus_has_before_any_stage(tmp_path):
+    with pytest.raises(PipelineError, match="dataset.k"):
+        run_pipeline(make_cfg(**{"dataset.k": 10}), tmp_path, log=lambda *a: None)
+    assert not any((tmp_path / "cache").glob("*/*"))
 
 
 def test_cli_train_and_evaluate_flow(tmp_path, capsys):

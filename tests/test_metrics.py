@@ -493,6 +493,83 @@ def test_oracle_catches_a_wrong_auc():
     assert oracles.oracle_label_auc(scores, 1 - truth) == 0.0
 
 
+def test_oracle_auc_hand_value_with_ties_across_classes():
+    # each positive 0.5 beats the 0.1 negative (1) and ties the 0.5 one (0.5)
+    scores = np.array([0.5, 0.5, 0.5, 0.1])
+    truth = U8([1, 0, 1, 0])
+    assert oracles.oracle_label_auc(scores, truth) == (1 + 0.5) * 2 / 4 == 0.75
+    assert oracles.oracle_macro_auc(scores[:, None], truth[:, None]) == (0.75, 0)
+
+
+def pairwise_auc_reference(scores, truth):
+    """Every (positive, negative) pair compared in a double loop."""
+    pairs = list(zip(scores.tolist(), truth.tolist()))
+    pos = [v for v, y in pairs if y]
+    neg = [v for v, y in pairs if not y]
+    if not pos or not neg:
+        return None
+    total = 0.0
+    for a in pos:
+        for b in neg:
+            if a > b:
+                total += 1.0
+            elif a == b:
+                total += 0.5
+    return total / (len(pos) * len(neg))
+
+
+def prefix_rescan_ap_reference(scores, truth):
+    """Rank by (-score, index), then re-count the hits of every prefix."""
+    s = scores.tolist()
+    t = [bool(y) for y in truth.tolist()]
+    n_pos = sum(t)
+    if n_pos == 0:
+        return None
+    hits = [t[i] for i in sorted(range(len(s)), key=lambda i: (-s[i], i))]
+    ap = 0.0
+    prev_r = 0.0
+    for rank in range(1, len(hits) + 1):
+        tp = sum(hits[:rank])
+        r = tp / n_pos
+        p = tp / rank
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap
+
+
+def tie_heavy_columns():
+    """Seeded (scores, truth) columns cycling through scores rounded to one
+    decimal, fully tied scores, all-positive truth, all-negative truth and
+    unrounded scores."""
+    rng = np.random.default_rng(31)
+    for i in range(2400):
+        n = int(rng.integers(1, 60))
+        scores = np.round(rng.random(n), 1)
+        truth = (rng.random(n) < rng.random()).astype(np.uint8)
+        kind = i % 5
+        if kind == 1:
+            scores = np.full(n, scores[0])
+        elif kind == 2:
+            truth[:] = 1
+        elif kind == 3:
+            truth[:] = 0
+        elif kind == 4:
+            scores = rng.random(n)
+        yield scores, truth
+
+
+def test_oracles_equal_the_literal_pair_and_prefix_loops():
+    defined = 0
+    for scores, truth in tie_heavy_columns():
+        auc = oracles.oracle_label_auc(scores, truth)
+        assert auc == pairwise_auc_reference(scores, truth)
+        assert oracles.oracle_average_precision(scores, truth) == prefix_rescan_ap_reference(
+            scores, truth
+        )
+        defined += auc is not None
+    assert defined > 1000  # most columns hold both classes
+
+
 def test_oracle_ap_hand_value_with_index_tie_break():
     # ranks by (-score, index): 0.9+, 0.8-, 0.8+, 0.1- -> positives at ranks 1 and 3
     scores = np.array([0.9, 0.8, 0.8, 0.1])
