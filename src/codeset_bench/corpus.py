@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -34,18 +35,9 @@ DISCHARGE_CATEGORY = "discharge summary"
 @dataclass(frozen=True)
 class Note:
     row_id: int
-    subject_id: int
     hadm_id: int
     category: str
     text: str
-
-
-@dataclass(frozen=True)
-class DiagnosisRecord:
-    subject_id: int
-    hadm_id: int
-    seq_num: int
-    icd9_code: str
 
 
 @dataclass(frozen=True)
@@ -176,9 +168,9 @@ def _iter_csv(path, required: Sequence[str], stats: IngestStats, parse) -> Itera
 
 
 def _parse_note(row: list[str], pos: dict[str, int]) -> Note:
+    int(row[pos["SUBJECT_ID"]])  # checked, not kept
     return Note(
         row_id=int(row[pos["ROW_ID"]]),
-        subject_id=int(row[pos["SUBJECT_ID"]]),
         hadm_id=int(row[pos["HADM_ID"]]),
         category=row[pos["CATEGORY"]],
         text=row[pos["TEXT"]],
@@ -186,31 +178,33 @@ def _parse_note(row: list[str], pos: dict[str, int]) -> Note:
 
 
 def load_noteevents(path: str | Path) -> tuple[list[Note], IngestStats]:
-    """Notes of a NOTEEVENTS-style CSV; rows with an empty HADM_ID are
-    skipped and counted."""
+    """Discharge summaries of a NOTEEVENTS-style CSV, one per admission
+    as ``filter_discharge_summaries`` keeps them, read in one streaming
+    pass that holds no other note. ``stats`` counts every data row; rows
+    with an empty HADM_ID are skipped and counted."""
     stats = IngestStats()
-    return list(_iter_csv(path, NOTE_COLUMNS, stats, _parse_note)), stats
+    return filter_discharge_summaries(_iter_csv(path, NOTE_COLUMNS, stats, _parse_note)), stats
 
 
-def _parse_diagnosis(row: list[str], pos: dict[str, int]) -> DiagnosisRecord | None:
+def _parse_diagnosis(row: list[str], pos: dict[str, int]) -> tuple[int, str] | None:
     seq_raw = row[pos["SEQ_NUM"]].strip()
     code = row[pos["ICD9_CODE"]].strip().strip('"')
     if not seq_raw or not code:
         return None
-    return DiagnosisRecord(
-        subject_id=int(row[pos["SUBJECT_ID"]]),
-        hadm_id=int(row[pos["HADM_ID"]]),
-        seq_num=int(seq_raw),
-        icd9_code=code,
-    )
+    int(row[pos["SUBJECT_ID"]]), int(seq_raw)  # checked, not kept
+    return int(row[pos["HADM_ID"]]), code
 
 
-def load_diagnoses(path: str | Path) -> tuple[list[DiagnosisRecord], IngestStats]:
-    """Diagnosis rows of a DIAGNOSES_ICD-style CSV; rows with an empty
-    HADM_ID (``skipped_no_hadm``) or an empty SEQ_NUM or ICD9_CODE
+def load_diagnoses(path: str | Path) -> tuple[dict[int, set[str]], IngestStats]:
+    """The ICD-9 codes of each admission in a DIAGNOSES_ICD-style CSV, as
+    ``{hadm_id: set of codes}``; rows with an empty HADM_ID
+    (``skipped_no_hadm``) or an empty SEQ_NUM or ICD9_CODE
     (``skipped_no_code``) are skipped and counted."""
     stats = IngestStats()
-    return list(_iter_csv(path, DIAGNOSIS_COLUMNS, stats, _parse_diagnosis)), stats
+    codes: dict[int, set[str]] = {}
+    for hadm_id, code in _iter_csv(path, DIAGNOSIS_COLUMNS, stats, _parse_diagnosis):
+        codes.setdefault(hadm_id, set()).add(code)
+    return codes, stats
 
 
 # ---------------------------------------------------------------------------
@@ -243,28 +237,30 @@ def code_to_category(icd9_code: str) -> str:
     return icd9_code[:4] if icd9_code.startswith("E") else icd9_code[:3]
 
 
-def select_top_labels(
-    diagnoses: Iterable[DiagnosisRecord], k: int, mode: str = "code"
-) -> LabelCatalog:
-    """Top-k labels by distinct-admission count.
+def _admission_labels(codes: dict[int, set[str]], mode: str) -> dict[int, set[str]]:
+    """Each admission's labels: its codes in code mode, their categories
+    in category mode. DatasetError names a code that has no category."""
+    if mode == "code":
+        return codes
+    try:
+        return {hadm: {code_to_category(c) for c in cs} for hadm, cs in codes.items()}
+    except ValueError as exc:
+        raise DatasetError(f"category mode: {exc}") from None
 
-    Each (hadm_id, label) pair counts once no matter how many duplicate
-    rows carry it. Ties are broken lexicographically on the label string.
-    """
+
+def select_top_labels(codes: dict[int, set[str]], k: int, mode: str = "code") -> LabelCatalog:
+    """Top-k labels of ``{hadm_id: set of codes}`` by distinct-admission
+    count: each (hadm_id, label) pair counts once, however many codes
+    carry it. Ties are broken lexicographically on the label string."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     if mode not in ("code", "category"):
         raise ConfigError(f"unknown label mode: {mode!r}")
-    admissions: dict[str, set[int]] = {}
-    for rec in diagnoses:
-        label = rec.icd9_code if mode == "code" else code_to_category(rec.icd9_code)
-        admissions.setdefault(label, set()).add(rec.hadm_id)
-    if len(admissions) < k:
-        raise DatasetError(f"only {len(admissions)} distinct labels, need k={k}")
-    ranked = sorted(admissions.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return LabelCatalog(
-        mode=mode, labels=tuple((name, len(hadms)) for name, hadms in ranked[:k])
-    )
+    counts = Counter(label for ls in _admission_labels(codes, mode).values() for label in ls)
+    if len(counts) < k:
+        raise DatasetError(f"only {len(counts)} distinct labels, need k={k}")
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return LabelCatalog(mode=mode, labels=tuple(ranked[:k]))
 
 
 def dotted_code(code: str) -> str | None:
@@ -314,31 +310,24 @@ class NoteSanitizer:
 
 
 def build_dataset(
-    notes: Sequence[Note],
-    diagnoses: Iterable[DiagnosisRecord],
-    catalog: LabelCatalog,
+    notes: Sequence[Note], codes: dict[int, set[str]], catalog: LabelCatalog
 ) -> LabeledDataset:
-    """Join notes with diagnoses on hadm_id into multi-hot examples.
+    """Join notes with ``{hadm_id: set of codes}`` on hadm_id into
+    multi-hot examples.
 
     Notes are expected to be filtered (one per admission) and sanitized.
     Admissions whose codes all fall outside the catalog are dropped; the
     coverage ratio kept/total is recorded on the dataset.
     """
     index = catalog.label_index()
-    hadm_labels: dict[int, set[int]] = {}
-    for rec in diagnoses:
-        label = rec.icd9_code if catalog.mode == "code" else code_to_category(rec.icd9_code)
-        j = index.get(label)
-        if j is not None:
-            hadm_labels.setdefault(rec.hadm_id, set()).add(j)
-
+    labels = _admission_labels(codes, catalog.mode)
     examples: list[Example] = []
     for note in notes:
-        active = hadm_labels.get(note.hadm_id)
+        active = [index[label] for label in labels.get(note.hadm_id, ()) if label in index]
         if not active:
             continue
         vec = np.zeros(catalog.k, dtype=np.uint8)
-        vec[sorted(active)] = 1
+        vec[active] = 1
         examples.append(Example(hadm_id=note.hadm_id, text=note.text, label_vector=vec))
 
     if not examples:
@@ -379,6 +368,10 @@ def split_dataset(
 # Synthetic corpus generation
 # ---------------------------------------------------------------------------
 
+# the order-sensitive negation token; every keyword starts with "sign",
+# so it never collides with one
+NEGATOR = "no"
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -403,7 +396,6 @@ class SyntheticSpec:
     noise_code_rate: float = 0.15
     extra_note_rate: float = 0.05
     order_sensitive: bool = False
-    negator: str = "no"
     seed: int = 0
 
     def __post_init__(self):
@@ -465,8 +457,6 @@ def generate_synthetic_corpus(
     rng = np.random.default_rng(spec.seed)
     keywords = synthetic_keywords(spec)
     filler = _filler_words(spec.filler_vocab)
-    if spec.order_sensitive and spec.negator in {w for lex in keywords for w in lex}:
-        raise ConfigError("negator token collides with a label keyword")
 
     notes_path = out_dir / "NOTEEVENTS.csv"
     diag_path = out_dir / "DIAGNOSES_ICD.csv"
@@ -577,10 +567,10 @@ def _compose_order_sensitive(
         j = int(j)
         kw = keywords[j][0]
         if rng.random() < 0.5:
-            segments.append([kw, spec.negator])  # keyword first: label ON
+            segments.append([kw, NEGATOR])  # keyword first: label ON
             active.append(j)
         else:
-            segments.append([spec.negator, kw])  # negated: label OFF
+            segments.append([NEGATOR, kw])  # negated: label OFF
     tokens: list[str] = []
     for seg in segments:
         tokens.extend(seg)
@@ -588,7 +578,7 @@ def _compose_order_sensitive(
         tokens.extend(filler[int(t)] for t in rng.integers(len(filler), size=n_fill))
     active = sorted(active)
     text = _format_note(rng, tokens)
-    scanned = scan_order_sensitive_labels(text, keywords, spec.negator)
+    scanned = scan_order_sensitive_labels(text, keywords)
     if scanned != active:
         raise RuntimeError(f"order-sensitive self-check failed: {scanned} != {active}")
     return active, text
@@ -614,18 +604,16 @@ def _check_order_free(text: str, keywords: list[list[str]], active: list[int]) -
         raise RuntimeError(f"keyword self-check failed: {present} != {active}")
 
 
-def scan_order_sensitive_labels(
-    text: str, keywords: list[list[str]], negator: str
-) -> list[int]:
+def scan_order_sensitive_labels(text: str, keywords: list[list[str]]) -> list[int]:
     """Recover order-sensitive ground truth from a note: label j is ON
-    iff its keyword occurs and the token immediately before it is not the
-    negator."""
+    iff its keyword occurs and the token immediately before it is not
+    ``NEGATOR``."""
     toks = text.lower().replace("\n", " ").replace(".", " ").split()
     active = []
     for j, lex in enumerate(keywords):
         for pos, tok in enumerate(toks):
             if tok in lex:
-                if pos == 0 or toks[pos - 1] != negator:
+                if pos == 0 or toks[pos - 1] != NEGATOR:
                     active.append(j)
                 break
     return sorted(active)

@@ -408,19 +408,13 @@ def stage_dataset(
     h = cfg.stage_hash("dataset")
     if ws.stage_cached("dataset", h):
         return corpus.load_dataset(ws.stage_dir("dataset", h))
-    notes, _ = corpus.load_noteevents(notes_path)
-    diagnoses, _ = corpus.load_diagnoses(diags_path)
-    summaries = corpus.filter_discharge_summaries(notes)
-    catalog = corpus.select_top_labels(
-        diagnoses, k=cfg["dataset.k"], mode=cfg["dataset.mode"]
-    )
+    summaries, _ = corpus.load_noteevents(notes_path)
+    codes, _ = corpus.load_diagnoses(diags_path)
+    catalog = corpus.select_top_labels(codes, k=cfg["dataset.k"], mode=cfg["dataset.mode"])
     if cfg["dataset.sanitize"]:
         sanitizer = corpus.NoteSanitizer(catalog)
-        summaries = [
-            corpus.Note(n.row_id, n.subject_id, n.hadm_id, n.category, sanitizer(n.text))
-            for n in summaries
-        ]
-    dataset = corpus.build_dataset(summaries, diagnoses, catalog)
+        summaries = [replace(n, text=sanitizer(n.text)) for n in summaries]
+    dataset = corpus.build_dataset(summaries, codes, catalog)
     train, val, test = corpus.split_dataset(dataset, cfg.split_spec())
     with ws.new_stage("dataset", h) as d:
         corpus.save_dataset(d, train, val, test)

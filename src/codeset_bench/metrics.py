@@ -16,13 +16,14 @@ split's PR curves are stored as one ``.npz`` of flat arrays.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 
 
 @dataclass
@@ -47,6 +48,8 @@ class PredictionRun:
             raise ShapeError("run matrices must be 2-dimensional")
         if not self.label_names:
             self.label_names = [f"label{j}" for j in range(self.probs.shape[1])]
+        elif len(self.label_names) != self.q:
+            raise ShapeError(f"{len(self.label_names)} label names for {self.q} label columns")
 
     @property
     def q(self) -> int:
@@ -133,6 +136,14 @@ class PRCurve:
             raise ShapeError("PR curve arrays must be parallel")
 
 
+def _check_finite(scores: np.ndarray) -> None:
+    """NumericError if any score is NaN or infinite: those have no place
+    in a ranking."""
+    bad = int((~np.isfinite(scores)).sum())
+    if bad:
+        raise NumericError(f"{bad} of {scores.size} scores are NaN or infinite")
+
+
 def _score_column(
     scores: np.ndarray, truth: np.ndarray, label: str = "label"
 ) -> tuple[float | None, float | None, PRCurve | None]:
@@ -145,6 +156,10 @@ def _score_column(
     key = -s
     order = key.argsort(kind="stable")
     key = key[order]
+    # the sort puts NaN last and the infinities at the ends, so the two
+    # ends show whether every score is finite at no per-element cost
+    if key.size and not (math.isfinite(key[0]) and math.isfinite(key[-1])):
+        _check_finite(s)
     hits = t[order].nonzero()[0]  # descending positions of the positives
     n_pos = hits.size
     if n_pos == 0:
@@ -203,6 +218,7 @@ def precision_at_k(probs: np.ndarray, truth: np.ndarray, k: int = 5) -> float:
     that are true; score ties prefer the smaller label index. Examples
     with an empty truth row are excluded from the mean."""
     probs = np.asarray(probs, dtype=np.float64)
+    _check_finite(probs)
     t = np.asarray(truth).astype(bool)
     if probs.shape != t.shape:
         raise ShapeError(f"probs {probs.shape} vs truth {t.shape}")
@@ -240,7 +256,8 @@ def report(run: PredictionRun) -> tuple[MetricsReport, list[PRCurve]]:
     """Every metric over one run, plus per-label PR curves.
 
     Precision@5 is taken at min(5, q) so that runs with fewer than five
-    labels still report a value.
+    labels still report a value. A NaN or infinite score raises
+    NumericError.
     """
     ex = example_based_metrics(run.predicted, run.truth)
     ham = hamming_loss(run.predicted, run.truth)

@@ -35,11 +35,10 @@ pytestmark = pytest.mark.filterwarnings("ignore:dataset.k")
 
 def _generate_corpus(tmp_dir, spec):
     notes_path, diags_path = corpus.generate_synthetic_corpus(spec, tmp_dir)
-    notes, _ = corpus.load_noteevents(notes_path)
-    records, _ = corpus.load_diagnoses(diags_path)
-    summaries = corpus.filter_discharge_summaries(notes)
-    catalog = corpus.select_top_labels(records, k=spec.n_labels, mode="code")
-    return corpus.build_dataset(summaries, records, catalog)
+    summaries, _ = corpus.load_noteevents(notes_path)
+    codes, _ = corpus.load_diagnoses(diags_path)
+    catalog = corpus.select_top_labels(codes, k=spec.n_labels, mode="code")
+    return corpus.build_dataset(summaries, codes, catalog)
 
 
 def _fit_sequence(preset_name, splits, seq_len, epochs, lr, seed, embed_dim=16):
@@ -408,16 +407,15 @@ def test_real_csv_preparation_matches_published_statistics():
     statistics exactly, and top-10/top-50 code coverage of discharge
     admissions lands within 0.1 percentage points."""
     root = Path(REAL_DATA_DIR)
-    notes, _ = corpus.load_noteevents(root / "NOTEEVENTS.csv")
-    records, _ = corpus.load_diagnoses(root / "DIAGNOSES_ICD.csv")
-    summaries = corpus.filter_discharge_summaries(notes)
+    summaries, _ = corpus.load_noteevents(root / "NOTEEVENTS.csv")
+    codes, _ = corpus.load_diagnoses(root / "DIAGNOSES_ICD.csv")
 
-    catalog10 = corpus.select_top_labels(records, k=10, mode="code")
+    catalog10 = corpus.select_top_labels(codes, k=10, mode="code")
     assert list(catalog10.labels) == TOP10_CODES
 
-    cov10 = corpus.build_dataset(summaries, records, catalog10).coverage
+    cov10 = corpus.build_dataset(summaries, codes, catalog10).coverage
     assert abs(cov10 * 100 - 76.93) <= 0.1, f"top-10 coverage {cov10:.2%}"
 
-    catalog50 = corpus.select_top_labels(records, k=50, mode="code")
-    cov50 = corpus.build_dataset(summaries, records, catalog50).coverage
+    catalog50 = corpus.select_top_labels(codes, k=50, mode="code")
+    cov50 = corpus.build_dataset(summaries, codes, catalog50).coverage
     assert abs(cov50 * 100 - 93.60) <= 0.1, f"top-50 coverage {cov50:.2%}"

@@ -1,13 +1,13 @@
 """CSV ingest, label selection, sanitization, splitting, synthetic generation."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from codeset_bench import corpus
+from codeset_bench import corpus, harness
 from codeset_bench.corpus import (
-    DiagnosisRecord,
     LabelCatalog,
     Note,
     NoteSanitizer,
@@ -90,9 +90,12 @@ def test_diagnoses_loader_skips_empty_code_or_hadm(tmp_path):
         [1, 7, 100, 1, "4019"],
         [2, 7, "", 1, "4019"],
         [3, 7, 100, 2, ""],
+        [4, 7, 100, 3, "4019"],  # a duplicate code: one set member
+        [5, 7, 101, 1, "2500"],
     ])
-    records, stats = load_diagnoses(path)
-    assert [(r.hadm_id, r.icd9_code) for r in records] == [(100, "4019")]
+    codes, stats = load_diagnoses(path)
+    assert codes == {100: {"4019"}, 101: {"2500"}}
+    assert stats.rows == 5
     assert stats.skipped_no_hadm == 1
     assert stats.skipped_no_code == 1
 
@@ -123,10 +126,63 @@ def test_malformed_row_is_format_error_naming_path_and_row(tmp_path, loader, hea
         loader(path)
 
 
+@pytest.mark.parametrize("loader, header, column", [
+    (load_noteevents, NOTE_HEADER, "ROW_ID"),
+    (load_noteevents, NOTE_HEADER, "SUBJECT_ID"),
+    (load_diagnoses, DIAG_HEADER, "SUBJECT_ID"),
+    (load_diagnoses, DIAG_HEADER, "SEQ_NUM"),
+])
+def test_non_integer_id_in_any_id_column_is_format_error(tmp_path, loader, header, column):
+    path = tmp_path / "in.csv"
+    bad = ",".join("x1" if c == column else GOOD_FIELDS[c] for c in header)
+    path.write_text(",".join(header) + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"in\.csv: row 2: .*'x1'"):
+        loader(path)
+
+
+def _write_admissions(root, n_admissions, other_notes):
+    """NOTEEVENTS/DIAGNOSES_ICD CSVs: one discharge summary and
+    ``other_notes`` longer nursing notes per admission, 1-3 of 12 codes
+    each."""
+    gen = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(200)]
+    nursing = " ".join(words * 2)
+    notes, diags = [], []
+    for i in range(n_admissions):
+        hadm = 100000 + i
+        texts = [("Discharge summary", " ".join(gen.choice(words, size=150)))]
+        for category, text in texts + [("Nursing", nursing)] * other_notes:
+            notes.append([len(notes) + 1, 7, hadm, "2100-01-01", category, "Report", text])
+        for seq, j in enumerate(gen.choice(12, size=gen.integers(1, 4), replace=False), 1):
+            diags.append([len(diags) + 1, 7, hadm, seq, f"{400 + j}0"])
+    root.mkdir()
+    write_csv(root / "NOTEEVENTS.csv", NOTE_HEADER, notes)
+    write_csv(root / "DIAGNOSES_ICD.csv", DIAG_HEADER, diags)
+    return root / "NOTEEVENTS.csv", root / "DIAGNOSES_ICD.csv"
+
+
+def _dataset_stage_peak(root, other_notes):
+    notes, diags = _write_admissions(root, 300, other_notes)
+    cfg = harness.ExperimentConfig({"dataset.source": "csv", "dataset.notes": str(notes),
+                                    "dataset.diagnoses": str(diags), "model.preset": "logreg"})
+    tracemalloc.start()
+    try:
+        harness.stage_dataset(cfg, harness.Workspace(root / "ws"), notes, diags)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_stage_memory_does_not_grow_with_notes_it_drops(tmp_path):
+    _dataset_stage_peak(tmp_path / "warm", 0)  # one-time allocations: imports, regex caches
+    base = _dataset_stage_peak(tmp_path / "base", 0)
+    assert _dataset_stage_peak(tmp_path / "more", 40) <= 1.5 * base
+
+
 # ------------------------------------------------- discharge summary filter
 
 def make_note(row_id, hadm_id, category, text="t"):
-    return Note(row_id=row_id, subject_id=1, hadm_id=hadm_id, category=category, text=text)
+    return Note(row_id=row_id, hadm_id=hadm_id, category=category, text=text)
 
 
 def test_filter_keeps_only_discharge_summaries_case_insensitive():
@@ -182,32 +238,37 @@ def test_dotted_code_forms():
 
 # ---------------------------------------------------------- label selection
 
-def diag(hadm, code):
-    return DiagnosisRecord(subject_id=0, hadm_id=hadm, seq_num=1, icd9_code=code)
+def codes_of(*pairs):
+    """``{hadm_id: set of codes}`` from (hadm_id, code) pairs, as
+    ``load_diagnoses`` returns it."""
+    codes = {}
+    for hadm, code in pairs:
+        codes.setdefault(hadm, set()).add(code)
+    return codes
 
 
 def test_select_top_labels_counts_distinct_admissions():
-    # code 111 appears twice for hadm 1: counts once
-    records = [diag(1, "1110"), diag(1, "1110"), diag(2, "1110"), diag(1, "2220")]
-    catalog = select_top_labels(records, k=2, mode="code")
+    codes = codes_of((1, "1110"), (2, "1110"), (1, "2220"))
+    catalog = select_top_labels(codes, k=2, mode="code")
     assert catalog.labels == (("1110", 2), ("2220", 1))
 
 
 def test_select_top_labels_breaks_count_ties_lexicographically():
-    records = [diag(1, "300"), diag(2, "300"), diag(1, "200"), diag(2, "200")]
-    catalog = select_top_labels(records, k=2, mode="code")
+    codes = codes_of((1, "300"), (2, "300"), (1, "200"), (2, "200"))
+    catalog = select_top_labels(codes, k=2, mode="code")
     assert [name for name, _ in catalog.labels] == ["200", "300"]
 
 
 def test_select_top_labels_category_mode_pools_codes():
-    records = [diag(1, "4019"), diag(2, "40190"), diag(3, "2500")]
-    catalog = select_top_labels(records, k=1, mode="category")
+    # hadm 1 carries two codes of category 401: it counts once
+    codes = codes_of((1, "4019"), (1, "4011"), (2, "40190"), (3, "2500"))
+    catalog = select_top_labels(codes, k=1, mode="category")
     assert catalog.labels == (("401", 2),)
 
 
 def test_select_top_labels_insufficient_distinct_labels():
     with pytest.raises(DatasetError):
-        select_top_labels([diag(1, "4019")], k=2, mode="code")
+        select_top_labels(codes_of((1, "4019")), k=2, mode="code")
 
 
 # ------------------------------------------------------------ sanitization
@@ -239,8 +300,8 @@ def test_sanitize_is_boundary_aware_not_whitespace_tokenized():
 def test_build_dataset_multi_hot_and_coverage():
     notes = [make_note(i, 100 + i, "Discharge summary", f"note {i}") for i in range(4)]
     cat = catalog_of("1110", "2220")
-    records = [diag(100, "1110"), diag(101, "1110"), diag(101, "2220"), diag(102, "9990")]
-    ds = build_dataset(notes, records, cat)
+    codes = codes_of((100, "1110"), (101, "1110"), (101, "2220"), (102, "9990"))
+    ds = build_dataset(notes, codes, cat)
     # hadm 102 has only an uncovered code; hadm 103 has no diagnoses: both dropped
     assert [ex.hadm_id for ex in ds.examples] == [100, 101]
     assert ds.examples[0].label_vector.tolist() == [1, 0]
@@ -251,13 +312,13 @@ def test_build_dataset_multi_hot_and_coverage():
 def test_build_dataset_requires_some_coverage():
     notes = [make_note(1, 100, "Discharge summary")]
     with pytest.raises(DatasetError):
-        build_dataset(notes, [diag(100, "9990")], catalog_of("1110"))
+        build_dataset(notes, codes_of((100, "9990")), catalog_of("1110"))
 
 
 def test_split_sizes_floor_rule():
     notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(101)]
-    records = [diag(1000 + i, "1110") for i in range(101)]
-    ds = build_dataset(notes, records, catalog_of("1110"))
+    codes = codes_of(*((1000 + i, "1110") for i in range(101)))
+    ds = build_dataset(notes, codes, catalog_of("1110"))
     train, val, test = split_dataset(ds, SplitSpec(seed=3))
     # floor(101*0.25) = 25 for val and test; remainder 51 to train
     assert (len(train.examples), len(val.examples), len(test.examples)) == (51, 25, 25)
@@ -265,8 +326,8 @@ def test_split_sizes_floor_rule():
 
 def test_split_is_disjoint_and_exhaustive():
     notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(40)]
-    records = [diag(1000 + i, "1110") for i in range(40)]
-    ds = build_dataset(notes, records, catalog_of("1110"))
+    codes = codes_of(*((1000 + i, "1110") for i in range(40)))
+    ds = build_dataset(notes, codes, catalog_of("1110"))
     train, val, test = split_dataset(ds, SplitSpec(seed=1))
     ids = [ex.hadm_id for part in (train, val, test) for ex in part.examples]
     assert sorted(ids) == sorted(ex.hadm_id for ex in ds.examples)
@@ -275,8 +336,8 @@ def test_split_is_disjoint_and_exhaustive():
 
 def test_split_seed_determinism():
     notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(30)]
-    records = [diag(1000 + i, "1110") for i in range(30)]
-    ds = build_dataset(notes, records, catalog_of("1110"))
+    codes = codes_of(*((1000 + i, "1110") for i in range(30)))
+    ds = build_dataset(notes, codes, catalog_of("1110"))
     a = split_dataset(ds, SplitSpec(seed=7))
     b = split_dataset(ds, SplitSpec(seed=7))
     c = split_dataset(ds, SplitSpec(seed=8))
@@ -305,13 +366,12 @@ def test_synthetic_codes_and_keywords_shapes():
 def test_synthetic_corpus_round_trips_through_pipeline(tmp_path):
     spec = SyntheticSpec(n_labels=4, n_notes=30, seed=5)
     notes_path, diags_path = generate_synthetic_corpus(spec, tmp_path)
-    notes, _ = load_noteevents(notes_path)
-    records, _ = load_diagnoses(diags_path)
-    summaries = filter_discharge_summaries(notes)
+    summaries, _ = load_noteevents(notes_path)
+    codes, _ = load_diagnoses(diags_path)
     assert len(summaries) == 30
-    catalog = select_top_labels(records, k=4, mode="code")
+    catalog = select_top_labels(codes, k=4, mode="code")
     assert set(catalog.names) == {synthetic_code(j) for j in range(4)}
-    ds = build_dataset(summaries, records, catalog)
+    ds = build_dataset(summaries, codes, catalog)
     # notes with no in-catalog diagnosis (zero labels drawn, or noise codes
     # only) are dropped; coverage records the kept fraction
     assert len(ds.examples) == round(30 * ds.coverage)
@@ -322,11 +382,10 @@ def test_synthetic_corpus_round_trips_through_pipeline(tmp_path):
 def test_synthetic_labels_recoverable_from_keywords(tmp_path):
     spec = SyntheticSpec(n_labels=4, n_notes=40, seed=9)
     notes_path, diags_path = generate_synthetic_corpus(spec, tmp_path)
-    notes, _ = load_noteevents(notes_path)
-    records, _ = load_diagnoses(diags_path)
-    summaries = filter_discharge_summaries(notes)
-    catalog = select_top_labels(records, k=4, mode="code")
-    ds = build_dataset(summaries, records, catalog)
+    summaries, _ = load_noteevents(notes_path)
+    codes, _ = load_diagnoses(diags_path)
+    catalog = select_top_labels(codes, k=4, mode="code")
+    ds = build_dataset(summaries, codes, catalog)
     kws = synthetic_keywords(spec)
     order = [catalog.label_index()[synthetic_code(j)] for j in range(4)]
     for ex in ds.examples:
@@ -338,9 +397,8 @@ def test_synthetic_labels_recoverable_from_keywords(tmp_path):
 def test_synthetic_duplicate_summaries_resolved_by_filter(tmp_path):
     spec = SyntheticSpec(n_labels=3, n_notes=60, extra_note_rate=0.5, seed=2)
     notes_path, _ = generate_synthetic_corpus(spec, tmp_path)
-    notes, _ = load_noteevents(notes_path)
-    assert len(notes) > 60  # duplicates and off-category notes present
-    summaries = filter_discharge_summaries(notes)
+    summaries, stats = load_noteevents(notes_path)
+    assert stats.rows > 60  # duplicates and off-category notes present
     assert len(summaries) == 60
     assert len({n.hadm_id for n in summaries}) == 60
 
@@ -355,30 +413,29 @@ def test_synthetic_generation_is_deterministic(tmp_path):
 
 def test_order_sensitive_scan_keyword_first_means_on():
     kws = [["signaa"], ["signba"]]
-    active = scan_order_sensitive_labels("signaa no filler no signba", kws, "no")
+    active = scan_order_sensitive_labels("signaa no filler no signba", kws)
     assert active == [0]  # signba is negated, signaa is not
 
 
 def test_order_sensitive_scan_uses_first_occurrence():
     kws = [["signaa"]]
-    assert scan_order_sensitive_labels("no signaa signaa", kws, "no") == []
-    assert scan_order_sensitive_labels("signaa no signaa", kws, "no") == [0]
+    assert scan_order_sensitive_labels("no signaa signaa", kws) == []
+    assert scan_order_sensitive_labels("signaa no signaa", kws) == [0]
 
 
 def test_order_sensitive_corpus_agrees_with_scanner(tmp_path):
     spec = SyntheticSpec(n_labels=4, n_notes=40, order_sensitive=True, seed=3,
                          noise_code_rate=0.0, extra_note_rate=0.0)
     notes_path, diags_path = generate_synthetic_corpus(spec, tmp_path)
-    notes, _ = load_noteevents(notes_path)
-    records, _ = load_diagnoses(diags_path)
-    summaries = filter_discharge_summaries(notes)
-    catalog = select_top_labels(records, k=4, mode="code")
-    ds = build_dataset(summaries, records, catalog)
+    summaries, _ = load_noteevents(notes_path)
+    codes, _ = load_diagnoses(diags_path)
+    catalog = select_top_labels(codes, k=4, mode="code")
+    ds = build_dataset(summaries, codes, catalog)
     kws = synthetic_keywords(spec)
     order = [catalog.label_index()[synthetic_code(j)] for j in range(4)]
     both_orders_seen = False
     for ex in ds.examples:
-        active = scan_order_sensitive_labels(ex.text, kws, spec.negator)
+        active = scan_order_sensitive_labels(ex.text, kws)
         got = sorted(j for j in range(4) if ex.label_vector[order[j]])
         assert got == active
         if 0 < len(active) < 4:
@@ -391,7 +448,7 @@ def test_order_sensitive_corpus_agrees_with_scanner(tmp_path):
 def test_split_round_trip_preserves_newline_texts(tmp_path):
     cat = catalog_of("1110")
     notes = [make_note(1, 100, "Discharge summary", "line one\nline\ttwo\\three\rfour")]
-    ds = build_dataset(notes, [diag(100, "1110")], cat)
+    ds = build_dataset(notes, codes_of((100, "1110")), cat)
     path = tmp_path / "train.tsv"
     save_split(ds, path)
     loaded = load_split(path, cat)
@@ -466,7 +523,7 @@ def test_dataset_readers_reject_corrupt_lines_naming_them(tmp_path, name, text, 
 def test_label_matrix_layout():
     cat = catalog_of("1110", "2220")
     notes = [make_note(1, 100, "Discharge summary"), make_note(2, 101, "Discharge summary")]
-    ds = build_dataset(notes, [diag(100, "1110"), diag(101, "2220")], cat)
+    ds = build_dataset(notes, codes_of((100, "1110"), (101, "2220")), cat)
     m = ds.label_matrix()
     assert m.shape == (2, 2)
     assert m.dtype == np.uint8

@@ -1,19 +1,24 @@
 """Config parsing, stage hashing/caching, the pipeline driver, the CLI."""
 
+import csv
 import json
 import multiprocessing
 import re
+import shutil
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from codeset_bench import cli, features, harness, metrics, models, textproc
+from codeset_bench import cli, corpus, features, harness, metrics, models, textproc
 from codeset_bench import neuralcore as nc
-from codeset_bench.errors import ConfigError, FormatError, PipelineError
+from codeset_bench.errors import (
+    ConfigError, DatasetError, FormatError, NumericError, PipelineError, ShapeError,
+)
 pytestmark = pytest.mark.filterwarnings("ignore:dataset.k")
 
 from codeset_bench.harness import (
@@ -455,6 +460,48 @@ def test_rewrite_reports_reproduces_stored_metrics(finished_run):
     before = [(run_dir / name).read_bytes() for name in names]
     rewrite_reports(run_dir)
     assert [(run_dir / name).read_bytes() for name in names] == before
+
+
+def _copy_of_run(finished_run, tmp_path):
+    root, _ = finished_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(root / "runs" / "base", run_dir)
+    return run_dir
+
+
+def test_rewrite_reports_rejects_a_nan_probability(finished_run, tmp_path):
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    probs = features.load_dense(run_dir / "probs_test.dense")
+    probs[1, 0] = np.nan
+    features.save_dense(probs, run_dir / "probs_test.dense")
+    with pytest.raises(NumericError, match="NaN or infinite"):
+        rewrite_reports(run_dir)
+
+
+@pytest.mark.parametrize("change", ["one_short", "one_extra"])
+def test_rewrite_reports_rejects_a_catalog_of_the_wrong_length(finished_run, tmp_path, change):
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    catalog = corpus.load_catalog(run_dir / "catalog.tsv")
+    labels = catalog.labels[:-1] if change == "one_short" else catalog.labels + (("9999", 1),)
+    corpus.save_catalog(replace(catalog, labels=labels), run_dir / "catalog.tsv")
+    with pytest.raises(ShapeError, match="label names for 4 label columns"):
+        rewrite_reports(run_dir)
+
+
+def test_category_mode_names_a_code_that_has_no_category(tmp_path):
+    notes, diags = tmp_path / "NOTEEVENTS.csv", tmp_path / "DIAGNOSES_ICD.csv"
+    with open(notes, "w", newline="") as nf, open(diags, "w", newline="") as df:
+        note_rows, diag_rows = csv.writer(nf), csv.writer(df)
+        note_rows.writerow(["ROW_ID", "SUBJECT_ID", "HADM_ID", "CATEGORY", "TEXT"])
+        diag_rows.writerow(["SUBJECT_ID", "HADM_ID", "SEQ_NUM", "ICD9_CODE"])
+        for i in range(12):
+            note_rows.writerow([i, 7, 100 + i, "Discharge summary", f"note {i}"])
+            diag_rows.writerow([7, 100 + i, 1, "4019" if i else "XYZ"])
+    cfg = make_cfg(**{"dataset.source": "csv", "dataset.notes": notes, "dataset.diagnoses": diags,
+                      "dataset.mode": "category", "dataset.k": 1})
+    with pytest.raises(PipelineError, match="stage dataset: .*'XYZ'") as info:
+        run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
+    assert isinstance(info.value.__cause__, DatasetError)
 
 
 def test_probs_dense_matrices_align_with_truth(finished_run):

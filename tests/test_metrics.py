@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeset_bench import metrics, oracles
-from codeset_bench.errors import ConfigError, FormatError
+from codeset_bench.errors import ConfigError, FormatError, NumericError
 from codeset_bench.metrics import (
     PredictionRun,
     average_precision,
@@ -388,6 +388,29 @@ def test_run_shape_mismatch_rejected():
     with pytest.raises(Exception):
         PredictionRun(probs=np.zeros((2, 3)), predicted=np.zeros((2, 3), dtype=np.uint8),
                       truth=np.zeros((3, 3), dtype=np.uint8))
+
+
+# a column on which the rank form gave AUC 0.5 and the pair-counting
+# oracle 0.611: NaN has no place in a ranking
+NAN_COLUMN = [0.3, np.nan, 0.5, 0.2, np.nan, 0.1]
+NAN_TRUTH = [1, 0, 0, 1, 1, 0]
+SCORE_ENTRY_POINTS = {
+    "label_auc": lambda s, t: label_auc(s[:, 1], t[:, 1]),
+    "average_precision": lambda s, t: average_precision(s[:, 1], t[:, 1]),
+    "macro_auc": macro_auc,
+    "precision_at_k": lambda s, t: precision_at_k(s, t, k=1),
+    "report": lambda s, t: report(PredictionRun(s, np.zeros_like(t), t)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(SCORE_ENTRY_POINTS))
+def test_non_finite_scores_are_numeric_errors(entry, bad):
+    column = np.where(np.isnan(NAN_COLUMN), bad, NAN_COLUMN)
+    probs = np.column_stack([np.linspace(0.1, 0.6, 6), column])
+    truth = U8([[1 - t, t] for t in NAN_TRUTH])
+    with pytest.raises(NumericError, match="2 of .* scores are NaN or infinite"):
+        SCORE_ENTRY_POINTS[entry](probs, truth)
 
 
 def report_link_runs():
