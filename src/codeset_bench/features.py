@@ -468,19 +468,20 @@ def save_word2vec_text(result: Word2VecResult | EmbeddingMatrix, path: str | Pat
 
 def load_word2vec_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read the text embedding format back as (tokens, vectors)."""
+    line = 1
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: bad embedding header")
-        count, dim = int(header[0]), int(header[1])
-        tokens: list[str] = []
-        vectors = np.empty((count, dim), dtype=np.float64)
-        for i in range(count):
-            parts = fh.readline().rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise FormatError(f"{path}: line {i + 2} has {len(parts) - 1} values, want {dim}")
-            tokens.append(parts[0])
-            vectors[i] = [float(p) for p in parts[1:]]
+        try:  # a header of two non-negative counts, then one token + dim values per line
+            count, dim = (int(v) for v in fh.readline().split())
+            vectors = np.empty((count, dim), dtype=np.float64)
+            tokens: list[str] = []
+            for line in range(2, count + 2):
+                parts = fh.readline().rstrip("\n").split(" ")
+                if len(parts) != dim + 1:
+                    raise FormatError(f"{path}:{line}: {len(parts) - 1} values, want {dim}")
+                tokens.append(parts[0])
+                vectors[line - 2] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line}: {exc}") from None
     return tokens, vectors
 
 

@@ -9,9 +9,10 @@ number, else text). ``ExperimentConfig`` parses every key once, then
 checks the values that conflict across keys, so a bad value raises
 ``ConfigError`` naming its key before any stage runs.
 
-Stage outputs are cached under SHA-256 hashes of the canonicalized
-config text that influences them, so re-running a model sweep over
-shared features reuses the feature stage.
+Each stage is cached under a SHA-256 key of what its ``STAGES`` row says
+it reads: the upstream key, its config text, input files and own sources.
+A model sweep over shared features reuses the feature stage; a rewritten
+input or an edited module rebuilds its stage and every stage after it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import shutil
 import time
 import warnings
 from contextlib import contextmanager
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -91,12 +93,19 @@ DEFAULTS: dict[str, str] = {
     "train.seed": "0",
 }
 
-# Version of what the cached stages compute and of their on-disk layout.
-# It is part of every stage hash, so a workspace written by code that
-# computed or stored a stage differently is rebuilt rather than read. Bump
-# it with any change to a stage's output (npy-5: the dataset stage is
-# catalog.tsv plus three split TSVs with a #coverage= header, no manifest).
-ARTIFACT_FORMAT = "npy-5"
+# Every cached stage: the stage it follows, the prefixes of the config keys
+# it reads, the config keys naming files it reads (when set) and the files
+# under PACKAGE it runs, beyond those of the stages before it.
+Stage = namedtuple("Stage", "upstream prefixes inputs sources")
+PACKAGE = Path(__file__).resolve().parent
+STAGES = {
+    "corpus": Stage(None, ("dataset.source", "dataset.notes", "dataset.diagnoses",
+                           "dataset.synthetic."), (), ("corpus.py", "harness.py")),
+    "dataset": Stage("corpus", ("dataset.",), ("dataset.notes", "dataset.diagnoses"),
+                     ("corpus.py", "harness.py")),
+    "features": Stage("dataset", ("dataset.", "feature."), ("feature.pretrained_path",), (
+        "features.py", "textproc.py", "neuralcore/core.py", "data/stopwords_en.txt")),
+}
 
 TRACK_KINDS = {
     "tfidf40k": "sparse",
@@ -282,16 +291,6 @@ class ExperimentConfig:
             lines.append(f"{key} = {self.values[key]}")
         return "\n".join(lines) + "\n"
 
-    def stage_hash(self, stage: str) -> str:
-        prefixes = {
-            "corpus": ("dataset.source", "dataset.notes", "dataset.diagnoses", "dataset.synthetic."),
-            "dataset": ("dataset.",),
-            "features": ("dataset.", "feature."),
-            "run": ("dataset.", "feature.", "model.", "train."),
-        }[stage]
-        text = f"artifact_format = {ARTIFACT_FORMAT}\n" + self.canonical_text(prefixes)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # Staged artifacts
@@ -325,6 +324,26 @@ class Workspace:
         self.root = Path(out_dir)
         self.log = log
         self.cache_hits: list[str] = []
+        self.keys: dict[tuple[str, str], str] = {}  # (stage, config text) -> key
+
+    def stage_key(self, cfg: ExperimentConfig, stage: str) -> str:
+        """sha256 over the upstream key, the config text and each file read,
+        size first; worked out once per Workspace, which serves one run."""
+        upstream, prefixes, inputs, sources = STAGES[stage]
+        text = cfg.canonical_text(prefixes)
+        if (stage, text) not in self.keys:
+            key = hashlib.sha256((self.stage_key(cfg, upstream) if upstream else "").encode())
+            key.update(text.encode("utf-8"))
+            for path in [Path(cfg[k]) for k in inputs if cfg[k]] + [PACKAGE / s for s in sources]:
+                try:
+                    with open(path, "rb") as fh:
+                        key.update(b"%d\n" % os.fstat(fh.fileno()).st_size)
+                        while chunk := fh.read(1 << 16):
+                            key.update(chunk)
+                except FileNotFoundError:
+                    raise PipelineError(f"missing input {path}") from None
+            self.keys[stage, text] = key.hexdigest()
+        return self.keys[stage, text]
 
     def stage_dir(self, stage: str, full_hash: str) -> Path:
         return self.root / "cache" / stage / full_hash[:12]
@@ -379,13 +398,9 @@ class Workspace:
 
 def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
     """Materialize NOTEEVENTS/DIAGNOSES CSVs (generating when synthetic)."""
+    h = ws.stage_key(cfg, "corpus")
     if cfg["dataset.source"] == "csv":
-        notes = Path(cfg["dataset.notes"])
-        diags = Path(cfg["dataset.diagnoses"])
-        for p in (notes, diags):
-            if not p.exists():
-                raise PipelineError(f"stage corpus: missing input {p}")
-        return notes, diags
+        return Path(cfg["dataset.notes"]), Path(cfg["dataset.diagnoses"])
     # checked before the first stage writes, not at config build: a stored
     # run's config.txt must still parse for rewrite_reports
     n_labels = cfg["dataset.synthetic.n_labels"]
@@ -394,7 +409,6 @@ def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
             f"dataset.k: {cfg['dataset.k']} exceeds the {n_labels} labels of the synthetic "
             "corpus (dataset.synthetic.n_labels); the rest would be noise codes"
         )
-    h = cfg.stage_hash("corpus")
     if not ws.stage_cached("corpus", h):
         with ws.new_stage("corpus", h) as d:
             corpus.generate_synthetic_corpus(cfg.synthetic_spec(), d)
@@ -405,7 +419,7 @@ def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
 def stage_dataset(
     cfg: ExperimentConfig, ws: Workspace, notes_path: Path, diags_path: Path
 ) -> tuple[corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabelCatalog]:
-    h = cfg.stage_hash("dataset")
+    h = ws.stage_key(cfg, "dataset")
     if ws.stage_cached("dataset", h):
         return corpus.load_dataset(ws.stage_dir("dataset", h))
     summaries, _ = corpus.load_noteevents(notes_path)
@@ -459,7 +473,7 @@ def _resolve_embedding(
 
 def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> features.FeatureSet:
     track = cfg["feature.track"]
-    h = cfg.stage_hash("features")
+    h = ws.stage_key(cfg, "features")
     if ws.stage_cached("features", h):
         return features.load_feature_set(ws.stage_dir("features", h), TRACK_KINDS[track])
     fs = _build_features(cfg, track, _tokenized_splits(cfg, splits))
@@ -543,7 +557,7 @@ def run_pipeline(
     except PipelineError as exc:
         raise PipelineError(f"stage train: {exc}") from exc
 
-    run_hash = cfg.stage_hash("run")
+    run_hash = hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()
     run_dir = ws.root / "runs" / (run_name or run_hash[:12])
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
@@ -560,8 +574,8 @@ def run_pipeline(
 
     record = RunRecord(
         config_hash=run_hash,
-        dataset_hash=cfg.stage_hash("dataset"),
-        feature_hash=cfg.stage_hash("features"),
+        dataset_hash=ws.stage_key(cfg, "dataset"),
+        feature_hash=ws.stage_key(cfg, "features"),
         split_sizes={"train": len(train), "val": len(val), "test": len(test)},
         coverage=train.coverage,
         history=model.history,

@@ -602,9 +602,3 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
 
     return np.vstack([out for _, out in _eval_forward(model.network, features)], dtype=np.float64)
 
-
-def predict(model: TrainedModel, features, threshold: float = 0.5) -> np.ndarray:
-    """Multi-hot decisions: bit set iff probability >= threshold."""
-    if not (0.0 < threshold < 1.0):
-        raise ConfigError("threshold must lie strictly between 0 and 1")
-    return (predict_proba(model, features) >= threshold).astype(np.uint8)

@@ -55,7 +55,8 @@ def _fit_sequence(preset_name, splits, seq_len, epochs, lr, seed, embed_dim=16):
         models.preset(preset_name), (xtr, ytr), (xva, yva), cfg,
         vocab_size=len(vocab.index_to_token), embed_dim=embed_dim,
     )
-    return metrics.example_based_metrics(models.predict(model, xte), yte).f1
+    predicted = (models.predict_proba(model, xte) >= 0.5).astype(np.uint8)
+    return metrics.example_based_metrics(predicted, yte).f1
 
 
 def _cosine(u, v):
@@ -215,7 +216,8 @@ def test_each_network_memorizes_separable_synthetic_corpus(tmp_path):
             kwargs = {"vocab_size": len(vocab.index_to_token), "embed_dim": 32}
         model = models.fit(spec_m, (x, y), (x, y), cfg, **kwargs)
         elapsed = time.time() - t0
-        f1 = metrics.example_based_metrics(models.predict(model, x), y).f1
+        predicted = (models.predict_proba(model, x) >= 0.5).astype(np.uint8)
+        f1 = metrics.example_based_metrics(predicted, y).f1
         assert f1 >= 0.95, f"{preset_name}: training F1 {f1:.4f} < 0.95"
         assert elapsed < 600.0, f"{preset_name}: took {elapsed:.0f}s"
 
@@ -256,7 +258,7 @@ def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
 
         lr_model = models.train_logreg_ovr(averaged(tr_docs), ytr, iters=300, lr=2.0)
         f1_lr = metrics.example_based_metrics(
-            models.predict(lr_model, averaged(te_docs)), yte
+            (models.predict_proba(lr_model, averaged(te_docs)) >= 0.5).astype(np.uint8), yte
         ).f1
         f1_gru = _fit_sequence("gru-desk", splits, 40, 40, 3e-3, seed)
         f1_lstm = _fit_sequence("lstm-desk", splits, 40, 50, 5e-3, seed)

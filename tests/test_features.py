@@ -1,6 +1,7 @@
 """Tfidf, embedding training, pooling, sequence encoding, persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,6 +377,16 @@ def test_loaders_reject_malformed_files_naming_the_path(tmp_path, loader, write)
     write(path)
     with pytest.raises(FormatError, match="artifact"):
         loader(path)
+
+
+def test_malformed_word2vec_text_is_format_error_naming_path_and_line(tmp_path):
+    # the file comes from outside the program, so no ValueError may escape
+    path = tmp_path / "vectors.txt"
+    cases = {"two 3\n": 1, "-1 3\n": 1, "1 3\na 1 x 3\n": 2}
+    for text, line in cases.items():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_word2vec_text(path)
 
 
 def test_word2vec_text_round_trip_omits_pad(tmp_path):

@@ -1,6 +1,7 @@
 """Config parsing, stage hashing/caching, the pipeline driver, the CLI."""
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import re
@@ -41,6 +42,10 @@ FAST_SYNTH = {
     "model.logreg_iters": "40",
     "feature.track": "tfidf40k",
 }
+
+SEQ_FEATURES = {"feature.track": "wordseq", "model.preset": "", "model.family": "gru",
+                "model.hidden": "4", "train.max_epochs": "1", "feature.seq_len": "20",
+                "feature.w2v_dim": "8", "feature.epochs": "1"}
 
 
 def make_cfg(**overrides):
@@ -182,18 +187,28 @@ def test_conv_blocks_parse_from_config():
 
 # ---------------------------------------------------------------- hashing
 
+def _keys(cfg):
+    """Each cached stage's key, and the run's config hash; a synthetic
+    config's keys read only package files."""
+    ws = Workspace("unused")
+    keys = {stage: ws.stage_key(cfg, stage) for stage in harness.STAGES}
+    return {**keys, "run": hashlib.sha256(cfg.canonical_text().encode()).hexdigest()}
+
+
 def test_stage_hashes_are_stable_across_key_order():
     a = make_cfg()
     raw = dict(reversed(list(dict(FAST_SYNTH).items())))
     b = ExperimentConfig(raw)
-    for stage in ("corpus", "dataset", "features", "run"):
-        assert a.stage_hash(stage) == b.stage_hash(stage)
+    assert _keys(a) == _keys(b)
 
 
 def test_stage_hashes_match_pinned_digests():
-    # digests of this config taken before the config parser was rewritten:
-    # a change to canonical_text or to a stage's prefixes would silently
-    # orphan every cached workspace
+    # the digest of each stage's config text, the part of its key that
+    # names the config, and the run's config hash: the same canonical text
+    # as before ARTIFACT_FORMAT went, less its "artifact_format = npy-5"
+    # first line. A change to canonical_text or to a stage's prefixes would
+    # silently orphan every cached workspace; the whole key moves with
+    # every edit of a stage's sources, by design, so it is not pinned
     cfg = ExperimentConfig({
         "dataset.k": "4", "dataset.synthetic.n_labels": "4", "dataset.synthetic.n_notes": "80",
         "dataset.synthetic.seed": "1", "dataset.sanitize": "yes",
@@ -201,35 +216,38 @@ def test_stage_hashes_match_pinned_digests():
         "model.family": "gru", "model.hidden": "4",
         "train.max_epochs": "1", "train.learning_rate": "5e-3",
     })
-    stages = ("corpus", "dataset", "features", "run")
-    assert {stage: cfg.stage_hash(stage) for stage in stages} == {
-        "corpus": "6c68c9ecb7de5a023cc72b821b4697ad46fcca4605c5d29c1533252c33a1ac0f",
-        "dataset": "18187467d2553b63e97fcdfd2f9098d6ebfa15944985f0d01ce9d1f22ccb83e6",
-        "features": "0f1b01d73edbe9333c76f7ef7f59c93862b429f91ffeb52598512c224f314a91",
-        "run": "7974a0ede72b09247632869612f72520c5700bfe857ec09738bdef82201974c3",
+    prefixes = {stage: row.prefixes for stage, row in harness.STAGES.items()}
+    assert {stage: hashlib.sha256(cfg.canonical_text(p).encode()).hexdigest()
+            for stage, p in {**prefixes, "run": ()}.items()} == {
+        "corpus": "a629c31e7fa805357cbece27539aa5e10e279db22d93f2457463cf9fe0995dc6",
+        "dataset": "be7db3bcca634de008eb867106b80eda4436140b65240e3b259b34a89c15f08d",
+        "features": "cabcdfae94cf1df75bf5cbf06f05d61a32c43f423873bd8a316dceefe7691a3f",
+        "run": "9625eba187dbd1972c8396177574a2bd6416fafacde642fde9fc6ec4340539b7",
     }
     assert cfg.train_config() == models.TrainConfig(max_epochs=1, learning_rate=5e-3)
 
 
 def test_model_keys_do_not_disturb_feature_hash():
-    a = make_cfg()
-    b = make_cfg(**{"model.logreg_iters": "99"})
-    assert a.stage_hash("features") == b.stage_hash("features")
-    assert a.stage_hash("dataset") == b.stage_hash("dataset")
-    assert a.stage_hash("run") != b.stage_hash("run")
+    a = _keys(make_cfg())
+    b = _keys(make_cfg(**{"model.logreg_iters": "99"}))
+    assert a["features"] == b["features"]
+    assert a["dataset"] == b["dataset"]
+    assert a["run"] != b["run"]
 
 
 def test_feature_keys_change_feature_hash_only():
-    a = make_cfg()
-    b = make_cfg(**{"feature.seq_len": "99"})
-    assert a.stage_hash("dataset") == b.stage_hash("dataset")
-    assert a.stage_hash("features") != b.stage_hash("features")
+    a = _keys(make_cfg())
+    b = _keys(make_cfg(**{"feature.seq_len": "99"}))
+    assert a["dataset"] == b["dataset"]
+    assert a["features"] != b["features"]
 
 
 def test_split_seed_changes_dataset_hash():
-    a = make_cfg()
-    b = make_cfg(**{"dataset.split_seed": "9"})
-    assert a.stage_hash("dataset") != b.stage_hash("dataset")
+    a = _keys(make_cfg())
+    b = _keys(make_cfg(**{"dataset.split_seed": "9"}))
+    assert a["corpus"] == b["corpus"]
+    assert a["dataset"] != b["dataset"]
+    assert a["features"] != b["features"]
 
 
 # ---------------------------------------------------------------- caching
@@ -246,28 +264,135 @@ def test_second_run_reuses_cached_stages(tmp_path, capsys):
 def test_cache_collision_detected(tmp_path):
     cfg = make_cfg()
     ws = Workspace(tmp_path / "ws")
-    d = ws.stage_dir("corpus", cfg.stage_hash("corpus"))
+    h = ws.stage_key(cfg, "corpus")
+    d = ws.stage_dir("corpus", h)
     d.mkdir(parents=True)
     (d / ".complete").write_text("sha256:" + "0" * 64 + "\n")
     with pytest.raises(PipelineError, match="collision"):
-        ws.stage_cached("corpus", cfg.stage_hash("corpus"))
+        ws.stage_cached("corpus", h)
 
 
-def test_artifact_format_change_rebuilds_cached_features(tmp_path, monkeypatch):
+def test_edited_feature_source_rebuilds_features_only(tmp_path, monkeypatch):
     cfg = make_cfg()
-    ws = tmp_path / "ws"
-    run_pipeline(cfg, ws, run_name="first", log=lambda *a: None)
-    assert Workspace(ws).stage_cached("features", cfg.stage_hash("features"))
-    monkeypatch.setattr(harness, "ARTIFACT_FORMAT", "older-layout")
-    assert not Workspace(ws).stage_cached("features", cfg.stage_hash("features"))
-    record = run_pipeline(cfg, ws, run_name="second", log=lambda *a: None)
-    assert not any(hit.startswith("features:") for hit in record.cache_hits)
+    first = run_pipeline(cfg, tmp_path / "ws", run_name="first", log=lambda *a: None)
+    edited = bytearray((harness.PACKAGE / "features.py").read_bytes())
+    edited[-1] ^= 1
+    (tmp_path / "features.py").write_bytes(edited)
+    row = harness.STAGES["features"]
+    monkeypatch.setitem(harness.STAGES, "features", row._replace(sources=tuple(
+        str(tmp_path / name) if name == "features.py" else name for name in row.sources)))
+    second = run_pipeline(cfg, tmp_path / "ws", run_name="second", log=lambda *a: None)
+    assert [hit.split(":")[0] for hit in second.cache_hits] == ["corpus", "dataset"]
+    assert second.dataset_hash == first.dataset_hash
+    assert second.feature_hash != first.feature_hash
+
+
+CODES = ("4019", "4280", "42731", "5849")
+
+
+def _write_csvs(root: Path, n_admissions: int) -> tuple[Path, Path]:
+    """NOTEEVENTS and DIAGNOSES_ICD of one discharge summary and two of
+    four codes per admission, rewritten in place on every call."""
+    notes, diags = root / "NOTEEVENTS.csv", root / "DIAGNOSES_ICD.csv"
+    with open(notes, "w", newline="") as nf, open(diags, "w", newline="") as df:
+        note_rows, diag_rows = csv.writer(nf), csv.writer(df)
+        note_rows.writerow(["ROW_ID", "SUBJECT_ID", "HADM_ID", "CATEGORY", "TEXT"])
+        diag_rows.writerow(["SUBJECT_ID", "HADM_ID", "SEQ_NUM", "ICD9_CODE"])
+        for i in range(n_admissions):
+            codes = CODES[i % 4], CODES[(i + 1) % 4]
+            note_rows.writerow([i, 7, 100 + i, "Discharge summary",
+                                f"admission {i} seen for {codes[0]} and {codes[1]} care"])
+            for seq, code in enumerate(codes, 1):
+                diag_rows.writerow([7, 100 + i, seq, code])
+    return notes, diags
+
+
+def _csv_cfg(notes, diags):
+    return make_cfg(**{"dataset.source": "csv", "dataset.notes": notes,
+                       "dataset.diagnoses": diags})
+
+
+def test_csv_rewritten_in_place_rebuilds_dataset_and_features(tmp_path):
+    cfg = _csv_cfg(*_write_csvs(tmp_path, 60))
+    first = run_pipeline(cfg, tmp_path / "ws", run_name="first", log=lambda *a: None)
+    assert first.split_sizes == {"train": 30, "val": 15, "test": 15}
+    _write_csvs(tmp_path, 200)
+    second = run_pipeline(cfg, tmp_path / "ws", run_name="second", log=lambda *a: None)
+    assert second.split_sizes == {"train": 100, "val": 50, "test": 50}
+    assert second.cache_hits == []
+    assert second.dataset_hash != first.dataset_hash
+
+
+def test_untouched_csv_hits_dataset_and_features(tmp_path):
+    cfg = _csv_cfg(*_write_csvs(tmp_path, 60))
+    first = run_pipeline(cfg, tmp_path / "ws", run_name="first", log=lambda *a: None)
+    second = run_pipeline(cfg, tmp_path / "ws", run_name="second", log=lambda *a: None)
+    assert second.cache_hits == [f"dataset:{first.dataset_hash[:12]}",
+                                 f"features:{first.feature_hash[:12]}"]
+    assert (second.dataset_hash, second.feature_hash) == (first.dataset_hash, first.feature_hash)
+
+
+@pytest.mark.parametrize("missing", ["csv", "pretrained"])
+def test_missing_input_file_fails_its_stage(tmp_path, missing):
+    absent = tmp_path / "absent.txt"
+    if missing == "csv":
+        stage, cfg = "dataset", _csv_cfg(absent, _write_csvs(tmp_path, 12)[1])
+    else:
+        stage, cfg = "features", make_cfg(**SEQ_FEATURES, **{
+            "feature.embedding_source": "pretrained", "feature.pretrained_path": absent})
+    message = f"^stage {stage}: missing input {re.escape(str(absent))}$"
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
+
+
+def _package_files_run(fn, *args):
+    """fn(*args), and the package files holding each Python function it called."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code.co_filename)
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    paths = {Path(name).resolve() for name in seen if name.endswith(".py")}
+    return result, {p.relative_to(harness.PACKAGE).as_posix()
+                    for p in paths if p.is_relative_to(harness.PACKAGE)}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"feature.track": "tfidf40k"},
+    {"feature.track": "tfidf20k", "feature.remove_stopwords": "true"},
+    {**SEQ_FEATURES, "feature.track": "w2v-avg", "model.family": "logreg", "model.hidden": ""},
+    {**SEQ_FEATURES, "feature.embedding_source": "self"},
+    {**SEQ_FEATURES, "feature.embedding_source": "random"},
+], ids=["tfidf40k", "tfidf20k-stopwords", "w2v-avg", "wordseq-self", "wordseq-random"])
+def test_each_stage_runs_only_sources_its_key_covers(tmp_path, overrides):
+    # a package file a stage runs but no row up its chain lists could
+    # change what the stage writes and still leave its key as it was
+    cfg = make_cfg(**overrides)
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    ran = {}
+    csvs, ran["corpus"] = _package_files_run(harness.stage_corpus, cfg, ws)
+    splits, ran["dataset"] = _package_files_run(harness.stage_dataset, cfg, ws, *csvs)
+    _, ran["features"] = _package_files_run(harness.stage_features, cfg, ws, splits[:3])
+    assert ws.cache_hits == []
+    assert {"corpus.py", "features.py"} <= ran["corpus"] | ran["features"]
+    for stage, files in ran.items():
+        listed, row = set(), harness.STAGES[stage]
+        while row:
+            listed |= set(row.sources)
+            row = harness.STAGES.get(row.upstream)
+        assert files <= listed, (stage, sorted(files - listed))
 
 
 def test_failed_stage_build_publishes_nothing(tmp_path):
     cfg = make_cfg()
     ws = Workspace(tmp_path / "ws", log=lambda *a: None)
-    h = cfg.stage_hash("corpus")
+    h = ws.stage_key(cfg, "corpus")
     with pytest.raises(RuntimeError, match="mid-write"):
         with ws.new_stage("corpus", h) as d:
             (d / "NOTEEVENTS.csv").write_text("ROW_ID\n")
@@ -314,11 +439,6 @@ def test_concurrent_runs_share_one_workspace(tmp_path):
 
 # ---------------------------------------------------------- feature cache
 
-SEQ_FEATURES = {"feature.track": "wordseq", "model.preset": "", "model.family": "gru",
-                "model.hidden": "4", "train.max_epochs": "1", "feature.seq_len": "20",
-                "feature.w2v_dim": "8", "feature.epochs": "1"}
-
-
 def _splits(cfg, ws):
     notes, diags = harness.stage_corpus(cfg, ws)
     return harness.stage_dataset(cfg, ws, notes, diags)[:3]
@@ -330,7 +450,7 @@ def test_warm_dataset_equals_cold(tmp_path):
     notes, diags = harness.stage_corpus(cfg, ws)
     *cold, cold_catalog = harness.stage_dataset(cfg, ws, notes, diags)
     *warm, warm_catalog = harness.stage_dataset(cfg, ws, notes, diags)
-    assert ws.cache_hits[-1] == "dataset:" + cfg.stage_hash("dataset")[:12]
+    assert ws.cache_hits[-1] == "dataset:" + ws.stage_key(cfg, "dataset")[:12]
     assert warm_catalog == cold_catalog
     for w, c in zip(warm, cold):
         assert w.catalog == c.catalog
@@ -383,7 +503,7 @@ def test_warm_feature_set_equals_cold(tmp_path, overrides):
     splits = _splits(cfg, ws)
     cold = harness.stage_features(cfg, ws, splits)
     warm = harness.stage_features(cfg, ws, splits)
-    assert ws.cache_hits[-1] == "features:" + cfg.stage_hash("features")[:12]
+    assert ws.cache_hits[-1] == "features:" + ws.stage_key(cfg, "features")[:12]
     assert warm.kind == cold.kind == harness.TRACK_KINDS[cfg["feature.track"]]
     for name in ("train", "val", "test"):
         assert _same_split(getattr(warm, name), getattr(cold, name)), name
@@ -404,7 +524,7 @@ def test_damaged_cached_embedding_is_format_error_naming_it(tmp_path, damage):
     ws = Workspace(tmp_path / "ws", log=lambda *a: None)
     splits = _splits(cfg, ws)
     cold = harness.stage_features(cfg, ws, splits)
-    path = ws.stage_dir("features", cfg.stage_hash("features")) / "embedding.npy"
+    path = ws.stage_dir("features", ws.stage_key(cfg, "features")) / "embedding.npy"
     if damage == "truncated":
         path.write_bytes(path.read_bytes()[:-40])
     else:
@@ -450,7 +570,7 @@ def test_config_echo_reparses_to_the_same_hash(finished_run):
     root, record = finished_run
     text = (root / "runs" / "base" / "config.txt").read_text()
     cfg = ExperimentConfig(parse_config_text(text))
-    assert cfg.stage_hash("run") == record.config_hash
+    assert _keys(cfg)["run"] == record.config_hash
 
 
 def test_rewrite_reports_reproduces_stored_metrics(finished_run):
@@ -683,6 +803,16 @@ def test_cli_runtime_failure_exits_two(tmp_path, capsys):
     bad.write_text("dataset.source = csv\n")  # csv without paths
     assert cli.main(["prepare", "--config", str(bad), "--out-dir", str(tmp_path / "ws")]) == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_cli_train_with_a_missing_pretrained_embedding_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    settings = {**FAST_SYNTH, **SEQ_FEATURES, "feature.embedding_source": "pretrained",
+                "feature.pretrained_path": tmp_path / "absent.txt"}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "ws")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: stage features: missing input .*absent\.txt\n", err)
 
 
 def test_cli_prepare_rejects_more_labels_than_the_synthetic_corpus_has(tmp_path, capsys):

@@ -17,7 +17,6 @@ from codeset_bench.models import (
     TrainConfig,
     build_network,
     fit,
-    predict,
     predict_proba,
     preset,
     run_training_loop,
@@ -77,7 +76,7 @@ def separable_problem(n=60, seed=0):
 def test_logreg_solves_a_separable_problem():
     x, y = separable_problem()
     model = train_logreg_ovr(x, y, iters=500, lr=0.5)
-    assert np.array_equal(predict(model, x), y)
+    assert np.array_equal((predict_proba(model, x) >= 0.5).astype(np.uint8), y)
 
 
 def test_logreg_zero_iterations_outputs_half_everywhere():
@@ -156,7 +155,7 @@ def test_forest_splits_a_single_informative_feature():
     x = rng.standard_normal((80, 1))
     y = (x[:, 0] > 0.2).astype(np.uint8).reshape(-1, 1)
     model = train_random_forest_ovr(x, y, n_trees=15, max_depth=3, seed=0)
-    assert (predict(model, x) == y).mean() > 0.97
+    assert ((predict_proba(model, x) >= 0.5).astype(np.uint8) == y).mean() > 0.97
 
 
 def test_forest_votes_are_fractions_of_trees():
@@ -458,7 +457,7 @@ def test_fit_feedforward_learns_and_is_deterministic():
     m2 = fit(spec, train, val, cfg)
     assert m1.history == m2.history
     assert np.array_equal(predict_proba(m1, val[0]), predict_proba(m2, val[0]))
-    acc = (predict(m1, val[0]) == val[1]).mean()
+    acc = ((predict_proba(m1, val[0]) >= 0.5).astype(np.uint8) == val[1]).mean()
     assert acc > 0.85
 
 
@@ -592,32 +591,18 @@ def test_float64_built_networks_pass_gradient_checks(spec):
 
 # --------------------------------------------------------------- prediction
 
-def test_predict_thresholds():
-    class Stub:
-        pass
-
-    rng = np.random.default_rng(0)
-    x, y = separable_problem(30)
-    model = train_logreg_ovr(x, y, iters=100, lr=0.5)
-    probs = predict_proba(model, x)
-    assert np.array_equal(predict(model, x), (probs >= 0.5).astype(np.uint8))
-    hi = predict(model, x, threshold=0.99)
-    assert hi.sum() <= (probs >= 0.99).sum()
-
-
 def test_predict_exact_threshold_is_positive():
     x, y = separable_problem(20)
     model = train_logreg_ovr(x, y, iters=0)  # all probabilities exactly 0.5
-    assert np.all(predict(model, x) == 1)
+    assert np.all((predict_proba(model, x) >= 0.5).astype(np.uint8) == 1)
 
 
 def test_predict_invalid_threshold_rejected():
-    x, y = separable_problem(10)
-    model = train_logreg_ovr(x, y, iters=1)
+    # the decision threshold is train.threshold, which TrainConfig holds
     with pytest.raises(ConfigError):
-        predict(model, x, threshold=0.0)
+        TrainConfig(threshold=0.0)
     with pytest.raises(ConfigError):
-        predict(model, x, threshold=1.0)
+        TrainConfig(threshold=1.0)
 
 
 def test_model_spec_validation():
