@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, oracles
+from . import corpus, harness, oracles
 from . import neuralcore as nc
 from .errors import PipelineError
 
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override every seed in the config (split, synthetic, feature, train)")
         p.add_argument("--out-dir", default="codeset-out", help="workspace directory")
 
-    common(sub.add_parser("synth", help="generate the synthetic corpus CSVs"))
+    common(sub.add_parser("synth", help="write the synthetic corpus CSVs into --out-dir"))
     common(sub.add_parser("prepare", help="build catalog, labeled dataset, and splits"))
     common(sub.add_parser("featurize", help="run the feature stage"))
     p_train = sub.add_parser("train", help="run the full pipeline and write a run directory")
@@ -124,18 +124,15 @@ def _load_cfg(args) -> harness.ExperimentConfig:
 
 def _dispatch(args) -> int:
     if args.command == "synth":
-        cfg = _load_cfg(args)
-        ws = harness.Workspace(args.out_dir)
-        notes, diags = harness.stage_corpus(cfg, ws)
+        notes, diags = corpus.generate_synthetic_corpus(_load_cfg(args).synthetic_spec(),
+                                                        args.out_dir)
         print(f"notes:     {notes}")
         print(f"diagnoses: {diags}")
         return 0
 
     if args.command == "prepare":
         cfg = _load_cfg(args)
-        ws = harness.Workspace(args.out_dir)
-        notes, diags = harness.stage_corpus(cfg, ws)
-        train, val, test, catalog = harness.stage_dataset(cfg, ws, notes, diags)
+        train, val, test, catalog = harness.stage_dataset(cfg, harness.Workspace(args.out_dir))
         print(f"splits: train={len(train)} val={len(val)} test={len(test)}")
         print(f"coverage: {train.coverage:.4f}")
         print("label\tadmissions")
@@ -146,8 +143,7 @@ def _dispatch(args) -> int:
     if args.command == "featurize":
         cfg = _load_cfg(args)
         ws = harness.Workspace(args.out_dir)
-        notes, diags = harness.stage_corpus(cfg, ws)
-        splits = harness.stage_dataset(cfg, ws, notes, diags)[:3]
+        splits = harness.stage_dataset(cfg, ws)[:3]
         feats = harness.stage_features(cfg, ws, splits)
         shapes = ", ".join(str(getattr(m, "shape", None)) for m in (feats.train, feats.val, feats.test))
         print(f"track: {cfg['feature.track']} kind: {feats.kind} shapes: {shapes}")

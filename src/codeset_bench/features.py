@@ -178,6 +178,19 @@ class Word2VecResult:
     losses: np.ndarray  # one entry per SGD step
 
 
+def embedding_vocabulary(docs: Sequence[Sequence[str]], min_count: int) -> Vocabulary:
+    """The vocabulary an embedding is indexed by: the tokens of ``docs``
+    seen at least ``min_count`` times in all, word2vec's rule."""
+    vocab = build_vocabulary(docs, min_doc_freq=1)
+    if min_count > 1:
+        counts = Counter(tok for doc in docs for tok in doc)
+        keep = {t for t, c in counts.items() if c >= min_count}
+        if not keep:
+            raise ConfigError("min_count removed every token")
+        vocab = _restrict_vocabulary(vocab, keep)
+    return vocab
+
+
 def train_word2vec_cbow(
     docs: Sequence[Sequence[str]],
     dim: int = 50,
@@ -206,13 +219,7 @@ def train_word2vec_cbow(
     """
     if dim < 1 or window < 1 or negatives < 0 or epochs < 1:
         raise ConfigError("invalid word2vec hyperparameters")
-    vocab = build_vocabulary(docs, min_doc_freq=1)
-    if min_count > 1:
-        counts = Counter(tok for doc in docs for tok in doc)
-        keep = {t for t, c in counts.items() if c >= min_count and t in vocab.token_to_index}
-        if not keep:
-            raise ConfigError("min_count removed every token")
-        vocab = _restrict_vocabulary(vocab, keep)
+    vocab = embedding_vocabulary(docs, min_count)
 
     # the corpus as one flat index array; document d is corpus[offsets[d]:offsets[d + 1]]
     lookup = vocab.token_to_index
@@ -480,8 +487,12 @@ def load_word2vec_text(path: str | Path) -> tuple[list[str], np.ndarray]:
                     raise FormatError(f"{path}:{line}: {len(parts) - 1} values, want {dim}")
                 tokens.append(parts[0])
                 vectors[line - 2] = [float(p) for p in parts[1:]]
+                if not np.isfinite(vectors[line - 2]).all():
+                    raise FormatError(f"{path}:{line}: non-finite value")
         except ValueError as exc:
             raise FormatError(f"{path}:{line}: {exc}") from None
+        if fh.readline():
+            raise FormatError(f"{path}:{count + 2}: a line past the header's {count} vectors")
     return tokens, vectors
 
 

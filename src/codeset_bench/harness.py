@@ -9,10 +9,12 @@ number, else text). ``ExperimentConfig`` parses every key once, then
 checks the values that conflict across keys, so a bad value raises
 ``ConfigError`` naming its key before any stage runs.
 
-Each stage is cached under a SHA-256 key of what its ``STAGES`` row says
-it reads: the upstream key, its config text, input files and own sources.
-A model sweep over shared features reuses the feature stage; a rewritten
-input or an edited module rebuilds its stage and every stage after it.
+The dataset and feature stages are cached, each in a directory named by
+the SHA-256 key of what its ``STAGES`` row says it reads: the upstream
+key, its config text, input files and own sources. A model sweep over
+shared features reuses the feature stage; a rewritten input or an edited
+module rebuilds its stage and every stage after it. A synthetic corpus is
+generated afresh on a dataset miss and never cached.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -99,9 +102,7 @@ DEFAULTS: dict[str, str] = {
 Stage = namedtuple("Stage", "upstream prefixes inputs sources")
 PACKAGE = Path(__file__).resolve().parent
 STAGES = {
-    "corpus": Stage(None, ("dataset.source", "dataset.notes", "dataset.diagnoses",
-                           "dataset.synthetic."), (), ("corpus.py", "harness.py")),
-    "dataset": Stage("corpus", ("dataset.",), ("dataset.notes", "dataset.diagnoses"),
+    "dataset": Stage(None, ("dataset.",), ("dataset.notes", "dataset.diagnoses"),
                      ("corpus.py", "harness.py")),
     "features": Stage("dataset", ("dataset.", "feature."), ("feature.pretrained_path",), (
         "features.py", "textproc.py", "neuralcore/core.py", "data/stopwords_en.txt")),
@@ -208,9 +209,12 @@ class ExperimentConfig:
             self["dataset.notes"] and self["dataset.diagnoses"]
         ):
             raise ConfigError("csv source needs dataset.notes and dataset.diagnoses")
+        for key, least in (("dataset.k", 1), ("dataset.split_seed", 0),
+                           ("dataset.synthetic.seed", 0), ("feature.seed", 0), ("train.seed", 0),
+                           ("model.rf_trees", 1), ("model.rf_depth", 0)):
+            if self[key] < least:
+                raise ConfigError(f"{key}: must be >= {least}, got {self[key]}")
         k = self["dataset.k"]
-        if k < 1:
-            raise ConfigError("dataset.k must be >= 1")
         if k not in (10, 50):
             warnings.warn(f"dataset.k = {k} departs from the reference settings (10/50)")
         if self["model.preset"]:
@@ -318,7 +322,7 @@ class RunRecord:
 
 
 class Workspace:
-    """Output directory layout: cache/<stage>/<hash-prefix>/ and runs/."""
+    """Output directory layout: cache/<stage>/<key>/ and runs/."""
 
     def __init__(self, out_dir: str | Path, log=print):
         self.root = Path(out_dir)
@@ -346,19 +350,11 @@ class Workspace:
         return self.keys[stage, text]
 
     def stage_dir(self, stage: str, full_hash: str) -> Path:
-        return self.root / "cache" / stage / full_hash[:12]
+        return self.root / "cache" / stage / full_hash
 
     def stage_cached(self, stage: str, full_hash: str) -> bool:
-        d = self.stage_dir(stage, full_hash)
-        if not (d / ".complete").exists():
+        if not (self.stage_dir(stage, full_hash) / ".complete").exists():
             return False
-        # the marker stores the full hash; a prefix collision must never
-        # serve a foreign artifact
-        stored = (d / ".complete").read_text(encoding="utf-8").strip()
-        if stored != full_hash:
-            raise PipelineError(
-                f"cache collision in {d}: stored hash {stored[:12]} != request"
-            )
         self.cache_hits.append(f"{stage}:{full_hash[:12]}")
         self.log(f"cache hit: {stage} {full_hash[:12]}")
         return True
@@ -396,34 +392,29 @@ class Workspace:
 # ---------------------------------------------------------------------------
 
 
-def stage_corpus(cfg: ExperimentConfig, ws: Workspace) -> tuple[Path, Path]:
-    """Materialize NOTEEVENTS/DIAGNOSES CSVs (generating when synthetic)."""
-    h = ws.stage_key(cfg, "corpus")
-    if cfg["dataset.source"] == "csv":
-        return Path(cfg["dataset.notes"]), Path(cfg["dataset.diagnoses"])
-    # checked before the first stage writes, not at config build: a stored
+def stage_dataset(
+    cfg: ExperimentConfig, ws: Workspace
+) -> tuple[corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabelCatalog]:
+    """The labeled splits and their catalog. A miss ingests the configured
+    CSVs, or a synthetic corpus generated into a temporary directory."""
+    synthetic = cfg["dataset.source"] == "synthetic"
+    # checked before any stage writes, not at config build: a stored
     # run's config.txt must still parse for rewrite_reports
     n_labels = cfg["dataset.synthetic.n_labels"]
-    if cfg["dataset.k"] > n_labels:
+    if synthetic and cfg["dataset.k"] > n_labels:
         raise ConfigError(
             f"dataset.k: {cfg['dataset.k']} exceeds the {n_labels} labels of the synthetic "
             "corpus (dataset.synthetic.n_labels); the rest would be noise codes"
         )
-    if not ws.stage_cached("corpus", h):
-        with ws.new_stage("corpus", h) as d:
-            corpus.generate_synthetic_corpus(cfg.synthetic_spec(), d)
-    d = ws.stage_dir("corpus", h)
-    return d / "NOTEEVENTS.csv", d / "DIAGNOSES_ICD.csv"
-
-
-def stage_dataset(
-    cfg: ExperimentConfig, ws: Workspace, notes_path: Path, diags_path: Path
-) -> tuple[corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabeledDataset, corpus.LabelCatalog]:
     h = ws.stage_key(cfg, "dataset")
     if ws.stage_cached("dataset", h):
         return corpus.load_dataset(ws.stage_dir("dataset", h))
-    summaries, _ = corpus.load_noteevents(notes_path)
-    codes, _ = corpus.load_diagnoses(diags_path)
+    with tempfile.TemporaryDirectory() if synthetic else nullcontext() as tmp:
+        notes_path, diags_path = (
+            corpus.generate_synthetic_corpus(cfg.synthetic_spec(), tmp) if synthetic
+            else (cfg["dataset.notes"], cfg["dataset.diagnoses"]))
+        summaries, _ = corpus.load_noteevents(notes_path)
+        codes, _ = corpus.load_diagnoses(diags_path)
     catalog = corpus.select_top_labels(codes, k=cfg["dataset.k"], mode=cfg["dataset.mode"])
     if cfg["dataset.sanitize"]:
         sanitizer = corpus.NoteSanitizer(catalog)
@@ -464,7 +455,7 @@ def _resolve_embedding(
             seed=cfg["feature.seed"],
         )
         return result.vocabulary, features.EmbeddingMatrix(result.vocabulary, result.vectors)
-    vocab = textproc.build_vocabulary(train_docs, min_doc_freq=cfg["feature.min_count"])
+    vocab = features.embedding_vocabulary(train_docs, cfg["feature.min_count"])
     if source == "pretrained":
         tokens, vectors = features.load_word2vec_text(cfg["feature.pretrained_path"])
         return vocab, features.align_embeddings(vocab, tokens, vectors)
@@ -545,8 +536,7 @@ def run_pipeline(
         except PipelineError as exc:
             raise PipelineError(f"stage {stage}: {exc}") from exc
 
-    notes_path, diags_path = staged("corpus", stage_corpus)
-    train, val, test, catalog = staged("dataset", stage_dataset, notes_path, diags_path)
+    train, val, test, catalog = staged("dataset", stage_dataset)
     feats = staged("features", stage_features, (train, val, test))
 
     y_train = train.label_matrix()
@@ -651,12 +641,18 @@ def _write_reports(
     return reports
 
 
+def _require_files(run_dir: Path, names: list[str]) -> None:
+    for name in names:
+        if not (run_dir / name).is_file():
+            raise PipelineError(f"{run_dir}: not a complete run (no {name})")
+
+
 def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
     """Recompute metrics JSONs (and optionally PR curves + summary) from a
     run directory's stored probability and truth matrices."""
     run_dir = Path(run_dir)
-    if not (run_dir / "config.txt").exists():
-        raise PipelineError(f"{run_dir}: not a run directory (no config.txt)")
+    _require_files(run_dir, ["config.txt", "catalog.tsv"] + [
+        f"{kind}_{tag}.dense" for tag in ("train", "test") for kind in ("probs", "truth")])
     cfg = ExperimentConfig(
         parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
     )
@@ -685,15 +681,13 @@ def compare_runs(run_dirs: list[str | Path]) -> tuple[str, str]:
     sorted by test F1 descending."""
     rows = []
     dataset_hashes = {}
-    for run_dir in run_dirs:
-        record_path = Path(run_dir) / "record.json"
-        if not record_path.exists():
-            raise PipelineError(f"{run_dir}: no record.json")
-        rec = json.loads(record_path.read_text(encoding="utf-8"))
+    for run_dir in map(Path, run_dirs):
+        _require_files(run_dir, ["record.json", "config.txt"])
+        rec = json.loads((run_dir / "record.json").read_text(encoding="utf-8"))
         dataset_hashes[str(run_dir)] = rec["dataset_hash"]
-        cfg_text = (Path(run_dir) / "config.txt").read_text(encoding="utf-8")
+        cfg_text = (run_dir / "config.txt").read_text(encoding="utf-8")
         cfg = parse_config_text(cfg_text)
-        name = cfg.get("model.preset") or cfg.get("model.family") or Path(run_dir).name
+        name = cfg.get("model.preset") or cfg.get("model.family") or run_dir.name
         rows.append((name, rec["metrics_test"]))
     distinct = sorted(set(dataset_hashes.values()))
     if len(distinct) > 1:

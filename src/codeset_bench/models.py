@@ -267,6 +267,8 @@ def train_random_forest_ovr(
     trees share one set of flat node arrays; ``roots[j, t]`` is the root
     of tree t for label j.
     """
+    if n_trees < 1:
+        raise ConfigError(f"a forest needs at least one tree, got n_trees = {n_trees}")
     labels = np.asarray(labels)
     x = _dense_float64(features)
     if x.size == 0:

@@ -167,7 +167,7 @@ def _dataset_stage_peak(root, other_notes):
                                     "dataset.diagnoses": str(diags), "model.preset": "logreg"})
     tracemalloc.start()
     try:
-        harness.stage_dataset(cfg, harness.Workspace(root / "ws"), notes, diags)
+        harness.stage_dataset(cfg, harness.Workspace(root / "ws"))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -389,6 +389,16 @@ def test_malformed_word2vec_text_is_format_error_naming_path_and_line(tmp_path):
             load_word2vec_text(path)
 
 
+def test_word2vec_text_rejects_non_finite_values_and_lines_past_its_count(tmp_path):
+    path = tmp_path / "vectors.txt"
+    cases = {"2 2\na nan inf\nb 1 2\nc 3 4\n": (2, "non-finite"),
+             "2 2\na 1 2\nb 1 2\nc 3 4\n": (4, "past the header")}
+    for text, (line, what) in cases.items():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{line}: .*{what}"):
+            load_word2vec_text(path)
+
+
 def test_word2vec_text_round_trip_omits_pad(tmp_path):
     docs = two_topic_docs(4)
     res = train_word2vec_cbow(docs, dim=6, epochs=1, seed=1)

@@ -7,6 +7,7 @@ import multiprocessing
 import re
 import shutil
 import sys
+import tempfile
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -101,6 +102,12 @@ def _typed(value):
     ("model.hidden", "8,x"),
     ("model.conv_blocks", "8:a:2"),
     ("feature.seq_len", "15OO"),
+    ("dataset.split_seed", "-1"),
+    ("dataset.synthetic.seed", "-1"),
+    ("feature.seed", "-1"),
+    ("train.seed", "-1"),
+    ("model.rf_trees", "0"),
+    ("model.rf_depth", "-3"),
 ] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)]
   + [(key, "x") for key in harness.CHOICES])
 def test_malformed_value_is_config_error_naming_its_key(key, value):
@@ -219,7 +226,6 @@ def test_stage_hashes_match_pinned_digests():
     prefixes = {stage: row.prefixes for stage, row in harness.STAGES.items()}
     assert {stage: hashlib.sha256(cfg.canonical_text(p).encode()).hexdigest()
             for stage, p in {**prefixes, "run": ()}.items()} == {
-        "corpus": "a629c31e7fa805357cbece27539aa5e10e279db22d93f2457463cf9fe0995dc6",
         "dataset": "be7db3bcca634de008eb867106b80eda4436140b65240e3b259b34a89c15f08d",
         "features": "cabcdfae94cf1df75bf5cbf06f05d61a32c43f423873bd8a316dceefe7691a3f",
         "run": "9625eba187dbd1972c8396177574a2bd6416fafacde642fde9fc6ec4340539b7",
@@ -245,9 +251,18 @@ def test_feature_keys_change_feature_hash_only():
 def test_split_seed_changes_dataset_hash():
     a = _keys(make_cfg())
     b = _keys(make_cfg(**{"dataset.split_seed": "9"}))
-    assert a["corpus"] == b["corpus"]
     assert a["dataset"] != b["dataset"]
     assert a["features"] != b["features"]
+
+
+def test_synthetic_seed_changes_dataset_and_feature_hashes():
+    # the synthetic corpus is generated inside the dataset stage, so its
+    # seed is part of that stage's key
+    a = _keys(make_cfg())
+    b = _keys(make_cfg(**{"dataset.synthetic.seed": "2"}))
+    assert a["dataset"] != b["dataset"]
+    assert a["features"] != b["features"]
+    assert a["run"] != b["run"]
 
 
 # ---------------------------------------------------------------- caching
@@ -258,18 +273,33 @@ def test_second_run_reuses_cached_stages(tmp_path, capsys):
     rec1 = run_pipeline(cfg, ws, run_name="first", log=lambda *a: None)
     assert rec1.cache_hits == []
     rec2 = run_pipeline(cfg, ws, run_name="second", log=lambda *a: None)
-    assert len(rec2.cache_hits) >= 2  # corpus/dataset/features all cached
+    assert [hit.split(":")[0] for hit in rec2.cache_hits] == ["dataset", "features"]
 
 
-def test_cache_collision_detected(tmp_path):
-    cfg = make_cfg()
-    ws = Workspace(tmp_path / "ws")
-    h = ws.stage_key(cfg, "corpus")
-    d = ws.stage_dir("corpus", h)
-    d.mkdir(parents=True)
-    (d / ".complete").write_text("sha256:" + "0" * 64 + "\n")
-    with pytest.raises(PipelineError, match="collision"):
-        ws.stage_cached("corpus", h)
+def test_synthetic_run_caches_two_stages_and_no_csv(tmp_path):
+    run_pipeline(make_cfg(), tmp_path / "ws", log=lambda *a: None)
+    assert sorted(d.name for d in (tmp_path / "ws" / "cache").iterdir()) == ["dataset", "features"]
+    for stage in ("dataset", "features"):
+        assert [len(d.name) for d in (tmp_path / "ws" / "cache" / stage).iterdir()] == [64]
+    assert list((tmp_path / "ws").rglob("*.csv")) == []
+
+
+def test_failed_synthetic_ingest_leaves_no_csv(tmp_path, monkeypatch):
+    # the generated corpus lives in a temporary directory that goes when
+    # ingest ends, also when it raises
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+
+    def fail(path):
+        assert Path(path).is_file()
+        raise DatasetError("diagnoses unreadable")
+
+    monkeypatch.setattr(corpus, "load_diagnoses", fail)
+    with pytest.raises(PipelineError, match="^stage dataset: diagnoses unreadable$"):
+        run_pipeline(make_cfg(), tmp_path / "ws", log=lambda *a: None)
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert not any((tmp_path / "ws" / "cache").glob("*/*"))
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_edited_feature_source_rebuilds_features_only(tmp_path, monkeypatch):
@@ -282,7 +312,7 @@ def test_edited_feature_source_rebuilds_features_only(tmp_path, monkeypatch):
     monkeypatch.setitem(harness.STAGES, "features", row._replace(sources=tuple(
         str(tmp_path / name) if name == "features.py" else name for name in row.sources)))
     second = run_pipeline(cfg, tmp_path / "ws", run_name="second", log=lambda *a: None)
-    assert [hit.split(":")[0] for hit in second.cache_hits] == ["corpus", "dataset"]
+    assert [hit.split(":")[0] for hit in second.cache_hits] == ["dataset"]
     assert second.dataset_hash == first.dataset_hash
     assert second.feature_hash != first.feature_hash
 
@@ -376,11 +406,10 @@ def test_each_stage_runs_only_sources_its_key_covers(tmp_path, overrides):
     cfg = make_cfg(**overrides)
     ws = Workspace(tmp_path / "ws", log=lambda *a: None)
     ran = {}
-    csvs, ran["corpus"] = _package_files_run(harness.stage_corpus, cfg, ws)
-    splits, ran["dataset"] = _package_files_run(harness.stage_dataset, cfg, ws, *csvs)
+    splits, ran["dataset"] = _package_files_run(harness.stage_dataset, cfg, ws)
     _, ran["features"] = _package_files_run(harness.stage_features, cfg, ws, splits[:3])
     assert ws.cache_hits == []
-    assert {"corpus.py", "features.py"} <= ran["corpus"] | ran["features"]
+    assert {"corpus.py", "features.py"} <= ran["dataset"] | ran["features"]
     for stage, files in ran.items():
         listed, row = set(), harness.STAGES[stage]
         while row:
@@ -392,16 +421,16 @@ def test_each_stage_runs_only_sources_its_key_covers(tmp_path, overrides):
 def test_failed_stage_build_publishes_nothing(tmp_path):
     cfg = make_cfg()
     ws = Workspace(tmp_path / "ws", log=lambda *a: None)
-    h = ws.stage_key(cfg, "corpus")
+    h = ws.stage_key(cfg, "dataset")
     with pytest.raises(RuntimeError, match="mid-write"):
-        with ws.new_stage("corpus", h) as d:
-            (d / "NOTEEVENTS.csv").write_text("ROW_ID\n")
+        with ws.new_stage("dataset", h) as d:
+            (d / "train.tsv").write_text("hadm_id\n")
             raise RuntimeError("mid-write")
-    assert list(ws.stage_dir("corpus", h).parent.iterdir()) == []
-    assert not ws.stage_cached("corpus", h)
+    assert list(ws.stage_dir("dataset", h).parent.iterdir()) == []
+    assert not ws.stage_cached("dataset", h)
     record = run_pipeline(cfg, ws.root, run_name="after", log=lambda *a: None)
     assert record.cache_hits == []
-    assert ws.stage_cached("corpus", h)
+    assert ws.stage_cached("dataset", h)
 
 
 RACE_ROUNDS = 4
@@ -439,17 +468,26 @@ def test_concurrent_runs_share_one_workspace(tmp_path):
 
 # ---------------------------------------------------------- feature cache
 
+@pytest.mark.parametrize("source", ["self", "random", "pretrained"])
+def test_min_count_counts_tokens_for_every_embedding_source(tmp_path, source):
+    # a and b occur twice each, b in two documents; c and d once
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("4 8\n" + "".join(f"{t}{' 0.5' * 8}\n" for t in "abcd"))
+    cfg = make_cfg(**SEQ_FEATURES, **{"feature.min_count": "2", "feature.embedding_source": source,
+                                      "feature.pretrained_path": vectors})
+    vocab, _ = harness._resolve_embedding(cfg, [["a", "a", "b"], ["b", "c"], ["d"]])
+    assert sorted(vocab.token_to_index) == ["a", "b"]
+
+
 def _splits(cfg, ws):
-    notes, diags = harness.stage_corpus(cfg, ws)
-    return harness.stage_dataset(cfg, ws, notes, diags)[:3]
+    return harness.stage_dataset(cfg, ws)[:3]
 
 
 def test_warm_dataset_equals_cold(tmp_path):
     cfg = make_cfg()
     ws = Workspace(tmp_path / "ws", log=lambda *a: None)
-    notes, diags = harness.stage_corpus(cfg, ws)
-    *cold, cold_catalog = harness.stage_dataset(cfg, ws, notes, diags)
-    *warm, warm_catalog = harness.stage_dataset(cfg, ws, notes, diags)
+    *cold, cold_catalog = harness.stage_dataset(cfg, ws)
+    *warm, warm_catalog = harness.stage_dataset(cfg, ws)
     assert ws.cache_hits[-1] == "dataset:" + ws.stage_key(cfg, "dataset")[:12]
     assert warm_catalog == cold_catalog
     for w, c in zip(warm, cold):
@@ -824,14 +862,42 @@ def test_cli_prepare_rejects_more_labels_than_the_synthetic_corpus_has(tmp_path,
     captured = capsys.readouterr()
     assert "dataset.k" in captured.err
     assert "label\tadmissions" not in captured.out
-    # rejected before the corpus stage generates anything
-    assert not any((tmp_path / "ws" / "cache" / "corpus").glob("*"))
+    # rejected before the dataset stage generates anything
+    assert not any((tmp_path / "ws" / "cache").glob("*/*"))
+
+
+def test_cli_synth_writes_the_corpus_the_dataset_stage_generates(tmp_path, capsys):
+    cfg_path = tmp_path / "synth.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SYNTH.items()))
+    out = tmp_path / "csv"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["DIAGNOSES_ICD.csv", "NOTEEVENTS.csv"]
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    dirs = []
+    for cfg in (make_cfg(), _csv_cfg(out / "NOTEEVENTS.csv", out / "DIAGNOSES_ICD.csv")):
+        harness.stage_dataset(cfg, ws)
+        dirs.append(ws.stage_dir("dataset", ws.stage_key(cfg, "dataset")))
+    assert dirs[0] != dirs[1]
+    for name in ("catalog.tsv", "train.tsv", "val.tsv", "test.tsv"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 def test_pipeline_rejects_more_labels_than_the_synthetic_corpus_has_before_any_stage(tmp_path):
     with pytest.raises(PipelineError, match="dataset.k"):
         run_pipeline(make_cfg(**{"dataset.k": 10}), tmp_path, log=lambda *a: None)
     assert not any((tmp_path / "cache").glob("*/*"))
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("report", "catalog.tsv"), ("evaluate", "truth_test.dense"), ("compare", "config.txt"),
+])
+def test_cli_names_a_missing_run_file(tmp_path, capsys, command, missing):
+    run_pipeline(make_cfg(), tmp_path, run_name="r", log=lambda *a: None)
+    run_dir = tmp_path / "runs" / "r"
+    (run_dir / missing).unlink()
+    flag = "--runs" if command == "compare" else "--run"
+    assert cli.main([command, flag, str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {run_dir}: not a complete run (no {missing})\n"
 
 
 def test_cli_train_and_evaluate_flow(tmp_path, capsys):

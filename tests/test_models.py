@@ -227,6 +227,13 @@ def test_forest_refuses_silent_dense_blowup():
     assert peak < 1 << 20
 
 
+def test_forest_without_trees_is_config_error():
+    # no tree would vote, and every probability would be 0/0
+    x = np.zeros((4, 2))
+    with pytest.raises(ConfigError, match="n_trees = 0"):
+        train_random_forest_ovr(x, np.ones((4, 1), dtype=np.uint8), n_trees=0, seed=0)
+
+
 def test_forest_is_seed_deterministic():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((50, 4))
