@@ -97,14 +97,18 @@ DEFAULTS: dict[str, str] = {
 }
 
 # Every cached stage: the stage it follows, the prefixes of the config keys
-# it reads, the config keys naming files it reads (when set) and the files
-# under PACKAGE it runs, beyond those of the stages before it.
+# it reads, the config keys naming files it reads, each with the (key,
+# value) setting under which it reads that file, and the files under
+# PACKAGE it runs, beyond those of the stages before it.
 Stage = namedtuple("Stage", "upstream prefixes inputs sources")
 PACKAGE = Path(__file__).resolve().parent
+CSV_SOURCE = ("dataset.source", "csv")
 STAGES = {
-    "dataset": Stage(None, ("dataset.",), ("dataset.notes", "dataset.diagnoses"),
+    "dataset": Stage(None, ("dataset.",),
+                     {"dataset.notes": CSV_SOURCE, "dataset.diagnoses": CSV_SOURCE},
                      ("corpus.py", "harness.py")),
-    "features": Stage("dataset", ("dataset.", "feature."), ("feature.pretrained_path",), (
+    "features": Stage("dataset", ("dataset.", "feature."),
+                      {"feature.pretrained_path": ("feature.embedding_source", "pretrained")}, (
         "features.py", "textproc.py", "neuralcore/core.py", "data/stopwords_en.txt")),
 }
 
@@ -338,7 +342,8 @@ class Workspace:
         if (stage, text) not in self.keys:
             key = hashlib.sha256((self.stage_key(cfg, upstream) if upstream else "").encode())
             key.update(text.encode("utf-8"))
-            for path in [Path(cfg[k]) for k in inputs if cfg[k]] + [PACKAGE / s for s in sources]:
+            read = [Path(cfg[k]) for k, (when, value) in inputs.items() if cfg[when] == value]
+            for path in read + [PACKAGE / s for s in sources]:
                 try:
                     with open(path, "rb") as fh:
                         key.update(b"%d\n" % os.fstat(fh.fileno()).st_size)

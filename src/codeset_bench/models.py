@@ -172,64 +172,72 @@ def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float =
 # ---------------------------------------------------------------------------
 
 
-def _best_split(x, y, feats) -> tuple[float, int, float] | None:
-    """Lowest weighted Gini over the candidate columns ``feats``, given as
-    the node's ``[m, len(feats)]`` block ``x`` with labels ``y``.
+def _best_split(block, y, pos: int, feats) -> tuple[float, int, float] | None:
+    """Lowest weighted Gini over the candidate features ``feats``, given as
+    the node's ``[len(feats), m]`` block, one contiguous row per candidate,
+    with labels ``y`` holding ``pos`` positives.
 
-    One pass over the block: a stable sort per column, a cumulative count
-    of positives and the Gini of every cut, with cuts between equal values
-    masked to +inf. Thresholds are midpoints between consecutive distinct
-    values. Ties follow the sequential rule: the lowest threshold wins in a
-    column, and a later candidate replaces the best only if its Gini is
-    lower by more than 1e-15. None when every candidate is constant."""
-    m = len(y)
-    total_pos = float(y.sum())
-    order = np.argsort(x, axis=0, kind="stable")
-    sv = np.take_along_axis(x, order, axis=0)
-    pos_l = np.cumsum(y[order].astype(np.float64), axis=0)[:-1]
-    n_l = np.arange(1.0, m)[:, None]
+    One pass over the block: a stable sort along each row, a cumulative
+    count of positives and the Gini of every cut, with cuts between equal
+    values masked to +inf. Thresholds are midpoints between consecutive
+    distinct values. Ties follow the sequential rule: the lowest threshold
+    wins in a row, and a later candidate replaces the best only if its
+    Gini is lower by more than 1e-15. None when every candidate is
+    constant."""
+    n_try, m = block.shape
+    order = np.argsort(block, axis=1, kind="stable")
+    sv = block.take(order + np.arange(0, n_try * m, m)[:, None])
+    pos_l = np.cumsum(y.take(order)[:, :-1], axis=1, dtype=np.float64)
+    n_l = np.arange(1.0, m)
     n_r = m - n_l
-    pos_r = total_pos - pos_l
     p_l = pos_l / n_l
-    p_r = pos_r / n_r
-    gini = (n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)) / m
-    valid = sv[:-1] < sv[1:]
+    p_r = np.subtract(pos, pos_l, out=pos_l)
+    p_r /= n_r
+    gini = (n_l * 2.0) * p_l
+    gini *= np.subtract(1.0, p_l, out=p_l)
+    right = (n_r * 2.0) * p_r
+    right *= np.subtract(1.0, p_r, out=p_r)
+    gini += right
+    gini /= m
+    valid = sv[:, :-1] < sv[:, 1:]
     gini[~valid] = np.inf
-    cols = np.flatnonzero(valid.any(axis=0))
-    cuts = gini[:, cols].argmin(axis=0)
+    cols = np.flatnonzero(valid.any(axis=1))
+    cuts = gini[cols].argmin(axis=1)
     best = None
-    for c, i, g in zip(cols.tolist(), cuts.tolist(), gini[cuts, cols].tolist()):
+    for c, i, g in zip(cols.tolist(), cuts.tolist(), gini[cols, cuts].tolist()):
         if best is None or g < best[0] - 1e-15:
-            thr = float((sv[i, c] + sv[i + 1, c]) / 2.0)
+            thr = float((sv[c, i] + sv[c, i + 1]) / 2.0)
             best = (g, int(feats[c]), thr)
     return best
 
 
-def _grow_tree(x, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth: int = 0) -> int:
-    """Append the tree grown on ``rows`` of the dense ``x`` and labels
+def _grow_tree(xt, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth: int = 0) -> int:
+    """Append the tree grown on ``rows`` of the transposed dense features
+    ``xt`` ([d, n], one contiguous row per feature) and the 0/1 labels
     ``y`` to ``nodes`` in preorder as [feature, threshold, left, right,
     value] rows and return its root's index. Leaves have feature -1 and
-    hold the mean label of their rows as value.
+    hold the fraction of positive rows as value.
 
     A node holds only its row indices, in draw order: the bootstrap draw
     at the root, then the rows going each way. It gathers just its
-    ``[len(rows), n_try]`` block of candidate columns; ``x`` itself is
+    ``[n_try, len(rows)]`` block of candidate features; ``xt`` itself is
     never copied. The RNG is called once per non-leaf node, in preorder,
     to draw ``n_try`` candidates without replacement.
     """
     node = len(nodes)
     yr = y[rows]
-    nodes.append([-1, 0.0, -1, -1, float(yr.mean())])
-    if depth >= max_depth or len(yr) < 2 or yr.min() == yr.max():
+    m, pos = len(yr), int(yr.sum())
+    nodes.append([-1, 0.0, -1, -1, pos / m])
+    if depth >= max_depth or m < 2 or pos in (0, m):
         return node
-    feats = rng.choice(x.shape[1], size=n_try, replace=False)
-    best = _best_split(x[np.ix_(rows, feats)], yr, feats)
+    feats = rng.choice(xt.shape[0], size=n_try, replace=False)
+    best = _best_split(xt[feats[:, None], rows], yr, pos, feats)
     if best is None:
         return node
     _, f, thr = best
-    mask = x[rows, f] <= thr
-    left = _grow_tree(x, y, rows[mask], rng, max_depth, n_try, nodes, depth + 1)
-    right = _grow_tree(x, y, rows[~mask], rng, max_depth, n_try, nodes, depth + 1)
+    mask = xt[f, rows] <= thr
+    left = _grow_tree(xt, y, rows[mask], rng, max_depth, n_try, nodes, depth + 1)
+    right = _grow_tree(xt, y, rows[~mask], rng, max_depth, n_try, nodes, depth + 1)
     nodes[node] = [f, thr, left, right, -1.0]
     return node
 
@@ -238,8 +246,9 @@ DENSE_LIMIT_BYTES = 1 << 30  # largest dense float64 copy the forest makes of sp
 
 
 def _dense_float64(features) -> np.ndarray:
-    """features as a dense float64 array; sparse input is refused when that
-    copy would take more than DENSE_LIMIT_BYTES."""
+    """features as one C-contiguous float64 array; sparse input is
+    densified through its CSR form, and refused when that copy would take
+    more than DENSE_LIMIT_BYTES."""
     if sp.issparse(features):
         n, d = features.shape
         if n * d * 8 > DENSE_LIMIT_BYTES:
@@ -247,8 +256,8 @@ def _dense_float64(features) -> np.ndarray:
                 f"densifying {n}x{d} sparse features takes {n * d * 8 / 2**30:.2f} GiB, "
                 f"over the forest's {DENSE_LIMIT_BYTES / 2**30:g} GiB limit"
             )
-        features = features.toarray()
-    return np.asarray(features, dtype=np.float64)
+        features = features.tocsr().toarray()
+    return np.ascontiguousarray(features, dtype=np.float64)
 
 
 def train_random_forest_ovr(
@@ -265,15 +274,16 @@ def train_random_forest_ovr(
     Every label column uses the identical seed stream, so permuting the
     label columns permutes the fitted sub-models correspondingly. All
     trees share one set of flat node arrays; ``roots[j, t]`` is the root
-    of tree t for label j.
+    of tree t for label j. Trees grow on the one dense copy of the
+    transposed features, so each node reads its candidates as rows.
     """
     if n_trees < 1:
         raise ConfigError(f"a forest needs at least one tree, got n_trees = {n_trees}")
     labels = np.asarray(labels)
-    x = _dense_float64(features)
-    if x.size == 0:
+    xt = _dense_float64(features.T)
+    if xt.size == 0:
         raise DatasetError("empty feature matrix")
-    n, d = x.shape
+    d, n = xt.shape
     k = labels.shape[1]
     n_try = max(1, int(round(math.sqrt(d))))
 
@@ -284,7 +294,7 @@ def train_random_forest_ovr(
         rng = np.random.default_rng(seed)  # same stream for every label
         for t in range(n_trees):
             boot = rng.integers(0, n, size=n)
-            roots[j, t] = _grow_tree(x, y, boot, rng, max_depth, n_try, nodes)
+            roots[j, t] = _grow_tree(xt, y, boot, rng, max_depth, n_try, nodes)
     feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
     arrays = {
         "feature": np.array(feature, dtype=np.int64),

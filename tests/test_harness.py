@@ -375,6 +375,25 @@ def test_missing_input_file_fails_its_stage(tmp_path, missing):
         run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
 
 
+@pytest.mark.parametrize("unused", ["csv", "pretrained"])
+def test_stage_keys_skip_input_files_the_config_does_not_read(tmp_path, unused):
+    # a synthetic dataset reads no CSV, the self embedding no pretrained
+    # file: naming a missing one runs, and rewriting it keeps every key
+    if unused == "csv":
+        paths = [tmp_path / "N.csv", tmp_path / "D.csv"]
+        cfg = make_cfg(**{"dataset.notes": paths[0], "dataset.diagnoses": paths[1]})
+    else:
+        paths = [tmp_path / "v.txt"]
+        cfg = make_cfg(**SEQ_FEATURES, **{"feature.pretrained_path": paths[0]})
+    run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
+    for path in paths:
+        path.write_text("1 2\na 0.5 0.5\n")
+    before = _keys(cfg)
+    for path in paths:
+        path.write_text("2 2\na 0.5 0.5\nb 0.25 0.25\n")
+    assert _keys(cfg) == before
+
+
 def _package_files_run(fn, *args):
     """fn(*args), and the package files holding each Python function it called."""
     seen = set()

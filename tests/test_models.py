@@ -227,6 +227,21 @@ def test_forest_refuses_silent_dense_blowup():
     assert peak < 1 << 20
 
 
+def test_forest_fit_holds_one_dense_copy_of_sparse_features():
+    # the trees read one dense [d, n] float64 matrix; densifying the
+    # transpose and then making it contiguous would hold two
+    n, d = 200, 6000
+    x = sp.random(n, d, density=0.05, format="csr", random_state=4)
+    y = (np.random.default_rng(4).random((n, 2)) < 0.3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        train_random_forest_ovr(x, y, n_trees=2, max_depth=4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * 8
+
+
 def test_forest_without_trees_is_config_error():
     # no tree would vote, and every probability would be 0/0
     x = np.zeros((4, 2))
@@ -348,6 +363,8 @@ def forest_case(name):
         x = (rng.random((20, 9)) < 0.5).astype(np.float64)
     elif name == "csr":
         x = sp.random(70, 25, density=0.3, format="csr", random_state=3)
+    elif name == "wide-csr":  # the bench's shape: 30 candidates, most of them all-zero
+        x = sp.random(120, 900, density=0.05, format="csr", random_state=4)
     else:
         raise KeyError(name)
     dense = x.toarray() if sp.issparse(x) else x
@@ -363,7 +380,7 @@ def forest_case(name):
 
 @pytest.mark.parametrize("name", [
     "rounded", "constant-columns", "all-candidates-constant", "two-row", "small-deep",
-    "duplicated-columns", "near-tied-binary", "csr",
+    "duplicated-columns", "near-tied-binary", "csr", "wide-csr",
 ])
 def test_forest_matches_copying_reference_bit_for_bit(name):
     x, y = forest_case(name)
@@ -387,7 +404,7 @@ def test_best_split_keeps_first_candidate_within_tolerance():
     x = np.array([[0, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 1]], dtype=np.float64)
     feats = np.array([7, 3])
     assert best_split_reference(x, y, [0, 1]) == (0.4000000000000001, 0, 0.5)
-    assert models._best_split(x, y, feats) == (0.4000000000000001, 7, 0.5)
+    assert models._best_split(np.ascontiguousarray(x.T), y, 3, feats) == (0.4000000000000001, 7, 0.5)
 
 
 # ------------------------------------------------------------ training loop
