@@ -97,18 +97,21 @@ DEFAULTS: dict[str, str] = {
 }
 
 # Every cached stage: the stage it follows, the prefixes of the config keys
-# it reads, the config keys naming files it reads, each with the (key,
-# value) setting under which it reads that file, and the files under
-# PACKAGE it runs, beyond those of the stages before it.
+# it reads, the config keys naming files it reads, each with the test of the
+# config under which it reads that file, and the files under PACKAGE it
+# runs, beyond those of the stages before it.
 Stage = namedtuple("Stage", "upstream prefixes inputs sources")
 PACKAGE = Path(__file__).resolve().parent
-CSV_SOURCE = ("dataset.source", "csv")
+CSV_SOURCE = lambda cfg: cfg["dataset.source"] == "csv"
+# a sparse track reads no embedding, whatever its source
+PRETRAINED_SOURCE = lambda cfg: (cfg["feature.embedding_source"] == "pretrained"
+                                 and TRACK_KINDS[cfg["feature.track"]] != "sparse")
 STAGES = {
     "dataset": Stage(None, ("dataset.",),
                      {"dataset.notes": CSV_SOURCE, "dataset.diagnoses": CSV_SOURCE},
                      ("corpus.py", "harness.py")),
     "features": Stage("dataset", ("dataset.", "feature."),
-                      {"feature.pretrained_path": ("feature.embedding_source", "pretrained")}, (
+                      {"feature.pretrained_path": PRETRAINED_SOURCE}, (
         "features.py", "textproc.py", "neuralcore/core.py", "data/stopwords_en.txt")),
 }
 
@@ -342,7 +345,7 @@ class Workspace:
         if (stage, text) not in self.keys:
             key = hashlib.sha256((self.stage_key(cfg, upstream) if upstream else "").encode())
             key.update(text.encode("utf-8"))
-            read = [Path(cfg[k]) for k, (when, value) in inputs.items() if cfg[when] == value]
+            read = [Path(cfg[k]) for k, reads in inputs.items() if reads(cfg)]
             for path in read + [PACKAGE / s for s in sources]:
                 try:
                     with open(path, "rb") as fh:

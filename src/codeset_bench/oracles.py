@@ -156,9 +156,10 @@ def random_run(rng: np.random.Generator, n: int, q: int):
 
 def run_oracle_suite(n_pairs: int = 1000, n: int = 64, q: int = 10, seed: int = 0,
                      tol: float = 1e-12) -> dict[str, float]:
-    """Compare the metrics module against every oracle on seeded random
-    runs; returns max absolute deviations per metric, raising AssertionError
-    past tolerance."""
+    """Check ``metrics.report``, the function whose output a run stores,
+    against every oracle on seeded random runs; returns max absolute
+    deviations per metric, raising AssertionError past tolerance or on a
+    mismatched count of undefined values."""
     from . import metrics
 
     rng = np.random.default_rng(seed)
@@ -169,38 +170,29 @@ def run_oracle_suite(n_pairs: int = 1000, n: int = 64, q: int = 10, seed: int = 
     }
     for _ in range(n_pairs):
         probs, predicted, truth = random_run(rng, n, q)
-        ex = metrics.example_based_metrics(predicted, truth)
+        rep, _ = metrics.report(metrics.PredictionRun(probs, predicted, truth))
         op, orc, of1, oac, onan = oracle_example_metrics(predicted, truth)
-        worst["precision"] = max(worst["precision"], abs(ex.precision - op))
-        worst["recall"] = max(worst["recall"], abs(ex.recall - orc))
-        worst["f1"] = max(worst["f1"], abs(ex.f1 - of1))
-        worst["accuracy"] = max(worst["accuracy"], abs(ex.accuracy - oac))
-        assert ex.nan_replacements == onan, "nan audit mismatch"
-
-        worst["hamming"] = max(
-            worst["hamming"],
-            abs(metrics.hamming_loss(predicted, truth) - oracle_hamming(predicted, truth)),
-        )
-        auc, exc = metrics.macro_auc(probs, truth)
         oauc, oexc = oracle_macro_auc(probs, truth)
-        assert exc == oexc, "auc exclusion count mismatch"
-        worst["auc"] = max(worst["auc"], abs(auc - oauc))
-
-        for j in range(q):
-            ap, _ = metrics.average_precision(probs[:, j], truth[:, j])
-            oap = oracle_average_precision(probs[:, j], truth[:, j])
-            if ap is None or oap is None:
-                assert ap is None and oap is None, "ap definedness mismatch"
-            else:
-                worst["ap"] = max(worst["ap"], abs(ap - oap))
-
-        worst["p_at_5"] = max(
-            worst["p_at_5"],
-            abs(
-                metrics.precision_at_k(probs, truth, k=k)
-                - oracle_precision_at_k(probs, truth, k=k)
-            ),
-        )
+        oaps = [oracle_average_precision(probs[:, j], truth[:, j]) for j in range(q)]
+        defined = [ap for ap in oaps if ap is not None]
+        if [ap is None for ap in rep.ap_per_label] != [ap is None for ap in oaps]:
+            raise AssertionError("ap definedness mismatch")
+        if rep.nan_replacements != onan + oexc + q - len(defined):
+            raise AssertionError("nan audit mismatch")
+        oracle_mean_ap = sum(defined) / len(defined) if defined else 0.0
+        deviations = {
+            "precision": abs(rep.precision - op),
+            "recall": abs(rep.recall - orc),
+            "f1": abs(rep.f1 - of1),
+            "accuracy": abs(rep.accuracy - oac),
+            "hamming": abs(rep.hamming_loss - oracle_hamming(predicted, truth)),
+            "auc": abs(rep.macro_auc - oauc),
+            "ap": max([abs(rep.mean_ap - oracle_mean_ap)] + [
+                abs(ap - oap) for ap, oap in zip(rep.ap_per_label, oaps) if ap is not None]),
+            "p_at_5": abs(rep.precision_at_5 - oracle_precision_at_k(probs, truth, k=k)),
+        }
+        for name, dev in deviations.items():
+            worst[name] = max(worst[name], dev)
     for name, dev in worst.items():
         if dev > tol:
             raise AssertionError(f"{name} deviates from oracle by {dev} > {tol}")

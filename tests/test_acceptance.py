@@ -161,8 +161,8 @@ def test_hand_computed_spot_values():
     loss, _ = nc_losses.bce_loss(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
     assert abs(loss - math.log(2.0)) < 1e-12
 
-    ap, _ = metrics.average_precision(
-        np.array([0.9, 0.8, 0.7]), np.array([1, 0, 1])
+    (ap,) = metrics.average_precision(
+        np.array([[0.9], [0.8], [0.7]]), np.array([[1], [0], [1]])
     )
     assert abs(ap - 5.0 / 6.0) < 1e-12
 

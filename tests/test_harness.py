@@ -375,16 +375,22 @@ def test_missing_input_file_fails_its_stage(tmp_path, missing):
         run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
 
 
-@pytest.mark.parametrize("unused", ["csv", "pretrained"])
+@pytest.mark.parametrize("unused", ["csv", "pretrained", "pretrained-sparse"])
 def test_stage_keys_skip_input_files_the_config_does_not_read(tmp_path, unused):
-    # a synthetic dataset reads no CSV, the self embedding no pretrained
-    # file: naming a missing one runs, and rewriting it keeps every key
+    # a synthetic dataset reads no CSV, the self embedding and a tf-idf
+    # track no pretrained file: naming a missing one runs, and rewriting it
+    # keeps every key
     if unused == "csv":
         paths = [tmp_path / "N.csv", tmp_path / "D.csv"]
         cfg = make_cfg(**{"dataset.notes": paths[0], "dataset.diagnoses": paths[1]})
-    else:
+    elif unused == "pretrained":
         paths = [tmp_path / "v.txt"]
         cfg = make_cfg(**SEQ_FEATURES, **{"feature.pretrained_path": paths[0]})
+    else:
+        paths = [tmp_path / "v.txt"]
+        cfg = make_cfg(**{"feature.embedding_source": "pretrained",
+                          "feature.pretrained_path": paths[0]})
+        assert harness.TRACK_KINDS[cfg["feature.track"]] == "sparse"
     run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
     for path in paths:
         path.write_text("1 2\na 0.5 0.5\n")

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from codeset_bench.metrics import (
     average_precision,
     example_based_metrics,
     hamming_loss,
-    label_auc,
     load_pr_curves,
     macro_auc,
     precision_at_k,
@@ -29,6 +30,18 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def U8(rows):
     return np.asarray(rows, dtype=np.uint8)
+
+
+def score_column(scores, truth):
+    """AUC, AP and PR-curve arrays of one label column, from the batched
+    scorer."""
+    (auc,), (ap,), curves = metrics._score_columns(np.asarray(scores)[:, None],
+                                                   np.asarray(truth)[:, None])
+    return auc, ap, curves
+
+
+def column_auc(scores, truth):
+    return score_column(scores, truth)[0]
 
 
 # ------------------------------------------------------- example metrics
@@ -105,31 +118,31 @@ def test_hamming_is_symmetric(n, q, seed):
 def test_auc_perfect_separation():
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     truth = np.array([1, 1, 0, 0], dtype=np.uint8)
-    assert label_auc(scores, truth) == 1.0
+    assert column_auc(scores, truth) == 1.0
 
 
 def test_auc_reversed_separation_is_zero():
     scores = np.array([0.1, 0.9])
     truth = np.array([1, 0], dtype=np.uint8)
-    assert label_auc(scores, truth) == 0.0
+    assert column_auc(scores, truth) == 0.0
 
 
 def test_auc_all_tied_scores_is_half():
     scores = np.full(6, 0.5)
     truth = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
-    assert label_auc(scores, truth) == 0.5
+    assert column_auc(scores, truth) == 0.5
 
 
 def test_auc_hand_value_with_one_violation():
     # pairs: (0.9 vs 0.8-neg) correct, (0.3 vs 0.8-neg) wrong: 1 of 2
     scores = np.array([0.9, 0.8, 0.3])
     truth = np.array([1, 0, 1], dtype=np.uint8)
-    assert label_auc(scores, truth) == 0.5
+    assert column_auc(scores, truth) == 0.5
 
 
 def test_auc_single_class_label_is_excluded():
     scores = np.array([0.9, 0.8])
-    assert label_auc(scores, np.array([1, 1], dtype=np.uint8)) is None
+    assert column_auc(scores, np.array([1, 1], dtype=np.uint8)) is None
     probs = np.array([[0.9, 0.9], [0.8, 0.1]])
     truth = U8([[1, 1], [1, 0]])
     mean, excluded = macro_auc(probs, truth)
@@ -145,39 +158,37 @@ def test_auc_is_invariant_to_monotone_transforms(n, seed):
     truth = (rng.random(n) < 0.5).astype(np.uint8)
     if truth.min() == truth.max():
         truth[0] ^= 1
-    base = label_auc(scores, truth)
-    assert label_auc(3.0 * scores + 2.0, truth) == pytest.approx(base, abs=1e-12)
-    assert label_auc(np.exp(scores), truth) == pytest.approx(base, abs=1e-12)
+    base = column_auc(scores, truth)
+    assert column_auc(3.0 * scores + 2.0, truth) == pytest.approx(base, abs=1e-12)
+    assert column_auc(np.exp(scores), truth) == pytest.approx(base, abs=1e-12)
 
 
 # --------------------------------------------------------------------- ap
 
 def test_ap_hand_value_five_sixths():
-    ap, curve = average_precision(np.array([0.9, 0.8, 0.7]), np.array([1, 0, 1], dtype=np.uint8))
+    _, ap, curves = score_column(np.array([0.9, 0.8, 0.7]), U8([1, 0, 1]))
     assert ap == pytest.approx(5 / 6, abs=1e-12)
-    assert curve is not None
-    assert curve.recall.tolist() == [0.5, 1.0]
-    assert curve.precision.tolist() == [1.0, 2 / 3]
+    assert curves["count"].tolist() == [2]
+    assert curves["recall"].tolist() == [0.5, 1.0]
+    assert curves["precision"].tolist() == [1.0, 2 / 3]
+    assert curves["threshold"].tolist() == [0.9, 0.7]
 
 
 def test_ap_perfect_ranking_is_one():
-    ap, _ = average_precision(np.array([0.9, 0.8, 0.2]), np.array([1, 1, 0], dtype=np.uint8))
-    assert ap == 1.0
+    assert average_precision(np.array([[0.9], [0.8], [0.2]]), U8([[1], [1], [0]])) == [1.0]
 
 
 def test_ap_no_positives_is_excluded():
-    ap, curve = average_precision(np.array([0.9, 0.1]), np.array([0, 0], dtype=np.uint8))
+    _, ap, curves = score_column(np.array([0.9, 0.1]), U8([0, 0]))
     assert ap is None
-    assert curve is None
+    assert all(curves[key].size == 0 for key in metrics.PR_KEYS[1:])
 
 
 def test_ap_tie_break_is_by_ascending_index():
     # equal scores: earlier row ranks first, so a leading negative at the
     # same score depresses AP below 1
-    ap, _ = average_precision(np.array([0.5, 0.5]), np.array([0, 1], dtype=np.uint8))
-    assert ap == pytest.approx(0.5)
-    ap2, _ = average_precision(np.array([0.5, 0.5]), np.array([1, 0], dtype=np.uint8))
-    assert ap2 == 1.0
+    probs = np.full((2, 2), 0.5)
+    assert average_precision(probs, U8([[0, 1], [1, 0]])) == [0.5, 1.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -187,8 +198,8 @@ def test_ap_is_invariant_to_monotone_transforms(n, seed):
     scores = rng.random(n)
     truth = (rng.random(n) < 0.5).astype(np.uint8)
     truth[rng.integers(n)] = 1
-    base, _ = average_precision(scores, truth)
-    shifted, _ = average_precision(5.0 * scores + 1.0, truth)
+    (base,) = average_precision(scores[:, None], truth[:, None])
+    (shifted,) = average_precision(5.0 * scores[:, None] + 1.0, truth[:, None])
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -199,10 +210,10 @@ def test_pr_curve_recall_is_nondecreasing_and_ends_at_one(n, seed):
     scores = rng.random(n)
     truth = (rng.random(n) < 0.5).astype(np.uint8)
     truth[rng.integers(n)] = 1
-    _, curve = average_precision(scores, truth)
-    assert np.all(np.diff(curve.recall) >= 0)
-    assert curve.recall[-1] == 1.0
-    assert np.all((curve.precision > 0) & (curve.precision <= 1))
+    _, _, curves = score_column(scores, truth)
+    assert np.all(np.diff(curves["recall"]) >= 0)
+    assert curves["recall"][-1] == 1.0
+    assert np.all((curves["precision"] > 0) & (curves["precision"] <= 1))
 
 
 # ------------------------------------------------------------------- p@k
@@ -312,26 +323,29 @@ def reference_columns():
 
 
 def test_average_ranks_match_loop_reference():
-    # the AUC's ranks, read off the descending order that AP also uses
+    # column i of the identity truth has its one positive at row i, so its
+    # AUC is (average rank of row i - 1) / (n - 1); n = 400 spans blocks
     for scores, _ in reference_columns():
-        key = -scores
-        order = np.argsort(key, kind="stable")
-        ranks = np.empty(scores.size)
-        ranks[order] = metrics._doubled_ranks(key[order], np.arange(scores.size)) / 2.0
-        assert np.array_equal(ranks, average_ranks_reference(scores))
+        n = scores.size
+        if n < 2:
+            continue
+        aucs, _, _ = metrics._score_columns(np.repeat(scores[:, None], n, axis=1),
+                                            np.eye(n, dtype=np.uint8))
+        assert aucs == ((average_ranks_reference(scores) - 1) / (n - 1)).tolist()
 
 
 def test_average_precision_matches_loop_reference():
     for scores, truth in reference_columns():
-        ap, curve = average_precision(scores, truth, label="x")
+        _, ap, curves = score_column(scores, truth)
         want = average_precision_reference(scores, truth)
         if want is None:
-            assert (ap, curve) == (None, None)
+            assert ap is None and curves["count"].size == 0
             continue
         assert ap == want[0]
-        for got, expected in zip((curve.recall, curve.precision, curve.thresholds), want[1:]):
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
+        assert curves["count"].tolist() == [want[1].size]
+        for key, expected in zip(("recall", "precision", "threshold"), want[1:]):
+            assert curves[key].dtype == expected.dtype
+            assert np.array_equal(curves[key], expected)
 
 
 def test_precision_at_k_matches_loop_reference():
@@ -367,7 +381,9 @@ def test_report_on_perfect_run():
     assert rep.mean_ap == 1.0
     # label 3 has no positives: excluded from mean but kept as a placeholder
     assert rep.ap_per_label == [1.0, 1.0, 1.0, None, 1.0]
-    assert len(curves) == 4  # curves only for evaluable labels
+    # curves only for evaluable labels
+    assert curves["label"].tolist() == ["label0", "label1", "label2", "label4"]
+    assert curves["count"].tolist() == [1, 1, 1, 1]
 
 
 def test_report_json_is_stable_and_sorted():
@@ -395,8 +411,8 @@ def test_run_shape_mismatch_rejected():
 NAN_COLUMN = [0.3, np.nan, 0.5, 0.2, np.nan, 0.1]
 NAN_TRUTH = [1, 0, 0, 1, 1, 0]
 SCORE_ENTRY_POINTS = {
-    "label_auc": lambda s, t: label_auc(s[:, 1], t[:, 1]),
-    "average_precision": lambda s, t: average_precision(s[:, 1], t[:, 1]),
+    "score_columns": lambda s, t: metrics._score_columns(s[:, 1:], t[:, 1:]),
+    "average_precision": average_precision,
     "macro_auc": macro_auc,
     "precision_at_k": lambda s, t: precision_at_k(s, t, k=1),
     "report": lambda s, t: report(PredictionRun(s, np.zeros_like(t), t)),
@@ -429,17 +445,37 @@ def test_report_agrees_with_public_metric_functions():
         rep, curves = report(run)
         auc, auc_excluded = macro_auc(run.probs, run.truth)
         assert rep.macro_auc == auc
-        public = [average_precision(run.probs[:, j], run.truth[:, j], run.label_names[j])
-                  for j in range(run.q)]
-        assert rep.ap_per_label == [ap for ap, _ in public]
-        want_curves = [c for _, c in public if c is not None]
-        assert [c.label for c in curves] == [c.label for c in want_curves]
-        for got, want in zip(curves, want_curves):
-            for name in ("recall", "precision", "thresholds"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-        ap_excluded = sum(ap is None for ap, _ in public)
+        aps = average_precision(run.probs, run.truth)
+        assert rep.ap_per_label == aps
+        assert curves["label"].tolist() == [
+            name for name, ap in zip(run.label_names, aps) if ap is not None]
+        # the columns scored one at a time give the same values and curves
+        columns = [score_column(run.probs[:, j], run.truth[:, j]) for j in range(run.q)]
+        assert metrics._score_columns(run.probs, run.truth)[0] == [a for a, _, _ in columns]
+        assert aps == [ap for _, ap, _ in columns]
+        for key in metrics.PR_KEYS[1:]:
+            want = np.concatenate([c[key] for _, _, c in columns])
+            assert curves[key].dtype == want.dtype
+            assert np.array_equal(curves[key], want)
+        ap_excluded = sum(ap is None for ap in aps)
         ex_nans = example_based_metrics(run.predicted, run.truth).nan_replacements
         assert rep.nan_replacements == ex_nans + auc_excluded + ap_excluded
+
+
+def test_report_on_a_large_run_holds_bounded_memory():
+    # 12000 x 50 scores, 4.6 MiB: precision_at_k's 9.7 MiB peak sets the
+    # report's; the label columns, scored a block at a time, stay below it
+    rng = np.random.default_rng(0)
+    truth = (rng.random((12000, 50)) < 0.3 * 0.93 ** np.arange(50)).astype(np.uint8)
+    probs = 1.0 / (1.0 + np.exp(-rng.normal(-1.5 + 2.5 * truth, 1.2)))
+    run = PredictionRun(probs, (probs >= 0.5).astype(np.uint8), truth)
+    tracemalloc.start()
+    try:
+        report(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 # ------------------------------------------------------------ PR-curve codec
@@ -449,23 +485,22 @@ def test_pr_curves_round_trip(tmp_path):
     path = tmp_path / "pr.npz"
     write_pr_curves(curves, path)
     loaded = load_pr_curves(path)
-    assert [c.label for c in loaded] == [c.label for c in curves]
-    for got, want in zip(loaded, curves):
-        for name in ("recall", "precision", "thresholds"):
-            assert getattr(got, name).dtype == np.float64
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert list(loaded) == list(metrics.PR_KEYS)
+    for key in metrics.PR_KEYS:
+        assert loaded[key].dtype == curves[key].dtype
+        assert np.array_equal(loaded[key], curves[key])
+    assert loaded["count"].sum() == loaded["recall"].size
     with np.load(path, allow_pickle=False) as archive:
-        assert sorted(archive.files) == sorted(metrics.PR_KEYS)
-        assert archive["count"].tolist() == [len(c.recall) for c in curves]
+        assert archive.files == list(metrics.PR_KEYS)
 
 
 def test_run_without_positives_writes_zero_curves(tmp_path):
     run = PredictionRun(probs=np.full((3, 2), 0.5), predicted=np.zeros((3, 2), dtype=np.uint8),
                         truth=np.zeros((3, 2), dtype=np.uint8))
     _, curves = report(run)
-    assert curves == []
     write_pr_curves(curves, tmp_path / "pr.npz")
-    assert load_pr_curves(tmp_path / "pr.npz") == []
+    for arrays in (curves, load_pr_curves(tmp_path / "pr.npz")):
+        assert [arrays[key].size for key in metrics.PR_KEYS] == [0] * len(metrics.PR_KEYS)
 
 
 def _rewrite_npz(path, **changes):
@@ -499,6 +534,49 @@ def test_damaged_pr_curves_are_format_errors(tmp_path, damage):
         _rewrite_npz(path, label=label.astype(bytes))
     with pytest.raises(FormatError, match="pr.npz"):
         load_pr_curves(path)
+
+
+# Digest of the metrics_*.json and pr_*.npz bytes `harness._write_reports`
+# wrote at commit 6a0e44e, before the label columns were scored in blocks.
+RUN_FILES_DIGEST = "4b8244b227b1a4ccd41cf7b2001be7481fac5ba9301b854e70391da05f74820b"
+
+
+def _run_file_cases():
+    """Seeded (train, test) outputs with their label names: tied scores, an
+    all-negative and an all-positive column, a run wider than one scoring
+    block, a run without positives and a one-row run."""
+    rng = np.random.default_rng(21)
+
+    def outputs(n, q):
+        probs, _, truth = oracles.random_run(rng, n, q)
+        probs[:, ::2] = np.round(probs[:, ::2], 1)  # ties
+        return probs, truth
+
+    single_class = outputs(37, 9)
+    single_class[1][:, 1] = 0
+    single_class[1][:, 2] = 1
+    yield {"train": single_class, "test": outputs(20, 9)}, [f"V{j}" for j in range(9)]
+    # 300 x 250 = 75000 scores, more than one block of metrics.SCORE_BLOCK
+    names = [f"{400 + j}.{j % 10}" for j in range(250)]
+    yield {"train": outputs(300, 250), "test": outputs(40, 250)}, names
+    no_positives = (rng.random((5, 3)), np.zeros((5, 3), dtype=np.uint8))
+    one_row = (np.round(rng.random((1, 3)), 1), np.array([[1, 0, 1]], dtype=np.uint8))
+    yield {"train": no_positives, "test": one_row}, ["a", "bb", "ccc"]
+
+
+def test_written_run_files_match_pinned_digest(tmp_path):
+    from codeset_bench import harness
+
+    cfg = harness.ExperimentConfig({"model.preset": "logreg"})
+    h = hashlib.sha256()
+    for i, (outputs, names) in enumerate(_run_file_cases()):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        harness._write_reports(run_dir, cfg, outputs, names)
+        for name in sorted(p.name for p in run_dir.iterdir()):
+            if name.startswith(("metrics_", "pr_")):
+                h.update(name.encode() + b"\n" + (run_dir / name).read_bytes())
+    assert h.hexdigest() == RUN_FILES_DIGEST
 
 
 # ------------------------------------------------------- oracle agreement
@@ -628,27 +706,52 @@ def test_oracle_suite_clamps_p_at_5_to_label_count():
     assert max(worst.values()) < 1e-12
 
 
-def _nudge(value):
-    return None if value is None else value + 1e-9
+def _nudged_scorer(which):
+    """``metrics._score_columns`` with its AUCs (0) or APs (1) off by 1e-9."""
+    real = metrics._score_columns
+
+    def nudged(*args):
+        scores = list(real(*args))
+        scores[which] = [None if v is None else v + 1e-9 for v in scores[which]]
+        return tuple(scores)
+
+    return nudged
 
 
 def test_oracle_suite_catches_ap_off_by_1e9(monkeypatch):
-    real = metrics.average_precision
-
-    def nudged(*args, **kwargs):
-        ap, curve = real(*args, **kwargs)
-        return _nudge(ap), curve
-
-    monkeypatch.setattr(metrics, "average_precision", nudged)
+    monkeypatch.setattr(metrics, "_score_columns", _nudged_scorer(1))
     with pytest.raises(AssertionError, match="^ap deviates"):
         oracles.run_oracle_suite(n_pairs=5)
 
 
 def test_oracle_suite_catches_auc_off_by_1e9(monkeypatch):
-    real = metrics.label_auc
-    monkeypatch.setattr(metrics, "label_auc", lambda *args: _nudge(real(*args)))
+    monkeypatch.setattr(metrics, "_score_columns", _nudged_scorer(0))
     with pytest.raises(AssertionError, match="^auc deviates"):
         oracles.run_oracle_suite(n_pairs=5)
+
+
+def test_oracle_suite_catches_nan_replacements_off_by_one(monkeypatch):
+    real = metrics.report
+
+    def miscounted(run):
+        rep, curves = real(run)
+        return replace(rep, nan_replacements=rep.nan_replacements + 1), curves
+
+    monkeypatch.setattr(metrics, "report", miscounted)
+    with pytest.raises(AssertionError, match="^nan audit mismatch"):
+        oracles.run_oracle_suite(n_pairs=5)
+
+
+def test_oracle_suite_catches_an_undefined_ap_reported_as_defined(monkeypatch):
+    real = metrics._score_columns
+
+    def defined_everywhere(*args):
+        aucs, aps, curves = real(*args)
+        return aucs, [0.0 if ap is None else ap for ap in aps], curves
+
+    monkeypatch.setattr(metrics, "_score_columns", defined_everywhere)
+    with pytest.raises(AssertionError, match="^ap definedness mismatch"):
+        oracles.run_oracle_suite(n_pairs=200, n=4, q=3)
 
 
 # Digests pinned on the list-free oracles of commit 23e49f0 (before the
