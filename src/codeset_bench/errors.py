@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and ``read_numpy``, the one
+place a malformed NumPy file becomes a FormatError."""
+
+import zipfile
 
 
 class PipelineError(Exception):
@@ -30,3 +33,14 @@ class NumericError(PipelineError):
 
 class ShapeError(PipelineError):
     """Tensor shapes incompatible with the requested operation."""
+
+
+def read_numpy(path, reader):
+    """Run ``reader`` on ``path`` opened for binary reading, turning a
+    malformed or truncated NumPy file into a FormatError that names the
+    path."""
+    with open(path, "rb") as fh:
+        try:
+            return reader(fh)
+        except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+            raise FormatError(f"{path}: {exc}") from None

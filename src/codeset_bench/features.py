@@ -12,9 +12,9 @@ import and export format for embeddings made elsewhere.
 from __future__ import annotations
 
 import math
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import textproc
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, read_numpy
 from .neuralcore import sigmoid
 from .textproc import PAD_INDEX, Vocabulary, build_vocabulary
 
@@ -65,26 +65,18 @@ def tfidf_vectorize(
     exactly twice the single-occurrence doc on that column. Columns are
     vocabulary indices shifted down by one (the pad slot is dropped), so
     the matrix has exactly vocabulary-size columns.
+
+    scipy's COO to CSR conversion counts: it sums the ones of each
+    in-vocabulary token's (document, column) pair and sorts every row's
+    columns; the counts are then scaled by idf.
     """
-    vocab = table.vocabulary
-    n_cols = len(vocab.token_to_index)
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for doc in docs:
-        counts: dict[int, int] = {}
-        for tok in doc:
-            i = vocab.token_to_index.get(tok)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + 1
-        for i in sorted(counts):
-            indices.append(i - 1)
-            data.append(counts[i] * table.idf[i])
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(docs), n_cols),
-    )
+    lookup = table.vocabulary.token_to_index
+    ids = [[lookup[t] for t in doc if t in lookup] for doc in docs]
+    rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    cols = np.fromiter(chain.from_iterable(ids), np.int64, len(rows))
+    m = sp.csr_matrix((np.ones(len(cols)), (rows, cols - 1)), shape=(len(docs), len(lookup)))
+    m.data *= table.idf[m.indices + 1]
+    return m
 
 
 @dataclass(frozen=True)
@@ -403,16 +395,6 @@ def encode_corpus_sequences(
 # ---------------------------------------------------------------------------
 
 
-def _load(path: str | Path, reader):
-    """Run ``reader`` on the open file, turning a malformed or truncated
-    NumPy file into a FormatError that names the path."""
-    with open(path, "rb") as fh:
-        try:
-            return reader(fh)
-        except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
-            raise FormatError(f"{path}: {exc}") from None
-
-
 def save_sparse(matrix: sp.csr_matrix, path: str | Path) -> None:
     """Uncompressed ``scipy.sparse`` .npz; written through an open file so
     that the path keeps its name."""
@@ -421,7 +403,7 @@ def save_sparse(matrix: sp.csr_matrix, path: str | Path) -> None:
 
 
 def load_sparse(path: str | Path) -> sp.csr_matrix:
-    return _load(path, sp.load_npz)
+    return read_numpy(path, sp.load_npz)
 
 
 def save_dense(matrix: np.ndarray, path: str | Path) -> None:
@@ -431,7 +413,7 @@ def save_dense(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def _load_array(path: str | Path) -> np.ndarray:
-    arr = _load(path, lambda fh: np.load(fh, allow_pickle=False))
+    arr = read_numpy(path, lambda fh: np.load(fh, allow_pickle=False))
     if arr.ndim != 2:
         raise FormatError(f"{path}: expected a 2-D array, got shape {arr.shape}")
     return arr

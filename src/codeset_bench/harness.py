@@ -639,13 +639,8 @@ def _write_reports(
         name = cfg["model.preset"] or cfg["model.family"]
         with open(run_dir / "summary.txt", "w", encoding="utf-8") as fh:
             fh.write(f"model: {name}   track: {cfg['feature.track']}\n\n")
-            fh.write(f"{'split':<8}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS) + "\n")
-            for split in ("train", "test"):
-                fh.write(
-                    f"{split:<8}"
-                    + "".join(f"{getattr(reports[split], c):>16.4f}" for c in COMPARE_COLUMNS)
-                    + "\n"
-                )
+            rows = [(split, reports[split].to_dict()) for split in ("train", "test")]
+            fh.write(_results_table("split", rows, 8))
     return reports
 
 
@@ -710,9 +705,14 @@ def compare_runs(run_dirs: list[str | Path]) -> tuple[str, str]:
     csv_text = "\n".join(csv_lines) + "\n"
 
     width = max([len("model")] + [len(name) for name, _ in rows]) + 2
-    text_lines = [f"{'model':<{width}}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS)]
-    for name, m in rows:
-        text_lines.append(
-            f"{name:<{width}}" + "".join(f"{m[c]:>16.4f}" for c in COMPARE_COLUMNS)
-        )
-    return csv_text, "\n".join(text_lines) + "\n"
+    return csv_text, _results_table("model", rows, width)
+
+
+def _results_table(first: str, rows: list[tuple[str, dict]], width: int) -> str:
+    """``COMPARE_COLUMNS`` aligned under a header whose first column is
+    ``first``, one line per (name, metrics dict) row, the names padded to
+    ``width``."""
+    lines = [f"{first:<{width}}" + "".join(f"{c:>16}" for c in COMPARE_COLUMNS)]
+    lines += [f"{name:<{width}}" + "".join(f"{m[c]:>16.4f}" for c in COMPARE_COLUMNS)
+              for name, m in rows]
+    return "\n".join(lines) + "\n"

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, read_numpy
 
 
 @dataclass
@@ -233,12 +232,19 @@ def precision_at_k(probs: np.ndarray, truth: np.ndarray, k: int = 5) -> float:
         raise ShapeError(f"probs {probs.shape} vs truth {t.shape}")
     if not 1 <= k <= probs.shape[1]:
         raise ConfigError(f"k={k} outside 1..{probs.shape[1]} (the label count)")
-    keep = t.any(axis=1)
-    if not keep.any():
+    kept = np.flatnonzero(t.any(axis=1))
+    if not kept.size:
         return 0.0
-    top = np.argsort(-probs[keep], axis=1, kind="stable")[:, :k]
-    vals = np.take_along_axis(t[keep], top, axis=1).sum(axis=1) / k
-    return float(np.mean(vals))
+    # k passes of argmax, which returns the first maximum, over one copy of
+    # the kept rows, each pass setting its picks to -inf
+    scores = probs[kept]
+    rows = np.arange(kept.size)
+    hits = np.zeros(kept.size, dtype=np.int64)
+    for _ in range(k):
+        top = scores.argmax(axis=1)
+        hits += t[kept, top]
+        scores[rows, top] = -np.inf
+    return float(np.mean(hits / k))
 
 
 @dataclass
@@ -307,12 +313,11 @@ def load_pr_curves(path: str | Path) -> dict[str, np.ndarray]:
     """The ``PR_KEYS`` arrays ``write_pr_curves`` wrote; FormatError, naming
     the path, for a malformed file, a missing key, a wrong dtype or counts
     that do not add up to the point columns."""
-    with open(path, "rb") as fh:
-        try:
-            with np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive:
-                arrays = {key: archive[key] for key in PR_KEYS}
-        except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    def read(fh):
+        with np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive:
+            return {key: archive[key] for key in PR_KEYS}
+
+    arrays = read_numpy(path, read)
     label, count = arrays["label"], arrays["count"]
     points = [arrays[key] for key in PR_KEYS[2:]]
     n = points[0].size

@@ -32,15 +32,7 @@ from .layers import (
 )
 from .losses import BCE_EPS, bce_loss
 from .optim import RMSprop, SGD, make_optimizer
-from .recurrent import (
-    GRU,
-    LSTM,
-    Bidirectional,
-    SimpleRNN,
-    gru_step,
-    lstm_step,
-    rnn_step,
-)
+from .recurrent import GRU, LSTM, Bidirectional, SimpleRNN
 
 __all__ = [
     "BCE_EPS",
@@ -64,15 +56,12 @@ __all__ = [
     "bce_loss",
     "glorot_uniform",
     "gradient_check",
-    "gru_step",
     "guard_finite",
     "load_checkpoint",
-    "lstm_step",
     "make_optimizer",
     "model_tensors",
     "orthogonal",
     "restore_model",
-    "rnn_step",
     "save_checkpoint",
     "sigmoid",
 ]

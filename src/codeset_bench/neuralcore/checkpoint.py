@@ -3,12 +3,11 @@
 
 from __future__ import annotations
 
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, read_numpy
 
 MANIFEST_NAME = "manifest.txt"
 TENSORS_NAME = "tensors.npz"
@@ -40,11 +39,7 @@ def load_checkpoint(ckpt_dir: str | Path) -> tuple[dict[str, np.ndarray], dict[s
     tensors_path = ckpt_dir / TENSORS_NAME
     if not tensors_path.exists():
         raise FormatError(f"{ckpt_dir}: missing {TENSORS_NAME}")
-    try:
-        with np.load(tensors_path, allow_pickle=False) as archive:
-            tensors = {name: archive[name] for name in archive.files}
-    except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{tensors_path}: {exc}") from None
+    tensors = read_numpy(tensors_path, lambda fh: dict(np.lib.npyio.NpzFile(fh, allow_pickle=False)))
     return tensors, manifest
 
 

@@ -27,30 +27,27 @@ class SGD:
             p.zero_grad()
 
 
-class RMSprop:
-    """s <- rho*s + (1-rho)*grad^2; theta <- theta - lr*grad/sqrt(s+eps)."""
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-8
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 0.001,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-    ):
-        if lr <= 0 or not (0.0 <= rho < 1.0) or eps <= 0:
-            raise ConfigError("invalid rmsprop hyperparameters")
+
+class RMSprop:
+    """s <- rho*s + (1-rho)*grad^2; theta <- theta - lr*grad/sqrt(s+eps),
+    with ``RMSPROP_RHO`` and ``RMSPROP_EPS``."""
+
+    def __init__(self, params: list[Parameter], lr: float = 0.001):
+        if lr <= 0:
+            raise ConfigError("learning rate must be positive")
         self.params = [p for p in params if p.trainable]
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.sq = [np.zeros_like(p.value) for p in self.params]
 
     def step(self) -> None:
         for p, s in zip(self.params, self.sq):
             guard_finite(p.name + ".grad", p.grad)
-            s *= self.rho
-            s += (1.0 - self.rho) * p.grad**2
-            p.value -= self.lr * p.grad / np.sqrt(s + self.eps)
+            s *= RMSPROP_RHO
+            s += (1.0 - RMSPROP_RHO) * p.grad**2
+            p.value -= self.lr * p.grad / np.sqrt(s + RMSPROP_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

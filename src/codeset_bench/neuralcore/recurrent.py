@@ -9,8 +9,8 @@ the last hidden state [B, H], or the full state sequence [B, T, H] when
 Each cell holds three parameters, ``{name}.W`` [d, G·H], ``{name}.U``
 [H, G·H] and ``{name}.b`` [G·H], with one H-column block per gate: G is
 1 for the simple RNN, 4 for the LSTM, stored (i, f, g, o), and 3 for the
-GRU, stored (r, z, h~). Step functions take the same (w, u, b) triple and
-are exposed standalone so the cell equations can be checked in isolation:
+GRU, stored (r, z, h~). The cells compute these equations, which the
+tests restate one step at a time as the layers' reference:
 
   simple RNN  h_t = tanh(x W + h U + b)
   LSTM        i,f,o = sigmoid(.), g = tanh(.), c_t = f*c + i*g,
@@ -36,42 +36,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from .core import Layer, Parameter, as_float, glorot_uniform, orthogonal, sigmoid
-
-
-def rnn_step(x, h, w, u, b):
-    """One simple-RNN step: tanh(x W + h U + b)."""
-    return np.tanh(x @ w + h @ u + b)
-
-
-def lstm_step(x, h, c, w, u, b):
-    """One LSTM step; gate order along the 4H axis is (i, f, g, o).
-
-    Returns (h_new, c_new, gates) where gates = (i, f, g, o).
-    """
-    z = x @ w + h @ u + b
-    n = h.shape[-1]
-    i = sigmoid(z[..., :n])
-    f = sigmoid(z[..., n : 2 * n])
-    g = np.tanh(z[..., 2 * n : 3 * n])
-    o = sigmoid(z[..., 3 * n :])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new, (i, f, g, o)
-
-
-def gru_step(x, h, w, u, b):
-    """One GRU step in the original Cho formulation; gate order along the
-    3H axis is (r, z, h~), and U's h~ block multiplies r*h.
-
-    Returns (h_new, gates) where gates = (r, z, h_tilde).
-    """
-    n = h.shape[-1]
-    a = x @ w + b
-    r = sigmoid(a[..., :n] + h @ u[:, :n])
-    z = sigmoid(a[..., n : 2 * n] + h @ u[:, n : 2 * n])
-    h_tilde = np.tanh(a[..., 2 * n :] + (r * h) @ u[:, 2 * n :])
-    h_new = (1.0 - z) * h + z * h_tilde
-    return h_new, (r, z, h_tilde)
 
 
 _BLOCK_ROWS = 512  # rows (steps x batch) per backward block

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 from .errors import DatasetError, FormatError
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
-_PURE_DIGITS = re.compile(r"^[0-9]+$")
 
 # Digit runs longer than this look like identifiers/codes, not lab values.
 MAX_DIGIT_TOKEN_LEN = 4
@@ -24,14 +23,8 @@ MAX_DIGIT_TOKEN_LEN = 4
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop empty tokens and
     pure-digit tokens longer than MAX_DIGIT_TOKEN_LEN characters."""
-    out = []
-    for tok in _TOKEN_SPLIT.split(text.lower()):
-        if not tok:
-            continue
-        if len(tok) > MAX_DIGIT_TOKEN_LEN and _PURE_DIGITS.match(tok):
-            continue
-        out.append(tok)
-    return out
+    return [tok for tok in _TOKEN_SPLIT.split(text.lower())
+            if tok and not (len(tok) > MAX_DIGIT_TOKEN_LEN and tok.isdigit())]
 
 
 @dataclass(frozen=True)

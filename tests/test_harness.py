@@ -581,6 +581,30 @@ def test_warm_feature_set_equals_cold(tmp_path, overrides):
         assert warm.embedding.vocabulary is warm.vocab
 
 
+# Digest of the feature-stage files of four tracks, taken at commit edc4126,
+# before tf-idf rows were assembled by scipy's COO to CSR conversion and
+# the tokenizer's digit test became str.isdigit.
+FEATURE_FILES_DIGEST = "e06e7e34f11ac5c1924c3579fa9d74f6c02000b3526fe5ddc6d2a802b16e69de"
+
+
+def test_feature_stage_files_match_pinned_digest(tmp_path):
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    h = hashlib.sha256()
+    for overrides in (
+        {"feature.track": "tfidf40k"},
+        {"feature.track": "tfidf20k", "feature.remove_stopwords": "true"},
+        {**SEQ_FEATURES, "feature.track": "w2v-avg", "model.family": "logreg", "model.hidden": ""},
+        SEQ_FEATURES,
+    ):
+        cfg = make_cfg(**overrides)
+        harness.stage_features(cfg, ws, _splits(cfg, ws))
+        d = ws.stage_dir("features", ws.stage_key(cfg, "features"))
+        for path in sorted(d.iterdir()):
+            if path.name != ".complete":  # holds the key, which covers the sources
+                h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == FEATURE_FILES_DIGEST
+
+
 @pytest.mark.parametrize("damage", ["truncated", "row_count"])
 def test_damaged_cached_embedding_is_format_error_naming_it(tmp_path, damage):
     cfg = make_cfg(**SEQ_FEATURES)

@@ -462,20 +462,34 @@ def test_report_agrees_with_public_metric_functions():
         assert rep.nan_replacements == ex_nans + auc_excluded + ap_excluded
 
 
-def test_report_on_a_large_run_holds_bounded_memory():
-    # 12000 x 50 scores, 4.6 MiB: precision_at_k's 9.7 MiB peak sets the
-    # report's; the label columns, scored a block at a time, stay below it
+def _large_run():
+    """12000 x 50 scores, 4.6 MiB, with label frequencies falling off."""
     rng = np.random.default_rng(0)
     truth = (rng.random((12000, 50)) < 0.3 * 0.93 ** np.arange(50)).astype(np.uint8)
     probs = 1.0 / (1.0 + np.exp(-rng.normal(-1.5 + 2.5 * truth, 1.2)))
-    run = PredictionRun(probs, (probs >= 0.5).astype(np.uint8), truth)
+    return PredictionRun(probs, (probs >= 0.5).astype(np.uint8), truth)
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        report(run)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
+
+
+def test_report_on_a_large_run_holds_bounded_memory():
+    # precision_at_k's one copy of the scores sets the report's peak; the
+    # label columns, scored a block at a time, stay below it
+    assert _traced_peak(report, _large_run()) < 12 * 2 ** 20
+
+
+def test_precision_at_k_copies_the_scores_once():
+    # one float64 copy of the kept rows is 4.6 MiB; the bound leaves room
+    # for the truth and per-row arrays, not for a second [n, q] array
+    run = _large_run()
+    assert _traced_peak(precision_at_k, run.probs, run.truth, 5) < 6.5 * 2 ** 20
 
 
 # ------------------------------------------------------------ PR-curve codec
@@ -577,6 +591,33 @@ def test_written_run_files_match_pinned_digest(tmp_path):
             if name.startswith(("metrics_", "pr_")):
                 h.update(name.encode() + b"\n" + (run_dir / name).read_bytes())
     assert h.hexdigest() == RUN_FILES_DIGEST
+
+
+# Digest of `summary.txt` and `harness.compare_runs`' CSV and aligned text
+# over the `_run_file_cases` runs, taken at commit edc4126, before the two
+# tables shared one formatter.
+RESULTS_TABLES_DIGEST = "f3e5dfacac0be349054a96dde313a268e89840a25723bbabae899c6494c03df8"
+
+
+def test_results_tables_match_pinned_digest(tmp_path):
+    from codeset_bench import harness
+
+    h = hashlib.sha256()
+    run_dirs = []
+    presets = ({"model.preset": "logreg"}, {"model.preset": "rforest"}, {"model.family": "logreg"})
+    for i, ((outputs, names), preset) in enumerate(zip(_run_file_cases(), presets)):
+        run_dir = tmp_path / f"run-{i}"
+        run_dir.mkdir()
+        cfg = harness.ExperimentConfig(preset)
+        reports = harness._write_reports(run_dir, cfg, outputs, names)
+        (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
+        (run_dir / "record.json").write_text(json.dumps(
+            {"dataset_hash": "d", "metrics_test": reports["test"].to_dict()}), encoding="utf-8")
+        h.update((run_dir / "summary.txt").read_bytes())
+        run_dirs.append(run_dir)
+    for text in harness.compare_runs(run_dirs):
+        h.update(text.encode())
+    assert h.hexdigest() == RESULTS_TABLES_DIGEST
 
 
 # ------------------------------------------------------- oracle agreement

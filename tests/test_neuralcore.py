@@ -218,9 +218,48 @@ def test_package_import_leaves_scipy_special_unloaded():
 
 # -------------------------------------------------------- recurrent steps
 
+# One step of each cell, straight from its equations, as the reference the
+# layers' time-major kernels are checked against.
+
+def rnn_step(x, h, w, u, b):
+    """One simple-RNN step: tanh(x W + h U + b)."""
+    return np.tanh(x @ w + h @ u + b)
+
+
+def lstm_step(x, h, c, w, u, b):
+    """One LSTM step; gate order along the 4H axis is (i, f, g, o).
+
+    Returns (h_new, c_new, gates) where gates = (i, f, g, o).
+    """
+    z = x @ w + h @ u + b
+    n = h.shape[-1]
+    i = nc.sigmoid(z[..., :n])
+    f = nc.sigmoid(z[..., n : 2 * n])
+    g = np.tanh(z[..., 2 * n : 3 * n])
+    o = nc.sigmoid(z[..., 3 * n :])
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new, (i, f, g, o)
+
+
+def gru_step(x, h, w, u, b):
+    """One GRU step in the original Cho formulation; gate order along the
+    3H axis is (r, z, h~), and U's h~ block multiplies r*h.
+
+    Returns (h_new, gates) where gates = (r, z, h_tilde).
+    """
+    n = h.shape[-1]
+    a = x @ w + b
+    r = nc.sigmoid(a[..., :n] + h @ u[:, :n])
+    z = nc.sigmoid(a[..., n : 2 * n] + h @ u[:, n : 2 * n])
+    h_tilde = np.tanh(a[..., 2 * n :] + (r * h) @ u[:, 2 * n :])
+    h_new = (1.0 - z) * h + z * h_tilde
+    return h_new, (r, z, h_tilde)
+
+
 def test_rnn_step_zero_weights_give_zero_state():
-    h = nc.rnn_step(np.ones((1, 3)), np.ones((1, 2)),
-                    np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2))
+    h = rnn_step(np.ones((1, 3)), np.ones((1, 2)),
+                 np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2))
     assert np.array_equal(h, np.zeros((1, 2)))
 
 
@@ -231,7 +270,7 @@ def test_lstm_step_zero_weights_halve_the_cell():
     w = np.zeros((3, 8))
     u = np.zeros((2, 8))
     b = np.zeros(8)
-    h2, c2, _ = nc.lstm_step(np.ones((1, 3)), np.zeros((1, 2)), c, w, u, b)
+    h2, c2, _ = lstm_step(np.ones((1, 3)), np.zeros((1, 2)), c, w, u, b)
     assert np.allclose(c2, 0.5 * c, atol=1e-15)
     assert np.allclose(h2, 0.5 * np.tanh(0.5 * c), atol=1e-15)
 
@@ -239,7 +278,7 @@ def test_lstm_step_zero_weights_halve_the_cell():
 def test_gru_step_zero_weights_halve_the_state():
     # r = z = sigmoid(0) = 0.5 and candidate tanh(0)=0: h' = 0.5*h
     h = np.array([[0.6, -1.0]])
-    h2, _ = nc.gru_step(np.ones((1, 3)), h, np.zeros((3, 6)), np.zeros((2, 6)), np.zeros(6))
+    h2, _ = gru_step(np.ones((1, 3)), h, np.zeros((3, 6)), np.zeros((2, 6)), np.zeros(6))
     assert np.allclose(h2, 0.5 * h, atol=1e-15)
 
 
@@ -298,7 +337,7 @@ def test_reversing_input_swaps_bidirectional_halves():
     assert np.allclose(out[:, 3:], swapped[:, :3], atol=1e-12)
 
 
-# Loop-form references: forward through the public step functions one
+# Loop-form references: forward through the step functions above one
 # step at a time, backward as a per-step BPTT loop on batch-major arrays.
 # Each returns (output, dx, {parameter name: gradient}).
 
@@ -313,7 +352,7 @@ def _rnn_reference(layer, x, grad):
     batch, steps, _ = x.shape
     hs = np.zeros((batch, steps + 1, layer.n_hidden))
     for t in range(steps):
-        hs[:, t + 1] = nc.rnn_step(x[:, t], hs[:, t], wx, wh, b)
+        hs[:, t + 1] = rnn_step(x[:, t], hs[:, t], wx, wh, b)
     gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
     dx = np.zeros_like(x)
     carry = np.zeros((batch, layer.n_hidden))
@@ -337,7 +376,7 @@ def _lstm_reference(layer, x, grad):
     cs = np.zeros((batch, steps + 1, n))
     gates = []
     for t in range(steps):
-        hs[:, t + 1], cs[:, t + 1], g = nc.lstm_step(x[:, t], hs[:, t], cs[:, t], w, u, b)
+        hs[:, t + 1], cs[:, t + 1], g = lstm_step(x[:, t], hs[:, t], cs[:, t], w, u, b)
         gates.append(g)
     gw, gu, gb = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
     dx = np.zeros_like(x)
@@ -372,7 +411,7 @@ def _gru_reference(layer, x, grad):
     hs = np.zeros((batch, steps + 1, n))
     gates = []
     for t in range(steps):
-        hs[:, t + 1], g = nc.gru_step(x[:, t], hs[:, t], w, u, b)
+        hs[:, t + 1], g = gru_step(x[:, t], hs[:, t], w, u, b)
         gates.append(g)
     gw, gu, gb = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
     dx = np.zeros_like(x)
