@@ -69,6 +69,14 @@ def gradcheck_suite(seed: int = 0) -> list[tuple[str, float, float]]:
     return results
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an int of at least 1, written in decimal digits;
+    anything else is a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codeset-bench",
@@ -105,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--seed", type=int, default=0)
 
     p_or = sub.add_parser("oracle", help="compare the metrics module against brute-force oracles")
-    p_or.add_argument("--pairs", type=int, default=1000)
+    p_or.add_argument("--pairs", type=_positive_int, default=1000)
     p_or.add_argument("--seed", type=int, default=0)
     return parser
 

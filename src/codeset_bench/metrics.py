@@ -9,9 +9,10 @@ single-class score column) are replaced by 0 or excluded, and every such
 replacement is counted in an audit field rather than silently dropped.
 
 Every label column's AUC, AP and PR curve come from one scorer that sorts
-a block of columns at once, each by a stable descending sort; ``report``,
-``macro_auc`` and ``average_precision`` all call it. A split's PR curves
-are flat arrays, stored as they are in one ``.npz``.
+a block of columns at once, each by descending score with tied scores in
+ascending index order; ``report``, ``macro_auc`` and ``average_precision``
+all call it. A split's PR curves are flat arrays, stored as they are in
+one ``.npz``.
 """
 
 from __future__ import annotations
@@ -131,20 +132,28 @@ def _score_block(probs: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, ...]
     """``_score_columns`` of an ``[n, b]`` block of finite scores, with NaN
     for undefined values and the positives per column as counts."""
     n, b = probs.shape
-    key = np.negative(probs.T, order="C")  # a row per label; ascending key, descending score
-    flat = (key.argsort(axis=1, kind="stable") + np.arange(b)[:, None] * n).ravel()
-    key = key.ravel()[flat]
+    keys = np.negative(probs.T, order="C")  # a row per label; ascending key, descending score
+    flat = (keys.argsort(axis=1) + np.arange(b)[:, None] * n).ravel()
+    keys = keys.ravel()
+    key = keys[flat]  # each column's keys ascending
+    # a tie group starts at each column start and at each new key; the
+    # sentinel start at the end closes the last one
+    new = np.empty(key.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:-1])
+    new[np.arange(b + 1) * n] = True
+    if not new.all():
+        # the sort left ties in any order; group ids rise down the block, so
+        # one sort of id * size + index puts each group in ascending index
+        # order, as a stable sort would, and the gather keeps each signed zero
+        ids = new[:-1].cumsum() * key.size
+        flat = np.sort(ids + flat) - ids
+        key = keys[flat]
     hits = np.flatnonzero(truth.T.ravel()[flat])  # the positives, column by column
     first = hits.searchsorted(np.arange(b + 1) * n)  # each column's first hit
     n_pos = np.diff(first)
     rows = np.repeat(np.arange(b), n_pos)
     tp = np.arange(1, hits.size + 1) - first[rows]  # true positives down to each hit
     base = rows * n
-    # a tie group starts at each column start and at each new key; the
-    # sentinel start at the end closes the last one
-    new = np.empty(key.size + 1, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:-1])
-    new[np.arange(b + 1) * n] = True
     # each hit's tie group spans flat positions lo..hi-1: the hit alone
     # unless a tie joins it to its neighbours
     lo, hi = hits, hits + 1
@@ -179,10 +188,13 @@ def _score_columns(
     positives), and the flat ``count``, ``threshold``, ``recall`` and
     ``precision`` curve arrays of the labels with positives, in label order.
 
-    A stable descending sort ranks each column, tied scores in ascending
-    index order. AUC is the rank form of Mann-Whitney U (ties score half);
-    AP sums (R_n - R_{n-1}) * P_n over the ranks where a positive enters,
-    each such rank giving a curve point with its score as threshold."""
+    A descending sort ranks each column. When a block holds tied scores,
+    one integer sort of (tie group, index) puts each group's members in
+    ascending index order, as a stable sort would, whichever order the
+    first sort left them in. AUC is the rank form of Mann-Whitney U (ties
+    score half); AP sums (R_n - R_{n-1}) * P_n over the ranks where a
+    positive enters, each such rank giving a curve point with its score as
+    threshold."""
     probs = np.asarray(probs, dtype=np.float64)
     truth = np.asarray(truth)
     if probs.shape != truth.shape or probs.ndim != 2:

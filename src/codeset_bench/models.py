@@ -177,15 +177,17 @@ def _best_split(block, y, pos: int, feats) -> tuple[float, int, float] | None:
     the node's ``[len(feats), m]`` block, one contiguous row per candidate,
     with labels ``y`` holding ``pos`` positives.
 
-    One pass over the block: a stable sort along each row, a cumulative
-    count of positives and the Gini of every cut, with cuts between equal
-    values masked to +inf. Thresholds are midpoints between consecutive
+    One pass over the block: a sort along each row, a cumulative count of
+    positives and the Gini of every cut, with cuts between equal values
+    masked to +inf. The order within a run of equal values never reaches
+    a valid cut, whose left side holds the same rows in any order, so the
+    sort need not be stable. Thresholds are midpoints between consecutive
     distinct values. Ties follow the sequential rule: the lowest threshold
     wins in a row, and a later candidate replaces the best only if its
     Gini is lower by more than 1e-15. None when every candidate is
     constant."""
     n_try, m = block.shape
-    order = np.argsort(block, axis=1, kind="stable")
+    order = np.argsort(block, axis=1)
     sv = block.take(order + np.arange(0, n_try * m, m)[:, None])
     pos_l = np.cumsum(y.take(order)[:, :-1], axis=1, dtype=np.float64)
     n_l = np.arange(1.0, m)

@@ -21,6 +21,8 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _row_sets(matrix) -> list[set[int]]:
     return [{j for j, v in enumerate(row) if v} for row in np.asarray(matrix).tolist()]
@@ -159,9 +161,12 @@ def run_oracle_suite(n_pairs: int = 1000, n: int = 64, q: int = 10, seed: int = 
     """Check ``metrics.report``, the function whose output a run stores,
     against every oracle on seeded random runs; returns max absolute
     deviations per metric, raising AssertionError past tolerance or on a
-    mismatched count of undefined values."""
+    mismatched count of undefined values, and ConfigError for
+    ``n_pairs < 1``, which would check nothing."""
     from . import metrics
 
+    if n_pairs < 1:
+        raise ConfigError(f"n_pairs={n_pairs}: the suite needs at least one run")
     rng = np.random.default_rng(seed)
     k = min(5, q)  # p@5 clamped to the label count, as metrics.report does
     worst: dict[str, float] = {

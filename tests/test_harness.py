@@ -978,3 +978,11 @@ def test_cli_oracle_subcommand(capsys):
     out = capsys.readouterr().out
     assert "max deviation" in out.lower()
     assert re.search(r"^oracle suite took \d+\.\d{2} s \(\d+ runs/s\)$", out, re.M)
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3", "2.5", "x"])
+def test_cli_oracle_pairs_must_be_a_positive_int(pairs, capsys):
+    assert cli.main(["oracle", "--pairs", pairs]) == 1
+    captured = capsys.readouterr()
+    assert "not a positive integer" in captured.err
+    assert "agree" not in captured.out

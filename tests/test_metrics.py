@@ -307,34 +307,44 @@ def precision_at_k_reference(probs, truth, k):
 
 def reference_columns():
     """(scores, truth) columns: all tied, tie groups at both ends, a single
-    positive, no positives, and random columns with many ties."""
+    positive, no positives, 0.0 and -0.0 tied with positives among them,
+    random columns with many ties, and a tied column longer than
+    ``SCORE_BLOCK``, which the scorer sorts as a block of its own."""
     cols = [
         (np.full(7, 0.3), U8([0, 1, 0, 1, 1, 0, 0])),
         (np.array([0.1, 0.9, 0.1, 0.5, 0.9, 0.1, 0.4, 0.9]), U8([1, 0, 0, 1, 1, 0, 1, 0])),
         (np.array([0.2, 0.7, 0.7, 0.1, 0.4]), U8([0, 0, 1, 0, 0])),
         (np.array([0.2, 0.7, 0.7, 0.1]), U8([0, 0, 0, 0])),
         (np.array([0.6]), U8([1])),
+        (np.tile([0.0, -0.0, -0.0, 0.4, 0.0, -0.0, -0.3, 0.0], 5),
+         U8(np.tile([1, 0, 1, 0, 0, 1, 1, 1], 5))),
     ]
     rng = np.random.default_rng(12)
     for n in (2, 3, 10, 57, 400):
         cols.append((np.round(rng.random(n), 1), (rng.random(n) < 0.3).astype(np.uint8)))
         cols.append((rng.random(n), (rng.random(n) < 0.1).astype(np.uint8)))
+    n = 20000
+    assert n > metrics.SCORE_BLOCK
+    cols.append((np.round(rng.random(n), 2), (rng.random(n) < 0.05).astype(np.uint8)))
     return cols
 
 
 def test_average_ranks_match_loop_reference():
-    # column i of the identity truth has its one positive at row i, so its
-    # AUC is (average rank of row i - 1) / (n - 1); n = 400 spans blocks
+    # column j of the truth has its one positive at row rows[j], so its AUC
+    # is (average rank of that row - 1) / (n - 1); n = 400 spans blocks, and
+    # past 400 rows every 200th row bounds the n x len(rows) matrices
     for scores, _ in reference_columns():
         n = scores.size
         if n < 2:
             continue
-        aucs, _, _ = metrics._score_columns(np.repeat(scores[:, None], n, axis=1),
-                                            np.eye(n, dtype=np.uint8))
-        assert aucs == ((average_ranks_reference(scores) - 1) / (n - 1)).tolist()
+        rows = np.arange(0, n, 1 if n <= 400 else 200)
+        truth = (np.arange(n)[:, None] == rows).astype(np.uint8)
+        aucs, _, _ = metrics._score_columns(np.repeat(scores[:, None], rows.size, axis=1), truth)
+        assert aucs == ((average_ranks_reference(scores)[rows] - 1) / (n - 1)).tolist()
 
 
 def test_average_precision_matches_loop_reference():
+    # bytes, not ==, so that a threshold of -0.0 in place of 0.0 shows
     for scores, truth in reference_columns():
         _, ap, curves = score_column(scores, truth)
         want = average_precision_reference(scores, truth)
@@ -345,7 +355,7 @@ def test_average_precision_matches_loop_reference():
         assert curves["count"].tolist() == [want[1].size]
         for key, expected in zip(("recall", "precision", "threshold"), want[1:]):
             assert curves[key].dtype == expected.dtype
-            assert np.array_equal(curves[key], expected)
+            assert curves[key].tobytes() == expected.tobytes(), key
 
 
 def test_precision_at_k_matches_loop_reference():
@@ -625,6 +635,12 @@ def test_results_tables_match_pinned_digest(tmp_path):
 def test_quick_oracle_agreement():
     worst = oracles.run_oracle_suite(n_pairs=60, n=32, q=8, seed=1, tol=1e-12)
     assert max(worst.values()) < 1e-12
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_oracle_suite_refuses_to_check_nothing(n_pairs):
+    with pytest.raises(ConfigError, match="at least one run"):
+        oracles.run_oracle_suite(n_pairs=n_pairs)
 
 
 def test_oracle_catches_a_wrong_auc():
