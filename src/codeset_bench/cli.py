@@ -77,6 +77,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: a non-negative int written in decimal digits;
+    anything else is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codeset-bench",
@@ -87,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_nonnegative_int, default=None,
                        help="override every seed in the config (split, synthetic, feature, train)")
         p.add_argument("--out-dir", default="codeset-out", help="workspace directory")
 
@@ -110,11 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default=None, help="write the CSV here as well")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference checks for every layer family")
-    p_gc.add_argument("--seed", type=int, default=0)
+    p_gc.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p_or = sub.add_parser("oracle", help="compare the metrics module against brute-force oracles")
     p_or.add_argument("--pairs", type=_positive_int, default=1000)
-    p_or.add_argument("--seed", type=int, default=0)
+    p_or.add_argument("--seed", type=_nonnegative_int, default=0)
     return parser
 
 

@@ -73,11 +73,13 @@ class Conv1d(Layer):
     Each of the f filters spans the full channel width k over a window of
     h positions, so filters have shape [f, h, k].
 
-    Both passes loop over the h filter taps with one batched matmul per
-    tap, all on BLAS and without an im2col copy of the input. Backward
-    takes the input gradient as grad @ W[:, t, :] and the weight gradient
-    as the per-example [f, L] @ [L, k] product grad^T x[t : t+L], summed
-    over the batch.
+    Both passes loop over the h filter taps on BLAS, without an im2col
+    copy of the input. Forward and the input gradient go one example at
+    a time: each tap's product, x[i, t : t+L] @ W[:, t, :]^T or
+    grad[i] @ W[:, t, :], is written into one reused [L, f] or [L, k]
+    buffer and added in, so no [B, L, .] temporary is made. The weight
+    gradient is one batched [f, L] @ [L, k] product grad^T x[t : t+L] per
+    tap, summed over the batch.
     """
 
     def __init__(
@@ -109,20 +111,32 @@ class Conv1d(Layer):
             raise ShapeError(f"input length {n} shorter than filter width {h}")
         self._x = x
         length = n - h + 1
-        out = np.broadcast_to(self.b.value, (batch, length, self.w.shape[0])).copy()
-        for dt in range(h):
-            out += x[:, dt : dt + length, :] @ self.w.value[:, dt, :].T
+        w = self.w.value
+        out = np.broadcast_to(self.b.value, (batch, length, w.shape[0])).copy()
+        tmp = np.empty((length, w.shape[0]), dtype=x.dtype)
+        for i in range(batch):
+            for dt in range(h):
+                out[i] += np.matmul(x[i, dt : dt + length], w[:, dt, :].T, out=tmp)
         return out
 
     def backward(self, grad):
         x = self._x
+        batch, n, k = x.shape
         h = self.width
-        length = grad.shape[1]
+        length = n - h + 1
+        w = self.w.value
+        if grad.shape != (batch, length, w.shape[0]):
+            raise ShapeError(
+                f"conv1d backward expects grad {(batch, length, w.shape[0])}, got {grad.shape}"
+            )
         grad_t = grad.transpose(0, 2, 1)
-        dx = np.zeros_like(x)
         for dt in range(h):
             self.w.grad[:, dt, :] += (grad_t @ x[:, dt : dt + length, :]).sum(axis=0)
-            dx[:, dt : dt + length, :] += grad @ self.w.value[:, dt, :]
+        dx = np.zeros_like(x)
+        tmp = np.empty((length, k), dtype=np.result_type(grad, w))
+        for i in range(batch):
+            for dt in range(h):
+                dx[i, dt : dt + length] += np.matmul(grad[i], w[:, dt, :], out=tmp)
         self.b.grad += grad.sum(axis=(0, 1))
         return dx
 

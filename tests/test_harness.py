@@ -986,3 +986,19 @@ def test_cli_oracle_pairs_must_be_a_positive_int(pairs, capsys):
     captured = capsys.readouterr()
     assert "not a positive integer" in captured.err
     assert "agree" not in captured.out
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+@pytest.mark.parametrize("command", ["synth", "prepare", "featurize", "train", "gradcheck",
+                                     "oracle"])
+def test_cli_seed_must_be_a_nonnegative_int(command, seed, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SYNTH.items()))
+    argv = [command, "--seed", seed]
+    if command not in ("gradcheck", "oracle"):
+        argv += ["--config", str(cfg), "--out-dir", str(tmp_path / "ws")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{seed!r} is not a non-negative integer" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "ws").exists()

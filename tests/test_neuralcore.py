@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -101,6 +102,83 @@ def test_conv_backward_accumulates_gradients():
     layer.backward(grad)
     np.testing.assert_allclose(layer.w.grad, 2 * w_once, rtol=1e-12, atol=0)
     np.testing.assert_allclose(layer.b.grad, 2 * b_once, rtol=1e-12, atol=0)
+
+
+def test_conv_backward_rejects_a_gradient_of_the_wrong_shape():
+    layer = nc.Conv1d(in_channels=3, n_filters=4, width=3, rng=rng(1))
+    assert layer.forward(np.ones((2, 9, 3)), train=True).shape == (2, 7, 4)
+    for shape in ((2, 6, 4), (2, 8, 4), (1, 7, 4), (2, 7, 3), (2, 7), (2, 7, 4, 1)):
+        with pytest.raises(ShapeError, match=r"conv1d backward expects grad \(2, 7, 4\)"):
+            layer.backward(np.ones(shape))
+    assert not layer.w.grad.any() and not layer.b.grad.any()
+
+
+# Both passes with one batched [B, L, .] product per filter tap: the
+# reference the layer's one-example-at-a-time loops must match bit for bit.
+
+def conv_reference(layer, x, grad):
+    """(out, dx, dW, db) of a valid stride-1 convolution of x, and its
+    gradients for the incoming grad, one [B, L, .] product per tap."""
+    w, b = layer.w.value, layer.b.value
+    h = w.shape[1]
+    length = x.shape[1] - h + 1
+    out = np.broadcast_to(b, (x.shape[0], length, w.shape[0])).copy()
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    grad_t = grad.transpose(0, 2, 1)
+    for dt in range(h):
+        out += x[:, dt : dt + length, :] @ w[:, dt, :].T
+        dw[:, dt, :] += (grad_t @ x[:, dt : dt + length, :]).sum(axis=0)
+        dx[:, dt : dt + length, :] += grad @ w[:, dt, :]
+    return out, dx, dw, grad.sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3, 20])
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("extra", [0, 24], ids=["n=h", "n=h+24"])
+def test_conv_matches_batched_reference_bit_for_bit(dtype, batch, width, extra):
+    gen = rng(batch * 10 + width)
+    layer = nc.Conv1d(in_channels=6, n_filters=5, width=width, rng=gen)
+    layer.w.value = layer.w.value.astype(dtype)
+    layer.b.value = gen.standard_normal(5).astype(dtype)
+    layer.w.grad = np.zeros_like(layer.w.value)
+    layer.b.grad = np.zeros_like(layer.b.value)
+    x = gen.standard_normal((batch, width + extra, 6)).astype(dtype)
+    out = layer.forward(x, train=True)
+    grad = gen.standard_normal(out.shape).astype(dtype)
+    dx = layer.backward(grad)
+    expected = conv_reference(layer, x, grad)
+    for name, actual, want in zip(("out", "dx", "W.grad", "b.grad"),
+                                  (out, dx, layer.w.grad, layer.b.grad), expected):
+        assert actual.dtype == want.dtype == dtype, name
+        assert actual.shape == want.shape, name
+        assert actual.tobytes() == want.tobytes(), name
+
+
+def _traced_peak(fn):
+    """(result, peak bytes allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_passes_make_no_batch_sized_temporaries():
+    batch, n, k, f, h = 16, 400, 64, 16, 5
+    length = n - h + 1
+    layer = nc.Conv1d(in_channels=k, n_filters=f, width=h, rng=rng(1))
+    x = rng(2).standard_normal((batch, n, k))
+    out, fwd_peak = _traced_peak(lambda: layer.forward(x, train=True))
+    # out plus a few [L, f] rows, where one [B, L, f] product would double it
+    assert fwd_peak < out.nbytes + 4 * length * f * 8 < 2 * out.nbytes
+    grad = rng(3).standard_normal(out.shape)
+    dx, bwd_peak = _traced_peak(lambda: layer.backward(grad))
+    assert dx.shape == x.shape
+    # dx plus a few [L, k] rows, where one [B, L, k] product would double it
+    assert bwd_peak < dx.nbytes + 4 * length * k * 8 < 2 * dx.nbytes
 
 
 @pytest.mark.parametrize("layer", [
