@@ -340,15 +340,16 @@ def split_dataset(
     dataset: LabeledDataset, spec: SplitSpec
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """Deterministic seeded shuffle, then floor(n*frac) sizes for val and
-    test with the remainder going to train. Same seed, same split."""
+    test with the remainder going to train. Same seed, same split; a
+    split that would come out empty is a DatasetError."""
     n = len(dataset)
-    if n < 4:
-        raise DatasetError(f"dataset of {n} examples is too small to split")
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(n)
     n_val = int(math.floor(n * spec.val_frac + 1e-9))
     n_test = int(math.floor(n * spec.test_frac + 1e-9))
     n_train = n - n_val - n_test
+    if min(n_train, n_val, n_test) < 1:
+        raise DatasetError(f"{n} examples leave an empty split: "
+                           f"train {n_train}, val {n_val}, test {n_test}")
+    order = np.random.default_rng(spec.seed).permutation(n)
 
     def take(idx: np.ndarray) -> LabeledDataset:
         return LabeledDataset(

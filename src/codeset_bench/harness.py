@@ -48,28 +48,16 @@ DEFAULTS: dict[str, str] = {
     "dataset.diagnoses": "",
     "dataset.mode": "code",
     "dataset.k": "10",
-    "dataset.train_frac": "0.5",
-    "dataset.val_frac": "0.25",
-    "dataset.test_frac": "0.25",
     "dataset.split_seed": "0",
     "dataset.sanitize": "true",
     "dataset.synthetic.n_labels": "10",
     "dataset.synthetic.n_notes": "400",
-    "dataset.synthetic.keywords_per_label": "2",
-    "dataset.synthetic.filler_vocab": "80",
-    "dataset.synthetic.note_length": "50",
-    "dataset.synthetic.jitter": "15",
-    "dataset.synthetic.label_rate": "0.35",
-    "dataset.synthetic.noise_code_rate": "0.15",
-    "dataset.synthetic.extra_note_rate": "0.05",
     "dataset.synthetic.order_sensitive": "false",
     "dataset.synthetic.seed": "0",
     "feature.track": "tfidf40k",
     "feature.remove_stopwords": "false",
     "feature.w2v_dim": "100",
-    "feature.window": "5",
     "feature.epochs": "5",
-    "feature.negatives": "5",
     "feature.min_count": "1",
     "feature.seq_len": "1500",
     "feature.embedding_source": "self",
@@ -84,7 +72,6 @@ DEFAULTS: dict[str, str] = {
     "model.dropout": "0.0",
     "model.bidirectional": "false",
     "model.logreg_iters": "100",
-    "model.logreg_lr": "0.5",
     "model.rf_trees": "64",
     "model.rf_depth": "10",
     "train.max_epochs": "200",
@@ -204,23 +191,30 @@ class ExperimentConfig:
 
     def _ints(self, key: str, parts: list[str]) -> tuple[int, ...]:
         try:
-            return tuple(int(v) for v in parts if v.strip())
+            ints = tuple(int(v) for v in parts if v.strip())
+            if all(i >= 1 for i in ints):
+                return ints
         except ValueError:
-            raise ConfigError(f"{key}: expected integers, got {self[key]!r}") from None
+            pass
+        raise ConfigError(f"{key}: expected integers >= 1, got {self[key]!r}")
 
     # validation -----------------------------------------------------------
     def _validate(self) -> None:
-        """Checks that involve more than one key or build a spec, so that
-        a conflicting value raises ConfigError before any stage runs."""
+        """Range checks, and checks that involve more than one key or build
+        a spec, so that a bad value raises ConfigError before any stage runs."""
         if self["dataset.source"] == "csv" and not (
             self["dataset.notes"] and self["dataset.diagnoses"]
         ):
             raise ConfigError("csv source needs dataset.notes and dataset.diagnoses")
         for key, least in (("dataset.k", 1), ("dataset.split_seed", 0),
                            ("dataset.synthetic.seed", 0), ("feature.seed", 0), ("train.seed", 0),
+                           ("feature.w2v_dim", 1), ("feature.seq_len", 1), ("feature.epochs", 1),
+                           ("model.logreg_iters", 0), ("model.fc", 0),
                            ("model.rf_trees", 1), ("model.rf_depth", 0)):
             if self[key] < least:
                 raise ConfigError(f"{key}: must be >= {least}, got {self[key]}")
+        if not 0.0 <= self["model.dropout"] < 1.0:
+            raise ConfigError(f"model.dropout: must lie in [0, 1), got {self['model.dropout']}")
         k = self["dataset.k"]
         if k not in (10, 50):
             warnings.warn(f"dataset.k = {k} departs from the reference settings (10/50)")
@@ -243,7 +237,6 @@ class ExperimentConfig:
                 f"with model family {spec.family!r}"
             )
         self.train_config()
-        self.split_spec()
         self.synthetic_spec()
 
     # resolved objects -----------------------------------------------------
@@ -280,18 +273,15 @@ class ExperimentConfig:
             lr = float(lr) if lr else None
         except ValueError:
             raise ConfigError(f"train.learning_rate: expected a number, got {lr!r}") from None
+        if lr is not None and not lr > 0:
+            raise ConfigError(f"train.learning_rate: must be > 0, got {lr}")
         return models.TrainConfig(**{**self.section("train."), "learning_rate": lr})
 
     def synthetic_spec(self) -> corpus.SyntheticSpec:
         return corpus.SyntheticSpec(**self.section("dataset.synthetic."))
 
     def split_spec(self) -> corpus.SplitSpec:
-        return corpus.SplitSpec(
-            train_frac=self["dataset.train_frac"],
-            val_frac=self["dataset.val_frac"],
-            test_frac=self["dataset.test_frac"],
-            seed=self["dataset.split_seed"],
-        )
+        return corpus.SplitSpec(seed=self["dataset.split_seed"])
 
     # canonicalization and hashing ------------------------------------------
     def canonical_text(self, prefixes: tuple[str, ...] = ()) -> str:
@@ -456,8 +446,6 @@ def _resolve_embedding(
         result = features.train_word2vec_cbow(
             train_docs,
             dim=cfg["feature.w2v_dim"],
-            window=cfg["feature.window"],
-            negatives=cfg["feature.negatives"],
             epochs=cfg["feature.epochs"],
             min_count=cfg["feature.min_count"],
             seed=cfg["feature.seed"],
@@ -520,7 +508,6 @@ def stage_train(
         vocab_size=len(feats.vocab),
         embed_dim=cfg["feature.w2v_dim"],
         logreg_iters=cfg["model.logreg_iters"],
-        logreg_lr=cfg["model.logreg_lr"],
         rf_trees=cfg["model.rf_trees"],
         rf_depth=cfg["model.rf_depth"],
         train_embedding=cfg["feature.embedding_trainable"],
@@ -656,9 +643,9 @@ def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, 
     run_dir = Path(run_dir)
     _require_files(run_dir, ["config.txt", "catalog.tsv"] + [
         f"{kind}_{tag}.dense" for tag in ("train", "test") for kind in ("probs", "truth")])
-    cfg = ExperimentConfig(
-        parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
-    )
+    # a run written before a key was retired still names it
+    stored = parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
+    cfg = ExperimentConfig({k: v for k, v in stored.items() if k in DEFAULTS})
     catalog = corpus.load_catalog(run_dir / "catalog.tsv")
     outputs = {
         tag: (

@@ -566,7 +566,6 @@ def fit(
     vocab_size: int | None = None,
     embed_dim: int = 32,
     logreg_iters: int = 100,
-    logreg_lr: float = 0.5,
     rf_trees: int = 64,
     rf_depth: int = 10,
     train_embedding: bool = True,
@@ -576,7 +575,7 @@ def fit(
     x_val, y_val = val
     y_train = np.asarray(y_train)
     if spec.family == "logreg":
-        return train_logreg_ovr(x_train, y_train, iters=logreg_iters, lr=logreg_lr)
+        return train_logreg_ovr(x_train, y_train, iters=logreg_iters)
     if spec.family == "rforest":
         return train_random_forest_ovr(
             x_train, y_train, n_trees=rf_trees, max_depth=rf_depth, seed=cfg.seed

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +344,20 @@ def test_split_seed_determinism():
     c = split_dataset(ds, SplitSpec(seed=8))
     assert [e.hadm_id for e in a[0].examples] == [e.hadm_id for e in b[0].examples]
     assert [e.hadm_id for e in a[0].examples] != [e.hadm_id for e in c[0].examples]
+
+
+def test_split_that_would_come_out_empty_is_dataset_error():
+    # 19 examples at 0.9/0.05/0.05: floor(19 * 0.05) = 0 for val and test
+    notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(19)]
+    codes = codes_of(*((1000 + i, "1110") for i in range(19)))
+    ds = build_dataset(notes, codes, catalog_of("1110"))
+    with pytest.raises(DatasetError, match="train 19, val 0, test 0"):
+        split_dataset(ds, SplitSpec(0.9, 0.05, 0.05))
+    with pytest.raises(DatasetError, match="train 3, val 0, test 0"):
+        split_dataset(replace(ds, examples=ds.examples[:3]), SplitSpec())
+    assert [len(part) for part in split_dataset(ds, SplitSpec(0.5, 0.3, 0.2))] == [11, 5, 3]
+    assert [len(part) for part in split_dataset(replace(ds, examples=ds.examples[:4]),
+                                                SplitSpec())] == [2, 1, 1]
 
 
 def test_split_fractions_must_sum_to_one():

@@ -49,6 +49,17 @@ SEQ_FEATURES = {"feature.track": "wordseq", "model.preset": "", "model.family": 
                 "feature.w2v_dim": "8", "feature.epochs": "1"}
 
 
+# the keys retired as constants, each with the default it held
+RETIRED = {
+    "dataset.train_frac": "0.5", "dataset.val_frac": "0.25", "dataset.test_frac": "0.25",
+    "dataset.synthetic.keywords_per_label": "2", "dataset.synthetic.filler_vocab": "80",
+    "dataset.synthetic.note_length": "50", "dataset.synthetic.jitter": "15",
+    "dataset.synthetic.label_rate": "0.35", "dataset.synthetic.noise_code_rate": "0.15",
+    "dataset.synthetic.extra_note_rate": "0.05", "feature.window": "5",
+    "feature.negatives": "5", "model.logreg_lr": "0.5",
+}
+
+
 def make_cfg(**overrides):
     raw = dict(FAST_SYNTH)
     raw.update({k: str(v) for k, v in overrides.items()})
@@ -75,6 +86,9 @@ def test_parse_rejects_lines_without_equals():
 def test_unknown_keys_rejected_with_name():
     with pytest.raises(ConfigError, match="dataset.kk"):
         ExperimentConfig({"dataset.kk": "10"})
+    # a retired key is unknown too; only a stored run's config.txt may name it
+    with pytest.raises(ConfigError, match="unknown config keys: feature.window"):
+        ExperimentConfig({"feature.window": "5"})
 
 
 def test_defaults_fill_unspecified_keys():
@@ -108,14 +122,42 @@ def _typed(value):
     ("train.seed", "-1"),
     ("model.rf_trees", "0"),
     ("model.rf_depth", "-3"),
+    ("feature.w2v_dim", "0"),
+    ("feature.seq_len", "0"),
+    ("feature.epochs", "0"),
+    ("model.logreg_iters", "-1"),
+    ("model.fc", "-1"),
+    ("model.dropout", "-0.3"),
+    ("model.dropout", "1"),
+    ("model.dropout", "1.5"),
+    ("model.hidden", "-3"),
+    ("model.hidden", "0"),
+    ("model.hidden", "8,0"),
+    ("model.conv_blocks", "8:0:2"),
+    ("model.conv_blocks", "8:3:2,0:3:2"),
+    ("train.learning_rate", "-1"),
+    ("train.learning_rate", "0"),
+    ("train.learning_rate", "nan"),
 ] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)]
-  + [(key, "x") for key in harness.CHOICES])
+  + [(key, "x") for key in harness.CHOICES]
+  + [(key, "x") for key in RETIRED])
 def test_malformed_value_is_config_error_naming_its_key(key, value):
-    # every key is parsed when the config is built, not when its stage
-    # first reads it; no preset, so the architecture keys reach their parser
+    # every key is parsed and range-checked when the config is built, not
+    # when its stage first reads it; no preset, so the architecture keys
+    # reach their parser. A retired key is rejected by name as unknown
     with pytest.raises(ConfigError, match=re.escape(key)):
         make_cfg(**{"model.preset": "", "model.family": "gru", "feature.track": "wordseq",
                     key: value})
+
+
+def test_range_checks_keep_the_boundary_values():
+    # min_count 0 keeps every token, as 1 does; fc 0 means no fc layer
+    cfg = make_cfg(**{"model.preset": "", "model.family": "cnn", "feature.track": "wordseq",
+                      "model.conv_blocks": "1:1:1", "model.fc": "0", "model.dropout": "0",
+                      "model.logreg_iters": "0", "feature.min_count": "0",
+                      "train.learning_rate": "1e-9"})
+    assert cfg.model_spec().conv_blocks == ((1, 1, 1),)
+    assert cfg.train_config().learning_rate == 1e-9
 
 
 @pytest.mark.parametrize("key, value", [
@@ -213,9 +255,12 @@ def test_stage_hashes_match_pinned_digests():
     # the digest of each stage's config text, the part of its key that
     # names the config, and the run's config hash: the same canonical text
     # as before ARTIFACT_FORMAT went, less its "artifact_format = npy-5"
-    # first line. A change to canonical_text or to a stage's prefixes would
-    # silently orphan every cached workspace; the whole key moves with
-    # every edit of a stage's sources, by design, so it is not pinned
+    # first line and the 13 lines of the keys retired since (the split
+    # shares, seven synthetic shape constants, feature.window,
+    # feature.negatives, model.logreg_lr). A change to canonical_text or
+    # to a stage's prefixes would silently orphan every cached workspace;
+    # the whole key moves with every edit of a stage's sources, by design,
+    # so it is not pinned
     cfg = ExperimentConfig({
         "dataset.k": "4", "dataset.synthetic.n_labels": "4", "dataset.synthetic.n_notes": "80",
         "dataset.synthetic.seed": "1", "dataset.sanitize": "yes",
@@ -226,9 +271,9 @@ def test_stage_hashes_match_pinned_digests():
     prefixes = {stage: row.prefixes for stage, row in harness.STAGES.items()}
     assert {stage: hashlib.sha256(cfg.canonical_text(p).encode()).hexdigest()
             for stage, p in {**prefixes, "run": ()}.items()} == {
-        "dataset": "be7db3bcca634de008eb867106b80eda4436140b65240e3b259b34a89c15f08d",
-        "features": "cabcdfae94cf1df75bf5cbf06f05d61a32c43f423873bd8a316dceefe7691a3f",
-        "run": "9625eba187dbd1972c8396177574a2bd6416fafacde642fde9fc6ec4340539b7",
+        "dataset": "bfeac96a6de54a763c3aeb527d80dd487813a29df06db5c7d1daa71ee0321ad2",
+        "features": "8c184380f9adec73bee33f9f84356ddd1fd9f0223e215353508fef326ca0f890",
+        "run": "5a52593b42aa248a97161478a2230413333d036dd9ef1d657682b9c047449349",
     }
     assert cfg.train_config() == models.TrainConfig(max_epochs=1, learning_rate=5e-3)
 
@@ -620,6 +665,20 @@ def test_damaged_cached_embedding_is_format_error_naming_it(tmp_path, damage):
         harness.stage_features(cfg, ws, splits)
 
 
+def test_frozen_embedding_leaves_the_feature_stage_matrix_untouched(tmp_path):
+    # a non-trainable Embedding keeps the CBOW matrix bit for bit; a
+    # trainable one, trained the same way, moves it
+    for trainable in (False, True):
+        cfg = make_cfg(**SEQ_FEATURES, **{"feature.embedding_trainable": str(trainable)})
+        run_pipeline(cfg, tmp_path, run_name=str(trainable), log=lambda *a: None)
+        ws = Workspace(tmp_path)
+        stored = features.load_dense(
+            ws.stage_dir("features", ws.stage_key(cfg, "features")) / "embedding.npy")
+        arrays, _ = nc.load_checkpoint(tmp_path / "runs" / str(trainable) / "checkpoint")
+        same = arrays["emb.M"].tobytes() == stored.astype(np.float32).tobytes()
+        assert same == (not trainable)
+
+
 # --------------------------------------------------------------- pipeline
 
 @pytest.fixture(scope="module")
@@ -674,6 +733,22 @@ def _copy_of_run(finished_run, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(root / "runs" / "base", run_dir)
     return run_dir
+
+
+def test_rewrite_reports_reads_a_config_naming_retired_keys(finished_run, tmp_path):
+    # a run written before the 13 constant keys were retired still re-reports
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    names = ("metrics_train.json", "metrics_test.json", "pr_train.npz", "pr_test.npz",
+             "summary.txt")
+    before = [(run_dir / name).read_bytes() for name in names]
+    stored = parse_config_text((run_dir / "config.txt").read_text())
+    assert not set(RETIRED) & set(stored)
+    lines = sorted(f"{k} = {v}" for k, v in {**stored, **RETIRED}.items())
+    (run_dir / "config.txt").write_text("\n".join(lines) + "\n")
+    for name in names:
+        (run_dir / name).unlink()
+    rewrite_reports(run_dir)
+    assert [(run_dir / name).read_bytes() for name in names] == before
 
 
 def test_rewrite_reports_rejects_a_nan_probability(finished_run, tmp_path):
