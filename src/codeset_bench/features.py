@@ -16,15 +16,17 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import textproc
 from .errors import ConfigError, FormatError, NumericError, read_numpy
 from .neuralcore import sigmoid
 from .textproc import PAD_INDEX, Vocabulary, build_vocabulary
+
+if TYPE_CHECKING:  # scipy.sparse loads in the functions that build or read a sparse matrix
+    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,8 @@ def tfidf_vectorize(
     in-vocabulary token's (document, column) pair and sorts every row's
     columns; the counts are then scaled by idf.
     """
+    import scipy.sparse as sp
+
     lookup = table.vocabulary.token_to_index
     ids = [[lookup[t] for t in doc if t in lookup] for doc in docs]
     rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
@@ -257,6 +261,8 @@ def _context_average(
     position ``centers[i]``: every position at most ``widths[i]`` away in
     the same document, the center excluded. A word that occurs twice in a
     window has two entries in its row."""
+    import scipy.sparse as sp
+
     doc = offsets.searchsorted(centers, side="right") - 1
     reach = int(widths.max())
     shifts = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
@@ -309,6 +315,8 @@ def _add_rows(
     The terms are summed by one sparse product over the distinct rows, so
     the cost does not grow with the size of the table.
     """
+    import scipy.sparse as sp
+
     distinct, slot = np.unique(rows, return_inverse=True)
     scatter = sp.csc_matrix((weights, slot, indptr), shape=(distinct.size, len(indptr) - 1))
     table[distinct] += scatter @ values
@@ -398,11 +406,15 @@ def encode_corpus_sequences(
 def save_sparse(matrix: sp.csr_matrix, path: str | Path) -> None:
     """Uncompressed ``scipy.sparse`` .npz; written through an open file so
     that the path keeps its name."""
+    import scipy.sparse as sp
+
     with open(path, "wb") as fh:
         sp.save_npz(fh, matrix, compressed=False)
 
 
 def load_sparse(path: str | Path) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return read_numpy(path, sp.load_npz)
 
 

@@ -396,8 +396,7 @@ def stage_dataset(
     """The labeled splits and their catalog. A miss ingests the configured
     CSVs, or a synthetic corpus generated into a temporary directory."""
     synthetic = cfg["dataset.source"] == "synthetic"
-    # checked before any stage writes, not at config build: a stored
-    # run's config.txt must still parse for rewrite_reports
+    # checked before any stage writes
     n_labels = cfg["dataset.synthetic.n_labels"]
     if synthetic and cfg["dataset.k"] > n_labels:
         raise ConfigError(
@@ -602,9 +601,13 @@ def models_save_forest(model: models.TrainedModel, ckpt_dir: Path, manifest: dic
     nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
 
 
+# the config keys _write_reports reads
+REPORT_KEYS = ("train.threshold", "model.preset", "model.family", "feature.track")
+
+
 def _write_reports(
     run_dir: Path,
-    cfg: ExperimentConfig,
+    cfg: ExperimentConfig | dict,
     outputs: dict[str, tuple[np.ndarray, np.ndarray]],
     label_names: list[str],
     with_curves: bool = True,
@@ -643,9 +646,10 @@ def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, 
     run_dir = Path(run_dir)
     _require_files(run_dir, ["config.txt", "catalog.tsv"] + [
         f"{kind}_{tag}.dense" for tag in ("train", "test") for kind in ("probs", "truth")])
-    # a run written before a key was retired still names it
+    # only the keys the reports read are parsed: a stored run may name a
+    # retired key, or hold a value that later config checks refuse
     stored = parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
-    cfg = ExperimentConfig({k: v for k, v in stored.items() if k in DEFAULTS})
+    cfg = {key: _parse(key, stored.get(key, DEFAULTS[key])) for key in REPORT_KEYS}
     catalog = corpus.load_catalog(run_dir / "catalog.tsv")
     outputs = {
         tag: (

@@ -7,10 +7,10 @@ training, and patience-based early stopping.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import neuralcore as nc
 from .errors import ConfigError, DatasetError, NumericError, ShapeError
@@ -149,7 +149,7 @@ def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float =
         raise ShapeError("labels must be [n, k]")
     if iters < 0:
         raise ConfigError("iters must be >= 0")
-    x = features if sp.issparse(features) else np.asarray(features, dtype=np.float64)
+    x = features if _is_sparse(features) else np.asarray(features, dtype=np.float64)
 
     n, d = x.shape
     k = labels.shape[1]
@@ -244,6 +244,13 @@ def _grow_tree(xt, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth:
     return node
 
 
+def _is_sparse(x) -> bool:
+    """scipy's ``issparse``, asked only once scipy.sparse is loaded: no
+    sparse matrix exists before then."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(x)
+
+
 DENSE_LIMIT_BYTES = 1 << 30  # largest dense float64 copy the forest makes of sparse features
 
 
@@ -251,7 +258,7 @@ def _dense_float64(features) -> np.ndarray:
     """features as one C-contiguous float64 array; sparse input is
     densified through its CSR form, and refused when that copy would take
     more than DENSE_LIMIT_BYTES."""
-    if sp.issparse(features):
+    if _is_sparse(features):
         n, d = features.shape
         if n * d * 8 > DENSE_LIMIT_BYTES:
             raise ConfigError(
@@ -487,7 +494,7 @@ EVAL_BATCH = 256
 
 def _batch_rows(x, idx):
     rows = x[idx]
-    if sp.issparse(rows):
+    if _is_sparse(rows):
         # densify in the networks' float32, never as a float64 batch
         rows = rows.astype(np.float32).toarray()
     return rows

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError, ShapeError
 from .core import Layer, Parameter, as_float, glorot_uniform, sigmoid
@@ -209,6 +208,8 @@ class Embedding(Layer):
 
     def backward(self, grad):
         if self.m.trainable:
+            import scipy.sparse as sp
+
             flat = self._idx.ravel()
             n = flat.size
             onehot = sp.csr_matrix(

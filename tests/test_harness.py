@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import types
@@ -749,6 +751,87 @@ def test_rewrite_reports_reads_a_config_naming_retired_keys(finished_run, tmp_pa
         (run_dir / name).unlink()
     rewrite_reports(run_dir)
     assert [(run_dir / name).read_bytes() for name in names] == before
+
+
+def _set_stored_config(run_dir, changes):
+    stored = parse_config_text((run_dir / "config.txt").read_text())
+    lines = sorted(f"{k} = {v}" for k, v in {**stored, **changes}.items())
+    (run_dir / "config.txt").write_text("\n".join(lines) + "\n")
+
+
+def test_rewrite_reports_reads_only_the_keys_it_uses(finished_run, tmp_path):
+    # values the config checks refuse, in keys the reports never read
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    names = ("metrics_train.json", "metrics_test.json")
+    before = [(run_dir / name).read_bytes() for name in names]
+    _set_stored_config(run_dir, {"feature.epochs": "0", "model.dropout": "1.5"})
+    with pytest.raises(ConfigError):
+        ExperimentConfig(parse_config_text((run_dir / "config.txt").read_text()))
+    for name in names:
+        (run_dir / name).unlink()
+    rewrite_reports(run_dir)
+    assert [(run_dir / name).read_bytes() for name in names] == before
+
+
+def test_rewrite_reports_rejects_a_bad_threshold(finished_run, tmp_path):
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    _set_stored_config(run_dir, {"train.threshold": "abc"})
+    with pytest.raises(ConfigError, match="train.threshold: expected a number, got 'abc'"):
+        rewrite_reports(run_dir)
+
+
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """stdout of ``code`` run with ``args`` by a new interpreter on this package."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+def test_report_and_oracle_never_load_scipy_sparse(finished_run, tmp_path):
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from codeset_bench import cli\n"
+        "assert cli.main(['report', '--run', sys.argv[1]]) == 0\n"
+        "assert cli.main(['oracle', '--pairs', '20']) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n",
+        str(run_dir),
+    )
+    assert out.splitlines()[-1] == "False"
+
+
+# a cold tf-idf logreg run, a forest on its cached tf-idf, and a GRU over
+# self-trained CBOW embeddings: every site that builds or reads a sparse matrix
+DEFERRED_SPARSE_RUNS = {
+    "logreg": FAST_SYNTH,
+    "forest": {**FAST_SYNTH, "model.preset": "rforest", "model.rf_trees": "2",
+               "model.rf_depth": "6"},
+    "gru": {**FAST_SYNTH, **SEQ_FEATURES},
+}
+
+
+def _run_files(run_dir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "record.json"}
+
+
+def test_deferred_scipy_sparse_loading_changes_no_run_byte(tmp_path):
+    _fresh_interpreter(
+        "import json, sys\n"
+        "from codeset_bench import harness\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "for name, raw in json.loads(sys.argv[2]).items():\n"
+        "    harness.run_pipeline(harness.ExperimentConfig(raw), sys.argv[1], run_name=name,\n"
+        "                         log=lambda *a: None)\n",
+        str(tmp_path / "fresh"), json.dumps(DEFERRED_SPARSE_RUNS),
+    )
+    assert "scipy.sparse" in sys.modules
+    for name, raw in DEFERRED_SPARSE_RUNS.items():
+        run_pipeline(ExperimentConfig(raw), tmp_path / "here", run_name=name, log=lambda *a: None)
+        fresh, here = (_run_files(tmp_path / ws / "runs" / name) for ws in ("fresh", "here"))
+        assert fresh.keys() == here.keys() and "probs_test.dense" in fresh
+        assert fresh == here, name
 
 
 def test_rewrite_reports_rejects_a_nan_probability(finished_run, tmp_path):

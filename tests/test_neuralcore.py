@@ -281,17 +281,28 @@ def test_sigmoid_float32_exact_at_zero_and_saturation_without_warnings():
     np.testing.assert_array_equal(z, out)
 
 
-def test_package_import_leaves_scipy_special_unloaded():
+def _loaded_by_package_import(module: str) -> bool:
+    """Whether a fresh interpreter that imports the harness and the CLI
+    has ``module`` loaded."""
     code = (
         "import sys, codeset_bench.harness, codeset_bench.cli; "
-        "print('scipy.special' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     src = str(Path(nc.__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    assert not _loaded_by_package_import("scipy.special")
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse loads only where a sparse matrix is built or read
+    assert not _loaded_by_package_import("scipy.sparse")
 
 
 # -------------------------------------------------------- recurrent steps
