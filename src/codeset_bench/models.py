@@ -144,12 +144,10 @@ def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float =
     like any other. Takes sparse or dense features; the spec is always
     ``PRESETS["logreg"]``.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ShapeError("labels must be [n, k]")
     if iters < 0:
         raise ConfigError("iters must be >= 0")
     x = features if _is_sparse(features) else np.asarray(features, dtype=np.float64)
+    labels = _label_matrix(labels, x)
 
     n, d = x.shape
     k = labels.shape[1]
@@ -167,6 +165,14 @@ def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float =
     return TrainedModel(spec=PRESETS["logreg"], submodels={"W": w, "b": b}, stopped_epoch=iters)
 
 
+def _label_matrix(labels, features) -> np.ndarray:
+    """labels as an array, refused unless it is [n, k] for features' n rows."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[0] != features.shape[0]:
+        raise ShapeError(f"labels {labels.shape} vs features {features.shape}: need [n, k] labels")
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # Random forest (one-vs-rest)
 # ---------------------------------------------------------------------------
@@ -177,20 +183,25 @@ def _best_split(block, y, pos: int, feats) -> tuple[float, int, float] | None:
     the node's ``[len(feats), m]`` block, one contiguous row per candidate,
     with labels ``y`` holding ``pos`` positives.
 
-    One pass over the block: a sort along each row, a cumulative count of
-    positives and the Gini of every cut, with cuts between equal values
-    masked to +inf. The order within a run of equal values never reaches
-    a valid cut, whose left side holds the same rows in any order, so the
-    sort need not be stable. Thresholds are midpoints between consecutive
-    distinct values. Ties follow the sequential rule: the lowest threshold
-    wins in a row, and a later candidate replaces the best only if its
-    Gini is lower by more than 1e-15. None when every candidate is
-    constant."""
+    One pass over the block: a sort along each row and an integer running
+    count of positives. Only valid cuts, between distinct values, get a
+    float64 Gini, so runs of ties (bootstrap duplicates, tf-idf zeros) cost
+    nothing past the sort and the count; one segmented minimum over each
+    candidate's cuts gives its best. The order within a run of ties never
+    reaches a valid cut, so the sort need not be stable. Thresholds are
+    midpoints between consecutive distinct values. Ties follow the
+    sequential rule: the lowest threshold wins in a row, and a later
+    candidate replaces the best only if its Gini is lower by more than
+    1e-15. None when every candidate is constant."""
     n_try, m = block.shape
     order = np.argsort(block, axis=1)
     sv = block.take(order + np.arange(0, n_try * m, m)[:, None])
-    pos_l = np.cumsum(y.take(order)[:, :-1], axis=1, dtype=np.float64)
-    n_l = np.arange(1.0, m)
+    cut = np.flatnonzero(sv[:, :-1] < sv[:, 1:])  # valid cuts, flat over [n_try, m - 1]
+    if cut.size == 0:
+        return None
+    pos_l = np.cumsum(y.take(order)[:, :-1], axis=1).take(cut).astype(np.float64)
+    row, i = np.divmod(cut, m - 1)
+    n_l = i + 1.0
     n_r = m - n_l
     p_l = pos_l / n_l
     p_r = np.subtract(pos, pos_l, out=pos_l)
@@ -201,15 +212,13 @@ def _best_split(block, y, pos: int, feats) -> tuple[float, int, float] | None:
     right *= np.subtract(1.0, p_r, out=p_r)
     gini += right
     gini /= m
-    valid = sv[:, :-1] < sv[:, 1:]
-    gini[~valid] = np.inf
-    cols = np.flatnonzero(valid.any(axis=1))
-    cuts = gini[cols].argmin(axis=1)
+    starts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]  # each candidate's cuts
     best = None
-    for c, i, g in zip(cols.tolist(), cuts.tolist(), gini[cols, cuts].tolist()):
+    for s, e, g in zip(starts, starts[1:] + [cut.size], np.minimum.reduceat(gini, starts).tolist()):
         if best is None or g < best[0] - 1e-15:
-            thr = float((sv[c, i] + sv[c, i + 1]) / 2.0)
-            best = (g, int(feats[c]), thr)
+            j = s + int(gini[s:e].argmin())  # the lowest threshold of the row's minimum
+            c, at = int(row[j]), int(i[j])
+            best = (g, int(feats[c]), float((sv[c, at] + sv[c, at + 1]) / 2.0))
     return best
 
 
@@ -221,10 +230,12 @@ def _grow_tree(xt, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth:
     hold the fraction of positive rows as value.
 
     A node holds only its row indices, in draw order: the bootstrap draw
-    at the root, then the rows going each way. It gathers just its
-    ``[n_try, len(rows)]`` block of candidate features; ``xt`` itself is
-    never copied. The RNG is called once per non-leaf node, in preorder,
-    to draw ``n_try`` candidates without replacement.
+    at the root, then the rows going each way. It gathers its
+    ``[n_try, m]`` candidate block with one flat ``take`` at
+    ``feats * n + rows`` and its split mask with one ``take`` of the
+    chosen row, so it costs n_try·m, never n_try·n; ``xt`` is never
+    copied. The RNG is called once per non-leaf node, in preorder, to draw
+    ``n_try`` candidates without replacement.
     """
     node = len(nodes)
     yr = y[rows]
@@ -233,11 +244,11 @@ def _grow_tree(xt, y, rows, rng, max_depth: int, n_try: int, nodes: list, depth:
     if depth >= max_depth or m < 2 or pos in (0, m):
         return node
     feats = rng.choice(xt.shape[0], size=n_try, replace=False)
-    best = _best_split(xt[feats[:, None], rows], yr, pos, feats)
+    best = _best_split(xt.ravel().take(feats[:, None] * xt.shape[1] + rows), yr, pos, feats)
     if best is None:
         return node
     _, f, thr = best
-    mask = xt[f, rows] <= thr
+    mask = xt[f].take(rows) <= thr
     left = _grow_tree(xt, y, rows[mask], rng, max_depth, n_try, nodes, depth + 1)
     right = _grow_tree(xt, y, rows[~mask], rng, max_depth, n_try, nodes, depth + 1)
     nodes[node] = [f, thr, left, right, -1.0]
@@ -288,7 +299,7 @@ def train_random_forest_ovr(
     """
     if n_trees < 1:
         raise ConfigError(f"a forest needs at least one tree, got n_trees = {n_trees}")
-    labels = np.asarray(labels)
+    labels = _label_matrix(labels, features)
     xt = _dense_float64(features.T)
     if xt.size == 0:
         raise DatasetError("empty feature matrix")

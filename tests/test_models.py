@@ -1,15 +1,18 @@
 """Presets, one-vs-rest trainers, the training loop, prediction."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from codeset_bench import models
 from codeset_bench import neuralcore as nc
-from codeset_bench.errors import ConfigError, DatasetError
+from codeset_bench.errors import ConfigError, DatasetError, ShapeError
 from codeset_bench.models import (
     CNN_REGIME,
     RNN_REGIME,
@@ -92,6 +95,17 @@ def test_logreg_trains_one_submodel_per_label():
     model = train_logreg_ovr(x, y, iters=5)
     assert model.submodels["W"].shape == (5, 3)
     assert model.submodels["b"].shape == (3,)
+
+
+@pytest.mark.parametrize("trainer, labels", [
+    (train_random_forest_ovr, np.zeros((30, 2), dtype=np.uint8)),  # more label rows than features
+    (train_random_forest_ovr, np.zeros(20, dtype=np.uint8)),  # one label, not [n, 1]
+    (train_logreg_ovr, np.zeros((1, 2), dtype=np.uint8)),  # would broadcast over 20 rows
+], ids=["forest-extra-rows", "forest-1d", "logreg-one-row"])
+def test_classical_trainers_refuse_misaligned_labels(trainer, labels):
+    x = np.random.default_rng(0).standard_normal((20, 3))
+    with pytest.raises(ShapeError, match=re.escape(f"labels {labels.shape} vs features (20, 3)")):
+        trainer(x, labels)
 
 
 def test_logreg_accepts_sparse_features():
@@ -365,6 +379,11 @@ def forest_case(name):
         x = sp.random(70, 25, density=0.3, format="csr", random_state=3)
     elif name == "wide-csr":  # the bench's shape: 30 candidates, most of them all-zero
         x = sp.random(120, 900, density=0.05, format="csr", random_state=4)
+    elif name == "signed-zeros":  # -0.0 and 0.0 tie, a few positive values between them
+        x = np.where(rng.random((70, 12)) < 0.2, np.round(rng.random((70, 12)), 2), 0.0)
+        x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    elif name == "dense-negative":  # like w2v-avg features, but with long tie runs
+        x = np.round(rng.standard_normal((90, 10)))
     else:
         raise KeyError(name)
     dense = x.toarray() if sp.issparse(x) else x
@@ -380,7 +399,7 @@ def forest_case(name):
 
 @pytest.mark.parametrize("name", [
     "rounded", "constant-columns", "all-candidates-constant", "two-row", "small-deep",
-    "duplicated-columns", "near-tied-binary", "csr", "wide-csr",
+    "duplicated-columns", "near-tied-binary", "csr", "wide-csr", "signed-zeros", "dense-negative",
 ])
 def test_forest_matches_copying_reference_bit_for_bit(name):
     x, y = forest_case(name)
@@ -405,6 +424,36 @@ def test_best_split_keeps_first_candidate_within_tolerance():
     feats = np.array([7, 3])
     assert best_split_reference(x, y, [0, 1]) == (0.4000000000000001, 0, 0.5)
     assert models._best_split(np.ascontiguousarray(x.T), y, 3, feats) == (0.4000000000000001, 7, 0.5)
+
+
+SPLIT_VALUES = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.0, 0.25, 1.0, 1.0 + 2**-52, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_best_split_matches_per_candidate_reference(data):
+    # a bootstrap-like draw of a few distinct rows (so rows repeat), values
+    # from a small set (so columns tie), some columns forced constant, and
+    # a random subset of the candidates in random order
+    d = data.draw(st.integers(1, 4), label="d")
+    base = data.draw(st.lists(st.lists(SPLIT_VALUES, min_size=d, max_size=d),
+                              min_size=1, max_size=6), label="base")
+    m = data.draw(st.integers(1, 16), label="m")
+    x = np.array(base)[data.draw(st.lists(st.integers(0, len(base) - 1), min_size=m, max_size=m))]
+    constant = data.draw(st.lists(st.integers(0, d - 1), max_size=d), label="constant")
+    x[:, constant] = x[0, constant]
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m), label="y"))
+    if m >= 2 and data.draw(st.booleans(), label="mirrored"):
+        # the second half's labels flip the first half's, and every column
+        # comes again with its halves swapped: the copy's cuts hold the
+        # class-flipped counts, so its Ginis are equal but may round apart
+        h = m // 2
+        x, y = x[:2 * h], np.concatenate([y[:h], 1 - y[:h]])
+        x = np.hstack([x, np.roll(x, h, axis=0)])
+    order = data.draw(st.permutations(range(x.shape[1])), label="order")
+    feats = np.array(order[:data.draw(st.integers(1, len(order)), label="n_try")])
+    got = models._best_split(np.ascontiguousarray(x[:, feats].T), y, int(y.sum()), feats)
+    assert got == best_split_reference(x, y, feats)
 
 
 # ------------------------------------------------------------ training loop
