@@ -12,9 +12,8 @@ import and export format for embeddings made elsewhere.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import pairwise
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import textproc
 from .errors import ConfigError, FormatError, NumericError, read_numpy
 from .neuralcore import sigmoid
-from .textproc import PAD_INDEX, Vocabulary, build_vocabulary
+from .textproc import PAD_INDEX, EncodedDocs, Vocabulary, build_vocabulary
 
 if TYPE_CHECKING:  # scipy.sparse loads in the functions that build or read a sparse matrix
     import scipy.sparse as sp
@@ -58,9 +57,7 @@ def compute_idf(vocab: Vocabulary) -> IdfTable:
     return IdfTable(vocabulary=vocab, idf=idf)
 
 
-def tfidf_vectorize(
-    docs: Sequence[Sequence[str]], table: IdfTable
-) -> sp.csr_matrix:
+def tfidf_vectorize(docs: EncodedDocs, table: IdfTable) -> sp.csr_matrix:
     """Sparse doc-term matrix of raw term count times idf.
 
     No length normalization of any kind; a doc with a token twice scores
@@ -68,19 +65,30 @@ def tfidf_vectorize(
     vocabulary indices shifted down by one (the pad slot is dropped), so
     the matrix has exactly vocabulary-size columns.
 
-    scipy's COO to CSR conversion counts: it sums the ones of each
-    in-vocabulary token's (document, column) pair and sorts every row's
-    columns; the counts are then scaled by idf.
+    Each in-vocabulary token enters its document's row as a one, in
+    document order; scipy's ``sum_duplicates`` then sorts every row's
+    columns and sums the ones into counts, in place, and the counts are
+    scaled by idf.
     """
     import scipy.sparse as sp
 
-    lookup = table.vocabulary.token_to_index
-    ids = [[lookup[t] for t in doc if t in lookup] for doc in docs]
-    rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
-    cols = np.fromiter(chain.from_iterable(ids), np.int64, len(rows))
-    m = sp.csr_matrix((np.ones(len(cols)), (rows, cols - 1)), shape=(len(docs), len(lookup)))
+    cols = table.vocabulary.indices(docs)
+    known = cols != PAD_INDEX
+    indptr = _kept_offsets(known, docs.offsets)
+    cols = cols[known]
+    cols -= 1
+    m = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(len(docs), len(table.vocabulary)))
+    m.sum_duplicates()
     m.data *= table.idf[m.indices + 1]
     return m
+
+
+def _kept_offsets(keep: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Where each document of a flat token array (split at ``offsets``)
+    starts once the tokens at which ``keep`` is False are dropped."""
+    before = np.zeros(keep.size + 1, dtype=np.int64)  # kept tokens before each position
+    np.cumsum(keep, out=before[1:])
+    return before[offsets]
 
 
 @dataclass(frozen=True)
@@ -108,9 +116,7 @@ TFIDF_FILTERED = TfidfConfig(
 TFIDF_CONFIGS = {c.name: c for c in (TFIDF_LARGE, TFIDF_FILTERED)}
 
 
-def build_tfidf_table(
-    train_docs: Sequence[Sequence[str]], config: TfidfConfig
-) -> IdfTable:
+def build_tfidf_table(train_docs: EncodedDocs, config: TfidfConfig) -> IdfTable:
     """Fit a vocabulary + idf table on training documents only."""
     if config.strategy == "df_band":
         vocab = build_vocabulary(
@@ -174,13 +180,13 @@ class Word2VecResult:
     losses: np.ndarray  # one entry per SGD step
 
 
-def embedding_vocabulary(docs: Sequence[Sequence[str]], min_count: int) -> Vocabulary:
+def embedding_vocabulary(docs: EncodedDocs, min_count: int) -> Vocabulary:
     """The vocabulary an embedding is indexed by: the tokens of ``docs``
     seen at least ``min_count`` times in all, word2vec's rule."""
     vocab = build_vocabulary(docs, min_doc_freq=1)
     if min_count > 1:
-        counts = Counter(tok for doc in docs for tok in doc)
-        keep = {t for t, c in counts.items() if c >= min_count}
+        counts = np.bincount(docs.ids, minlength=len(docs.table)).tolist()
+        keep = {t for t, i in docs.table.items() if counts[i] >= min_count}
         if not keep:
             raise ConfigError("min_count removed every token")
         vocab = _restrict_vocabulary(vocab, keep)
@@ -188,7 +194,7 @@ def embedding_vocabulary(docs: Sequence[Sequence[str]], min_count: int) -> Vocab
 
 
 def train_word2vec_cbow(
-    docs: Sequence[Sequence[str]],
+    docs: EncodedDocs,
     dim: int = 50,
     window: int = 5,
     negatives: int = 5,
@@ -217,14 +223,16 @@ def train_word2vec_cbow(
         raise ConfigError("invalid word2vec hyperparameters")
     vocab = embedding_vocabulary(docs, min_count)
 
-    # the corpus as one flat index array; document d is corpus[offsets[d]:offsets[d + 1]]
-    lookup = vocab.token_to_index
-    encoded = [np.fromiter((lookup[t] for t in doc if t in lookup), dtype=np.int64) for doc in docs]
-    encoded = [doc for doc in encoded if doc.size >= 2]
-    if not encoded:
+    # the corpus as one flat index array of the documents that keep two or
+    # more in-vocabulary tokens; document d is corpus[offsets[d]:offsets[d + 1]]
+    corpus = vocab.indices(docs)
+    known = corpus != PAD_INDEX
+    lengths = np.diff(_kept_offsets(known, docs.offsets))
+    corpus = corpus[known][np.repeat(lengths >= 2, lengths)].astype(np.int64)
+    lengths = lengths[lengths >= 2]
+    if not lengths.size:
         raise ConfigError("no document retains two in-vocabulary tokens")
-    corpus = np.concatenate(encoded)
-    offsets = np.cumsum([0] + [doc.size for doc in encoded])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
 
     n_slots = len(vocab.index_to_token)
     rng = np.random.default_rng(seed)
@@ -372,11 +380,17 @@ def average_embedding(indices: Sequence[int], emb: EmbeddingMatrix) -> np.ndarra
     return total / idx.size
 
 
-def encode_word_sequence(
-    tokens: Sequence[str], vocab: Vocabulary, max_len: int
-) -> np.ndarray:
-    """Vocabulary indices of the last ``max_len`` in-vocabulary tokens,
-    front-padded with the pad index to exactly ``max_len``.
+def average_embeddings(docs: EncodedDocs, emb: EmbeddingMatrix) -> np.ndarray:
+    """[n_docs, dim] rows, each the ``average_embedding`` of one
+    document's in-vocabulary tokens."""
+    indices = emb.vocabulary.indices(docs)
+    rows = [average_embedding(indices[a:b], emb) for a, b in pairwise(docs.offsets.tolist())]
+    return np.array(rows) if rows else np.zeros((0, emb.dim))
+
+
+def encode_corpus_sequences(docs: EncodedDocs, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """[n_docs, max_len] int64 rows: each document's last ``max_len``
+    in-vocabulary indices, front-padded with the pad index.
 
     Out-of-vocabulary tokens are dropped before the tail is taken, so a
     long document always contributes ``max_len`` real indices when it has
@@ -384,18 +398,15 @@ def encode_word_sequence(
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
-    ids = [vocab.token_to_index[t] for t in tokens if t in vocab.token_to_index]
-    tail = ids[-max_len:]
-    out = np.full(max_len, PAD_INDEX, dtype=np.int64)
-    if tail:
-        out[-len(tail):] = tail
+    indices = vocab.indices(docs)
+    known = indices != PAD_INDEX
+    ends = _kept_offsets(known, docs.offsets).tolist()
+    indices = indices[known]
+    out = np.full((len(docs), max_len), PAD_INDEX, dtype=np.int64)
+    for row, (start, end) in zip(out, pairwise(ends)):
+        tail = indices[max(start, end - max_len):end]
+        row[max_len - tail.size:] = tail
     return out
-
-
-def encode_corpus_sequences(
-    docs: Sequence[Sequence[str]], vocab: Vocabulary, max_len: int
-) -> np.ndarray:
-    return np.stack([encode_word_sequence(d, vocab, max_len) for d in docs])
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +461,8 @@ def load_sequences(path: str | Path) -> np.ndarray:
     arr = _load_array(path)
     if arr.dtype.kind not in "ui":
         raise FormatError(f"{path}: expected integer indices, got {arr.dtype}")
+    if arr.size and arr.min() < 0:
+        raise FormatError(f"{path}: negative index {arr.min()}")
     return arr.astype(np.int64)
 
 

@@ -423,18 +423,19 @@ def stage_dataset(
     return train, val, test, catalog
 
 
-def _tokenized_splits(cfg: ExperimentConfig, splits) -> list[list[list[str]]]:
+def _encoded_splits(cfg: ExperimentConfig, splits) -> list[textproc.EncodedDocs]:
+    """Each split's notes tokenized once, stopwords filtered out when the
+    config says so, and encoded as int32 ids against one token table that
+    the three splits share; one note's tokens are strings at a time."""
     stop = textproc.load_default_stopwords() if cfg["feature.remove_stopwords"] else None
-    out = []
-    for split in splits:
-        docs = []
+    table: dict[str, int] = {}
+
+    def tokens(split):
         for text in split.texts():
             toks = textproc.tokenize(text)
-            if stop is not None:
-                toks = textproc.remove_stopwords(toks, stop)
-            docs.append(toks)
-        out.append(docs)
-    return out
+            yield toks if stop is None else textproc.remove_stopwords(toks, stop)
+
+    return [textproc.encode_documents(tokens(split), table) for split in splits]
 
 
 def _resolve_embedding(
@@ -462,14 +463,14 @@ def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> features.Fea
     h = ws.stage_key(cfg, "features")
     if ws.stage_cached("features", h):
         return features.load_feature_set(ws.stage_dir("features", h), TRACK_KINDS[track])
-    fs = _build_features(cfg, track, _tokenized_splits(cfg, splits))
+    fs = _build_features(cfg, track, _encoded_splits(cfg, splits))
     with ws.new_stage("features", h) as d:
         features.save_feature_set(fs, d)
     return fs
 
 
 def _build_features(cfg: ExperimentConfig, track: str, docs) -> features.FeatureSet:
-    """Featurize the tokenized train/val/test documents for one track;
+    """Featurize the encoded train/val/test documents for one track;
     the vocabulary and any embedding are fitted on the training split."""
     train_docs = docs[0]
     if TRACK_KINDS[track] == "sparse":
@@ -479,13 +480,7 @@ def _build_features(cfg: ExperimentConfig, track: str, docs) -> features.Feature
 
     vocab, emb = _resolve_embedding(cfg, train_docs)
     if track == "w2v-avg":
-        mats = []
-        for split in docs:
-            rows = []
-            for toks in split:
-                idx = [vocab.token_to_index[t] for t in toks if t in vocab.token_to_index]
-                rows.append(features.average_embedding(idx, emb))
-            mats.append(np.array(rows) if rows else np.zeros((0, emb.dim)))
+        mats = [features.average_embeddings(split, emb) for split in docs]
         return features.FeatureSet("dense", *mats, vocab=vocab, embedding=emb)
 
     seq_len = cfg["feature.seq_len"]

@@ -2,6 +2,8 @@
 
 All feature tracks share the same tokenizer so that tfidf vectors,
 averaged embeddings, and index sequences are built over one token space.
+Documents are held as int32 ids against one token table
+(``encode_documents``), and vocabularies are fitted on those ids.
 """
 
 from __future__ import annotations
@@ -9,8 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DatasetError, FormatError
 
@@ -60,6 +65,41 @@ def load_default_stopwords() -> StopwordList:
 PAD_INDEX = 0
 
 
+@dataclass(frozen=True)
+class EncodedDocs:
+    """Tokenized documents as int32 ids against one token table.
+
+    Document d is ``ids[offsets[d]:offsets[d + 1]]``. ``table`` maps each
+    token to its id, and ids count up from 0 in first-seen order, so the
+    i-th key of ``table`` is the token of id i. Documents encoded into one
+    table share its ids.
+    """
+
+    ids: np.ndarray  # int32
+    offsets: np.ndarray  # int64, one more than there are documents
+    table: dict[str, int]
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+
+def encode_documents(
+    docs: Iterable[Sequence[str]], table: dict[str, int] | None = None
+) -> EncodedDocs:
+    """Encode tokenized documents as int32 ids, giving each token not yet
+    in ``table`` the next id (a new table when none is given).
+
+    One document's tokens are held as strings at a time, so ``docs`` may
+    be a generator that tokenizes each document as it is asked for.
+    """
+    table = {} if table is None else table
+    parts, offsets = [np.zeros(0, dtype=np.int32)], [0]
+    for doc in docs:
+        parts.append(np.array([table.setdefault(t, len(table)) for t in doc], dtype=np.int32))
+        offsets.append(offsets[-1] + len(doc))
+    return EncodedDocs(np.concatenate(parts), np.array(offsets, dtype=np.int64), table)
+
+
 @dataclass
 class Vocabulary:
     """Token <-> index map with per-token document frequencies.
@@ -76,46 +116,51 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_index)
 
+    def indices(self, docs: EncodedDocs) -> np.ndarray:
+        """The vocabulary index of every token of ``docs``, ``PAD_INDEX``
+        for a token outside the vocabulary: one remap array (table id to
+        index) taken at every id."""
+        lookup = self.token_to_index
+        remap = np.array([lookup.get(t, PAD_INDEX) for t in docs.table], dtype=np.int32)
+        return remap[docs.ids]
+
 
 def build_vocabulary(
-    docs: Iterable[Sequence[str]],
+    docs: EncodedDocs,
     min_doc_freq: int = 1,
     max_doc_frac: float = 1.0,
     max_size: int | None = None,
 ) -> Vocabulary:
-    """Build a Vocabulary from tokenized documents.
+    """Build a Vocabulary from encoded documents.
 
     Keeps tokens with min_doc_freq <= doc_freq <= max_doc_frac * n_docs.
     If max_size is set, the highest-doc-freq tokens are kept (ties broken
     by lexicographic token order). Indices start at 1 in descending
     doc-freq order so the vocabulary is invariant under document order.
     """
-    df: dict[str, int] = {}
-    n_docs = 0
-    for doc in docs:
-        n_docs += 1
-        for tok in set(doc):
-            df[tok] = df.get(tok, 0) + 1
+    n_docs = len(docs)
     if n_docs == 0:
         raise DatasetError("no documents supplied to build_vocabulary")
+    df = np.zeros(len(docs.table), dtype=np.int64)
+    for a, b in pairwise(docs.offsets.tolist()):
+        df[docs.ids[a:b]] += 1  # an id repeated within the document is added once
 
     # small epsilon keeps the upper bound inclusive at float boundaries
     ceiling = max_doc_frac * n_docs + 1e-9
-    kept = [(t, c) for t, c in df.items() if c >= min_doc_freq and c <= ceiling]
+    kept = np.flatnonzero((df >= max(min_doc_freq, 1)) & (df <= ceiling)).tolist()
     if not kept:
         raise DatasetError(
-            f"vocabulary empty after filtering ({len(df)} tokens, "
+            f"vocabulary empty after filtering ({np.count_nonzero(df)} tokens, "
             f"min_doc_freq={min_doc_freq}, max_doc_frac={max_doc_frac})"
         )
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
-    if max_size is not None:
-        kept = kept[:max_size]
+    tokens, df = list(docs.table), df.tolist()
+    kept.sort(key=lambda i: (-df[i], tokens[i]))
 
     vocab = Vocabulary(n_docs=n_docs)
-    for tok, count in kept:
-        vocab.token_to_index[tok] = len(vocab.index_to_token)
-        vocab.index_to_token.append(tok)
-        vocab.doc_freq[tok] = count
+    for i in kept[:max_size]:
+        vocab.token_to_index[tokens[i]] = len(vocab.index_to_token)
+        vocab.index_to_token.append(tokens[i])
+        vocab.doc_freq[tokens[i]] = df[i]
     return vocab
 
 
@@ -149,6 +194,10 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
                 raise FormatError(f"{path}:{lineno}: expected an integer") from None
             if idx != len(vocab.index_to_token):
                 raise FormatError(f"{path}:{lineno}: indices must be contiguous from 1")
+            if tok in vocab.token_to_index:
+                raise FormatError(f"{path}:{lineno}: token {tok!r} listed twice")
+            if freq < 1:
+                raise FormatError(f"{path}:{lineno}: doc_freq {freq} below 1")
             vocab.token_to_index[tok] = idx
             vocab.index_to_token.append(tok)
             vocab.doc_freq[tok] = freq

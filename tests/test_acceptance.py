@@ -43,6 +43,9 @@ def _generate_corpus(tmp_dir, spec):
 
 def _fit_sequence(preset_name, splits, seq_len, epochs, lr, seed, embed_dim=16):
     (tr_docs, ytr), (va_docs, yva), (te_docs, yte) = splits
+    table = {}
+    tr_docs, va_docs, te_docs = (textproc.encode_documents(d, table)
+                                 for d in (tr_docs, va_docs, te_docs))
     vocab = textproc.build_vocabulary(tr_docs)
     xtr = features.encode_corpus_sequences(tr_docs, vocab, max_len=seq_len)
     xva = features.encode_corpus_sequences(va_docs, vocab, max_len=seq_len)
@@ -113,13 +116,13 @@ def test_tfidf_hand_fixture_values_and_config_selection():
     """On a five-document fixture, idf (natural log, +1 shift) and raw
     count x idf entries match hand arithmetic to 1e-9, and the two named
     vocabulary recipes select exactly the expected token sets."""
-    docs = [
+    docs = textproc.encode_documents([
         ["alpha", "beta", "gamma"],
         ["alpha", "beta"],
         ["alpha", "delta"],
         ["alpha", "epsilon", "delta"],
         ["alpha", "beta", "beta", "zeta"],
-    ]
+    ])
     vocab = textproc.build_vocabulary(docs)
     table = features.compute_idf(vocab)
 
@@ -186,7 +189,7 @@ def test_each_network_memorizes_separable_synthetic_corpus(tmp_path):
     ds = _generate_corpus(tmp_path / "memo", spec)
     examples = ds.examples[:200]
     assert len(examples) == 200
-    docs = [textproc.tokenize(e.text) for e in examples]
+    docs = textproc.encode_documents(textproc.tokenize(e.text) for e in examples)
     y = np.stack([e.label_vector for e in examples])
 
     # (preset, epochs, learning rate); None takes the optimizer default.
@@ -246,7 +249,8 @@ def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
             splits.append((docs, part.label_matrix()))
         (tr_docs, ytr), _, (te_docs, yte) = splits
 
-        w2v = features.train_word2vec_cbow(tr_docs, dim=16, window=5, epochs=3, seed=seed)
+        w2v = features.train_word2vec_cbow(
+            textproc.encode_documents(tr_docs), dim=16, window=5, epochs=3, seed=seed)
         emb = features.EmbeddingMatrix(vocabulary=w2v.vocabulary, matrix=w2v.vectors)
         lookup = w2v.vocabulary.token_to_index
 
@@ -331,7 +335,8 @@ def test_cbow_separates_topics_and_loss_declines():
         docs.append(list(rng.choice(art, size=12)))
         docs.append(list(rng.choice(bio, size=12)))
 
-    res = features.train_word2vec_cbow(docs, dim=16, window=5, epochs=5, seed=0)
+    res = features.train_word2vec_cbow(
+        textproc.encode_documents(docs), dim=16, window=5, epochs=5, seed=0)
     lookup = res.vocabulary.token_to_index
     assert all(t in lookup for t in art + bio)
     a_vecs = [res.vectors[lookup[t]] for t in art]

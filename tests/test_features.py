@@ -23,7 +23,6 @@ from codeset_bench.features import (
     build_vocabulary,
     compute_idf,
     encode_corpus_sequences,
-    encode_word_sequence,
     load_dense,
     load_sequences,
     load_sparse,
@@ -37,15 +36,15 @@ from codeset_bench.features import (
     _cbow_block_update,
     _context_average,
 )
-from codeset_bench.textproc import PAD_INDEX
+from codeset_bench.textproc import PAD_INDEX, encode_documents
 
-FIVE_DOCS = [
+FIVE_DOCS = encode_documents([
     ["alpha", "beta", "gamma"],
     ["alpha", "beta"],
     ["alpha", "delta"],
     ["alpha", "epsilon", "delta"],
     ["alpha", "beta", "beta", "zeta"],
-]
+])
 
 
 # -------------------------------------------------------------------- idf
@@ -89,7 +88,7 @@ def test_tfidf_column_layout_skips_pad():
 
 def test_tfidf_ignores_out_of_vocabulary_tokens():
     table = compute_idf(build_vocabulary(FIVE_DOCS))
-    m = tfidf_vectorize([["alpha", "unseen"]], table).toarray()
+    m = tfidf_vectorize(encode_documents([["alpha", "unseen"]]), table).toarray()
     assert m[0].sum() == pytest.approx(1.0)  # only alpha contributes
 
 
@@ -132,7 +131,7 @@ def two_topic_docs(n_per_topic=30, length=12, seed=0):
     for _ in range(n_per_topic):
         docs.append(list(rng.choice(a, size=length)))
         docs.append(list(rng.choice(b, size=length)))
-    return docs
+    return encode_documents(docs)
 
 
 def test_cbow_shapes_and_pad_row():
@@ -160,7 +159,7 @@ def test_cbow_loss_declines_on_learnable_corpus():
 
 
 def test_cbow_min_count_restricts_vocabulary():
-    docs = [["common", "common", "rare"], ["common", "other"], ["common", "other"]]
+    docs = encode_documents([["common", "common", "rare"], ["common", "other"], ["common", "other"]])
     res = train_word2vec_cbow(docs, dim=4, epochs=1, min_count=2, seed=0)
     assert "rare" not in res.vocabulary.token_to_index
 
@@ -232,7 +231,7 @@ def test_cbow_trains_without_negatives_or_with_unit_window(negatives, window):
     res = train_word2vec_cbow(docs, dim=6, window=window, negatives=negatives, epochs=2, seed=4)
     assert not res.vectors[PAD_INDEX].any()
     assert np.all(np.isfinite(res.vectors))
-    assert res.losses.shape == (2 * sum(len(d) for d in docs),)
+    assert res.losses.shape == (2 * docs.ids.size,)
     assert np.all(np.isfinite(res.losses)) and np.all(res.losses >= 0.0)
 
 
@@ -243,7 +242,7 @@ def test_cbow_records_one_loss_per_token_step_across_blocks(n_docs):
     docs = [[f"w{(i + j) % 9}" for j in range(6)] for i in range(n_docs)] + [["w0"]]
     n_tokens = 6 * n_docs
     assert (n_tokens < CBOW_BLOCK) == (n_docs == 1)
-    res = train_word2vec_cbow(docs, dim=4, epochs=3, seed=1)
+    res = train_word2vec_cbow(encode_documents(docs), dim=4, epochs=3, seed=1)
     assert res.losses.shape == (3 * n_tokens,)
     assert not res.vectors[PAD_INDEX].any()
 
@@ -251,7 +250,7 @@ def test_cbow_records_one_loss_per_token_step_across_blocks(n_docs):
 # ------------------------------------------------------------- embeddings
 
 def test_align_embeddings_copies_known_and_zeros_unknown():
-    vocab = build_vocabulary([["a", "b", "c"]])
+    vocab = build_vocabulary(encode_documents([["a", "b", "c"]]))
     vecs = np.array([[1.0, 2.0], [3.0, 4.0]])
     emb = align_embeddings(vocab, ["b", "a"], vecs)
     assert emb.matrix.shape == (4, 2)
@@ -262,7 +261,7 @@ def test_align_embeddings_copies_known_and_zeros_unknown():
 
 
 def test_average_embedding_drops_pads():
-    vocab = build_vocabulary([["a", "b"]])
+    vocab = build_vocabulary(encode_documents([["a", "b"]]))
     matrix = np.array([[0.0, 0.0], [2.0, 4.0], [6.0, 0.0]])
     emb = EmbeddingMatrix(vocabulary=vocab, matrix=matrix)
     out = average_embedding([PAD_INDEX, 1, 2], emb)
@@ -270,7 +269,7 @@ def test_average_embedding_drops_pads():
 
 
 def test_average_embedding_all_pad_gives_zeros():
-    vocab = build_vocabulary([["a"]])
+    vocab = build_vocabulary(encode_documents([["a"]]))
     emb = EmbeddingMatrix(vocabulary=vocab, matrix=np.ones((2, 3)))
     assert not average_embedding([PAD_INDEX, PAD_INDEX], emb).any()
 
@@ -279,7 +278,7 @@ def test_average_embedding_all_pad_gives_zeros():
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30),
        st.randoms(use_true_random=False))
 def test_average_embedding_is_bitwise_permutation_invariant(indices, rnd):
-    vocab = build_vocabulary([["a", "b", "c", "d", "e"]])
+    vocab = build_vocabulary(encode_documents([["a", "b", "c", "d", "e"]]))
     rng = np.random.default_rng(0)
     emb = EmbeddingMatrix(vocabulary=vocab, matrix=rng.standard_normal((6, 4)))
     base = average_embedding(indices, emb)
@@ -292,26 +291,67 @@ def test_average_embedding_is_bitwise_permutation_invariant(indices, rnd):
 # -------------------------------------------------------------- sequences
 
 def test_encode_word_sequence_front_pads():
-    vocab = build_vocabulary([["a", "b", "c"]])
-    seq = encode_word_sequence(["a", "b"], vocab, max_len=5)
+    vocab = build_vocabulary(encode_documents([["a", "b", "c"]]))
+    (seq,) = encode_corpus_sequences(encode_documents([["a", "b"]]), vocab, max_len=5)
     ia, ib = vocab.token_to_index["a"], vocab.token_to_index["b"]
     assert seq.tolist() == [PAD_INDEX, PAD_INDEX, PAD_INDEX, ia, ib]
 
 
 def test_encode_word_sequence_drops_oov_before_truncating():
-    vocab = build_vocabulary([["a", "b", "c"]])
+    vocab = build_vocabulary(encode_documents([["a", "b", "c"]]))
     toks = ["a", "unseen", "b", "unseen", "c"]
-    seq = encode_word_sequence(toks, vocab, max_len=2)
+    (seq,) = encode_corpus_sequences(encode_documents([toks]), vocab, max_len=2)
     # oov removal happens first, then the LAST max_len tokens are kept
     assert seq.tolist() == [vocab.token_to_index["b"], vocab.token_to_index["c"]]
 
 
 def test_encode_corpus_sequences_shape_and_dtype():
-    vocab = build_vocabulary([["a", "b"]])
-    out = encode_corpus_sequences([["a"], ["a", "b"], []], vocab, max_len=3)
+    vocab = build_vocabulary(encode_documents([["a", "b"]]))
+    out = encode_corpus_sequences(encode_documents([["a"], ["a", "b"], []]), vocab, max_len=3)
     assert out.shape == (3, 3)
     assert np.issubdtype(out.dtype, np.integer)
     assert out[2].tolist() == [PAD_INDEX] * 3
+
+
+def _string_tfidf_reference(docs, table):
+    # the token-string vectorizer the id path replaced, kept as its reference
+    lookup = table.vocabulary.token_to_index
+    ids = [[lookup[t] for t in doc if t in lookup] for doc in docs]
+    rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    cols = np.array([i for doc in ids for i in doc], dtype=np.int64)
+    m = sp.csr_matrix((np.ones(len(cols)), (rows, cols - 1)), shape=(len(docs), len(lookup)))
+    m.data *= table.idf[m.indices + 1]
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=9), min_size=1, max_size=7),
+       st.lists(st.lists(st.sampled_from("efghij"), max_size=9), max_size=4),
+       st.integers(min_value=1, max_value=4))
+def test_id_featurizers_match_their_string_references(train, test, max_len):
+    # test documents share the token table and bring tokens unseen in train
+    table = {}
+    enc_train, enc_test = encode_documents(train, table), encode_documents(test, table)
+    df = {}
+    for doc in train:
+        for t in set(doc):
+            df[t] = df.get(t, 0) + 1
+    if not df:
+        return
+    vocab = build_vocabulary(enc_train)
+    assert vocab.index_to_token[1:] == sorted(df, key=lambda t: (-df[t], t))
+    assert vocab.doc_freq == df
+    idf = compute_idf(vocab)
+    for docs, enc in ((train, enc_train), (test, enc_test)):
+        got, want = tfidf_vectorize(enc, idf), _string_tfidf_reference(docs, idf)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        seqs = encode_corpus_sequences(enc, vocab, max_len)
+        for doc, row in zip(docs, seqs):
+            known = [vocab.token_to_index[t] for t in doc if t in vocab.token_to_index]
+            tail = known[-max_len:]
+            assert row.tolist() == [PAD_INDEX] * (max_len - len(tail)) + tail
 
 
 # ------------------------------------------------------------ persistence
@@ -377,6 +417,15 @@ def test_loaders_reject_malformed_files_naming_the_path(tmp_path, loader, write)
     write(path)
     with pytest.raises(FormatError, match="artifact"):
         loader(path)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_load_sequences_refuses_negative_indices_naming_the_path(tmp_path, dtype):
+    # an Embedding would silently read its last row for an index of -1
+    path = tmp_path / "train.seq"
+    _write_npy(path, np.array([[0, 3], [-1, 2]], dtype=dtype))
+    with pytest.raises(FormatError, match=r"train\.seq: negative index -1"):
+        load_sequences(path)
 
 
 def test_malformed_word2vec_text_is_format_error_naming_path_and_line(tmp_path):

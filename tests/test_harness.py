@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -547,7 +548,8 @@ def test_min_count_counts_tokens_for_every_embedding_source(tmp_path, source):
     vectors.write_text("4 8\n" + "".join(f"{t}{' 0.5' * 8}\n" for t in "abcd"))
     cfg = make_cfg(**SEQ_FEATURES, **{"feature.min_count": "2", "feature.embedding_source": source,
                                       "feature.pretrained_path": vectors})
-    vocab, _ = harness._resolve_embedding(cfg, [["a", "a", "b"], ["b", "c"], ["d"]])
+    docs = textproc.encode_documents([["a", "a", "b"], ["b", "c"], ["d"]])
+    vocab, _ = harness._resolve_embedding(cfg, docs)
     assert sorted(vocab.token_to_index) == ["a", "b"]
 
 
@@ -588,7 +590,7 @@ def _pretrained_file(tmp_path):
     the aligned matrix has both copied and zero rows."""
     ws = Workspace(tmp_path / "probe", log=lambda *a: None)
     docs = [textproc.tokenize(t) for t in _splits(make_cfg(**SEQ_FEATURES), ws)[0].texts()]
-    vocab = textproc.build_vocabulary(docs)
+    vocab = textproc.build_vocabulary(textproc.encode_documents(docs))
     kept = vocab.index_to_token[1::2]
     matrix = np.random.default_rng(3).standard_normal((len(kept) + 1, 8))
     path = tmp_path / "pretrained.txt"
@@ -650,6 +652,79 @@ def test_feature_stage_files_match_pinned_digest(tmp_path):
             if path.name != ".complete":  # holds the key, which covers the sources
                 h.update(path.name.encode() + b"\n" + path.read_bytes())
     assert h.hexdigest() == FEATURE_FILES_DIGEST
+
+
+def _hand_splits(train, val, test):
+    """Train/val/test splits of the given note texts, each labelled with
+    one code; the feature stage reads only the texts."""
+    catalog = corpus.LabelCatalog("code", (("4010", 1),))
+    texts = [*train, *val, *test]
+    examples = [corpus.Example(100 + i, t, np.ones(1, np.uint8)) for i, t in enumerate(texts)]
+    cuts = np.cumsum([0, len(train), len(val), len(test)])
+    return [corpus.LabeledDataset(examples[a:b], catalog, 1.0) for a, b in zip(cuts, cuts[1:])]
+
+
+def _edge_splits():
+    """A corpus with an empty note, a stopword-only note, and a val and a
+    test note whose every token is unseen in train."""
+    rng = np.random.default_rng(5)
+    words = ["the", "of", "and", "fever", "cough", "rash", "sepsis", "renal", "cardiac", "acute",
+             "chronic", "failure", "pain", "left", "right"]
+    normal = [" ".join(rng.choice(words, size=int(rng.integers(6, 14)))) + "." for _ in range(18)]
+    train = normal[:14] + ["", "The and OF the."] + normal[14:16]
+    val = ["Zebra quokka, 77777 xylo!", normal[16]]
+    test = [normal[17], "quokka yak yak."]
+    return _hand_splits(train, val, test)
+
+
+# Digest of the feature-stage files of the four tracks on `_edge_splits`,
+# taken at commit d67ac37, while every split was held as lists of token
+# strings.
+EDGE_FEATURE_FILES_DIGEST = "244291ecb4e12fde1016ed5c1255b6d5d210e6d3dfd1b65e8728c3f8d4801f19"
+
+
+def test_edge_corpus_feature_files_match_pinned_digest(tmp_path):
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    h = hashlib.sha256()
+    for overrides in (
+        {"feature.track": "tfidf40k"},
+        {"feature.track": "tfidf20k", "feature.remove_stopwords": "true"},
+        {**SEQ_FEATURES, "feature.track": "w2v-avg", "model.family": "logreg", "model.hidden": ""},
+        {**SEQ_FEATURES, "feature.embedding_source": "self"},
+    ):
+        cfg = make_cfg(**overrides)
+        harness.stage_features(cfg, ws, _edge_splits())
+        d = ws.stage_dir("features", ws.stage_key(cfg, "features"))
+        for path in sorted(d.iterdir()):
+            if path.name != ".complete":
+                h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == EDGE_FEATURE_FILES_DIGEST
+
+
+@pytest.mark.parametrize("overrides", [
+    {"feature.track": "tfidf40k"},
+    {**SEQ_FEATURES, "feature.embedding_source": "random", "feature.seq_len": "300"},
+], ids=["tfidf40k", "wordseq"])
+def test_feature_stage_peak_stays_within_four_times_its_outputs(tmp_path, overrides):
+    # 120k tokens in 400 notes over a Zipf vocabulary of 2000 words; the
+    # stage holds every token as an int32 id and one note's tokens as
+    # strings, where lists of token strings peaked at 6-7x the outputs
+    rng = np.random.default_rng(0)
+    p = 1.0 / np.arange(1, 2001)
+    words = np.array([f"w{i}" for i in range(2000)])
+    texts = [" ".join(words[rng.choice(2000, size=300, p=p / p.sum())]) for _ in range(400)]
+    splits = _hand_splits(texts[:200], texts[200:300], texts[300:])
+    cfg = make_cfg(**overrides)
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fs = harness.stage_features(cfg, ws, splits)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fs.train.shape[0] == 200
+    assert peak - base <= 4 * (held - base), (peak - base, held - base)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "row_count"])

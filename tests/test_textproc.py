@@ -8,6 +8,7 @@ from codeset_bench.errors import DatasetError, FormatError
 from codeset_bench.textproc import (
     PAD_INDEX,
     build_vocabulary,
+    encode_documents,
     load_default_stopwords,
     load_vocabulary,
     remove_stopwords,
@@ -51,7 +52,7 @@ def test_remove_stopwords_preserves_order():
 
 def test_vocabulary_orders_by_doc_freq_then_token():
     docs = [["b", "a"], ["b", "c"], ["b", "a", "z"]]
-    vocab = build_vocabulary(docs)
+    vocab = build_vocabulary(encode_documents(docs))
     # df: b=3, a=2, c=1, z=1; ties alphabetical
     assert vocab.index_to_token[1:] == ["b", "a", "c", "z"]
     assert vocab.token_to_index["b"] == 1
@@ -60,7 +61,7 @@ def test_vocabulary_orders_by_doc_freq_then_token():
 
 
 def test_vocabulary_reserves_pad_slot():
-    vocab = build_vocabulary([["x"]])
+    vocab = build_vocabulary(encode_documents([["x"]]))
     assert PAD_INDEX == 0
     assert vocab.index_to_token[PAD_INDEX] == ""
     assert "" not in vocab.token_to_index
@@ -68,52 +69,52 @@ def test_vocabulary_reserves_pad_slot():
 
 def test_vocabulary_counts_documents_not_occurrences():
     docs = [["a", "a", "a"], ["b"]]
-    vocab = build_vocabulary(docs)
+    vocab = build_vocabulary(encode_documents(docs))
     assert vocab.doc_freq["a"] == 1
 
 
 def test_vocabulary_min_doc_freq_bound():
     docs = [["a", "b"], ["a", "c"], ["a", "b"]]
-    vocab = build_vocabulary(docs, min_doc_freq=2)
+    vocab = build_vocabulary(encode_documents(docs), min_doc_freq=2)
     assert sorted(vocab.token_to_index) == ["a", "b"]
 
 
 def test_vocabulary_max_doc_frac_boundary_is_inclusive():
     # df = 4 of 5 docs is exactly 0.8: must be kept at max_doc_frac=0.8
     docs = [["a", "b"], ["a"], ["a"], ["a"], ["c"]]
-    vocab = build_vocabulary(docs, max_doc_frac=0.8)
+    vocab = build_vocabulary(encode_documents(docs), max_doc_frac=0.8)
     assert "a" in vocab.token_to_index
-    vocab = build_vocabulary(docs + [["a"]], max_doc_frac=0.8)  # df 5 of 6 > 0.8
+    vocab = build_vocabulary(encode_documents(docs + [["a"]]), max_doc_frac=0.8)  # df 5 of 6 > 0.8
     assert "a" not in vocab.token_to_index
 
 
 def test_vocabulary_max_size_cuts_lowest_df():
     docs = [["a", "b"], ["a", "c"], ["a", "b"]]
-    vocab = build_vocabulary(docs, max_size=2)
+    vocab = build_vocabulary(encode_documents(docs), max_size=2)
     assert vocab.index_to_token[1:] == ["a", "b"]
 
 
 def test_vocabulary_empty_inputs_rejected():
     with pytest.raises(DatasetError):
-        build_vocabulary([])
+        build_vocabulary(encode_documents([]))
     with pytest.raises(DatasetError):
-        build_vocabulary([["a"]], min_doc_freq=2)
+        build_vocabulary(encode_documents([["a"]]), min_doc_freq=2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6), min_size=1, max_size=8),
        st.randoms(use_true_random=False))
 def test_vocabulary_is_document_order_invariant(docs, rnd):
-    before = build_vocabulary(docs)
+    before = build_vocabulary(encode_documents(docs))
     shuffled = list(docs)
     rnd.shuffle(shuffled)
-    after = build_vocabulary(shuffled)
+    after = build_vocabulary(encode_documents(shuffled))
     assert before.index_to_token == after.index_to_token
 
 
 def test_vocabulary_round_trip(tmp_path):
     docs = [["beta", "alpha"], ["beta", "gamma"]]
-    vocab = build_vocabulary(docs)
+    vocab = build_vocabulary(encode_documents(docs))
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
     loaded = load_vocabulary(path)
@@ -129,4 +130,17 @@ def test_vocabulary_non_integer_field_is_format_error(tmp_path, text, line):
     path = tmp_path / "vocab.tsv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match=rf"vocab\.tsv:{line}: "):
+        load_vocabulary(path)
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("#n_docs=3\n1\tfoo\t1\n2\tbar\t1\n3\tfoo\t1\n", 4, "listed twice"),
+    ("#n_docs=3\n1\tfoo\t2\n2\tbar\t-2\n", 3, "below 1"),
+    ("#n_docs=3\n1\tfoo\t0\n", 2, "below 1"),
+], ids=["duplicate-token", "negative-doc-freq", "zero-doc-freq"])
+def test_vocabulary_duplicate_token_or_doc_freq_below_one_is_format_error(tmp_path, text, line, what):
+    # a token must own exactly one index, and a kept token is in some document
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"vocab\.tsv:{line}: .*{what}"):
         load_vocabulary(path)
