@@ -71,7 +71,7 @@ DEFAULTS: dict[str, str] = {
     "model.fc": "0",
     "model.dropout": "0.0",
     "model.bidirectional": "false",
-    "model.logreg_iters": "100",
+    "model.logreg_iters": "50",
     "model.rf_trees": "64",
     "model.rf_depth": "10",
     "train.max_epochs": "200",

@@ -131,38 +131,55 @@ class TrainedModel:
 # ---------------------------------------------------------------------------
 
 
-def train_logreg_ovr(features, labels: np.ndarray, iters: int = 100, lr: float = 0.5) -> TrainedModel:
+def train_logreg_ovr(features, labels: np.ndarray, iters: int = 50) -> TrainedModel:
     """k independent binary logistic regressions, one per label column,
-    trained together as one [d, k] weight matrix.
-
-    Full-batch gradient descent from zero weights on clipped BCE. The
-    gradient is exact for the clipped loss: examples whose prediction
-    sits in the clipped region contribute nothing, which also bounds
-    weight growth on separable data. Columns never mix, so each is the
-    binary problem for its label. Deterministic: zero initialization and
-    full-batch descent leave no randomness. Single-class columns train
-    like any other. Takes sparse or dense features; the spec is always
-    ``PRESETS["logreg"]``.
+    trained together as one [d, k] weight matrix: Nesterov-accelerated
+    full-batch descent (FISTA momentum (t-1)/(t+2)) from zero weights on
+    the mean logistic loss, at step 1/L for L = λ_max([X 1]ᵀ[X 1]) / (4n).
+    30 power iterations estimate λ_max from below; it is at least n, the
+    bias column's share. Columns never mix. Deterministic. Takes sparse or
+    dense features, never densified, and refuses non-finite ones; the spec
+    is always ``PRESETS["logreg"]``.
     """
     if iters < 0:
         raise ConfigError("iters must be >= 0")
-    x = features if _is_sparse(features) else np.asarray(features, dtype=np.float64)
+    x = features.tocsr() if _is_sparse(features) else np.asarray(features, dtype=np.float64)
     labels = _label_matrix(labels, x)
-
     n, d = x.shape
-    k = labels.shape[1]
-    w = np.zeros((d, k))
-    b = np.zeros(k)
+    if n == 0:
+        raise DatasetError("logistic regression needs at least one row")
+    if not np.all(np.isfinite(x.data if _is_sparse(x) else x)):
+        raise NumericError("logistic regression features hold NaN or inf")
+
+    u, s = np.ones(d), 1.0
+    for _ in range(30):  # power iteration on [X 1]ᵀ[X 1]
+        z = x @ u + s
+        u, s = x.T @ z, z.sum()
+        lam = math.sqrt(u @ u + s * s)
+        u, s = u / lam, s / lam
+    step = 4.0 * n / max(lam, n)
     y = labels.astype(np.float64)
-    eps = nc.BCE_EPS
-    for _ in range(iters):
-        p = nc.sigmoid(x @ w + b)
-        g = np.where((p >= eps) & (p <= 1.0 - eps), p - y, 0.0) / n
-        w -= lr * (x.T @ g)
-        b -= lr * g.sum(axis=0)
+    w, b = np.zeros((d, y.shape[1])), np.zeros(y.shape[1])  # the iterate
+    v, c = w.copy(), b.copy()  # the look-ahead point the gradient is taken at
+    for t in range(iters):
+        w_next, gb = _logistic_gradient(x, y, v, c)
+        w_next *= -step
+        w_next += v
+        b_next = c - step * gb
+        np.subtract(w_next, w, out=v)
+        v *= t / (t + 3)
+        v += w_next
+        c = b_next + t / (t + 3) * (b_next - b)
+        w, b = w_next, b_next
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
         raise NumericError("logistic regression diverged")
     return TrainedModel(spec=PRESETS["logreg"], submodels={"W": w, "b": b}, stopped_epoch=iters)
+
+
+def _logistic_gradient(x, y: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The mean logistic loss's gradient in (w, b), every label column at once."""
+    r = (nc.sigmoid(x @ w + b) - y) / x.shape[0]
+    return x.T @ r, r.sum(axis=0)
 
 
 def _label_matrix(labels, features) -> np.ndarray:
@@ -583,7 +600,7 @@ def fit(
     embedding: EmbeddingMatrix | np.ndarray | None = None,
     vocab_size: int | None = None,
     embed_dim: int = 32,
-    logreg_iters: int = 100,
+    logreg_iters: int = 50,
     rf_trees: int = 64,
     rf_depth: int = 10,
     train_embedding: bool = True,

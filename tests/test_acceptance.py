@@ -260,7 +260,7 @@ def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
                 for d in all_docs
             ])
 
-        lr_model = models.train_logreg_ovr(averaged(tr_docs), ytr, iters=300, lr=2.0)
+        lr_model = models.train_logreg_ovr(averaged(tr_docs), ytr, iters=300)
         f1_lr = metrics.example_based_metrics(
             (models.predict_proba(lr_model, averaged(te_docs)) >= 0.5).astype(np.uint8), yte
         ).f1

@@ -260,7 +260,9 @@ def test_stage_hashes_match_pinned_digests():
     # as before ARTIFACT_FORMAT went, less its "artifact_format = npy-5"
     # first line and the 13 lines of the keys retired since (the split
     # shares, seven synthetic shape constants, feature.window,
-    # feature.negatives, model.logreg_lr). A change to canonical_text or
+    # feature.negatives, model.logreg_lr). The run's text holds every
+    # default, so its digest also moved when the model.logreg_iters default
+    # went from 100 to 50. A change to canonical_text or
     # to a stage's prefixes would silently orphan every cached workspace;
     # the whole key moves with every edit of a stage's sources, by design,
     # so it is not pinned
@@ -276,7 +278,7 @@ def test_stage_hashes_match_pinned_digests():
             for stage, p in {**prefixes, "run": ()}.items()} == {
         "dataset": "bfeac96a6de54a763c3aeb527d80dd487813a29df06db5c7d1daa71ee0321ad2",
         "features": "8c184380f9adec73bee33f9f84356ddd1fd9f0223e215353508fef326ca0f890",
-        "run": "5a52593b42aa248a97161478a2230413333d036dd9ef1d657682b9c047449349",
+        "run": "383264d3b25b9acad050bc8609d000bec5feeb36d3cdac2ce747b50531294d2b",
     }
     assert cfg.train_config() == models.TrainConfig(max_epochs=1, learning_rate=5e-3)
 

@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from codeset_bench import models
 from codeset_bench import neuralcore as nc
-from codeset_bench.errors import ConfigError, DatasetError, ShapeError
+from codeset_bench.errors import ConfigError, DatasetError, NumericError, ShapeError
 from codeset_bench.models import (
     CNN_REGIME,
     RNN_REGIME,
@@ -78,7 +78,7 @@ def separable_problem(n=60, seed=0):
 
 def test_logreg_solves_a_separable_problem():
     x, y = separable_problem()
-    model = train_logreg_ovr(x, y, iters=500, lr=0.5)
+    model = train_logreg_ovr(x, y, iters=500)
     assert np.array_equal((predict_proba(model, x) >= 0.5).astype(np.uint8), y)
 
 
@@ -134,32 +134,90 @@ def test_logreg_columns_train_independently():
     assert np.array_equal(base, swapped[:, ::-1])
 
 
-def logistic_column_reference(x, y, iters, lr):
-    """One label's full-batch descent on clipped BCE, one column at a time."""
-    n = x.shape[0]
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    for _ in range(iters):
-        p = expit(x @ w + b)
-        g = np.where((p >= nc.BCE_EPS) & (p <= 1.0 - nc.BCE_EPS), p - y, 0.0) / n
-        w -= lr * np.asarray(x.T @ g).ravel()
-        b -= lr * float(g.sum())
-    return w, b
+def mean_logistic_loss(x, y, w, b):
+    """The unclipped loss the trainer descends: each label column's mean
+    logistic loss, summed over the columns."""
+    z = np.asarray(x @ w + b)
+    return float(np.mean(np.logaddexp(0.0, z) - y * z, axis=0).sum())
+
+
+def noisy_problem(n=200, k=3, seed=8):
+    """Labels drawn from a logistic model, so no column is separable and
+    the loss has a finite minimum. The six feature columns are about 40%
+    zeros and scaled from 1 down to 0.1, which conditions the problem
+    badly enough (condition number about 150 at the defaults) that 50
+    plain descent passes stop short where 50 accelerated ones do not."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 6)) * (rng.random((n, 6)) < 0.6) * [1, 0.5, 0.3, 0.2, 0.15, 0.1]
+    y = (rng.random((n, k)) < expit(x @ (2 * rng.standard_normal((6, k))))).astype(np.uint8)
+    return x, y
 
 
 @pytest.mark.parametrize("to_sparse", [False, True])
-def test_logreg_matrix_descent_matches_per_column_reference(to_sparse):
-    # the [d, k] descent only reorders sums, so it agrees to rounding
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((40, 6)) * (rng.random((40, 6)) < 0.5)
-    y = (rng.random((40, 4)) < 0.4).astype(np.uint8)
-    y[:, 3] = 0  # a degenerate column trains too
-    feats = sp.csr_matrix(x) if to_sparse else x
-    model = train_logreg_ovr(feats, y, iters=60, lr=0.5)
+def test_logistic_gradient_matches_central_differences(to_sparse):
+    x, y = noisy_problem(n=40)
+    y[:, 2] = 0  # a degenerate column too
+    y = y.astype(np.float64)
+    rng = np.random.default_rng(9)
+    w, b = rng.standard_normal((6, 3)), rng.standard_normal(3)
+    gw, gb = models._logistic_gradient(sp.csr_matrix(x) if to_sparse else x, y, w, b)
+    h = 1e-6
+    for params, grad in ((w, gw), (b, gb)):
+        for i in np.ndindex(params.shape):
+            keep = params[i]
+            params[i] = keep + h
+            up = mean_logistic_loss(x, y, w, b)
+            params[i] = keep - h
+            down = mean_logistic_loss(x, y, w, b)
+            params[i] = keep
+            assert abs((up - down) / (2 * h) - grad[i]) < 1e-8
+
+
+@pytest.mark.parametrize("to_sparse", [False, True])
+def test_logreg_loss_comes_within_gap_of_long_run_reference(to_sparse):
+    # the reference: 5000 plain full-batch descent passes at step 1/L,
+    # with L from the exact eigenvalue, one column at a time; 20000 passes
+    # move its loss by less than 1e-15. The default 50 accelerated passes
+    # end 3.1e-4 above it, and 50 plain passes 2.8e-2
+    x, y = noisy_problem()
+    y = y.astype(np.float64)
+    n = len(x)
+    a = np.column_stack([x, np.ones(n)])
+    step = 4 * n / np.linalg.eigvalsh(a.T @ a)[-1]
+    w_ref, b_ref = np.zeros((x.shape[1], y.shape[1])), np.zeros(y.shape[1])
     for j in range(y.shape[1]):
-        w, b = logistic_column_reference(feats, y[:, j].astype(np.float64), 60, 0.5)
-        np.testing.assert_allclose(model.submodels["W"][:, j], w, rtol=1e-12, atol=1e-15)
-        assert abs(model.submodels["b"][j] - b) <= 1e-14
+        for _ in range(5000):
+            g = (expit(x @ w_ref[:, j] + b_ref[j]) - y[:, j]) / n
+            w_ref[:, j] -= step * (x.T @ g)
+            b_ref[j] -= step * g.sum()
+    reference = mean_logistic_loss(x, y, w_ref, b_ref)
+    model = train_logreg_ovr(sp.csr_matrix(x) if to_sparse else x, y)  # the default 50 passes
+    gap = mean_logistic_loss(x, y, model.submodels["W"], model.submodels["b"]) - reference
+    assert -1e-9 < gap < 1e-3
+
+
+def test_logreg_learns_features_past_the_clipped_loss_freeze():
+    # at features this large a fixed step saturates every probability at
+    # once, and a clipped loss then has zero gradient and freezes below
+    # accuracy 1.0; the step 1/L shrinks with the features' scale
+    x, y = separable_problem()
+    model = train_logreg_ovr(x * 1e3, y, iters=500)
+    assert np.array_equal((predict_proba(model, x * 1e3) >= 0.5).astype(np.uint8), y)
+
+
+def test_logreg_refuses_zero_rows():
+    # the step 1/L divides by the row count
+    with pytest.raises(DatasetError, match="at least one row"):
+        train_logreg_ovr(np.zeros((0, 3)), np.zeros((0, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("to_sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_logreg_refuses_non_finite_features(bad, to_sparse):
+    x, y = separable_problem(20)
+    x[3, 1] = bad
+    with pytest.raises(NumericError, match="features hold NaN or inf"):
+        train_logreg_ovr(sp.csr_matrix(x) if to_sparse else x, y)
 
 
 # ------------------------------------------------------------ random forest
