@@ -16,6 +16,7 @@ label and its admission count per line) and ``train.tsv``, ``val.tsv``,
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from collections import Counter
@@ -461,8 +462,7 @@ def generate_synthetic_corpus(
 
     notes_path = out_dir / "NOTEEVENTS.csv"
     diag_path = out_dir / "DIAGNOSES_ICD.csv"
-    row_id = 0
-    diag_row_id = 0
+    note_ids, diag_ids = itertools.count(1), itertools.count(1)
 
     with open(notes_path, "w", newline="", encoding="utf-8") as nf, open(
         diag_path, "w", newline="", encoding="utf-8"
@@ -486,51 +486,24 @@ def generate_synthetic_corpus(
                 text = _compose_order_free(rng, spec, keywords, filler, active)
                 _check_order_free(text, keywords, active)
 
-            row_id += 1
-            notes_writer.writerow(
-                [row_id, subject_id, hadm_id, chartdate, "Discharge summary", "Report", text]
-            )
+            notes = [("Discharge summary", "Report", text)]
             # occasional duplicate summary: same content plus an addendum,
             # higher row_id, exercising the keep-latest rule downstream
             if rng.random() < spec.extra_note_rate:
-                row_id += 1
-                notes_writer.writerow(
-                    [
-                        row_id,
-                        subject_id,
-                        hadm_id,
-                        chartdate,
-                        "Discharge summary",
-                        "Addendum",
-                        text + "\naddendum " + filler[int(rng.integers(len(filler)))],
-                    ]
-                )
+                addendum = "\naddendum " + filler[int(rng.integers(len(filler)))]
+                notes.append(("Discharge summary", "Addendum", text + addendum))
             # occasional non-discharge note, filtered out downstream
             if rng.random() < spec.extra_note_rate:
-                row_id += 1
-                notes_writer.writerow(
-                    [
-                        row_id,
-                        subject_id,
-                        hadm_id,
-                        chartdate,
-                        "Radiology",
-                        "Report",
-                        " ".join(
-                            filler[int(t)] for t in rng.integers(len(filler), size=10)
-                        ),
-                    ]
-                )
+                words = rng.integers(len(filler), size=10)
+                notes.append(("Radiology", "Report", " ".join(filler[int(t)] for t in words)))
+            for note in notes:
+                notes_writer.writerow([next(note_ids), subject_id, hadm_id, chartdate, *note])
 
-            seq = 1
-            for j in active:
-                diag_row_id += 1
-                diag_writer.writerow([diag_row_id, subject_id, hadm_id, seq, synthetic_code(j)])
-                seq += 1
+            codes = [synthetic_code(j) for j in active]
             if rng.random() < spec.noise_code_rate:
-                diag_row_id += 1
-                noise = f"{900 + int(rng.integers(90)):03d}0"
-                diag_writer.writerow([diag_row_id, subject_id, hadm_id, seq, noise])
+                codes.append(f"{900 + int(rng.integers(90)):03d}0")
+            for seq, code in enumerate(codes, 1):
+                diag_writer.writerow([next(diag_ids), subject_id, hadm_id, seq, code])
 
     return notes_path, diag_path
 

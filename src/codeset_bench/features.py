@@ -72,23 +72,12 @@ def tfidf_vectorize(docs: EncodedDocs, table: IdfTable) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
 
-    cols = table.vocabulary.indices(docs)
-    known = cols != PAD_INDEX
-    indptr = _kept_offsets(known, docs.offsets)
-    cols = cols[known]
+    cols, indptr = table.vocabulary.project(docs)
     cols -= 1
     m = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(len(docs), len(table.vocabulary)))
     m.sum_duplicates()
     m.data *= table.idf[m.indices + 1]
     return m
-
-
-def _kept_offsets(keep: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Where each document of a flat token array (split at ``offsets``)
-    starts once the tokens at which ``keep`` is False are dropped."""
-    before = np.zeros(keep.size + 1, dtype=np.int64)  # kept tokens before each position
-    np.cumsum(keep, out=before[1:])
-    return before[offsets]
 
 
 @dataclass(frozen=True)
@@ -136,28 +125,13 @@ def build_tfidf_table(train_docs: EncodedDocs, config: TfidfConfig) -> IdfTable:
     # summed over the documents in order, as the column sums of the
     # train tf-idf matrix (whose column j is vocabulary index j + 1)
     m = tfidf_vectorize(train_docs, table)
-    mass = np.zeros(len(vocab.index_to_token), dtype=np.float64)
-    mass[1:] = np.bincount(m.indices, weights=m.data, minlength=len(vocab.token_to_index))
+    mass = np.bincount(m.indices, weights=m.data, minlength=len(vocab)).tolist()
     # rank by (-summed mass, token) for a deterministic cut
-    order = sorted(
-        vocab.token_to_index.items(), key=lambda kv: (-mass[kv[1]], kv[0])
-    )
-    keep = {tok for tok, _ in order[: config.max_features]}
-    kept_vocab = _restrict_vocabulary(vocab, keep)
-    return compute_idf(kept_vocab)
-
-
-def _restrict_vocabulary(vocab: Vocabulary, keep: set[str]) -> Vocabulary:
-    """Sub-vocabulary over ``keep`` with the parent's doc frequencies and
-    the standard (-df, token) index order."""
-    ordered = sorted(keep, key=lambda t: (-vocab.doc_freq[t], t))
-    token_to_index = {tok: i + 1 for i, tok in enumerate(ordered)}
-    return Vocabulary(
-        token_to_index=token_to_index,
-        index_to_token=[""] + ordered,
-        doc_freq={t: vocab.doc_freq[t] for t in ordered},
-        n_docs=vocab.n_docs,
-    )
+    tokens = vocab.index_to_token[1:]
+    order = sorted(range(len(tokens)), key=lambda j: (-mass[j], tokens[j]))
+    keep = np.zeros(len(train_docs.table), dtype=bool)
+    keep[[train_docs.table[tokens[j]] for j in order[: config.max_features]]] = True
+    return compute_idf(build_vocabulary(train_docs, keep=keep))
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +157,10 @@ class Word2VecResult:
 def embedding_vocabulary(docs: EncodedDocs, min_count: int) -> Vocabulary:
     """The vocabulary an embedding is indexed by: the tokens of ``docs``
     seen at least ``min_count`` times in all, word2vec's rule."""
-    vocab = build_vocabulary(docs, min_doc_freq=1)
-    if min_count > 1:
-        counts = np.bincount(docs.ids, minlength=len(docs.table)).tolist()
-        keep = {t for t, i in docs.table.items() if counts[i] >= min_count}
-        if not keep:
-            raise ConfigError("min_count removed every token")
-        vocab = _restrict_vocabulary(vocab, keep)
-    return vocab
+    keep = np.bincount(docs.ids, minlength=len(docs.table)) >= min_count
+    if min_count > 1 and docs.ids.size and not keep.any():  # an empty corpus fails below
+        raise ConfigError("min_count removed every token")
+    return build_vocabulary(docs, keep=keep)
 
 
 def train_word2vec_cbow(
@@ -225,10 +195,9 @@ def train_word2vec_cbow(
 
     # the corpus as one flat index array of the documents that keep two or
     # more in-vocabulary tokens; document d is corpus[offsets[d]:offsets[d + 1]]
-    corpus = vocab.indices(docs)
-    known = corpus != PAD_INDEX
-    lengths = np.diff(_kept_offsets(known, docs.offsets))
-    corpus = corpus[known][np.repeat(lengths >= 2, lengths)].astype(np.int64)
+    corpus, starts = vocab.project(docs)
+    lengths = np.diff(starts)
+    corpus = corpus[np.repeat(lengths >= 2, lengths)].astype(np.int64)
     lengths = lengths[lengths >= 2]
     if not lengths.size:
         raise ConfigError("no document retains two in-vocabulary tokens")
@@ -383,8 +352,8 @@ def average_embedding(indices: Sequence[int], emb: EmbeddingMatrix) -> np.ndarra
 def average_embeddings(docs: EncodedDocs, emb: EmbeddingMatrix) -> np.ndarray:
     """[n_docs, dim] rows, each the ``average_embedding`` of one
     document's in-vocabulary tokens."""
-    indices = emb.vocabulary.indices(docs)
-    rows = [average_embedding(indices[a:b], emb) for a, b in pairwise(docs.offsets.tolist())]
+    indices, starts = emb.vocabulary.project(docs)
+    rows = [average_embedding(indices[a:b], emb) for a, b in pairwise(starts.tolist())]
     return np.array(rows) if rows else np.zeros((0, emb.dim))
 
 
@@ -398,12 +367,9 @@ def encode_corpus_sequences(docs: EncodedDocs, vocab: Vocabulary, max_len: int) 
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
-    indices = vocab.indices(docs)
-    known = indices != PAD_INDEX
-    ends = _kept_offsets(known, docs.offsets).tolist()
-    indices = indices[known]
+    indices, starts = vocab.project(docs)
     out = np.full((len(docs), max_len), PAD_INDEX, dtype=np.int64)
-    for row, (start, end) in zip(out, pairwise(ends)):
+    for row, (start, end) in zip(out, pairwise(starts.tolist())):
         tail = indices[max(start, end - max_len):end]
         row[max_len - tail.size:] = tail
     return out

@@ -208,13 +208,17 @@ class ExperimentConfig:
             raise ConfigError("csv source needs dataset.notes and dataset.diagnoses")
         for key, least in (("dataset.k", 1), ("dataset.split_seed", 0),
                            ("dataset.synthetic.seed", 0), ("feature.seed", 0), ("train.seed", 0),
+                           ("dataset.synthetic.n_labels", 1), ("dataset.synthetic.n_notes", 1),
                            ("feature.w2v_dim", 1), ("feature.seq_len", 1), ("feature.epochs", 1),
-                           ("model.logreg_iters", 0), ("model.fc", 0),
-                           ("model.rf_trees", 1), ("model.rf_depth", 0)):
+                           ("feature.min_count", 0), ("model.logreg_iters", 0), ("model.fc", 0),
+                           ("model.rf_trees", 1), ("model.rf_depth", 0), ("train.max_epochs", 1),
+                           ("train.patience", 1), ("train.batch_size", 1)):
             if self[key] < least:
                 raise ConfigError(f"{key}: must be >= {least}, got {self[key]}")
         if not 0.0 <= self["model.dropout"] < 1.0:
             raise ConfigError(f"model.dropout: must lie in [0, 1), got {self['model.dropout']}")
+        if not 0.0 < self["train.threshold"] < 1.0:
+            raise ConfigError(f"train.threshold: must lie in (0, 1), got {self['train.threshold']}")
         k = self["dataset.k"]
         if k not in (10, 50):
             warnings.warn(f"dataset.k = {k} departs from the reference settings (10/50)")

@@ -43,13 +43,24 @@ _BLOCK_ROWS = 512  # rows (steps x batch) per backward block
 
 class _Recurrent(Layer):
     """One W [d, G·H], U [H, G·H], b [G·H] triple, one H-column block per
-    gate. ``gates`` lists the blocks in the order the kernels run them;
-    each cell's forward runs its time loop between ``_rows`` and
-    ``_output``, and its backward runs through ``_bptt``."""
+    gate. ``gates`` lists the blocks in the order the kernels run them.
+    Each cell draws its initial W and U in ``_draw`` and is named ``kind``
+    unless given a name; its forward runs its time loop between ``_rows``
+    and ``_output``, and its backward runs through ``_bptt``."""
 
     gates: tuple[int, ...]
+    kind: str
 
-    def __init__(self, name: str, w: np.ndarray, u: np.ndarray, return_sequences: bool):
+    def __init__(
+        self,
+        n_in: int,
+        n_hidden: int,
+        rng: np.random.Generator,
+        return_sequences: bool = False,
+        name: str | None = None,
+    ):
+        w, u = self._draw(rng, n_in, n_hidden)
+        name = self.kind if name is None else name
         self.w = Parameter(f"{name}.W", w)
         self.u = Parameter(f"{name}.U", u)
         self.b = Parameter(f"{name}.b", np.zeros(u.shape[1]))
@@ -138,17 +149,11 @@ class _Recurrent(Layer):
 
 class SimpleRNN(_Recurrent):
     gates = (0,)
+    kind = "rnn"
 
-    def __init__(
-        self,
-        n_in: int,
-        n_hidden: int,
-        rng: np.random.Generator,
-        return_sequences: bool = False,
-        name: str = "rnn",
-    ):
-        w = glorot_uniform(rng, (n_in, n_hidden), n_in, n_hidden)
-        super().__init__(name, w, orthogonal(rng, n_hidden), return_sequences)
+    @staticmethod
+    def _draw(rng, n_in, n_hidden):
+        return glorot_uniform(rng, (n_in, n_hidden), n_in, n_hidden), orthogonal(rng, n_hidden)
 
     def forward(self, x, train: bool = False):
         x1 = self._rows(x)
@@ -182,18 +187,12 @@ class LSTM(_Recurrent):
     independently orthogonal blocks, one per gate."""
 
     gates = (3, 0, 1, 2)  # run (o, i, f, g) of the stored (i, f, g, o) blocks
+    kind = "lstm"
 
-    def __init__(
-        self,
-        n_in: int,
-        n_hidden: int,
-        rng: np.random.Generator,
-        return_sequences: bool = False,
-        name: str = "lstm",
-    ):
+    @staticmethod
+    def _draw(rng, n_in, n_hidden):
         w = glorot_uniform(rng, (n_in, 4 * n_hidden), n_in, n_hidden)
-        u = np.concatenate([orthogonal(rng, n_hidden) for _ in range(4)], axis=1)
-        super().__init__(name, w, u, return_sequences)
+        return w, np.concatenate([orthogonal(rng, n_hidden) for _ in range(4)], axis=1)
 
     def forward(self, x, train: bool = False):
         x1 = self._rows(x)
@@ -254,23 +253,14 @@ class LSTM(_Recurrent):
 
 class GRU(_Recurrent):
     gates = (0, 1, 2)  # stored and run as (r, z, h~)
+    kind = "gru"
 
-    def __init__(
-        self,
-        n_in: int,
-        n_hidden: int,
-        rng: np.random.Generator,
-        return_sequences: bool = False,
-        name: str = "gru",
-    ):
+    @staticmethod
+    def _draw(rng, n_in, n_hidden):
         # drawn gate by gate in (z, r, h~) order, which fixes each seed's
         # initial values, and stored as (r, z, h~) blocks
-        z, r, h = [
-            (glorot_uniform(rng, (n_in, n_hidden), n_in, n_hidden), orthogonal(rng, n_hidden))
-            for _ in range(3)
-        ]
-        w, u = (np.hstack(blocks) for blocks in zip(r, z, h))
-        super().__init__(name, w, u, return_sequences)
+        z, r, h = [SimpleRNN._draw(rng, n_in, n_hidden) for _ in range(3)]
+        return tuple(np.hstack(blocks) for blocks in zip(r, z, h))
 
     def forward(self, x, train: bool = False):
         x1 = self._rows(x)

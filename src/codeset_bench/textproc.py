@@ -116,13 +116,21 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_index)
 
-    def indices(self, docs: EncodedDocs) -> np.ndarray:
-        """The vocabulary index of every token of ``docs``, ``PAD_INDEX``
-        for a token outside the vocabulary: one remap array (table id to
-        index) taken at every id."""
+    def project(self, docs: EncodedDocs) -> tuple[np.ndarray, np.ndarray]:
+        """The vocabulary indices of the in-vocabulary tokens of ``docs``,
+        as one flat int32 array, and where each document starts in it
+        (int64, one more entry than there are documents, the last its
+        length): one remap array (table id to index, ``PAD_INDEX`` outside
+        the vocabulary) taken at every id, the pads then dropped."""
         lookup = self.token_to_index
         remap = np.array([lookup.get(t, PAD_INDEX) for t in docs.table], dtype=np.int32)
-        return remap[docs.ids]
+        indices = remap[docs.ids]
+        known = indices != PAD_INDEX
+        before = np.zeros(known.size + 1, dtype=np.int64)  # known tokens before each position
+        np.cumsum(known, out=before[1:])
+        starts = before[docs.offsets]
+        del before  # freed before the gather below, which peaks
+        return indices[known], starts
 
 
 def build_vocabulary(
@@ -130,13 +138,16 @@ def build_vocabulary(
     min_doc_freq: int = 1,
     max_doc_frac: float = 1.0,
     max_size: int | None = None,
+    keep: np.ndarray | None = None,
 ) -> Vocabulary:
     """Build a Vocabulary from encoded documents.
 
-    Keeps tokens with min_doc_freq <= doc_freq <= max_doc_frac * n_docs.
-    If max_size is set, the highest-doc-freq tokens are kept (ties broken
-    by lexicographic token order). Indices start at 1 in descending
-    doc-freq order so the vocabulary is invariant under document order.
+    Keeps tokens with min_doc_freq <= doc_freq <= max_doc_frac * n_docs,
+    and, when ``keep`` (a bool mask over ``docs.table`` ids) is given,
+    only the tokens it marks. If max_size is set, the highest-doc-freq
+    tokens are kept (ties broken by lexicographic token order). Indices
+    start at 1 in descending doc-freq order so the vocabulary is invariant
+    under document order.
     """
     n_docs = len(docs)
     if n_docs == 0:
@@ -147,7 +158,8 @@ def build_vocabulary(
 
     # small epsilon keeps the upper bound inclusive at float boundaries
     ceiling = max_doc_frac * n_docs + 1e-9
-    kept = np.flatnonzero((df >= max(min_doc_freq, 1)) & (df <= ceiling)).tolist()
+    inside = (df >= max(min_doc_freq, 1)) & (df <= ceiling)
+    kept = np.flatnonzero(inside if keep is None else inside & keep).tolist()
     if not kept:
         raise DatasetError(
             f"vocabulary empty after filtering ({np.count_nonzero(df)} tokens, "

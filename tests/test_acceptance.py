@@ -179,6 +179,7 @@ def test_hand_computed_spot_values():
 # ----------------------------------------------------------- 5. memorization
 
 
+@pytest.mark.slow
 def test_each_network_memorizes_separable_synthetic_corpus(tmp_path):
     """FNN, CNN, LSTM and GRU all reach training F1 >= 0.95 on a
     200-example, 10-label keyword-separable corpus within their epoch
@@ -228,6 +229,7 @@ def test_each_network_memorizes_separable_synthetic_corpus(tmp_path):
 # ------------------------------------------------------ 6. order sensitivity
 
 
+@pytest.mark.slow
 def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
     """On the order-sensitive synthetic task (~2000 train examples) the
     token bag is identical whichever way a keyword/negator pair is

@@ -327,8 +327,9 @@ def _string_tfidf_reference(docs, table):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=9), min_size=1, max_size=7),
        st.lists(st.lists(st.sampled_from("efghij"), max_size=9), max_size=4),
-       st.integers(min_value=1, max_value=4))
-def test_id_featurizers_match_their_string_references(train, test, max_len):
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.booleans(), min_size=10, max_size=10))
+def test_id_featurizers_match_their_string_references(train, test, max_len, mask):
     # test documents share the token table and bring tokens unseen in train
     table = {}
     enc_train, enc_test = encode_documents(train, table), encode_documents(test, table)
@@ -341,6 +342,16 @@ def test_id_featurizers_match_their_string_references(train, test, max_len):
     vocab = build_vocabulary(enc_train)
     assert vocab.index_to_token[1:] == sorted(df, key=lambda t: (-df[t], t))
     assert vocab.doc_freq == df
+    # a keep mask over table ids: the kept tokens of train, by (-df, token)
+    keep = np.array(mask[:len(table)])
+    kept_df = {t: n for t, n in df.items() if keep[table[t]]}
+    if kept_df:
+        kept = build_vocabulary(enc_train, keep=keep)
+        assert kept.index_to_token[1:] == sorted(kept_df, key=lambda t: (-kept_df[t], t))
+        assert kept.doc_freq == kept_df and kept.n_docs == len(train)
+    else:
+        with pytest.raises(DatasetError):
+            build_vocabulary(enc_train, keep=keep)
     idf = compute_idf(vocab)
     for docs, enc in ((train, enc_train), (test, enc_test)):
         got, want = tfidf_vectorize(enc, idf), _string_tfidf_reference(docs, idf)

@@ -141,6 +141,15 @@ def _typed(value):
     ("train.learning_rate", "-1"),
     ("train.learning_rate", "0"),
     ("train.learning_rate", "nan"),
+    ("train.max_epochs", "0"),
+    ("train.patience", "0"),
+    ("train.batch_size", "0"),
+    ("train.threshold", "0"),
+    ("train.threshold", "1"),
+    ("train.threshold", "nan"),
+    ("dataset.synthetic.n_notes", "0"),
+    ("dataset.synthetic.n_labels", "0"),
+    ("feature.min_count", "-1"),
 ] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)]
   + [(key, "x") for key in harness.CHOICES]
   + [(key, "x") for key in RETIRED])
@@ -701,6 +710,78 @@ def test_edge_corpus_feature_files_match_pinned_digest(tmp_path):
             if path.name != ".complete":
                 h.update(path.name.encode() + b"\n" + path.read_bytes())
     assert h.hexdigest() == EDGE_FEATURE_FILES_DIGEST
+
+
+def _zipf_docs(rng, n_docs, words, table):
+    """``n_docs`` documents of 10..60 tokens drawn from ``words`` with
+    Zipf weights 1/rank, encoded into ``table``."""
+    p = 1.0 / np.arange(1, len(words) + 1)
+    p /= p.sum()
+    docs = [[words[i] for i in rng.choice(len(words), size=int(rng.integers(10, 61)), p=p)]
+            for _ in range(n_docs)]
+    return textproc.encode_documents(docs, table)
+
+
+# Digest of vocabulary cuts (tf-idf's full_rank max_features and CBOW's
+# min_count, with what each vocabulary projects), of the recurrent cells'
+# initial parameters and of the synthetic CSVs of both modes, taken at
+# commit 68b3c1d, before the vocabulary rule, the in-vocabulary projection,
+# the cell constructors and the synthetic row writers were each written
+# once.
+CUTS_CELLS_CSVS_DIGEST = "704592a00156e43b0bbaf4c1f4c985fd14d8327da00d84a23616d4653fa105f2"
+
+
+def test_vocabulary_cuts_initial_cells_and_synthetic_csvs_match_pinned_digest(tmp_path):
+    h = hashlib.sha256()
+
+    def update(*arrays):
+        for a in arrays:
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+
+    def update_vocab(vocab):
+        h.update("\t".join(vocab.index_to_token).encode())
+        update(np.array([vocab.doc_freq[t] for t in vocab.index_to_token[1:]]), vocab.n_docs)
+
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(300)]
+    table: dict[str, int] = {}
+    train = _zipf_docs(rng, 80, words, table)
+    test = _zipf_docs(rng, 12, words + [f"new{i}" for i in range(40)], table)
+    assert len(textproc.build_vocabulary(train)) > 150  # so that every cut below cuts
+    for max_features in (1, 7, 50, 150):
+        idf = features.build_tfidf_table(
+            train, features.TfidfConfig("cut", "full_rank", max_features=max_features))
+        update_vocab(idf.vocabulary)
+        update(idf.idf)
+        for docs in (train, test):
+            m = features.tfidf_vectorize(docs, idf)
+            update(m.data, m.indices, m.indptr)
+    for min_count in (2, 3, 10):
+        update_vocab(features.embedding_vocabulary(train, min_count))
+        w2v = features.train_word2vec_cbow(train, dim=8, window=3, negatives=3, epochs=2,
+                                           min_count=min_count, seed=min_count)
+        update_vocab(w2v.vocabulary)
+        update(w2v.vectors, w2v.losses)
+        emb = features.EmbeddingMatrix(w2v.vocabulary, w2v.vectors)
+        for docs in (train, test):
+            update(features.average_embeddings(docs, emb),
+                   features.encode_corpus_sequences(docs, w2v.vocabulary, 20))
+
+    for cell in (nc.SimpleRNN, nc.LSTM, nc.GRU):
+        layer = cell(5, 3, np.random.default_rng(2))
+        for p in layer.params():
+            h.update(p.name.encode())
+            update(p.value)
+
+    for order_sensitive in (False, True):
+        for seed in (0, 1):
+            spec = corpus.SyntheticSpec(n_labels=6, n_notes=40, extra_note_rate=0.3,
+                                        noise_code_rate=0.3, order_sensitive=order_sensitive,
+                                        seed=seed)
+            for path in corpus.generate_synthetic_corpus(spec, tmp_path / f"{order_sensitive}{seed}"):
+                h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == CUTS_CELLS_CSVS_DIGEST
 
 
 @pytest.mark.parametrize("overrides", [
