@@ -52,8 +52,7 @@ def compute_idf(vocab: Vocabulary) -> IdfTable:
         raise ConfigError("vocabulary was built over zero documents")
     idf = np.zeros(len(vocab.index_to_token), dtype=np.float64)
     for token, i in vocab.token_to_index.items():
-        df = vocab.doc_freq[token]
-        idf[i] = math.log(vocab.n_docs / df) + 1.0
+        idf[i] = math.log(vocab.n_docs / vocab.doc_freq[token]) + 1.0
     return IdfTable(vocabulary=vocab, idf=idf)
 
 
@@ -142,6 +141,8 @@ def build_tfidf_table(train_docs: EncodedDocs, config: TfidfConfig) -> IdfTable:
 # a block reads the weights as they were at the block's start, so larger
 # blocks run faster but train on staler weights; one block per epoch stalls.
 CBOW_BLOCK = 128
+# Blocks prepared by one array pass, whose size bounds its memory; each trains as above.
+CBOW_CHUNK = 64
 # the learning rate decays linearly from the first to the second
 CBOW_LR = 0.025
 CBOW_MIN_LR = 1e-4
@@ -182,12 +183,11 @@ def train_word2vec_cbow(
     the logistic loss. The learning rate decays linearly from ``CBOW_LR``
     over all scheduled steps, never below ``CBOW_MIN_LR``.
 
-    Steps run in blocks of ``CBOW_BLOCK`` consecutive corpus positions,
-    each block as a few array operations: one sparse averaging matrix for
-    the contexts, one batched product for the scores and one sparse
-    product per table for the updates. Every center of a block reads both
-    tables as they were at the block's start; the block's updates are
-    summed in at its end.
+    Steps run in blocks of ``CBOW_BLOCK`` consecutive corpus positions; every
+    center of a block reads both tables as they were at its start, and the
+    block's updates are summed in at its end. ``CBOW_CHUNK`` blocks draw their
+    widths and noise in block order, then get contexts, targets and rates in
+    one array pass; each block then runs three sparse products on its slice.
     """
     if dim < 1 or window < 1 or negatives < 0 or epochs < 1:
         raise ConfigError("invalid word2vec hyperparameters")
@@ -217,58 +217,54 @@ def train_word2vec_cbow(
     total_steps = epochs * n
     losses = np.empty(total_steps, dtype=np.float64)
     for epoch in range(epochs):
-        for start in range(0, n, CBOW_BLOCK):
-            centers = np.arange(start, min(start + CBOW_BLOCK, n))
+        for chunk in range(0, n, CBOW_CHUNK * CBOW_BLOCK):
+            centers = np.arange(chunk, min(chunk + CBOW_CHUNK * CBOW_BLOCK, n))
+            blocks = [slice(a, a + CBOW_BLOCK) for a in range(0, centers.size, CBOW_BLOCK)]
+            draws = [(rng.integers(1, window + 1, m), rng.random((m, negatives)))
+                     for m in (centers[b].size for b in blocks)]
+            widths, noise = (np.concatenate(d) for d in zip(*draws))
+            indices, weights, indptr = _context_average(corpus, offsets, centers, widths, window)
+            targets = np.column_stack([corpus[centers], noise_cdf.searchsorted(noise, "right")])
             steps = epoch * n + centers
             lr = np.maximum(CBOW_MIN_LR, CBOW_LR * (1.0 - steps / total_steps))
-            widths = rng.integers(1, window + 1, size=centers.size)
-            context = _context_average(corpus, offsets, centers, widths, n_slots)
-            noise = noise_cdf.searchsorted(rng.random((centers.size, negatives)), side="right")
-            targets = np.column_stack([corpus[centers], noise])
-            losses[steps] = _cbow_block_update(w_in, w_out, context, targets, lr)
+            for b in blocks:
+                ptr = indptr[b.start : b.stop + 1]
+                context = (indices[ptr[0] : ptr[-1]], weights[ptr[0] : ptr[-1]], ptr - ptr[0])
+                losses[steps[b]] = _cbow_block_update(w_in, w_out, context, targets[b], lr[b])
     if not np.all(np.isfinite(w_in)):
         raise NumericError("non-finite values in trained embeddings")
     return Word2VecResult(vocabulary=vocab, vectors=w_in, losses=losses)
 
 
 def _context_average(
-    corpus: np.ndarray, offsets: np.ndarray, centers: np.ndarray, widths: np.ndarray, n_slots: int
-) -> sp.csr_matrix:
-    """[B, n_slots] matrix whose row i averages the context of corpus
-    position ``centers[i]``: every position at most ``widths[i]`` away in
-    the same document, the center excluded. A word that occurs twice in a
-    window has two entries in its row."""
-    import scipy.sparse as sp
-
+    corpus: np.ndarray, offsets: np.ndarray, centers: np.ndarray, widths: np.ndarray, reach: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR rows ``(indices, weights, indptr)``: row i averages every position
+    at most ``widths[i] <= reach`` from ``centers[i]`` in its document, the
+    center excluded, in ascending order; a word twice in a window has two entries."""
     doc = offsets.searchsorted(centers, side="right") - 1
-    reach = int(widths.max())
     shifts = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
     positions = centers[:, None] + shifts
-    inside = (
-        (np.abs(shifts) <= widths[:, None])
-        & (positions >= offsets[doc, None])
-        & (positions < offsets[doc + 1, None])
-    )
+    first, end = offsets[doc, None], offsets[doc + 1, None]
+    inside = (np.abs(shifts) <= widths[:, None]) & (positions >= first) & (positions < end)
     counts = inside.sum(axis=1)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    weights = np.repeat(1.0 / counts, counts)
-    return sp.csr_matrix((weights, corpus[positions[inside]], indptr), shape=(centers.size, n_slots))
+    return corpus[positions[inside]], np.repeat(1.0 / counts, counts), indptr
 
 
 def _cbow_block_update(
-    w_in: np.ndarray, w_out: np.ndarray, context: sp.csr_matrix, targets: np.ndarray, lr: np.ndarray
+    w_in: np.ndarray, w_out: np.ndarray, context: tuple, targets: np.ndarray, lr: np.ndarray
 ) -> np.ndarray:
-    """One SGD step for each of a block of B centers, in place; returns the
-    B losses.
+    """One SGD step for each of a block of B centers, in place; returns the B losses.
 
-    ``context`` is the [B, V] averaging matrix of ``_context_average``,
-    ``targets`` is [B, 1 + negatives] with the true center first, and
-    ``lr`` holds each center's learning rate. Every center scores and
-    takes gradients against both tables as they are on entry; all updates
-    are then added in, so repeated context words and duplicate targets
-    add up.
+    ``context`` is B rows ``(indices, weights, indptr)`` of ``_context_average``,
+    ``targets`` is [B, 1 + negatives] with the true center first, and ``lr``
+    holds each center's learning rate. Every center scores and takes
+    gradients against both tables as they are on entry; all updates are
+    then added in, so repeated context words and duplicate targets add up.
     """
-    h = context @ w_in  # [B, dim] context averages
+    b, k = targets.shape
+    h = _sparse_product("csr", b, context, w_in)  # [B, dim] context averages
     out = w_out[targets]  # [B, K, dim]
     p = sigmoid(np.einsum("bkd,bd->bk", out, h))
     fit = 1.0 - p  # probability given to each target's label
@@ -277,26 +273,33 @@ def _cbow_block_update(
     g = p
     g[:, 0] -= 1.0  # p - label
     grad_h = np.einsum("bk,bkd->bd", g, out)
-    b, k = targets.shape
-    _add_rows(w_out, targets.ravel(), np.arange(0, b * k + 1, k), (lr[:, None] * g).ravel(), -h)
-    _add_rows(w_in, context.indices, context.indptr, context.data, -lr[:, None] * grad_h)
+    _add_rows(w_out, (targets.ravel(), (lr[:, None] * g).ravel(), np.arange(0, b * k + 1, k)), -h)
+    _add_rows(w_in, context, -lr[:, None] * grad_h)
     return loss
 
 
-def _add_rows(
-    table: np.ndarray, rows: np.ndarray, indptr: np.ndarray, weights: np.ndarray, values: np.ndarray
-) -> None:
+def _add_rows(table: np.ndarray, terms: tuple, values: np.ndarray) -> None:
     """``table[rows[j]] += weights[j] * values[i]`` for every i and every j
-    in ``indptr[i]:indptr[i + 1]``, a repeated row getting every term.
-
-    The terms are summed by one sparse product over the distinct rows, so
-    the cost does not grow with the size of the table.
-    """
-    import scipy.sparse as sp
-
+    in ``indptr[i]:indptr[i + 1]`` of ``terms = (rows, weights, indptr)``, a
+    repeated row getting every term. One sparse product over the distinct
+    rows sums the terms, so the cost does not grow with the table."""
+    rows, weights, indptr = terms
     distinct, slot = np.unique(rows, return_inverse=True)
-    scatter = sp.csc_matrix((weights, slot, indptr), shape=(distinct.size, len(indptr) - 1))
-    table[distinct] += scatter @ values
+    table[distinct] += _sparse_product("csc", distinct.size, (slot, weights, indptr), values)
+
+
+def _sparse_product(fmt: str, n_rows: int, matrix: tuple, dense: np.ndarray) -> np.ndarray:
+    """``sp.<fmt>_matrix((data, indices, indptr), (n_rows, len(dense))) @ dense``
+    for "csr" or "csc" and ``matrix = (indices, data, indptr)``: the kernel that
+    product runs, with no matrix built or checked. float64 values; ``indices``
+    and ``indptr`` share one integer dtype."""
+    from scipy.sparse import _sparsetools
+
+    indices, data, indptr = matrix
+    out = np.zeros((n_rows, dense.shape[1]))
+    kernel = getattr(_sparsetools, fmt + "_matvecs")
+    kernel(n_rows, *dense.shape, indptr, indices, data, dense.ravel(), out.ravel())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +438,8 @@ def load_sequences(path: str | Path) -> np.ndarray:
 def save_word2vec_text(result: Word2VecResult | EmbeddingMatrix, path: str | Path) -> None:
     """Standard text embedding format: "count dim" header, then one
     "token v1 .. vd" line per real vocabulary entry (pad row omitted)."""
-    if isinstance(result, Word2VecResult):
-        vocab, matrix = result.vocabulary, result.vectors
-    else:
-        vocab, matrix = result.vocabulary, result.matrix
-    tokens = vocab.index_to_token[1:]
+    matrix = result.vectors if isinstance(result, Word2VecResult) else result.matrix
+    tokens = result.vocabulary.index_to_token[1:]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(tokens)} {matrix.shape[1]}\n")
         for i, tok in enumerate(tokens, start=1):

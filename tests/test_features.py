@@ -1,7 +1,9 @@
 """Tfidf, embedding training, pooling, sequence encoding, persistence."""
 
+import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from codeset_bench.errors import DatasetError, FormatError
 from codeset_bench.features import (
     CBOW_BLOCK,
+    CBOW_CHUNK,
     TFIDF_CONFIGS,
     TFIDF_FILTERED,
     TFIDF_LARGE,
@@ -35,6 +38,7 @@ from codeset_bench.features import (
     train_word2vec_cbow,
     _cbow_block_update,
     _context_average,
+    _sparse_product,
 )
 from codeset_bench.textproc import PAD_INDEX, encode_documents
 
@@ -183,7 +187,7 @@ def test_cbow_block_update_matches_scalar_reference():
     lr = np.array([0.9, 0.5, 0.3, 0.7, 0.1])
     indptr = np.cumsum([0] + [len(c) for c in contexts])
     weights = np.concatenate([np.full(len(c), 1.0 / len(c)) for c in contexts])
-    context = sp.csr_matrix((weights, np.concatenate(contexts), indptr), shape=(5, 8))
+    context = (np.concatenate(contexts), weights, indptr)
 
     got_in, got_out = w_in.copy(), w_out.copy()
     got_losses = _cbow_block_update(got_in, got_out, context, targets, lr)
@@ -213,16 +217,16 @@ def test_cbow_context_stays_inside_its_document_and_skips_the_center():
     corpus = np.arange(1, n + 1)  # token = position + 1, so columns name positions
     centers = np.arange(n)
     widths = np.random.default_rng(2).integers(1, 7, size=n)
-    context = _context_average(corpus, offsets, centers, widths, n + 1)
-    assert context.shape == (n, n + 1)
+    indices, weights, indptr = _context_average(corpus, offsets, centers, widths, 6)
+    assert indptr.shape == (n + 1,) and indices.max() < n + 1  # n rows over n + 1 slots
     for t in centers:
         d = np.searchsorted(offsets, t, side="right") - 1
         expected = [
             p for p in range(offsets[d], offsets[d + 1]) if p != t and abs(p - t) <= widths[t]
         ]
-        row = slice(context.indptr[t], context.indptr[t + 1])
-        assert sorted(context.indices[row] - 1) == expected
-        np.testing.assert_allclose(context.data[row], 1.0 / len(expected), rtol=1e-15)
+        row = slice(indptr[t], indptr[t + 1])
+        assert sorted(indices[row] - 1) == expected
+        np.testing.assert_allclose(weights[row], 1.0 / len(expected), rtol=1e-15)
 
 
 @pytest.mark.parametrize("negatives, window", [(0, 5), (5, 1), (0, 1)])
@@ -245,6 +249,91 @@ def test_cbow_records_one_loss_per_token_step_across_blocks(n_docs):
     res = train_word2vec_cbow(encode_documents(docs), dim=4, epochs=3, seed=1)
     assert res.losses.shape == (3 * n_tokens,)
     assert not res.vectors[PAD_INDEX].any()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+@pytest.mark.parametrize("lines, minor", [
+    ([[0, 2, 2, 5], [], [3], [], [1, 1, 4]], 6),  # empty lines and repeated indices
+    ([[2, 0, 2]], 3),  # one compressed line: a one-row CSR
+    ([[0], [0, 0], []], 1),  # every index 0: a one-row CSC
+])
+@pytest.mark.parametrize("dim", [1, 5])
+def test_sparse_product_matches_scipy_byte_for_byte(lines, minor, fmt, dtype, dim):
+    # the helper calls a private scipy kernel; a scipy that moves or changes
+    # it must fail here rather than let CBOW's bytes drift
+    rng = np.random.default_rng(len(lines) + dim)
+    indptr = np.cumsum([0] + [len(line) for line in lines]).astype(dtype)
+    indices = np.array([i for line in lines for i in line], dtype=dtype)
+    data = rng.standard_normal(indices.size)
+    shape = (len(lines), minor) if fmt == "csr" else (minor, len(lines))
+    x = rng.standard_normal((shape[1], dim))
+    want = getattr(sp, fmt + "_matrix")((data, indices, indptr), shape=shape) @ x
+    got = _sparse_product(fmt, shape[0], (indices, data, indptr), x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def chunk_corpus():
+    # 17,833 training tokens in 61 documents of a Zipf vocabulary, plus one
+    # 1-token document that does not train
+    rng = np.random.default_rng(31)
+    words = [f"t{i}" for i in range(400)]
+    p = 1.0 / np.arange(1, 401)
+    lengths = [2, 1] + rng.integers(2, 600, size=60).tolist()
+    return [[words[j] for j in rng.choice(400, size=m, p=p / p.sum())] for m in lengths]
+
+
+# sha256 over (vectors, losses) at dims 8 and 100, taken from a checkout of
+# ba52242, before any code changed: there CBOW built one block at a time
+CHUNK_BOUNDARY_DIGEST = "e3d380e6466a2876fec4079ac8c2300323e3ecddddca582d26edf6380ad59fd8"
+
+
+def test_cbow_bytes_hold_across_chunk_and_block_boundaries():
+    docs = chunk_corpus()
+    lengths = np.array([len(d) for d in docs])
+    offsets = np.concatenate([[0], np.cumsum(lengths[lengths >= 2])])
+    chunk = CBOW_CHUNK * CBOW_BLOCK
+    assert offsets[-1] > 2 * chunk and offsets[-1] % CBOW_BLOCK  # ends in a partial block
+    for cut in (chunk, 2 * chunk):  # a document runs across each chunk boundary
+        assert ((offsets[:-1] < cut) & (offsets[1:] > cut)).any()
+    h = hashlib.sha256()
+    for dim in (8, 100):
+        res = train_word2vec_cbow(encode_documents(docs), dim=dim, epochs=2, seed=5)
+        h.update(res.vectors.tobytes())
+        h.update(res.losses.tobytes())
+    assert h.hexdigest() == CHUNK_BOUNDARY_DIGEST
+
+
+def uniform_corpus(n_tokens):
+    # documents of 2-399 tokens over 300 words, until n_tokens are placed
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(300)]
+    lengths = rng.integers(2, 400, size=n_tokens // 100 + 10)
+    lengths = lengths[: np.searchsorted(np.cumsum(lengths), n_tokens) + 1]
+    ids = iter(rng.integers(0, 300, size=int(lengths.sum())).tolist())
+    return encode_documents([[words[next(ids)] for _ in range(m)] for m in lengths])
+
+
+def test_cbow_working_memory_does_not_grow_with_the_corpus():
+    # the peak beyond the result's own arrays (vectors, losses, the int64
+    # corpus) is one chunk's working set, about 4 MiB at dim 32 whatever the
+    # corpus; building a whole epoch at once adds about 340 bytes per token
+    train_word2vec_cbow(uniform_corpus(300), dim=4, epochs=1)  # scipy imports outside the trace
+    assert 32_768 >= 4 * CBOW_CHUNK * CBOW_BLOCK  # the smaller corpus spans four chunks or more
+    extra = []
+    for n_tokens in (32_768, 131_072):
+        docs = uniform_corpus(n_tokens)
+        tracemalloc.start()
+        try:
+            res = train_word2vec_cbow(docs, dim=32, epochs=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.losses.size >= n_tokens
+        # at one epoch the losses and the int64 corpus hold 8 bytes per token each
+        extra.append(peak - res.vectors.nbytes - 2 * res.losses.nbytes)
+    assert extra[1] - extra[0] < 2**20  # 4x the corpus, under 1 MiB more
 
 
 # ------------------------------------------------------------- embeddings
