@@ -7,10 +7,13 @@ notes with diagnoses into multi-hot labeled datasets, and splits them
 deterministically. A seeded synthetic generator stands in for the real
 access-restricted data at desk scale.
 
-A split dataset is written and read as one directory by ``save_dataset``
-and ``load_dataset``: ``catalog.tsv`` (a ``#mode=`` header, then one
-label and its admission count per line) and ``train.tsv``, ``val.tsv``,
-``test.tsv`` (a ``#coverage=`` header, then one example per line).
+Each kept note is tokenized once, stopwords kept, into ids against one
+token table that every split shares. A split dataset is written and read
+as one directory by ``save_dataset`` and ``load_dataset``: ``catalog.tsv``
+(a ``#mode=`` header, then one label and its admission count per line),
+``tokens.txt`` (the token of id i on line i + 1) and ``train.npz``,
+``val.npz``, ``test.npz`` (each split's ids, offsets, labels, hadm ids
+and coverage); no note text is kept.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, FormatError, SchemaError
+from . import textproc
+from .errors import ConfigError, DatasetError, FormatError, SchemaError, read_numpy
 
 ICD9_CODE_RE = re.compile(r"^(?:[0-9]{3,5}|V[0-9]{2,4}|E[0-9]{3,4})$")
 
@@ -60,27 +64,29 @@ class LabelCatalog:
         return {name: i for i, (name, _) in enumerate(self.labels)}
 
 
-@dataclass(frozen=True)
-class Example:
-    hadm_id: int
-    text: str
-    label_vector: np.ndarray  # uint8 multi-hot, length k
-
-
 @dataclass
 class LabeledDataset:
-    examples: list[Example]
+    """Admission i is ``hadm_ids[i]``, its multi-hot labels row i of
+    ``labels`` and its note document i of ``docs``."""
+
+    hadm_ids: np.ndarray  # int64
+    labels: np.ndarray  # uint8 [n, k]
+    docs: textproc.EncodedDocs
     catalog: LabelCatalog
     coverage: float  # kept admissions / total discharge admissions
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.hadm_ids.size
 
-    def label_matrix(self) -> np.ndarray:
-        return np.array([ex.label_vector for ex in self.examples], dtype=np.uint8)
-
-    def texts(self) -> list[str]:
-        return [ex.text for ex in self.examples]
+    def take(self, rows: np.ndarray) -> LabeledDataset:
+        """The admissions at ``rows``, in that order, over the same table."""
+        lengths = np.diff(self.docs.offsets)[rows]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        shift = self.docs.offsets[rows] - offsets[:-1]  # from a note's new start to its old one
+        positions = np.arange(offsets[-1]) + np.repeat(shift, lengths)
+        docs = textproc.EncodedDocs(self.docs.ids[positions], offsets, self.docs.table)
+        return LabeledDataset(self.hadm_ids[rows], self.labels[rows], docs, self.catalog,
+                              self.coverage)
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,7 @@ def build_dataset(
     notes: Sequence[Note], codes: dict[int, set[str]], catalog: LabelCatalog
 ) -> LabeledDataset:
     """Join notes with ``{hadm_id: set of codes}`` on hadm_id into
-    multi-hot examples.
+    multi-hot label rows, and tokenize each kept note once into one table.
 
     Notes are expected to be filtered (one per admission) and sanitized.
     Admissions whose codes all fall outside the catalog are dropped; the
@@ -322,19 +328,20 @@ def build_dataset(
     """
     index = catalog.label_index()
     labels = _admission_labels(codes, catalog.mode)
-    examples: list[Example] = []
+    kept, active = [], []
     for note in notes:
-        active = [index[label] for label in labels.get(note.hadm_id, ()) if label in index]
-        if not active:
-            continue
-        vec = np.zeros(catalog.k, dtype=np.uint8)
-        vec[active] = 1
-        examples.append(Example(hadm_id=note.hadm_id, text=note.text, label_vector=vec))
-
-    if not examples:
+        columns = [index[label] for label in labels.get(note.hadm_id, ()) if label in index]
+        if columns:
+            kept.append(note)
+            active.append(columns)
+    if not kept:
         raise DatasetError("no admissions carry any catalog label")
-    coverage = len(examples) / len(notes) if notes else 0.0
-    return LabeledDataset(examples=examples, catalog=catalog, coverage=coverage)
+    matrix = np.zeros((len(kept), catalog.k), dtype=np.uint8)
+    for row, columns in zip(matrix, active):
+        row[columns] = 1
+    docs = textproc.encode_documents(textproc.tokenize(note.text) for note in kept)
+    hadm_ids = np.array([note.hadm_id for note in kept], dtype=np.int64)
+    return LabeledDataset(hadm_ids, matrix, docs, catalog, len(kept) / len(notes))
 
 
 def split_dataset(
@@ -351,19 +358,7 @@ def split_dataset(
         raise DatasetError(f"{n} examples leave an empty split: "
                            f"train {n_train}, val {n_val}, test {n_test}")
     order = np.random.default_rng(spec.seed).permutation(n)
-
-    def take(idx: np.ndarray) -> LabeledDataset:
-        return LabeledDataset(
-            examples=[dataset.examples[i] for i in idx],
-            catalog=dataset.catalog,
-            coverage=dataset.coverage,
-        )
-
-    return (
-        take(order[:n_train]),
-        take(order[n_train : n_train + n_val]),
-        take(order[n_train + n_val :]),
-    )
+    return tuple(dataset.take(rows) for rows in np.split(order, [n_train, n_train + n_val]))
 
 
 # ---------------------------------------------------------------------------
@@ -597,55 +592,44 @@ def scan_order_sensitive_labels(text: str, keywords: list[list[str]]) -> list[in
 # Dataset artifacts
 # ---------------------------------------------------------------------------
 
-_UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
-_UNESCAPE = re.compile(r"\\[\\nrt]")
-
-
-def _escape_text(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-
-
-def _unescape_text(text: str) -> str:
-    return _UNESCAPE.sub(lambda m: _UNESCAPES[m.group()], text)
-
 
 def save_split(dataset: LabeledDataset, path: str | Path) -> None:
-    """A ``#coverage=<repr>`` header line, then tab-separated rows:
-    hadm_id, multi-hot bits as a 0/1 string, text with newlines (and
-    tabs/backslashes) escaped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#coverage={dataset.coverage!r}\n")
-        for ex in dataset.examples:
-            bits = "".join(str(int(b)) for b in ex.label_vector)
-            fh.write(f"{ex.hadm_id}\t{bits}\t{_escape_text(ex.text)}\n")
+    """One uncompressed .npz: the token ids in the narrowest unsigned dtype
+    that holds the largest, the document offsets, labels, hadm ids and
+    coverage."""
+    ids = dataset.docs.ids
+    with open(path, "wb") as fh:
+        np.savez(fh, ids=ids.astype(np.min_scalar_type(ids.max(initial=0))),
+                 offsets=dataset.docs.offsets, labels=dataset.labels, hadm_ids=dataset.hadm_ids,
+                 coverage=dataset.coverage)
 
 
-def load_split(path: str | Path, catalog: LabelCatalog) -> LabeledDataset:
-    """Read what ``save_split`` wrote; FormatError naming ``path:line`` for
-    a bad header or row, including label bits that are not exactly k
-    characters of 0/1."""
-    examples = []
-    coverage = 0.0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if line.startswith("#coverage="):
-                    coverage = float(line[len("#coverage="):])
-                    continue
-                hadm_id, bits, text = line.split("\t", 2)
-                hadm_id = int(hadm_id)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: expected #coverage=<float> or hadm_id<TAB>bits<TAB>text"
-                ) from None
-            if len(bits) != catalog.k or bits.strip("01"):
-                raise FormatError(f"{path}:{lineno}: want {catalog.k} label bits of 0/1, got {bits!r}")
-            vec = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-            examples.append(Example(hadm_id=hadm_id, text=_unescape_text(text), label_vector=vec))
-    return LabeledDataset(examples=examples, catalog=catalog, coverage=coverage)
+def _split_arrays(fh) -> list[np.ndarray]:
+    with np.load(fh, allow_pickle=False) as arrays:
+        return [arrays[name] for name in ("ids", "offsets", "labels", "hadm_ids", "coverage")]
+
+
+def load_split(path: str | Path, catalog: LabelCatalog, table: dict[str, int]) -> LabeledDataset:
+    """Read what ``save_split`` wrote, its ids against ``table``; FormatError
+    naming ``path`` for ids outside the table, offsets that do not run from
+    0 up to the ids' end, labels that are not a [n, k] uint8 matrix of 0/1,
+    other than n hadm ids, or a coverage other than one float64."""
+    ids, offsets, labels, hadm_ids, coverage = read_numpy(path, _split_arrays)
+    if ids.ndim != 1 or ids.dtype.kind not in "ui" or (
+            ids.size and not 0 <= ids.min() <= ids.max() < len(table)):
+        raise FormatError(f"{path}: token ids must be integers in [0, {len(table)})")
+    if (offsets.ndim != 1 or offsets.dtype.kind not in "ui" or offsets[:1].tolist() != [0]
+            or (np.diff(offsets) < 0).any() or offsets[-1] != ids.size):
+        raise FormatError(f"{path}: offsets must rise from 0 to {ids.size}, the ids' count")
+    n = offsets.size - 1
+    if labels.dtype != np.uint8 or labels.shape != (n, catalog.k) or (labels > 1).any():
+        raise FormatError(f"{path}: labels must be a [{n}, {catalog.k}] uint8 matrix of 0/1")
+    if hadm_ids.shape != (n,) or hadm_ids.dtype.kind not in "ui":
+        raise FormatError(f"{path}: want {n} integer hadm ids, got shape {hadm_ids.shape}")
+    if coverage.shape != () or coverage.dtype != np.float64:
+        raise FormatError(f"{path}: coverage must be a float64 scalar")
+    docs = textproc.EncodedDocs(ids.astype(np.int32), offsets.astype(np.int64), table)
+    return LabeledDataset(hadm_ids.astype(np.int64), labels, docs, catalog, float(coverage))
 
 
 def save_catalog(catalog: LabelCatalog, path: str | Path) -> None:
@@ -682,20 +666,28 @@ SPLIT_NAMES = ("train", "val", "test")
 def save_dataset(
     d: str | Path, train: LabeledDataset, val: LabeledDataset, test: LabeledDataset
 ) -> None:
-    """Write the three splits of one dataset into directory ``d``:
-    ``catalog.tsv`` and ``train.tsv``, ``val.tsv``, ``test.tsv``."""
+    """Write the three splits of one dataset, which share one token table,
+    into directory ``d``: ``catalog.tsv``, ``tokens.txt`` and
+    ``train.npz``, ``val.npz``, ``test.npz``."""
     d = Path(d)
     save_catalog(train.catalog, d / "catalog.tsv")
+    (d / "tokens.txt").write_text("".join(t + "\n" for t in train.docs.table), encoding="utf-8")
     for name, split in zip(SPLIT_NAMES, (train, val, test)):
-        save_split(split, d / f"{name}.tsv")
+        save_split(split, d / f"{name}.npz")
 
 
 def load_dataset(
     d: str | Path,
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset, LabelCatalog]:
     """Read back what ``save_dataset`` wrote into ``d`` as
-    ``(train, val, test, catalog)``."""
+    ``(train, val, test, catalog)``; FormatError naming ``tokens.txt`` and
+    the line of a token listed twice."""
     d = Path(d)
     catalog = load_catalog(d / "catalog.tsv")
-    train, val, test = (load_split(d / f"{name}.tsv", catalog) for name in SPLIT_NAMES)
+    path = d / "tokens.txt"
+    table: dict[str, int] = {}
+    for line, token in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if table.setdefault(token, line - 1) != line - 1:
+            raise FormatError(f"{path}:{line}: token {token!r} listed twice")
+    train, val, test = (load_split(d / f"{name}.npz", catalog, table) for name in SPLIT_NAMES)
     return train, val, test, catalog

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import textproc
+from .corpus import SPLIT_NAMES
 from .errors import ConfigError, FormatError, NumericError, read_numpy
 from .neuralcore import sigmoid
 from .textproc import PAD_INDEX, EncodedDocs, Vocabulary, build_vocabulary
@@ -472,9 +473,6 @@ def load_word2vec_text(path: str | Path) -> tuple[list[str], np.ndarray]:
 # ---------------------------------------------------------------------------
 # Feature sets
 # ---------------------------------------------------------------------------
-
-SPLIT_NAMES = ("train", "val", "test")
-
 
 @dataclass
 class FeatureSet:

@@ -96,10 +96,10 @@ PRETRAINED_SOURCE = lambda cfg: (cfg["feature.embedding_source"] == "pretrained"
 STAGES = {
     "dataset": Stage(None, ("dataset.",),
                      {"dataset.notes": CSV_SOURCE, "dataset.diagnoses": CSV_SOURCE},
-                     ("corpus.py", "harness.py")),
+                     ("corpus.py", "textproc.py", "harness.py")),
     "features": Stage("dataset", ("dataset.", "feature."),
                       {"feature.pretrained_path": PRETRAINED_SOURCE}, (
-        "features.py", "textproc.py", "neuralcore/core.py", "data/stopwords_en.txt")),
+        "features.py", "neuralcore/core.py", "data/stopwords_en.txt")),
 }
 
 TRACK_KINDS = {
@@ -427,21 +427,6 @@ def stage_dataset(
     return train, val, test, catalog
 
 
-def _encoded_splits(cfg: ExperimentConfig, splits) -> list[textproc.EncodedDocs]:
-    """Each split's notes tokenized once, stopwords filtered out when the
-    config says so, and encoded as int32 ids against one token table that
-    the three splits share; one note's tokens are strings at a time."""
-    stop = textproc.load_default_stopwords() if cfg["feature.remove_stopwords"] else None
-    table: dict[str, int] = {}
-
-    def tokens(split):
-        for text in split.texts():
-            toks = textproc.tokenize(text)
-            yield toks if stop is None else textproc.remove_stopwords(toks, stop)
-
-    return [textproc.encode_documents(tokens(split), table) for split in splits]
-
-
 def _resolve_embedding(
     cfg: ExperimentConfig, train_docs
 ) -> tuple[textproc.Vocabulary, features.EmbeddingMatrix | None]:
@@ -467,7 +452,11 @@ def stage_features(cfg: ExperimentConfig, ws: Workspace, splits) -> features.Fea
     h = ws.stage_key(cfg, "features")
     if ws.stage_cached("features", h):
         return features.load_feature_set(ws.stage_dir("features", h), TRACK_KINDS[track])
-    fs = _build_features(cfg, track, _encoded_splits(cfg, splits))
+    docs = [split.docs for split in splits]
+    if cfg["feature.remove_stopwords"]:
+        stop = textproc.load_default_stopwords()
+        docs = [textproc.remove_stopwords(split, stop) for split in docs]
+    fs = _build_features(cfg, track, docs)
     with ws.new_stage("features", h) as d:
         features.save_feature_set(fs, d)
     return fs
@@ -532,9 +521,7 @@ def run_pipeline(
     train, val, test, catalog = staged("dataset", stage_dataset)
     feats = staged("features", stage_features, (train, val, test))
 
-    y_train = train.label_matrix()
-    y_val = val.label_matrix()
-    y_test = test.label_matrix()
+    y_train, y_val, y_test = train.labels, val.labels, test.labels
     try:
         model = stage_train(cfg, feats, y_train, y_val)
     except PipelineError as exc:

@@ -2,8 +2,9 @@
 
 All feature tracks share the same tokenizer so that tfidf vectors,
 averaged embeddings, and index sequences are built over one token space.
-Documents are held as int32 ids against one token table
-(``encode_documents``), and vocabularies are fitted on those ids.
+The dataset stage tokenizes each note once into int32 ids against one
+token table (``encode_documents``); stopwords are dropped from the ids
+(``remove_stopwords``), and vocabularies are fitted on them.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ class StopwordList:
 
     def __contains__(self, token: str) -> bool:
         return token.lower() in self.tokens
-
-
-def remove_stopwords(tokens: Sequence[str], stopwords: StopwordList) -> list[str]:
-    """Tokens with stopwords dropped; order otherwise preserved."""
-    return [t for t in tokens if t not in stopwords]
 
 
 def load_default_stopwords() -> StopwordList:
@@ -100,6 +96,21 @@ def encode_documents(
     return EncodedDocs(np.concatenate(parts), np.array(offsets, dtype=np.int64), table)
 
 
+def _kept_starts(offsets: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Where each document starts among the ``kept`` positions of the ids
+    that ``offsets`` divide, with one more entry than there are documents."""
+    before = np.zeros(kept.size + 1, dtype=np.int64)  # kept positions before each position
+    np.cumsum(kept, out=before[1:])
+    return before[offsets]
+
+
+def remove_stopwords(docs: EncodedDocs, stopwords: StopwordList) -> EncodedDocs:
+    """``docs`` with every stopword id dropped, over the same table; order
+    otherwise preserved."""
+    kept = ~np.array([t in stopwords for t in docs.table], dtype=bool)[docs.ids]
+    return EncodedDocs(docs.ids[kept], _kept_starts(docs.offsets, kept), docs.table)
+
+
 @dataclass
 class Vocabulary:
     """Token <-> index map with per-token document frequencies.
@@ -126,10 +137,7 @@ class Vocabulary:
         remap = np.array([lookup.get(t, PAD_INDEX) for t in docs.table], dtype=np.int32)
         indices = remap[docs.ids]
         known = indices != PAD_INDEX
-        before = np.zeros(known.size + 1, dtype=np.int64)  # known tokens before each position
-        np.cumsum(known, out=before[1:])
-        starts = before[docs.offsets]
-        del before  # freed before the gather below, which peaks
+        starts = _kept_starts(docs.offsets, known)  # its temporary goes before the gather peaks
         return indices[known], starts
 
 

@@ -43,9 +43,6 @@ def _generate_corpus(tmp_dir, spec):
 
 def _fit_sequence(preset_name, splits, seq_len, epochs, lr, seed, embed_dim=16):
     (tr_docs, ytr), (va_docs, yva), (te_docs, yte) = splits
-    table = {}
-    tr_docs, va_docs, te_docs = (textproc.encode_documents(d, table)
-                                 for d in (tr_docs, va_docs, te_docs))
     vocab = textproc.build_vocabulary(tr_docs)
     xtr = features.encode_corpus_sequences(tr_docs, vocab, max_len=seq_len)
     xva = features.encode_corpus_sequences(va_docs, vocab, max_len=seq_len)
@@ -187,11 +184,9 @@ def test_each_network_memorizes_separable_synthetic_corpus(tmp_path):
     spec = corpus.SyntheticSpec(
         n_labels=10, n_notes=210, seed=0, noise_code_rate=0.0, extra_note_rate=0.0
     )
-    ds = _generate_corpus(tmp_path / "memo", spec)
-    examples = ds.examples[:200]
-    assert len(examples) == 200
-    docs = textproc.encode_documents(textproc.tokenize(e.text) for e in examples)
-    y = np.stack([e.label_vector for e in examples])
+    ds = _generate_corpus(tmp_path / "memo", spec).take(np.arange(200))
+    assert len(ds) == 200
+    docs, y = ds.docs, ds.labels
 
     # (preset, epochs, learning rate); None takes the optimizer default.
     budgets = [
@@ -245,26 +240,16 @@ def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
         )
         ds = _generate_corpus(tmp_path / f"order{seed}", spec)
         parts = corpus.split_dataset(ds, corpus.SplitSpec(seed=seed))
-        splits = []
-        for part in parts:
-            docs = [textproc.tokenize(e.text) for e in part.examples]
-            splits.append((docs, part.label_matrix()))
+        splits = [(part.docs, part.labels) for part in parts]
         (tr_docs, ytr), _, (te_docs, yte) = splits
 
-        w2v = features.train_word2vec_cbow(
-            textproc.encode_documents(tr_docs), dim=16, window=5, epochs=3, seed=seed)
+        w2v = features.train_word2vec_cbow(tr_docs, dim=16, window=5, epochs=3, seed=seed)
         emb = features.EmbeddingMatrix(vocabulary=w2v.vocabulary, matrix=w2v.vectors)
-        lookup = w2v.vocabulary.token_to_index
 
-        def averaged(all_docs):
-            return np.stack([
-                features.average_embedding([lookup.get(t, 0) for t in d], emb)
-                for d in all_docs
-            ])
-
-        lr_model = models.train_logreg_ovr(averaged(tr_docs), ytr, iters=300)
+        x_tr, x_te = (features.average_embeddings(docs, emb) for docs in (tr_docs, te_docs))
+        lr_model = models.train_logreg_ovr(x_tr, ytr, iters=300)
         f1_lr = metrics.example_based_metrics(
-            (models.predict_proba(lr_model, averaged(te_docs)) >= 0.5).astype(np.uint8), yte
+            (models.predict_proba(lr_model, x_te) >= 0.5).astype(np.uint8), yte
         ).f1
         f1_gru = _fit_sequence("gru-desk", splits, 40, 40, 3e-3, seed)
         f1_lstm = _fit_sequence("lstm-desk", splits, 40, 50, 5e-3, seed)

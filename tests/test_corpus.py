@@ -1,8 +1,8 @@
 """CSV ingest, label selection, sanitization, splitting, synthetic generation."""
 
 import csv
+import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +22,7 @@ from codeset_bench.corpus import (
     load_catalog,
     load_diagnoses,
     load_noteevents,
-    load_split,
     save_catalog,
-    save_split,
     scan_order_sensitive_labels,
     select_top_labels,
     split_dataset,
@@ -304,9 +302,8 @@ def test_build_dataset_multi_hot_and_coverage():
     codes = codes_of((100, "1110"), (101, "1110"), (101, "2220"), (102, "9990"))
     ds = build_dataset(notes, codes, cat)
     # hadm 102 has only an uncovered code; hadm 103 has no diagnoses: both dropped
-    assert [ex.hadm_id for ex in ds.examples] == [100, 101]
-    assert ds.examples[0].label_vector.tolist() == [1, 0]
-    assert ds.examples[1].label_vector.tolist() == [1, 1]
+    assert ds.hadm_ids.tolist() == [100, 101]
+    assert ds.labels.tolist() == [[1, 0], [1, 1]]
     assert ds.coverage == pytest.approx(2 / 4)
 
 
@@ -322,7 +319,7 @@ def test_split_sizes_floor_rule():
     ds = build_dataset(notes, codes, catalog_of("1110"))
     train, val, test = split_dataset(ds, SplitSpec(seed=3))
     # floor(101*0.25) = 25 for val and test; remainder 51 to train
-    assert (len(train.examples), len(val.examples), len(test.examples)) == (51, 25, 25)
+    assert (len(train), len(val), len(test)) == (51, 25, 25)
 
 
 def test_split_is_disjoint_and_exhaustive():
@@ -330,8 +327,8 @@ def test_split_is_disjoint_and_exhaustive():
     codes = codes_of(*((1000 + i, "1110") for i in range(40)))
     ds = build_dataset(notes, codes, catalog_of("1110"))
     train, val, test = split_dataset(ds, SplitSpec(seed=1))
-    ids = [ex.hadm_id for part in (train, val, test) for ex in part.examples]
-    assert sorted(ids) == sorted(ex.hadm_id for ex in ds.examples)
+    ids = [h for part in (train, val, test) for h in part.hadm_ids.tolist()]
+    assert sorted(ids) == sorted(ds.hadm_ids.tolist())
     assert len(set(ids)) == len(ids)
 
 
@@ -342,8 +339,8 @@ def test_split_seed_determinism():
     a = split_dataset(ds, SplitSpec(seed=7))
     b = split_dataset(ds, SplitSpec(seed=7))
     c = split_dataset(ds, SplitSpec(seed=8))
-    assert [e.hadm_id for e in a[0].examples] == [e.hadm_id for e in b[0].examples]
-    assert [e.hadm_id for e in a[0].examples] != [e.hadm_id for e in c[0].examples]
+    assert a[0].hadm_ids.tolist() == b[0].hadm_ids.tolist()
+    assert a[0].hadm_ids.tolist() != c[0].hadm_ids.tolist()
 
 
 def test_split_that_would_come_out_empty_is_dataset_error():
@@ -354,10 +351,9 @@ def test_split_that_would_come_out_empty_is_dataset_error():
     with pytest.raises(DatasetError, match="train 19, val 0, test 0"):
         split_dataset(ds, SplitSpec(0.9, 0.05, 0.05))
     with pytest.raises(DatasetError, match="train 3, val 0, test 0"):
-        split_dataset(replace(ds, examples=ds.examples[:3]), SplitSpec())
+        split_dataset(ds.take(np.arange(3)), SplitSpec())
     assert [len(part) for part in split_dataset(ds, SplitSpec(0.5, 0.3, 0.2))] == [11, 5, 3]
-    assert [len(part) for part in split_dataset(replace(ds, examples=ds.examples[:4]),
-                                                SplitSpec())] == [2, 1, 1]
+    assert [len(part) for part in split_dataset(ds.take(np.arange(4)), SplitSpec())] == [2, 1, 1]
 
 
 def test_split_fractions_must_sum_to_one():
@@ -366,6 +362,12 @@ def test_split_fractions_must_sum_to_one():
 
 
 # ------------------------------------------------------------- synthetic
+
+def note_tokens(ds):
+    """Each admission's note as its tokens, read back through the table."""
+    tokens, offsets = list(ds.docs.table), ds.docs.offsets.tolist()
+    return [[tokens[i] for i in ds.docs.ids[a:b]] for a, b in zip(offsets, offsets[1:])]
+
 
 def test_synthetic_codes_and_keywords_shapes():
     spec = SyntheticSpec(n_labels=3, keywords_per_label=2)
@@ -389,9 +391,9 @@ def test_synthetic_corpus_round_trips_through_pipeline(tmp_path):
     ds = build_dataset(summaries, codes, catalog)
     # notes with no in-catalog diagnosis (zero labels drawn, or noise codes
     # only) are dropped; coverage records the kept fraction
-    assert len(ds.examples) == round(30 * ds.coverage)
-    assert 0 < len(ds.examples) <= 30
-    assert all(ex.label_vector.any() for ex in ds.examples)
+    assert len(ds) == round(30 * ds.coverage)
+    assert 0 < len(ds) <= 30
+    assert ds.labels.any(axis=1).all()
 
 
 def test_synthetic_labels_recoverable_from_keywords(tmp_path):
@@ -403,10 +405,10 @@ def test_synthetic_labels_recoverable_from_keywords(tmp_path):
     ds = build_dataset(summaries, codes, catalog)
     kws = synthetic_keywords(spec)
     order = [catalog.label_index()[synthetic_code(j)] for j in range(4)]
-    for ex in ds.examples:
+    for tokens, row in zip(note_tokens(ds), ds.labels):
         for j in range(4):
-            has_kw = any(w in ex.text for w in kws[j])
-            assert bool(ex.label_vector[order[j]]) == has_kw
+            has_kw = any(w in tokens for w in kws[j])
+            assert bool(row[order[j]]) == has_kw
 
 
 def test_synthetic_duplicate_summaries_resolved_by_filter(tmp_path):
@@ -449,9 +451,9 @@ def test_order_sensitive_corpus_agrees_with_scanner(tmp_path):
     kws = synthetic_keywords(spec)
     order = [catalog.label_index()[synthetic_code(j)] for j in range(4)]
     both_orders_seen = False
-    for ex in ds.examples:
-        active = scan_order_sensitive_labels(ex.text, kws)
-        got = sorted(j for j in range(4) if ex.label_vector[order[j]])
+    for tokens, row in zip(note_tokens(ds), ds.labels):
+        active = scan_order_sensitive_labels(" ".join(tokens), kws)
+        got = sorted(j for j in range(4) if row[order[j]])
         assert got == active
         if 0 < len(active) < 4:
             both_orders_seen = True
@@ -460,49 +462,65 @@ def test_order_sensitive_corpus_agrees_with_scanner(tmp_path):
 
 # ------------------------------------------------------------ persistence
 
-def test_split_round_trip_preserves_newline_texts(tmp_path):
-    cat = catalog_of("1110")
-    notes = [make_note(1, 100, "Discharge summary", "line one\nline\ttwo\\three\rfour")]
-    ds = build_dataset(notes, codes_of((100, "1110")), cat)
-    path = tmp_path / "train.tsv"
-    save_split(ds, path)
-    loaded = load_split(path, cat)
-    assert loaded.coverage == ds.coverage
-    assert loaded.examples[0].text == ds.examples[0].text
-    assert loaded.examples[0].hadm_id == 100
-    assert loaded.examples[0].label_vector.tolist() == [1]
+def _saved_dataset(d):
+    """Three splits of eight one-note admissions over one token table,
+    saved into directory ``d``."""
+    notes = [make_note(i, 100 + i, "Discharge summary", f"w{i % 3} shared\nw{i}") for i in range(8)]
+    codes = codes_of(*((100 + i, "1110") for i in range(8)), (101, "2220"))
+    ds = build_dataset(notes, codes, catalog_of("1110", "2220"))
+    splits = split_dataset(ds, SplitSpec(seed=2))
+    d.mkdir()
+    corpus.save_dataset(d, *splits)
+    return splits
 
 
-def _unescape_reference(text):
-    """The character loop the regex form replaced: scan left to right,
-    turning each escape pair into its character and copying the rest."""
-    table = {"\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
-    out, i = [], 0
-    while i < len(text):
-        if text[i : i + 2] in table:
-            out.append(table[text[i : i + 2]])
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+def test_dataset_round_trip_keeps_ids_labels_and_one_table(tmp_path):
+    cold = _saved_dataset(tmp_path / "d")
+    *warm, catalog = corpus.load_dataset(tmp_path / "d")
+    assert catalog == cold[0].catalog
+    assert warm[0].docs.table == cold[0].docs.table
+    assert warm[0].docs.table is warm[1].docs.table is warm[2].docs.table
+    for w, c in zip(warm, cold):
+        for a, b in ((w.docs.ids, c.docs.ids), (w.docs.offsets, c.docs.offsets),
+                     (w.labels, c.labels), (w.hadm_ids, c.hadm_ids)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert w.coverage == c.coverage
+    with np.load(tmp_path / "d" / "train.npz") as stored:
+        assert stored["ids"].dtype == np.uint8  # the narrowest that holds the largest id
 
 
-@pytest.mark.parametrize("text", [
-    "", "plain", "a\\nb", "a\\\\nb", "\\\\\\n", "\\x\\q", "ends with \\",
-    "\\", "\\\\\\", "tab\\tcr\\rnl\\n", "\\\\t",
-])
-def test_unescape_matches_character_loop(text):
-    assert corpus._unescape_text(text) == _unescape_reference(text)
+# each damage, done to train.npz's arrays or to the table's lines, must be refused
+SPLIT_DAMAGE = {
+    "negative id": lambda a, t: a.update(ids=np.r_[-1, a["ids"][1:].astype(np.int32)]),
+    "id past the table": lambda a, t: a.update(ids=np.r_[len(t), a["ids"][1:]].astype(np.uint16)),
+    "offsets from 1": lambda a, t: a.update(offsets=np.r_[1, a["offsets"][1:]]),
+    "offsets going down": lambda a, t: a.update(offsets=a["offsets"][[0, 2, 1, 3, 4]]),
+    "offsets short of the ids": lambda a, t: a.update(offsets=np.r_[a["offsets"][:-1],
+                                                                    a["offsets"][-1] - 1]),
+    "int64 labels": lambda a, t: a.update(labels=a["labels"].astype(np.int64)),
+    "k + 1 label columns": lambda a, t: a.update(labels=np.c_[a["labels"], a["labels"][:, :1]]),
+    "a label of 2": lambda a, t: a.update(labels=a["labels"] * 2),
+    "n - 1 hadm ids": lambda a, t: a.update(hadm_ids=a["hadm_ids"][1:]),
+    "no labels array": lambda a, t: a.pop("labels"),
+    "text coverage": lambda a, t: a.update(coverage=np.array("0.5")),
+    "a token listed twice": lambda a, t: t.__setitem__(1, t[0]),
+}
 
 
-def test_unescape_matches_character_loop_and_inverts_escape_on_random_text():
-    gen = np.random.default_rng(0)
-    alphabet = list("ab\\nrtx\n\r\t ")
-    for _ in range(3000):
-        text = "".join(gen.choice(alphabet, size=gen.integers(0, 12)))
-        assert corpus._unescape_text(text) == _unescape_reference(text)
-        assert corpus._unescape_text(corpus._escape_text(text)) == text
+@pytest.mark.parametrize("damage", SPLIT_DAMAGE)
+def test_load_split_refuses_malformed_arrays_naming_the_file(tmp_path, damage):
+    d = tmp_path / "d"
+    _saved_dataset(d)
+    with np.load(d / "train.npz") as stored:
+        arrays = dict(stored)
+    tokens = (d / "tokens.txt").read_text(encoding="utf-8").splitlines()
+    SPLIT_DAMAGE[damage](arrays, tokens)
+    with open(d / "train.npz", "wb") as fh:
+        np.savez(fh, **arrays)
+    (d / "tokens.txt").write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+    bad = "tokens.txt:2: " if damage == "a token listed twice" else "train.npz: "
+    with pytest.raises(FormatError, match=re.escape(str(d / bad))):
+        corpus.load_dataset(d)
 
 
 def test_catalog_round_trip(tmp_path):
@@ -516,11 +534,6 @@ def test_catalog_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("name, text, bad_line", [
-    ("train.tsv", "#coverage=0.5\n7\t2a\tnote\n", 2),
-    ("train.tsv", "#coverage=0.5\n7\t011\tnote\n", 2),
-    ("train.tsv", "#coverage=abc\n7\t01\tnote\n", 1),
-    ("train.tsv", "#coverage=0.5\nx7\t01\tnote\n", 2),
-    ("train.tsv", "#coverage=0.5\n7\t01\n", 2),
     ("catalog.tsv", "#mode=code\n4019\t3\n2500 2\n", 3),
     ("catalog.tsv", "#mode=code\n4019\tmany\n", 2),
     ("catalog.tsv", "#mode=bogus\n4019\t3\n", 1),
@@ -529,17 +542,14 @@ def test_dataset_readers_reject_corrupt_lines_naming_them(tmp_path, name, text, 
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match=rf"{name}:{bad_line}: "):
-        if name == "catalog.tsv":
-            load_catalog(path)
-        else:
-            load_split(path, catalog_of("1110", "2220"))
+        load_catalog(path)
 
 
 def test_label_matrix_layout():
     cat = catalog_of("1110", "2220")
     notes = [make_note(1, 100, "Discharge summary"), make_note(2, 101, "Discharge summary")]
     ds = build_dataset(notes, codes_of((100, "1110"), (101, "2220")), cat)
-    m = ds.label_matrix()
+    m = ds.labels
     assert m.shape == (2, 2)
     assert m.dtype == np.uint8
     assert m.tolist() == [[1, 0], [0, 1]]

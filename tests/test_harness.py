@@ -575,13 +575,26 @@ def test_warm_dataset_equals_cold(tmp_path):
     *warm, warm_catalog = harness.stage_dataset(cfg, ws)
     assert ws.cache_hits[-1] == "dataset:" + ws.stage_key(cfg, "dataset")[:12]
     assert warm_catalog == cold_catalog
+    assert list(warm[0].docs.table) == list(cold[0].docs.table)
     for w, c in zip(warm, cold):
         assert w.catalog == c.catalog
         assert w.coverage == c.coverage
-        assert [ex.hadm_id for ex in w.examples] == [ex.hadm_id for ex in c.examples]
-        assert w.texts() == c.texts()
-        assert all(_same_array(a.label_vector, b.label_vector)
-                   for a, b in zip(w.examples, c.examples))
+        assert w.docs.table is warm[0].docs.table
+        for name in ("ids", "offsets"):
+            assert _same_array(getattr(w.docs, name), getattr(c.docs, name)), name
+        assert _same_array(w.labels, c.labels)
+        assert _same_array(w.hadm_ids, c.hadm_ids)
+
+
+def test_feature_stage_over_a_cached_dataset_tokenizes_nothing(tmp_path, monkeypatch):
+    # the dataset stage stores token ids; a feature-stage miss reads them
+    ws = tmp_path / "ws"
+    run_pipeline(make_cfg(), ws, "tfidf", log=lambda *a: None)
+    tokenize, calls = textproc.tokenize, []
+    monkeypatch.setattr(textproc, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    record = run_pipeline(make_cfg(**SEQ_FEATURES), ws, "wordseq", log=lambda *a: None)
+    assert [hit.split(":")[0] for hit in record.cache_hits] == ["dataset"]
+    assert calls == []
 
 
 def _same_array(a, b):
@@ -600,8 +613,7 @@ def _pretrained_file(tmp_path):
     """A word2vec text file covering every other training token, so that
     the aligned matrix has both copied and zero rows."""
     ws = Workspace(tmp_path / "probe", log=lambda *a: None)
-    docs = [textproc.tokenize(t) for t in _splits(make_cfg(**SEQ_FEATURES), ws)[0].texts()]
-    vocab = textproc.build_vocabulary(textproc.encode_documents(docs))
+    vocab = textproc.build_vocabulary(_splits(make_cfg(**SEQ_FEATURES), ws)[0].docs)
     kept = vocab.index_to_token[1::2]
     matrix = np.random.default_rng(3).standard_normal((len(kept) + 1, 8))
     path = tmp_path / "pretrained.txt"
@@ -667,12 +679,13 @@ def test_feature_stage_files_match_pinned_digest(tmp_path):
 
 def _hand_splits(train, val, test):
     """Train/val/test splits of the given note texts, each labelled with
-    one code; the feature stage reads only the texts."""
+    one code; the feature stage reads only the token ids."""
     catalog = corpus.LabelCatalog("code", (("4010", 1),))
     texts = [*train, *val, *test]
-    examples = [corpus.Example(100 + i, t, np.ones(1, np.uint8)) for i, t in enumerate(texts)]
+    notes = [corpus.Note(i, 100 + i, "discharge summary", t) for i, t in enumerate(texts)]
+    ds = corpus.build_dataset(notes, {100 + i: {"4010"} for i in range(len(texts))}, catalog)
     cuts = np.cumsum([0, len(train), len(val), len(test)])
-    return [corpus.LabeledDataset(examples[a:b], catalog, 1.0) for a, b in zip(cuts, cuts[1:])]
+    return [ds.take(np.arange(a, b)) for a, b in zip(cuts, cuts[1:])]
 
 
 def _edge_splits():
@@ -710,6 +723,36 @@ def test_edge_corpus_feature_files_match_pinned_digest(tmp_path):
             if path.name != ".complete":
                 h.update(path.name.encode() + b"\n" + path.read_bytes())
     assert h.hexdigest() == EDGE_FEATURE_FILES_DIGEST
+
+
+# Digest of the feature-stage files of `wordseq` (self-trained CBOW) and
+# `w2v-avg` with stopwords removed, on `_edge_splits` and on the synthetic
+# corpus of both modes (the order-sensitive one carries the stopword "no"
+# in every note), taken at commit 998b352, while the feature stage
+# tokenized the split texts itself. Dropping stopwords shifts CBOW's
+# windows and every sequence's tail.
+STOPWORD_FEATURE_FILES_DIGEST = "6da599c48e7cd3d36fdb76d745f5c59c51233badb392182275c40511bf7e3161"
+
+
+def test_stopword_feature_files_match_pinned_digest(tmp_path):
+    h = hashlib.sha256()
+    for i, corpus_overrides in enumerate(
+            ({}, {"dataset.synthetic.order_sensitive": "true"}, None)):
+        ws = Workspace(tmp_path / f"ws{i}", log=lambda *a: None)  # the edge splits share a key
+        for overrides in (
+            {**SEQ_FEATURES, "feature.track": "w2v-avg", "model.family": "logreg",
+             "model.hidden": ""},
+            {**SEQ_FEATURES, "feature.embedding_source": "self"},
+        ):
+            cfg = make_cfg(**overrides, **(corpus_overrides or {}),
+                           **{"feature.remove_stopwords": "true"})
+            splits = _edge_splits() if corpus_overrides is None else _splits(cfg, ws)
+            harness.stage_features(cfg, ws, splits)
+            d = ws.stage_dir("features", ws.stage_key(cfg, "features"))
+            for path in sorted(d.iterdir()):
+                if path.name != ".complete":
+                    h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == STOPWORD_FEATURE_FILES_DIGEST
 
 
 def _zipf_docs(rng, n_docs, words, table):
@@ -1243,7 +1286,7 @@ def test_cli_synth_writes_the_corpus_the_dataset_stage_generates(tmp_path, capsy
         harness.stage_dataset(cfg, ws)
         dirs.append(ws.stage_dir("dataset", ws.stage_key(cfg, "dataset")))
     assert dirs[0] != dirs[1]
-    for name in ("catalog.tsv", "train.tsv", "val.tsv", "test.tsv"):
+    for name in ("catalog.tsv", "tokens.txt", "train.npz", "val.npz", "test.npz"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 

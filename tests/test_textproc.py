@@ -47,7 +47,13 @@ def test_default_stopwords_contain_function_words():
 
 def test_remove_stopwords_preserves_order():
     sw = frozenset({"the", "of"})
-    assert remove_stopwords(["the", "king", "of", "pain"], sw) == ["king", "pain"]
+    docs = encode_documents([["the", "king", "of", "pain"], ["of", "the"], [], ["pain", "the"]])
+    kept = remove_stopwords(docs, sw)
+    tokens = list(docs.table)
+    assert kept.table is docs.table
+    assert [tokens[i] for i in kept.ids] == ["king", "pain", "pain"]
+    assert kept.ids.dtype == docs.ids.dtype
+    assert kept.offsets.tolist() == [0, 2, 2, 2, 3]
 
 
 def test_vocabulary_orders_by_doc_freq_then_token():
