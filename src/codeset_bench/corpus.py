@@ -89,19 +89,8 @@ class LabeledDataset:
                               self.coverage)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_frac: float = 0.5
-    val_frac: float = 0.25
-    test_frac: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
-            raise ConfigError("split fractions must be positive")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
+# shares of the validation and test splits; train takes the remainder
+VAL_FRAC = TEST_FRAC = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +334,19 @@ def build_dataset(
 
 
 def split_dataset(
-    dataset: LabeledDataset, spec: SplitSpec
+    dataset: LabeledDataset, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Deterministic seeded shuffle, then floor(n*frac) sizes for val and
-    test with the remainder going to train. Same seed, same split; a
-    split that would come out empty is a DatasetError."""
+    """Shuffle by ``seed``, then floor(n * VAL_FRAC) and floor(n * TEST_FRAC)
+    examples for val and test, the remainder for train. Same seed, same
+    split; a split that would come out empty is a DatasetError."""
     n = len(dataset)
-    n_val = int(math.floor(n * spec.val_frac + 1e-9))
-    n_test = int(math.floor(n * spec.test_frac + 1e-9))
+    n_val = int(math.floor(n * VAL_FRAC + 1e-9))
+    n_test = int(math.floor(n * TEST_FRAC + 1e-9))
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) < 1:
         raise DatasetError(f"{n} examples leave an empty split: "
                            f"train {n_train}, val {n_val}, test {n_test}")
-    order = np.random.default_rng(spec.seed).permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
     return tuple(dataset.take(rows) for rows in np.split(order, [n_train, n_train + n_val]))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -277,15 +278,14 @@ class ExperimentConfig:
             lr = float(lr) if lr else None
         except ValueError:
             raise ConfigError(f"train.learning_rate: expected a number, got {lr!r}") from None
-        if lr is not None and not lr > 0:
-            raise ConfigError(f"train.learning_rate: must be > 0, got {lr}")
-        return models.TrainConfig(**{**self.section("train."), "learning_rate": lr})
+        if lr is not None and not 0 < lr < math.inf:
+            raise ConfigError(f"train.learning_rate: must be finite and > 0, got {lr}")
+        train = self.section("train.")
+        del train["threshold"]  # reports score at it; training does not read it
+        return models.TrainConfig(**{**train, "learning_rate": lr})
 
     def synthetic_spec(self) -> corpus.SyntheticSpec:
         return corpus.SyntheticSpec(**self.section("dataset.synthetic."))
-
-    def split_spec(self) -> corpus.SplitSpec:
-        return corpus.SplitSpec(seed=self["dataset.split_seed"])
 
     # canonicalization and hashing ------------------------------------------
     def canonical_text(self, prefixes: tuple[str, ...] = ()) -> str:
@@ -421,7 +421,7 @@ def stage_dataset(
         sanitizer = corpus.NoteSanitizer(catalog)
         summaries = [replace(n, text=sanitizer(n.text)) for n in summaries]
     dataset = corpus.build_dataset(summaries, codes, catalog)
-    train, val, test = corpus.split_dataset(dataset, cfg.split_spec())
+    train, val, test = corpus.split_dataset(dataset, cfg["dataset.split_seed"])
     with ws.new_stage("dataset", h) as d:
         corpus.save_dataset(d, train, val, test)
     return train, val, test, catalog

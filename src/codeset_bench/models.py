@@ -94,14 +94,11 @@ class TrainConfig:
     batch_size: int = 32
     optimizer: str = "rmsprop"
     learning_rate: float | None = None  # None = optimizer default
-    threshold: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ConfigError("max_epochs, patience, batch_size must be >= 1")
-        if not (0.0 < self.threshold < 1.0):
-            raise ConfigError("threshold must lie strictly between 0 and 1")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -373,36 +370,34 @@ def _forest_proba(arrays: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
 def build_network(
     spec: ModelSpec,
     k: int,
-    input_dim: int | None = None,
+    width: int,
     embedding: EmbeddingMatrix | np.ndarray | None = None,
     vocab_size: int | None = None,
     embed_dim: int = 32,
-    seq_len: int | None = None,
     seed: int = 0,
     train_embedding: bool = True,
 ) -> nc.Sequential:
     """Instantiate a Sequential for a neural ModelSpec, its parameters
     cast to float32.
 
-    fnn needs input_dim. Sequence families need an embedding matrix (or
-    vocab_size + embed_dim for a seeded random one); cnn additionally
-    needs seq_len to size its flatten->fc transition.
+    ``width`` is the width of one input row: fnn's feature count, and the
+    sequence length by which cnn sizes its flatten->fc transition. Sequence
+    families need an embedding matrix (or vocab_size + embed_dim for a
+    seeded random one).
     """
     if spec.family not in NEURAL_FAMILIES:
         raise ConfigError(f"{spec.family!r} is not a neural family")
     rng = np.random.default_rng(seed)
 
     if spec.family == "fnn":
-        if input_dim is None:
-            raise ConfigError("fnn needs input_dim")
         layers: list[nc.Layer] = []
-        prev = input_dim
-        for i, width in enumerate(spec.hidden):
-            layers.append(nc.Dense(prev, width, rng, name=f"fc{i}"))
+        prev = width
+        for i, hidden in enumerate(spec.hidden):
+            layers.append(nc.Dense(prev, hidden, rng, name=f"fc{i}"))
             layers.append(nc.ReLU())
             if spec.dropout > 0:
                 layers.append(nc.Dropout(spec.dropout, rng))
-            prev = width
+            prev = hidden
         return _with_head(layers, prev, k, rng)
 
     # sequence families share the embedding front end
@@ -419,20 +414,18 @@ def build_network(
     if spec.family == "cnn":
         if not spec.conv_blocks:
             raise ConfigError("cnn spec has no conv blocks")
-        if seq_len is None:
-            raise ConfigError("cnn needs seq_len to size its dense head")
-        length = seq_len
+        length = width
         prev_ch = emb_dim
-        for i, (filters, width, pool) in enumerate(spec.conv_blocks):
-            if length < width:
+        for i, (filters, kernel, pool) in enumerate(spec.conv_blocks):
+            if length < kernel:
                 raise ConfigError(
-                    f"sequence collapses to {length} < filter width {width} "
+                    f"sequence collapses to {length} < filter width {kernel} "
                     f"at conv block {i}"
                 )
-            layers.append(nc.Conv1d(prev_ch, filters, width, rng, name=f"conv{i}"))
+            layers.append(nc.Conv1d(prev_ch, filters, kernel, rng, name=f"conv{i}"))
             layers.append(nc.ReLU())
             layers.append(nc.MaxPool1d(pool))
-            length = math.ceil((length - width + 1) / pool)
+            length = math.ceil((length - kernel + 1) / pool)
             prev_ch = filters
         layers.append(nc.Flatten())
         flat = length * prev_ch
@@ -616,16 +609,13 @@ def fit(
             x_train, y_train, n_trees=rf_trees, max_depth=rf_depth, seed=cfg.seed
         )
 
-    seq_len = x_train.shape[1] if spec.family == "cnn" else None
-    input_dim = x_train.shape[1] if spec.family == "fnn" else None
     net = build_network(
         spec,
         k=y_train.shape[1],
-        input_dim=input_dim,
+        width=x_train.shape[1],
         embedding=embedding,
         vocab_size=vocab_size,
         embed_dim=embed_dim,
-        seq_len=seq_len,
         seed=cfg.seed,
         train_embedding=train_embedding,
     )

@@ -12,8 +12,8 @@ class SGD:
     """theta <- theta - lr * grad."""
 
     def __init__(self, params: list[Parameter], lr: float = 0.01):
-        if lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and positive, got {lr}")
         self.params = [p for p in params if p.trainable]
         self.lr = lr
 
@@ -36,8 +36,8 @@ class RMSprop:
     with ``RMSPROP_RHO`` and ``RMSPROP_EPS``."""
 
     def __init__(self, params: list[Parameter], lr: float = 0.001):
-        if lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and positive, got {lr}")
         self.params = [p for p in params if p.trainable]
         self.lr = lr
         self.sq = [np.zeros_like(p.value) for p in self.params]

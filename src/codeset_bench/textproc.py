@@ -33,29 +33,14 @@ def tokenize(text: str) -> list[str]:
             if tok and not (len(tok) > MAX_DIGIT_TOKEN_LEN and tok.isdigit())]
 
 
-@dataclass(frozen=True)
-class StopwordList:
-    """A set of lowercase stopword tokens."""
-
-    tokens: frozenset[str]
-
-    def __post_init__(self):
-        for t in self.tokens:
-            if t != t.lower() or any(c.isspace() for c in t):
-                raise FormatError(f"bad stopword entry: {t!r}")
-
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.tokens
-
-
-def load_default_stopwords() -> StopwordList:
+def load_default_stopwords() -> frozenset[str]:
     """The packaged ~150-word English list."""
     text = (
         resources.files("codeset_bench")
         .joinpath("data/stopwords_en.txt")
         .read_text(encoding="utf-8")
     )
-    return StopwordList(frozenset(w for w in text.split() if w))
+    return frozenset(text.split())
 
 
 PAD_INDEX = 0
@@ -104,7 +89,7 @@ def _kept_starts(offsets: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return before[offsets]
 
 
-def remove_stopwords(docs: EncodedDocs, stopwords: StopwordList) -> EncodedDocs:
+def remove_stopwords(docs: EncodedDocs, stopwords: frozenset[str]) -> EncodedDocs:
     """``docs`` with every stopword id dropped, over the same table; order
     otherwise preserved."""
     kept = ~np.array([t in stopwords for t in docs.table], dtype=bool)[docs.ids]

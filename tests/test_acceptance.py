@@ -239,7 +239,7 @@ def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
             noise_code_rate=0.0, extra_note_rate=0.0,
         )
         ds = _generate_corpus(tmp_path / f"order{seed}", spec)
-        parts = corpus.split_dataset(ds, corpus.SplitSpec(seed=seed))
+        parts = corpus.split_dataset(ds, seed)
         splits = [(part.docs, part.labels) for part in parts]
         (tr_docs, ytr), _, (te_docs, yte) = splits
 

@@ -12,7 +12,6 @@ from codeset_bench.corpus import (
     LabelCatalog,
     Note,
     NoteSanitizer,
-    SplitSpec,
     SyntheticSpec,
     build_dataset,
     code_to_category,
@@ -29,7 +28,7 @@ from codeset_bench.corpus import (
     synthetic_code,
     synthetic_keywords,
 )
-from codeset_bench.errors import ConfigError, DatasetError, FormatError, SchemaError
+from codeset_bench.errors import DatasetError, FormatError, SchemaError
 
 
 def write_csv(path, header, rows):
@@ -317,7 +316,7 @@ def test_split_sizes_floor_rule():
     notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(101)]
     codes = codes_of(*((1000 + i, "1110") for i in range(101)))
     ds = build_dataset(notes, codes, catalog_of("1110"))
-    train, val, test = split_dataset(ds, SplitSpec(seed=3))
+    train, val, test = split_dataset(ds, 3)
     # floor(101*0.25) = 25 for val and test; remainder 51 to train
     assert (len(train), len(val), len(test)) == (51, 25, 25)
 
@@ -326,7 +325,7 @@ def test_split_is_disjoint_and_exhaustive():
     notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(40)]
     codes = codes_of(*((1000 + i, "1110") for i in range(40)))
     ds = build_dataset(notes, codes, catalog_of("1110"))
-    train, val, test = split_dataset(ds, SplitSpec(seed=1))
+    train, val, test = split_dataset(ds, 1)
     ids = [h for part in (train, val, test) for h in part.hadm_ids.tolist()]
     assert sorted(ids) == sorted(ds.hadm_ids.tolist())
     assert len(set(ids)) == len(ids)
@@ -336,29 +335,21 @@ def test_split_seed_determinism():
     notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(30)]
     codes = codes_of(*((1000 + i, "1110") for i in range(30)))
     ds = build_dataset(notes, codes, catalog_of("1110"))
-    a = split_dataset(ds, SplitSpec(seed=7))
-    b = split_dataset(ds, SplitSpec(seed=7))
-    c = split_dataset(ds, SplitSpec(seed=8))
+    a = split_dataset(ds, 7)
+    b = split_dataset(ds, 7)
+    c = split_dataset(ds, 8)
     assert a[0].hadm_ids.tolist() == b[0].hadm_ids.tolist()
     assert a[0].hadm_ids.tolist() != c[0].hadm_ids.tolist()
 
 
 def test_split_that_would_come_out_empty_is_dataset_error():
-    # 19 examples at 0.9/0.05/0.05: floor(19 * 0.05) = 0 for val and test
-    notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(19)]
-    codes = codes_of(*((1000 + i, "1110") for i in range(19)))
+    # floor(3 * 0.25) = 0 for val and test; 4 examples are the fewest that split
+    notes = [make_note(i, 1000 + i, "Discharge summary", f"n{i}") for i in range(4)]
+    codes = codes_of(*((1000 + i, "1110") for i in range(4)))
     ds = build_dataset(notes, codes, catalog_of("1110"))
-    with pytest.raises(DatasetError, match="train 19, val 0, test 0"):
-        split_dataset(ds, SplitSpec(0.9, 0.05, 0.05))
     with pytest.raises(DatasetError, match="train 3, val 0, test 0"):
-        split_dataset(ds.take(np.arange(3)), SplitSpec())
-    assert [len(part) for part in split_dataset(ds, SplitSpec(0.5, 0.3, 0.2))] == [11, 5, 3]
-    assert [len(part) for part in split_dataset(ds.take(np.arange(4)), SplitSpec())] == [2, 1, 1]
-
-
-def test_split_fractions_must_sum_to_one():
-    with pytest.raises(ConfigError):
-        SplitSpec(train_frac=0.5, val_frac=0.3, test_frac=0.3)
+        split_dataset(ds.take(np.arange(3)), 0)
+    assert [len(part) for part in split_dataset(ds, 0)] == [2, 1, 1]
 
 
 # ------------------------------------------------------------- synthetic
@@ -468,7 +459,7 @@ def _saved_dataset(d):
     notes = [make_note(i, 100 + i, "Discharge summary", f"w{i % 3} shared\nw{i}") for i in range(8)]
     codes = codes_of(*((100 + i, "1110") for i in range(8)), (101, "2220"))
     ds = build_dataset(notes, codes, catalog_of("1110", "2220"))
-    splits = split_dataset(ds, SplitSpec(seed=2))
+    splits = split_dataset(ds, 2)
     d.mkdir()
     corpus.save_dataset(d, *splits)
     return splits

@@ -141,6 +141,8 @@ def _typed(value):
     ("train.learning_rate", "-1"),
     ("train.learning_rate", "0"),
     ("train.learning_rate", "nan"),
+    ("train.learning_rate", "inf"),
+    ("train.learning_rate", "1e400"),
     ("train.max_epochs", "0"),
     ("train.patience", "0"),
     ("train.batch_size", "0"),

@@ -62,8 +62,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=0)
     with pytest.raises(ConfigError):
-        TrainConfig(threshold=1.5)
-    with pytest.raises(ConfigError):
         TrainConfig(optimizer="adamw")
 
 
@@ -631,15 +629,15 @@ def test_fit_sequence_model_with_trained_embedding():
 def test_cnn_rejects_sequences_shorter_than_its_stack():
     spec = preset("cnn-best")  # needs >= 43 positions before the last block
     with pytest.raises(ConfigError):
-        build_network(spec, k=3, vocab_size=20, seq_len=10, seed=0)
+        build_network(spec, k=3, width=10, vocab_size=20, seed=0)
 
 
 def test_bidirectional_spec_doubles_recurrent_parameters():
     base = ModelSpec(family="lstm", hidden=(8,), name="t")
     bidi = ModelSpec(family="lstm", hidden=(8,), bidirectional=True,
                      name="t-bidi")
-    net = build_network(base, k=2, vocab_size=10, seq_len=6, seed=0, embed_dim=4)
-    net2 = build_network(bidi, k=2, vocab_size=10, seq_len=6, seed=0, embed_dim=4)
+    net = build_network(base, k=2, width=6, vocab_size=10, seed=0, embed_dim=4)
+    net2 = build_network(bidi, k=2, width=6, vocab_size=10, seed=0, embed_dim=4)
 
     def recurrent_size(net):
         return sum(p.value.size for layer in net.layers for p in layer.params()
@@ -650,7 +648,7 @@ def test_bidirectional_spec_doubles_recurrent_parameters():
 
 def test_count_parameters_matches_manual_sum():
     spec = ModelSpec(family="fnn", hidden=(8,), name="t")
-    net = build_network(spec, k=3, input_dim=5, seed=0)
+    net = build_network(spec, k=3, width=5, seed=0)
     manual = 5 * 8 + 8 + 8 * 3 + 3
     assert sum(p.value.size for p in net.params()) == manual
 
@@ -698,8 +696,8 @@ def test_built_networks_train_in_float32_and_predict_float64(spec, monkeypatch, 
     nc.save_checkpoint(tmp_path, nc.model_tensors(net), {})
     tensors, _ = nc.load_checkpoint(tmp_path)
     assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
-    fresh = build_network(spec, k=y.shape[1], input_dim=x.shape[1], vocab_size=kw.get("vocab_size"),
-                          embed_dim=kw.get("embed_dim", 32), seq_len=x.shape[1], seed=1)
+    fresh = build_network(spec, k=y.shape[1], width=x.shape[1], vocab_size=kw.get("vocab_size"),
+                          embed_dim=kw.get("embed_dim", 32), seed=1)
     nc.restore_model(fresh, tensors)
     restored = models.TrainedModel(spec=spec, network=fresh)
     assert predict_proba(restored, x).tobytes() == probs.tobytes()
@@ -710,7 +708,7 @@ def test_float64_built_networks_pass_gradient_checks(spec):
     from codeset_bench.cli import RECURRENT_TOL
 
     x, y, kw = _tiny_problem(spec)
-    net = build_network(spec, k=y.shape[1], input_dim=x.shape[1], seq_len=x.shape[1], seed=0, **kw)
+    net = build_network(spec, k=y.shape[1], width=x.shape[1], seed=0, **kw)
     for p in net.params():
         p.value = p.value.astype(np.float64)
         p.grad = np.zeros_like(p.value)
@@ -728,18 +726,10 @@ def test_predict_exact_threshold_is_positive():
     assert np.all((predict_proba(model, x) >= 0.5).astype(np.uint8) == 1)
 
 
-def test_predict_invalid_threshold_rejected():
-    # the decision threshold is train.threshold, which TrainConfig holds
-    with pytest.raises(ConfigError):
-        TrainConfig(threshold=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(threshold=1.0)
-
-
 def test_model_spec_validation():
     with pytest.raises(ConfigError):
         ModelSpec(family="transformer")
     with pytest.raises(ConfigError):
         # conv stack requirement is enforced when the network is realized
         build_network(ModelSpec(family="cnn", name="t"),
-                      k=2, vocab_size=10, seq_len=8, seed=0)
+                      k=2, width=8, vocab_size=10, seed=0)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codeset_bench.neuralcore as nc
-from codeset_bench.errors import FormatError, NumericError, ShapeError
+from codeset_bench.errors import ConfigError, FormatError, NumericError, ShapeError
 from codeset_bench.neuralcore import recurrent
 
 
@@ -741,6 +741,13 @@ def test_zero_gradient_leaves_parameters_unchanged():
         opt = make([p])
         opt.step()
         assert p.value.tolist() == [3.0, -2.0]
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("make", [nc.SGD, nc.RMSprop])
+def test_optimizers_refuse_a_learning_rate_that_is_not_finite_and_positive(make, lr):
+    with pytest.raises(ConfigError, match="learning rate"):
+        make([nc.Parameter("w", np.array([1.0]))], lr=lr)
 
 
 def test_optimizers_skip_frozen_parameters():

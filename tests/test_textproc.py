@@ -45,6 +45,14 @@ def test_default_stopwords_contain_function_words():
     assert "hypertension" not in sw
 
 
+def test_every_packaged_stopword_is_a_token_the_tokenizer_emits():
+    # an entry no token can equal would never be dropped
+    sw = load_default_stopwords()
+    assert isinstance(sw, frozenset)
+    for w in sw:
+        assert tokenize(w) == [w]
+
+
 def test_remove_stopwords_preserves_order():
     sw = frozenset({"the", "of"})
     docs = encode_documents([["the", "king", "of", "pain"], ["of", "the"], [], ["pain", "the"]])
