@@ -70,39 +70,25 @@ def example_based_metrics(predicted: np.ndarray, truth: np.ndarray) -> ExampleMe
     """Per-example set metrics averaged over examples.
 
     precision = |P&T|/|P|, recall = |P&T|/|T|, f1 = 2|P&T|/(|P|+|T|),
-    accuracy = |P&T|/|P|T|union. Undefined per-example values become 0
-    and bump nan_replacements.
+    accuracy = |P&T|/|P|T|union, with |P|T|union = |P|+|T|-|P&T|. The four
+    numerators and denominators stack into two ``[4, n]`` arrays, divided
+    once; each row's sum over n is its mean, as ``np.mean`` of the row
+    would give. Undefined per-example values become 0 and bump
+    nan_replacements.
     """
     p = np.asarray(predicted).astype(bool)
     t = np.asarray(truth).astype(bool)
     if p.shape != t.shape:
         raise ShapeError(f"predicted {p.shape} vs truth {t.shape}")
-    inter = (p & t).sum(axis=1).astype(np.float64)
-    union = (p | t).sum(axis=1).astype(np.float64)
-    n_p = p.sum(axis=1).astype(np.float64)
-    n_t = t.sum(axis=1).astype(np.float64)
-
-    nan_count = 0
-
-    def _safe(num, den):
-        nonlocal nan_count
-        bad = den == 0
-        nan_count += int(bad.sum())
-        out = np.zeros_like(num)
-        np.divide(num, den, out=out, where=~bad)
-        return out
-
-    precision = _safe(inter, n_p)
-    recall = _safe(inter, n_t)
-    f1 = _safe(2.0 * inter, n_p + n_t)
-    accuracy = _safe(inter, union)
-    return ExampleMetrics(
-        precision=float(precision.mean()),
-        recall=float(recall.mean()),
-        f1=float(f1.mean()),
-        accuracy=float(accuracy.mean()),
-        nan_replacements=nan_count,
-    )
+    inter = np.count_nonzero(p & t, axis=1)
+    n_p = np.count_nonzero(p, axis=1)
+    n_t = np.count_nonzero(t, axis=1)
+    num = np.array([inter, inter, 2 * inter, inter], dtype=np.float64)
+    den = np.array([n_p, n_t, n_p + n_t, n_p + n_t - inter], dtype=np.float64)
+    bad = den == 0
+    per_example = np.divide(num, den, out=np.zeros_like(num), where=~bad)
+    precision, recall, f1, accuracy = (per_example.sum(axis=1) / p.shape[0]).tolist()
+    return ExampleMetrics(precision, recall, f1, accuracy, int(np.count_nonzero(bad)))
 
 
 def hamming_loss(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -217,7 +203,8 @@ def _mean_defined(values: list[float | None]) -> tuple[float, int]:
     """Mean of the defined values (0.0 when there are none) and how many
     were None."""
     defined = [v for v in values if v is not None]
-    return (float(np.mean(defined)) if defined else 0.0), len(values) - len(defined)
+    mean = float(np.add.reduce(defined) / len(defined)) if defined else 0.0
+    return mean, len(values) - len(defined)
 
 
 def macro_auc(probs: np.ndarray, truth: np.ndarray) -> tuple[float, int]:
@@ -248,15 +235,20 @@ def precision_at_k(probs: np.ndarray, truth: np.ndarray, k: int = 5) -> float:
     if not kept.size:
         return 0.0
     # k passes of argmax, which returns the first maximum, over one copy of
-    # the kept rows, each pass setting its picks to -inf
-    scores = probs[kept]
-    rows = np.arange(kept.size)
+    # the kept rows, each pass setting its picks to -inf; a pick is a flat
+    # index into that copy and into the row-major truth
+    q = probs.shape[1]
+    flat = probs[kept].ravel()
+    scores = flat.reshape(kept.size, q)  # a view: flat is contiguous
+    row_starts = np.arange(0, flat.size, q)
+    truth_starts = kept * q
+    t = t.ravel()
     hits = np.zeros(kept.size, dtype=np.int64)
     for _ in range(k):
         top = scores.argmax(axis=1)
-        hits += t[kept, top]
-        scores[rows, top] = -np.inf
-    return float(np.mean(hits / k))
+        hits += t[truth_starts + top]
+        flat[row_starts + top] = -np.inf
+    return float(np.add.reduce(hits / k) / kept.size)
 
 
 @dataclass

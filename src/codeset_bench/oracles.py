@@ -1,23 +1,29 @@
 """Brute-force reference implementations of every evaluation metric.
 
-Deliberately plain: explicit Python sets, AUC as a count of ordered
-(positive, negative) pairs, AP as a running count of true positives down
-the ranking. Both counts are exact integers (or halves), so they give the
-values a loop over every pair or a re-count of every prefix would. These
-share no code with the metrics module so that agreement between the two
-is evidence, not tautology. Used by the test suite and the `oracle` CLI
-subcommand.
+Deliberately plain: explicit Python sets, whose union has |P| + |T| -
+|P&T| members; hamming as a count of disagreeing cells; AUC as a count of
+ordered (positive, negative) pairs; AP as a running count of true
+positives down the ranking, summed over the ranks where a positive
+enters. The counts are exact integers (or halves), so they give the
+values a loop over every cell or pair or a re-count of every prefix
+would. These share no code with the metrics module so that agreement
+between the two is evidence, not tautology. Used by the test suite and
+the `oracle` CLI subcommand.
 
 Each oracle converts its inputs to Python lists once, with `.tolist()`,
 and then loops over plain floats and ints. The conversion is exact
 (float64 becomes a Python float bit for bit, label bits become ints or
 bools), so the values are the ones a loop over numpy scalars would give;
-it only avoids boxing a numpy scalar at every element access.
+it only avoids boxing a numpy scalar at every element access. The loops
+run as builtins (`compress`, `map`, `sum`) where those do the same
+arithmetic in the same order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress, count, repeat
+from operator import ne, not_
 
 import numpy as np
 
@@ -25,67 +31,64 @@ from .errors import ConfigError
 
 
 def _row_sets(matrix) -> list[set[int]]:
-    return [{j for j, v in enumerate(row) if v} for row in np.asarray(matrix).tolist()]
+    """Each row's set of label indices with a true bit."""
+    matrix = np.asarray(matrix)
+    labels = range(matrix.shape[1])
+    return [set(compress(labels, row)) for row in matrix.tolist()]
 
 
 def oracle_example_metrics(predicted, truth) -> tuple[float, float, float, float, int]:
     """(precision, recall, f1, accuracy, nan_replacements) by direct set
-    arithmetic per example."""
+    arithmetic per example; the union size is |P| + |T| - |P&T|."""
     ps, ts = _row_sets(predicted), _row_sets(truth)
     n = len(ps)
     prec = rec = f1 = acc = 0.0
     nans = 0
     for p, t in zip(ps, ts):
-        inter = len(p & t)
-        if len(p) == 0:
-            nans += 1
+        inter, n_p, n_t = len(p & t), len(p), len(t)
+        if n_p:
+            prec += inter / n_p
         else:
-            prec += inter / len(p)
-        if len(t) == 0:
             nans += 1
+        if n_t:
+            rec += inter / n_t
         else:
-            rec += inter / len(t)
-        if len(p) + len(t) == 0:
             nans += 1
+        if n_p + n_t:
+            f1 += 2 * inter / (n_p + n_t)
+            acc += inter / (n_p + n_t - inter)
         else:
-            f1 += 2 * inter / (len(p) + len(t))
-        union = len(p | t)
-        if union == 0:
-            nans += 1
-        else:
-            acc += inter / union
+            nans += 2  # f1 and accuracy: both sets, and so their union, are empty
     return prec / n, rec / n, f1 / n, acc / n, nans
 
 
 def oracle_hamming(predicted, truth) -> float:
-    p = np.asarray(predicted)
-    n, q = p.shape
-    wrong = 0
-    for p_row, t_row in zip(p.tolist(), np.asarray(truth).tolist()):
-        for a, b in zip(p_row, t_row):
-            if bool(a) != bool(b):
-                wrong += 1
-    return wrong / (n * q)
+    """The cells whose bits disagree, counted over both matrices flattened
+    to Python bools, over the cell count."""
+    p = np.asarray(predicted).astype(bool)
+    wrong = sum(map(ne, p.ravel().tolist(), np.asarray(truth).astype(bool).ravel().tolist()))
+    return wrong / p.size
 
 
-def _count_auc(s: list[float], t: list) -> float | None:
-    pos = [v for v, y in zip(s, t) if y]
-    neg = sorted(v for v, y in zip(s, t) if not y)
+def _count_auc(s: list[float], t: list[bool]) -> float | None:
+    pos = list(compress(s, t))
+    neg = sorted(compress(s, map(not_, t)))
     if not pos or not neg:
         return None
-    total = 0.0
-    for a in pos:
-        below = bisect_left(neg, a)
-        total += below + 0.5 * (bisect_right(neg, a) - below)
-    return total / (len(pos) * len(neg))
+    # each positive wins over the negatives below it and half of the tied
+    # ones: (left + right) / 2 with the two bisection points
+    wins = (sum(map(bisect_left, repeat(neg), pos))
+            + sum(map(bisect_right, repeat(neg), pos))) / 2
+    return wins / (len(pos) * len(neg))
 
 
 def oracle_label_auc(scores, truth) -> float | None:
     """Pairwise comparison count: each (positive, negative) pair scores
     1 when the positive outranks the negative, 0.5 on a tie. Each positive
-    bisects the sorted negatives for the lower and the tied ones; every
-    partial sum is a multiple of 0.5 below 2**53, so for scores without
-    NaN the total is exactly the one a double loop over all pairs adds up."""
+    bisects the sorted negatives for the lower and the tied ones. The
+    bisection points are integers, summed exactly and halved once, so for
+    scores without NaN the total is exactly the one a double loop over all
+    pairs adds up."""
     return _count_auc(
         np.asarray(scores, dtype=float).tolist(), np.asarray(truth).astype(bool).tolist()
     )
@@ -107,10 +110,11 @@ def oracle_macro_auc(probs, truth) -> tuple[float, int]:
 
 def oracle_average_precision(scores, truth) -> float | None:
     """AP by walking the descending-score ranking (ties in ascending index
-    order) and accumulating (R_n - R_{n-1}) * P_n at every rank (the
-    increment is zero at non-positive ranks, so this equals the
-    positive-only sum). Each prefix's true positives are a running integer
-    count, so R_n and P_n are the quotients a re-count would give."""
+    order) and adding (R_n - R_{n-1}) * P_n at each rank n where a
+    positive enters. At every other rank R_n = R_{n-1}, so the term there
+    is an exact 0.0 and adding it would leave the sum as it is. Each
+    prefix's true positives are a running integer count, so R_n and P_n are
+    the quotients a re-count would give."""
     s = np.asarray(scores, dtype=float).tolist()
     t = np.asarray(truth).astype(bool).tolist()
     n_pos = sum(t)
@@ -120,25 +124,23 @@ def oracle_average_precision(scores, truth) -> float | None:
     order = sorted(range(len(s)), key=s.__getitem__, reverse=True)
     ap = 0.0
     prev_r = 0.0
-    tp = 0
-    for rank, i in enumerate(order, start=1):
-        tp += t[i]
+    for tp, rank in enumerate(compress(count(1), map(t.__getitem__, order)), start=1):
         r = tp / n_pos
-        p = tp / rank
-        ap += (r - prev_r) * p
+        ap += (r - prev_r) * (tp / rank)
         prev_r = r
     return ap
 
 
 def oracle_precision_at_k(probs, truth, k: int = 5) -> float:
+    """Mean over the rows with a true label of the true labels among the
+    row's k highest scores (ties in ascending index order), over k."""
     t = np.asarray(truth).astype(bool).tolist()
     vals = []
     for row, t_row in zip(np.asarray(probs, dtype=float).tolist(), t):
         if not any(t_row):
             continue
         ranked = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-        hits = sum(1 for j in ranked[:k] if t_row[j])
-        vals.append(hits / k)
+        vals.append(sum(map(t_row.__getitem__, ranked[:k])) / k)
     return sum(vals) / len(vals) if vals else 0.0
 
 

@@ -1,6 +1,8 @@
 """Multi-label evaluation: hand values, invariants, oracle agreement."""
 
+import ast
 import hashlib
+import inspect
 import json
 import tracemalloc
 from dataclasses import replace
@@ -88,6 +90,45 @@ def test_accuracy_never_exceeds_f1(n, q, seed):
     truth = (rng.random((n, q)) < 0.4).astype(np.uint8)
     m = example_based_metrics(predicted, truth)
     assert m.accuracy <= m.f1 + 1e-12  # |a∩b|/|a∪b| <= 2|a∩b|/(|a|+|b|)
+
+
+def example_metrics_row_reference(predicted, truth):
+    """One row at a time: each example's four values, 0 where undefined,
+    averaged by ``np.mean`` of each value's column of examples."""
+    columns = ([], [], [], [])
+    nans = 0
+    for p_row, t_row in zip(predicted.astype(bool).tolist(), truth.astype(bool).tolist()):
+        inter = sum(a and b for a, b in zip(p_row, t_row))
+        union = sum(a or b for a, b in zip(p_row, t_row))
+        n_p, n_t = sum(p_row), sum(t_row)
+        for values, num, den in zip(columns, (inter, inter, 2 * inter, inter),
+                                    (n_p, n_t, n_p + n_t, union)):
+            nans += den == 0
+            values.append(num / den if den else 0.0)
+    return (*(float(np.mean(values)) for values in columns), nans)
+
+
+def example_metric_runs():
+    """Seeded (predicted, truth) pairs of random shapes with empty rows in
+    both, and the 12000 x 50 run of the bench's report."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n, q = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+        predicted = (rng.random((n, q)) < rng.random()).astype(np.uint8)
+        truth = (rng.random((n, q)) < rng.random()).astype(np.uint8)
+        predicted[rng.random(n) < 0.2] = 0
+        truth[rng.random(n) < 0.2] = 0
+        yield predicted, truth
+    run = _large_run()
+    yield run.predicted, run.truth
+
+
+def test_example_based_metrics_matches_loop_reference():
+    for predicted, truth in example_metric_runs():
+        m = example_based_metrics(predicted, truth)
+        got = (m.precision, m.recall, m.f1, m.accuracy, m.nan_replacements)
+        assert got == example_metrics_row_reference(predicted, truth)
+        assert [type(v) for v in got] == [float] * 4 + [int]
 
 
 # ---------------------------------------------------------------- hamming
@@ -728,6 +769,62 @@ def test_oracles_equal_the_literal_pair_and_prefix_loops():
     assert defined > 1000  # most columns hold both classes
 
 
+def example_metrics_cell_reference(predicted, truth):
+    """|P∩T|, |P|, |T| and |P∪T| counted cell by cell for each example,
+    with 0 and a counted nan for every undefined value."""
+    n, q = predicted.shape
+    sums = [0.0, 0.0, 0.0, 0.0]
+    nans = 0
+    for i in range(n):
+        inter = n_p = n_t = union = 0
+        for j in range(q):
+            a, b = bool(predicted[i, j]), bool(truth[i, j])
+            inter += a and b
+            n_p += a
+            n_t += b
+            union += a or b
+        for slot, (num, den) in enumerate(
+                ((inter, n_p), (inter, n_t), (2 * inter, n_p + n_t), (inter, union))):
+            if den == 0:
+                nans += 1
+            else:
+                sums[slot] += num / den
+    return (*(total / n for total in sums), nans)
+
+
+def hamming_cell_reference(predicted, truth):
+    """Every cell compared in a double loop."""
+    n, q = predicted.shape
+    wrong = 0
+    for i in range(n):
+        for j in range(q):
+            wrong += bool(predicted[i, j]) != bool(truth[i, j])
+    return wrong / (n * q)
+
+
+def precision_at_k_sort_reference(probs, truth, k):
+    """Each row with a true label fully sorted by (-score, index)."""
+    vals = []
+    for s, t in zip(probs.tolist(), truth.tolist()):
+        if not any(t):
+            continue
+        ranked = sorted(range(len(s)), key=lambda j: (-s[j], j))
+        vals.append(sum(1 for j in ranked[:k] if t[j]) / k)
+    return sum(vals) / len(vals) if vals else 0.0
+
+
+def test_oracles_equal_the_literal_cell_and_sort_loops():
+    # the digest runs hold empty truth and prediction rows, tied and
+    # single-class columns, and 1 x 4 and 12 x 1 shapes
+    for probs, predicted, truth in _digest_runs():
+        assert oracles.oracle_example_metrics(predicted, truth) == \
+            example_metrics_cell_reference(predicted, truth)
+        assert oracles.oracle_hamming(predicted, truth) == hamming_cell_reference(predicted, truth)
+        for k in (1, 3, 5):
+            assert oracles.oracle_precision_at_k(probs, truth, k=k) == \
+                precision_at_k_sort_reference(probs, truth, k)
+
+
 def test_oracle_ap_hand_value_with_index_tie_break():
     # ranks by (-score, index): 0.9+, 0.8-, 0.8+, 0.1- -> positives at ranks 1 and 3
     scores = np.array([0.9, 0.8, 0.8, 0.1])
@@ -869,3 +966,45 @@ def test_oracle_values_match_pinned_digest():
 
 def test_random_run_matches_pinned_digest():
     assert random_run_digest() == RANDOM_RUN_DIGEST
+
+
+# Digests of what `run_oracle_suite` returns, `repr(sorted(worst.items()))`,
+# taken at commit d0f445a before the oracles' loops and `report`'s small-run
+# path were trimmed: at the bench's arguments and at a small tie-heavy shape.
+SUITE_DIGESTS = {
+    (1000, 64, 10, 0): "4379659a8051d237e945311a11476e357f96461b5f418cb976dcf3ba61967a80",
+    (300, 9, 4, 4): "987f38b9fefccc06da08dc2368d446c09e6d3dcbd4e8d73bd43713f5d63b3988",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SUITE_DIGESTS), ids=str)
+def test_oracle_suite_deviations_match_pinned_digest(args):
+    n_pairs, n, q, seed = args
+    worst = oracles.run_oracle_suite(n_pairs=n_pairs, n=n, q=q, seed=seed)
+    assert hashlib.sha256(repr(sorted(worst.items())).encode()).hexdigest() == SUITE_DIGESTS[args]
+
+
+def _names_used(code) -> set[str]:
+    """Global and attribute names a code object and its nested code use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _names_used(const)
+    return names
+
+
+def test_oracles_share_no_code_with_metrics():
+    functions = {name: f for name, f in vars(oracles).items()
+                 if inspect.isfunction(f) and f.__module__ == oracles.__name__}
+    assert {"oracle_example_metrics", "oracle_hamming", "oracle_label_auc", "oracle_macro_auc",
+            "oracle_average_precision", "oracle_precision_at_k", "_row_sets",
+            "_count_auc"} <= set(functions)
+    assert "metrics" in _names_used(functions.pop("run_oracle_suite").__code__)
+    for name, f in functions.items():
+        assert "metrics" not in _names_used(f.__code__), name
+    for node in ast.parse(inspect.getsource(oracles)).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert not any("metrics" in name for name in imported), ast.unparse(node)
+    assert not any(value is metrics or getattr(value, "__module__", "") == metrics.__name__
+                   for value in vars(oracles).values())
