@@ -270,26 +270,22 @@ def dotted_code(code: str) -> str | None:
 
 
 def _compile_label_pattern(catalog: LabelCatalog) -> re.Pattern | None:
-    forms: set[str] = set()
-    for name, _ in catalog.labels:
-        forms.add(name)
-        dotted = dotted_code(name)
-        if dotted:
-            forms.add(dotted)
+    forms = {form for name in catalog.names for form in (name, dotted_code(name)) if form}
     if not forms:
         return None
-    # longest-first so the alternation consumes whole dotted forms before
-    # their undotted prefixes can match
+    # longest-first so the alternation consumes whole dotted forms before their
+    # undotted prefixes; the lookahead rejects cheaply where no form can start
     ordered = sorted(forms, key=lambda f: (-len(f), f))
     body = "|".join(re.escape(f) for f in ordered)
-    return re.compile(rf"(?<![0-9A-Za-z])(?:{body})(?![0-9A-Za-z])")
+    firsts = re.escape("".join(sorted({f[0] for f in forms})))
+    return re.compile(rf"(?=[{firsts}])(?<![0-9A-Za-z])(?:{body})(?![0-9A-Za-z])")
 
 
 class NoteSanitizer:
     """Removes every standalone occurrence of one catalog's label strings
-    from a note, in both undotted ("4019") and dotted ("401.9") forms.
-    Only the label token itself is removed; surrounding prose is
-    untouched. The pattern is compiled once per catalog."""
+    from a note, in both undotted ("4019") and dotted ("401.9") forms; the
+    surrounding prose is untouched. The pattern, compiled once per catalog,
+    is tried only where a lookahead finds a form's first character."""
 
     def __init__(self, catalog: LabelCatalog):
         self._pattern = _compile_label_pattern(catalog)

@@ -657,18 +657,17 @@ COMPARE_COLUMNS = (
 
 
 def compare_runs(run_dirs: list[str | Path]) -> tuple[str, str]:
-    """(csv_text, aligned_text) over runs sharing one dataset hash,
-    sorted by test F1 descending."""
+    """(csv_text, aligned_text) over runs sharing one dataset hash, sorted
+    by test F1 descending, from the ``metrics_test.json`` that ``report`` rewrites."""
     rows = []
     dataset_hashes = {}
     for run_dir in map(Path, run_dirs):
-        _require_files(run_dir, ["record.json", "config.txt"])
+        _require_files(run_dir, ["record.json", "config.txt", "metrics_test.json"])
         rec = json.loads((run_dir / "record.json").read_text(encoding="utf-8"))
         dataset_hashes[str(run_dir)] = rec["dataset_hash"]
-        cfg_text = (run_dir / "config.txt").read_text(encoding="utf-8")
-        cfg = parse_config_text(cfg_text)
+        cfg = parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
         name = cfg.get("model.preset") or cfg.get("model.family") or run_dir.name
-        rows.append((name, rec["metrics_test"]))
+        rows.append((name, json.loads((run_dir / "metrics_test.json").read_text(encoding="utf-8"))))
     distinct = sorted(set(dataset_hashes.values()))
     if len(distinct) > 1:
         raise PipelineError(

@@ -10,9 +10,10 @@ token table (``encode_documents``); stopwords are dropped from the ids
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import pairwise
+from itertools import count, islice, pairwise
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,17 +21,20 @@ import numpy as np
 
 from .errors import DatasetError, FormatError
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
-
 # Digit runs longer than this look like identifiers/codes, not lab values.
 MAX_DIGIT_TOKEN_LEN = 4
+_TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
+_LONG_DIGIT_RUN = re.compile(rb" [0-9]{%d,}(?= )" % (MAX_DIGIT_TOKEN_LEN + 1))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop empty tokens and
-    pure-digit tokens longer than MAX_DIGIT_TOKEN_LEN characters."""
-    return [tok for tok in _TOKEN_SPLIT.split(text.lower())
-            if tok and not (len(tok) > MAX_DIGIT_TOKEN_LEN and tok.isdigit())]
+    """Lowercase (first, so that U+212A KELVIN SIGN gives ``k``), split on
+    runs outside [0-9a-z] and drop pure-digit tokens longer than
+    MAX_DIGIT_TOKEN_LEN: one ``bytes.translate`` maps every byte of the
+    padded UTF-8 outside [0-9a-z] (so all of a non-ASCII character) to a
+    space, one regex blanks the long digit runs, and ``str.split`` cuts."""
+    spaced = f" {text} ".lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES)
+    return _LONG_DIGIT_RUN.sub(b" ", spaced).decode("ascii").split()
 
 
 def load_default_stopwords() -> frozenset[str]:
@@ -67,17 +71,18 @@ class EncodedDocs:
 def encode_documents(
     docs: Iterable[Sequence[str]], table: dict[str, int] | None = None
 ) -> EncodedDocs:
-    """Encode tokenized documents as int32 ids, giving each token not yet
-    in ``table`` the next id (a new table when none is given).
-
-    One document's tokens are held as strings at a time, so ``docs`` may
-    be a generator that tokenizes each document as it is asked for.
-    """
+    """Encode tokenized documents as int32 ids, one document's token
+    strings at a time (``docs`` may be a generator that tokenizes each as
+    it is asked for), through a ``defaultdict`` that gives each token not
+    yet in ``table`` (a new table when none is given) the next id; the new
+    tokens then join ``table`` in first-seen order."""
     table = {} if table is None else table
+    ids = defaultdict(count(len(table)).__next__, table)
     parts, offsets = [np.zeros(0, dtype=np.int32)], [0]
     for doc in docs:
-        parts.append(np.array([table.setdefault(t, len(table)) for t in doc], dtype=np.int32))
+        parts.append(np.fromiter(map(ids.__getitem__, doc), dtype=np.int32, count=len(doc)))
         offsets.append(offsets[-1] + len(doc))
+    table.update(islice(ids.items(), len(table), None))
     return EncodedDocs(np.concatenate(parts), np.array(offsets, dtype=np.int64), table)
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeset_bench import corpus, harness
 from codeset_bench.corpus import (
@@ -291,6 +293,61 @@ def test_sanitize_leaves_embedded_digits_alone():
 def test_sanitize_is_boundary_aware_not_whitespace_tokenized():
     cat = catalog_of("4019")
     assert "4019" not in NoteSanitizer(cat)("(4019)")
+
+
+def unanchored_label_pattern(catalog):
+    """The sanitizer's pattern without its first-character lookahead."""
+    forms = set()
+    for name in catalog.names:
+        forms.add(name)
+        if dotted_code(name):
+            forms.add(dotted_code(name))
+    body = "|".join(re.escape(f) for f in sorted(forms, key=lambda f: (-len(f), f)))
+    return re.compile(rf"(?<![0-9A-Za-z])(?:{body})(?![0-9A-Za-z])")
+
+
+SANITIZER_CATALOGS = {
+    "code": LabelCatalog("code", tuple((c, 1) for c in ("4019", "42731", "2500", "E8497",
+                                                         "V5861", "V173", "250"))),
+    "category": LabelCatalog("category", tuple((c, 1) for c in ("401", "427", "E849", "V58"))),
+}
+
+
+def _label_forms(catalog):
+    return [f for name in catalog.names for f in (name, dotted_code(name)) if f]
+
+
+def _label_notes(catalog):
+    """Each label form standalone, embedded, at either end of the note and
+    next to non-ASCII letters."""
+    notes = []
+    for f in _label_forms(catalog):
+        notes += [f, f"dx {f} noted", f"x{f} {f}b a{f}z", f"{f} at the start", f"at the end {f}",
+                  f"é{f} {f}ß İ{f}İ {f}\u212a ({f}).", f"{f}{f} {f}.{f} {f}-{f}"]
+    return notes
+
+
+@pytest.mark.parametrize("mode", sorted(SANITIZER_CATALOGS))
+def test_anchored_sanitizer_equals_the_unanchored_pattern(mode):
+    catalog = SANITIZER_CATALOGS[mode]
+    reference = unanchored_label_pattern(catalog)
+    anchored = corpus._compile_label_pattern(catalog)
+    assert re.fullmatch(r"\(\?=\[[^]]+\]\)", anchored.pattern[:-len(reference.pattern)])
+    assert anchored.pattern.endswith(reference.pattern)
+    sanitize = NoteSanitizer(catalog)
+    for note in _label_notes(catalog):
+        assert sanitize(note) == reference.sub("", note), note
+    for name in catalog.names:
+        assert (sanitize(name), sanitize(f"x{name} {name}b")) == ("", f"x{name} {name}b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SANITIZER_CATALOGS)), st.data())
+def test_anchored_sanitizer_equals_the_unanchored_pattern_on_mixed_text(mode, data):
+    catalog = SANITIZER_CATALOGS[mode]
+    pieces = _label_forms(catalog) + list("0123456789EVxb .,\néİß")
+    note = "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=20)))
+    assert NoteSanitizer(catalog)(note) == unanchored_label_pattern(catalog).sub("", note)
 
 
 # ------------------------------------------------------------ join + split

@@ -679,6 +679,64 @@ def test_feature_stage_files_match_pinned_digest(tmp_path):
     assert h.hexdigest() == FEATURE_FILES_DIGEST
 
 
+DIGEST_LABELS = ("4019", "42731", "2500", "E8497", "V5861", "V173")
+DIGEST_WORDS = ("Patient", "café", "NAÏVE", "Straße", "İnci", "\u212aelvin", "ﬁbrosis", "٣",
+                "３mg", "x-ray", "q.d.", "BP", "120/80", "2014", "1234", "12345", "1234567",
+                "007", "Dr.", "Öztürk", "été", " ", "—", "\t", "(", ")", ",")
+
+
+def _write_digest_csvs(root: Path) -> tuple[Path, Path]:
+    """NOTEEVENTS and DIAGNOSES_ICD whose notes mix non-ASCII words, digit
+    runs of 4, 5 and 7 and every form of their labels (undotted, dotted,
+    E- and V-codes; standalone, embedded and at either end), with one
+    admission whose first discharge summary a later one supersedes and
+    a nursing note that is never kept."""
+    rng = np.random.default_rng(36)
+    forms = [f for code in DIGEST_LABELS for f in (code, corpus.dotted_code(code)) if f]
+    notes, diags = root / "NOTEEVENTS.csv", root / "DIAGNOSES_ICD.csv"
+    with open(notes, "w", newline="", encoding="utf-8") as nf, \
+            open(diags, "w", newline="", encoding="utf-8") as df:
+        note_rows, diag_rows = csv.writer(nf), csv.writer(df)
+        note_rows.writerow(["ROW_ID", "SUBJECT_ID", "HADM_ID", "CATEGORY", "TEXT"])
+        diag_rows.writerow(["SUBJECT_ID", "HADM_ID", "SEQ_NUM", "ICD9_CODE"])
+        for i in range(40):
+            codes = rng.choice(DIGEST_LABELS, size=int(rng.integers(1, 4)), replace=False)
+            words = list(rng.choice(DIGEST_WORDS + tuple(forms), size=int(rng.integers(8, 30))))
+            words += ["x" + forms[i % len(forms)], forms[(i + 1) % len(forms)] + "b"]
+            rng.shuffle(words)
+            text = f"{forms[i % len(forms)]} " + " ".join(words) + f" {forms[(i + 3) % len(forms)]}"
+            note_rows.writerow([2 * i, 7, 100 + i, "Discharge summary", text])
+            for seq, code in enumerate(codes, 1):
+                diag_rows.writerow([7, 100 + i, seq, code])
+        note_rows.writerow([200, 7, 103, "DISCHARGE SUMMARY", "Ersetzt: Straße 42731 café 123456"])
+        note_rows.writerow([201, 7, 104, "Nursing", "nursing note 4019"])
+    return notes, diags
+
+
+# Digest of the dataset-stage files of `_write_digest_csvs` in code and
+# category mode, sanitized and not, taken at commit 887577f, while the
+# tokenizer filtered regex-split tokens in a comprehension, the encoder
+# called `setdefault` per token and the sanitizer's pattern had no
+# first-character anchor.
+DATASET_FILES_DIGEST = "f279ffcdf0a67ace9b832bc0ba88f3372691b8f269244c877dfb21ab3ba59543"
+
+
+def test_dataset_stage_files_match_pinned_digest(tmp_path):
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    notes, diags = _write_digest_csvs(tmp_path)
+    h = hashlib.sha256()
+    for overrides in ({"dataset.k": "6"}, {"dataset.k": "4", "dataset.mode": "category"},
+                      {"dataset.k": "6", "dataset.sanitize": "false"}):
+        cfg = make_cfg(**{"dataset.source": "csv", "dataset.notes": notes,
+                          "dataset.diagnoses": diags, **overrides})
+        harness.stage_dataset(cfg, ws)
+        d = ws.stage_dir("dataset", ws.stage_key(cfg, "dataset"))
+        for path in sorted(d.iterdir()):
+            if path.name != ".complete":  # holds the key, which covers the sources
+                h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == DATASET_FILES_DIGEST
+
+
 def _hand_splits(train, val, test):
     """Train/val/test splits of the given note texts, each labelled with
     one code; the feature stage reads only the token ids."""
@@ -1133,6 +1191,28 @@ def test_compare_orders_by_test_f1(tmp_path):
     assert table.splitlines()[0].split()[0] == "model"
 
 
+def test_compare_reads_the_metrics_that_report_rewrote(tmp_path, monkeypatch, capsys):
+    # a later fix to a metric stands in for the patched report: after
+    # `report`, `compare` agrees with the run's metrics_test.json
+    run_pipeline(make_cfg(), tmp_path, run_name="logreg", log=lambda *a: None)
+    run_dir = tmp_path / "runs" / "logreg"
+    real = metrics.report
+
+    def fixed_f1(run):
+        rep, curves = real(run)
+        return replace(rep, f1=0.123), curves
+
+    monkeypatch.setattr(metrics, "report", fixed_f1)
+    rewrite_reports(run_dir)
+    assert json.loads((run_dir / "metrics_test.json").read_text())["f1"] == 0.123
+    assert json.loads((run_dir / "record.json").read_text())["metrics_test"]["f1"] != 0.123
+    assert cli.main(["compare", "--runs", str(run_dir), "--out", str(tmp_path / "c.csv")]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split()[header.split().index("f1")] == "0.1230"
+    header, row = (tmp_path / "c.csv").read_text().splitlines()
+    assert row.split(",")[header.split(",").index("f1")] == "0.123"
+
+
 def test_compare_rejects_mismatched_datasets(tmp_path):
     cfg_a = make_cfg()
     cfg_b = make_cfg(**{"dataset.synthetic.seed": "77"})
@@ -1300,6 +1380,7 @@ def test_pipeline_rejects_more_labels_than_the_synthetic_corpus_has_before_any_s
 
 @pytest.mark.parametrize("command, missing", [
     ("report", "catalog.tsv"), ("evaluate", "truth_test.dense"), ("compare", "config.txt"),
+    ("compare", "metrics_test.json"),
 ])
 def test_cli_names_a_missing_run_file(tmp_path, capsys, command, missing):
     run_pipeline(make_cfg(), tmp_path, run_name="r", log=lambda *a: None)

@@ -1,5 +1,9 @@
 """Tokenizer, stopword, and vocabulary behavior."""
 
+import re
+import string
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +42,37 @@ def test_tokenize_empty_and_symbol_only():
     assert tokenize("--- *** !!!") == []
 
 
+def reference_tokenize(text):
+    """The tokenizer as a regex split of the lowered text whose pieces a
+    comprehension filters one at a time, digit runs kept up to 4."""
+    return [tok for tok in re.split(r"[^0-9a-z]+", text.lower())
+            if tok and not (len(tok) > 4 and tok.isdigit())]
+
+
+# ASCII letters and digits, characters that lower to ASCII (U+0130 to
+# "i" and a combining dot, U+212A KELVIN SIGN to "k") or stay non-ASCII,
+# non-ASCII digits, a lone surrogate, whitespace and punctuation
+TOKENIZER_ALPHABET = (string.ascii_letters + string.digits + "\u0130\u212a\u00df\ufb01\u0663\uff13"
+                      + "\ud800" + string.whitespace + "\u00a0.,;:-_/()[]*'\"")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TOKENIZER_ALPHABET),
+                          st.text("0123456789", min_size=4, max_size=7)), max_size=40)
+       .map("".join))
+def test_tokenize_equals_the_regex_and_comprehension_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("\u212aCl 4\u212a \u212a12345", ["kcl", "4k", "k12345"]),  # KELVIN SIGN lowers to k
+    ("\u0130NR 2.5 \u0130", ["i", "nr", "2", "5", "i"]),  # U+0130 lowers to i + U+0307
+    ("ab\ud800cd 12345\udfff x\ud8001234567", ["ab", "cd", "x"]),  # lone surrogates split
+], ids=["kelvin", "dotted-capital-i", "lone-surrogate"])
+def test_tokenize_non_ascii_cases(text, tokens):
+    assert tokenize(text) == reference_tokenize(text) == tokens
+
+
 def test_default_stopwords_contain_function_words():
     sw = load_default_stopwords()
     for w in ("the", "and", "of", "was", "with"):
@@ -62,6 +97,33 @@ def test_remove_stopwords_preserves_order():
     assert [tokens[i] for i in kept.ids] == ["king", "pain", "pain"]
     assert kept.ids.dtype == docs.ids.dtype
     assert kept.offsets.tolist() == [0, 2, 2, 2, 3]
+
+
+def test_encode_documents_continues_a_prefilled_table_in_place():
+    table = {"b": 0, "a": 1}
+    docs = encode_documents(iter([["c", "a", "d", "c"], [], ["b", "e"]]), table)
+    assert docs.table is table and type(table) is dict
+    assert list(table.items()) == [("b", 0), ("a", 1), ("c", 2), ("d", 3), ("e", 4)]
+    assert docs.ids.dtype == np.int32 and docs.ids.tolist() == [2, 1, 3, 2, 0, 4]
+    assert docs.offsets.dtype == np.int64 and docs.offsets.tolist() == [0, 4, 4, 6]
+    assert docs.ids[docs.offsets[1]:docs.offsets[2]].size == 0
+    more = encode_documents([["f", "a"]], table)
+    assert more.ids.tolist() == [5, 1] and list(table) == ["b", "a", "c", "d", "e", "f"]
+    empty = encode_documents([], table)
+    assert empty.ids.size == 0 and empty.offsets.tolist() == [0] and len(table) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=5),
+       st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=6), max_size=6))
+def test_encode_documents_matches_a_setdefault_loop(prefilled, docs):
+    expected = {t: i for i, t in enumerate(prefilled)}
+    ids = [expected.setdefault(t, len(expected)) for doc in docs for t in doc]
+    table = {t: i for i, t in enumerate(prefilled)}
+    encoded = encode_documents(docs, table)
+    assert list(table.items()) == list(expected.items())
+    assert encoded.ids.tolist() == ids
+    assert encoded.offsets.tolist() == np.cumsum([0] + [len(d) for d in docs]).tolist()
 
 
 def test_vocabulary_orders_by_doc_freq_then_token():
