@@ -552,7 +552,7 @@ def _format_note(rng: np.random.Generator, tokens: list[str]) -> str:
 
 
 def _check_order_free(text: str, keywords: list[list[str]], active: list[int]) -> None:
-    toks = set(text.lower().replace("\n", " ").replace(".", " ").split())
+    toks = set(textproc.tokenize(text))
     present = sorted(j for j, lex in enumerate(keywords) if any(w in toks for w in lex))
     if present != active:
         raise RuntimeError(f"keyword self-check failed: {present} != {active}")
@@ -561,8 +561,8 @@ def _check_order_free(text: str, keywords: list[list[str]], active: list[int]) -
 def scan_order_sensitive_labels(text: str, keywords: list[list[str]]) -> list[int]:
     """Recover order-sensitive ground truth from a note: label j is ON
     iff its keyword occurs and the token immediately before it is not
-    ``NEGATOR``."""
-    toks = text.lower().replace("\n", " ").replace(".", " ").split()
+    ``NEGATOR``, in the tokens ``textproc.tokenize`` gives the pipeline."""
+    toks = textproc.tokenize(text)
     active = []
     for j, lex in enumerate(keywords):
         for pos, tok in enumerate(toks):

@@ -15,6 +15,11 @@ key, its config text, input files and own sources. A model sweep over
 shared features reuses the feature stage; a rewritten input or an edited
 module rebuilds its stage and every stage after it. A synthetic corpus is
 generated afresh on a dataset miss and never cached.
+
+A run directory ``runs/<name>/`` stores the ``RUN_INPUTS`` its reports
+are scored from. ``_write_reports`` alone turns them into
+``metrics_<tag>.json``, ``pr_<tag>.npz`` and ``summary.txt``, for
+``train`` and ``report`` alike; ``record.json`` holds no metric values.
 """
 
 from __future__ import annotations
@@ -312,14 +317,16 @@ class RunRecord:
     history: list[tuple[float, float]]
     stopped_epoch: int
     best_epoch: int
-    metrics_train: dict
+    # returned to the caller; record.json leaves them to metrics_test.json
     metrics_test: dict
     cache_hits: list[str] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)
     timestamp: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        data = asdict(self)
+        del data["metrics_test"]
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 class Workspace:
@@ -530,16 +537,14 @@ def run_pipeline(
     run_hash = hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()
     run_dir = ws.root / "runs" / (run_name or run_hash[:12])
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
-    corpus.save_catalog(catalog, run_dir / "catalog.tsv")
-    outputs = {
-        "train": (models.predict_proba(model, feats.train), y_train),
-        "test": (models.predict_proba(model, feats.test), y_test),
-    }
-    for tag, (probs, truth) in outputs.items():
-        features.save_dense(probs, run_dir / f"probs_{tag}.dense")
-        features.save_dense(truth.astype(np.float64), run_dir / f"truth_{tag}.dense")
-    reports = _write_reports(run_dir, cfg, outputs, catalog.names)
+    config_path, catalog_path, *dense_paths = (run_dir / name for name in RUN_INPUTS)
+    config_path.write_text(cfg.canonical_text(), encoding="utf-8")
+    corpus.save_catalog(catalog, catalog_path)
+    matrices = (models.predict_proba(model, feats.train), y_train,
+                models.predict_proba(model, feats.test), y_test)
+    for matrix, path in zip(matrices, dense_paths):
+        features.save_dense(matrix, path)
+    reports = _write_reports(run_dir)
     _save_model(model, run_dir / "checkpoint", cfg)
 
     record = RunRecord(
@@ -551,7 +556,6 @@ def run_pipeline(
         history=model.history,
         stopped_epoch=model.stopped_epoch,
         best_epoch=model.best_epoch,
-        metrics_train=reports["train"].to_dict(),
         metrics_test=reports["test"].to_dict(),
         cache_hits=list(ws.cache_hits),
         artifacts={
@@ -587,20 +591,34 @@ def models_save_forest(model: models.TrainedModel, ckpt_dir: Path, manifest: dic
     nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
 
 
+# the stored inputs of a run's reports, in the order `run_pipeline` writes them
+RUN_INPUTS = ("config.txt", "catalog.tsv", "probs_train.dense", "truth_train.dense",
+              "probs_test.dense", "truth_test.dense")
 # the config keys _write_reports reads
 REPORT_KEYS = ("train.threshold", "model.preset", "model.family", "feature.track")
 
 
-def _write_reports(
-    run_dir: Path,
-    cfg: ExperimentConfig | dict,
-    outputs: dict[str, tuple[np.ndarray, np.ndarray]],
-    label_names: list[str],
-    with_curves: bool = True,
-) -> dict[str, metrics.MetricsReport]:
-    """Write ``metrics_<tag>.json`` for each ``tag -> (probs, truth)``,
-    deciding at ``train.threshold`` (inclusive), and, ``with_curves``,
-    its ``pr_<tag>.npz`` and the train/test ``summary.txt``."""
+def _run_files(run_dir: Path, names: tuple[str, ...]) -> list[Path]:
+    """The paths of ``names`` in ``run_dir``; PipelineError names the first missing."""
+    for name in names:
+        if not (run_dir / name).is_file():
+            raise PipelineError(f"{run_dir}: not a complete run (no {name})")
+    return [run_dir / name for name in names]
+
+
+def _write_reports(run_dir: Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
+    """Score ``run_dir``'s stored ``RUN_INPUTS``, all read first: write
+    ``metrics_<tag>.json`` for the train and test split, deciding at
+    ``train.threshold`` (inclusive), and, ``with_curves``, each split's
+    ``pr_<tag>.npz`` and the train/test ``summary.txt``. Only the config
+    keys the reports read are parsed: a stored run may name a retired
+    key, or hold a value that later config checks refuse."""
+    config, catalog, *dense = _run_files(run_dir, RUN_INPUTS)
+    stored = parse_config_text(config.read_text(encoding="utf-8"))
+    cfg = {key: _parse(key, stored.get(key, DEFAULTS[key])) for key in REPORT_KEYS}
+    label_names = corpus.load_catalog(catalog).names
+    outputs = {tag: (features.load_dense(probs), features.load_dense(truth).astype(np.uint8))
+               for tag, probs, truth in zip(("train", "test"), dense[::2], dense[1::2])}
     reports = {}
     for tag, (probs, truth) in outputs.items():
         predicted = (probs >= cfg["train.threshold"]).astype(np.uint8)
@@ -620,31 +638,10 @@ def _write_reports(
     return reports
 
 
-def _require_files(run_dir: Path, names: list[str]) -> None:
-    for name in names:
-        if not (run_dir / name).is_file():
-            raise PipelineError(f"{run_dir}: not a complete run (no {name})")
-
-
 def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
-    """Recompute metrics JSONs (and optionally PR curves + summary) from a
-    run directory's stored probability and truth matrices."""
-    run_dir = Path(run_dir)
-    _require_files(run_dir, ["config.txt", "catalog.tsv"] + [
-        f"{kind}_{tag}.dense" for tag in ("train", "test") for kind in ("probs", "truth")])
-    # only the keys the reports read are parsed: a stored run may name a
-    # retired key, or hold a value that later config checks refuse
-    stored = parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
-    cfg = {key: _parse(key, stored.get(key, DEFAULTS[key])) for key in REPORT_KEYS}
-    catalog = corpus.load_catalog(run_dir / "catalog.tsv")
-    outputs = {
-        tag: (
-            features.load_dense(run_dir / f"probs_{tag}.dense"),
-            features.load_dense(run_dir / f"truth_{tag}.dense").astype(np.uint8),
-        )
-        for tag in ("train", "test")
-    }
-    return _write_reports(run_dir, cfg, outputs, catalog.names, with_curves)
+    """Rescore a stored run directory, as ``train`` scored it when it
+    wrote the run; see ``_write_reports``."""
+    return _write_reports(Path(run_dir), with_curves)
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +659,13 @@ def compare_runs(run_dirs: list[str | Path]) -> tuple[str, str]:
     rows = []
     dataset_hashes = {}
     for run_dir in map(Path, run_dirs):
-        _require_files(run_dir, ["record.json", "config.txt", "metrics_test.json"])
-        rec = json.loads((run_dir / "record.json").read_text(encoding="utf-8"))
-        dataset_hashes[str(run_dir)] = rec["dataset_hash"]
-        cfg = parse_config_text((run_dir / "config.txt").read_text(encoding="utf-8"))
+        record, config, metrics_test = (
+            path.read_text(encoding="utf-8")
+            for path in _run_files(run_dir, ("record.json", "config.txt", "metrics_test.json")))
+        dataset_hashes[str(run_dir)] = json.loads(record)["dataset_hash"]
+        cfg = parse_config_text(config)
         name = cfg.get("model.preset") or cfg.get("model.family") or run_dir.name
-        rows.append((name, json.loads((run_dir / "metrics_test.json").read_text(encoding="utf-8"))))
+        rows.append((name, json.loads(metrics_test)))
     distinct = sorted(set(dataset_hashes.values()))
     if len(distinct) > 1:
         raise PipelineError(

@@ -482,6 +482,11 @@ def test_order_sensitive_scan_keyword_first_means_on():
     assert active == [0]  # signba is negated, signaa is not
 
 
+def test_order_sensitive_scan_splits_as_the_pipeline_tokenizer_does():
+    # "signaa," is the token "signaa" to textproc.tokenize
+    assert scan_order_sensitive_labels("signaa, no filler", [["signaa"], ["signba"]]) == [0]
+
+
 def test_order_sensitive_scan_uses_first_occurrence():
     kws = [["signaa"]]
     assert scan_order_sensitive_labels("no signaa signaa", kws) == []

@@ -972,7 +972,24 @@ def test_record_fields_are_consistent(finished_run):
     assert sum(data["split_sizes"].values()) <= 80
     assert data["split_sizes"]["train"] >= data["split_sizes"]["val"]
     assert 0.0 < data["coverage"] <= 1.0
-    assert set(data["metrics_test"]) >= {"precision", "recall", "f1", "hamming_loss"}
+    _assert_no_metric_values(data)
+    run_dir = Path(record.artifacts["run_dir"])
+    assert record.metrics_test == json.loads((run_dir / "metrics_test.json").read_text())
+    assert set(record.metrics_test) >= {"precision", "recall", "f1", "hamming_loss"}
+
+
+def _assert_no_metric_values(data):
+    """No key anywhere in a parsed record.json names a metric."""
+    names = set(metrics.MetricsReport.__dataclass_fields__)
+    keys, todo = set(), [data]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            keys.update(item)
+            todo.extend(item.values())
+        elif isinstance(item, list):
+            todo.extend(item)
+    assert not keys & names, keys & names
 
 
 def test_config_echo_reparses_to_the_same_hash(finished_run):
@@ -982,13 +999,18 @@ def test_config_echo_reparses_to_the_same_hash(finished_run):
     assert _keys(cfg)["run"] == record.config_hash
 
 
-def test_rewrite_reports_reproduces_stored_metrics(finished_run):
-    root, _ = finished_run
-    run_dir = root / "runs" / "base"
-    names = ("metrics_test.json", "pr_test.npz")
-    before = [(run_dir / name).read_bytes() for name in names]
+# every file `train` scores, which `report` rewrites
+REPORT_FILES = ("metrics_train.json", "metrics_test.json", "pr_train.npz", "pr_test.npz",
+                "summary.txt")
+
+
+def test_rewrite_reports_reproduces_stored_metrics(finished_run, tmp_path):
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    before = [(run_dir / name).read_bytes() for name in REPORT_FILES]
+    for name in REPORT_FILES:
+        (run_dir / name).unlink()
     rewrite_reports(run_dir)
-    assert [(run_dir / name).read_bytes() for name in names] == before
+    assert [(run_dir / name).read_bytes() for name in REPORT_FILES] == before
 
 
 def _copy_of_run(finished_run, tmp_path):
@@ -1001,17 +1023,15 @@ def _copy_of_run(finished_run, tmp_path):
 def test_rewrite_reports_reads_a_config_naming_retired_keys(finished_run, tmp_path):
     # a run written before the 13 constant keys were retired still re-reports
     run_dir = _copy_of_run(finished_run, tmp_path)
-    names = ("metrics_train.json", "metrics_test.json", "pr_train.npz", "pr_test.npz",
-             "summary.txt")
-    before = [(run_dir / name).read_bytes() for name in names]
+    before = [(run_dir / name).read_bytes() for name in REPORT_FILES]
     stored = parse_config_text((run_dir / "config.txt").read_text())
     assert not set(RETIRED) & set(stored)
     lines = sorted(f"{k} = {v}" for k, v in {**stored, **RETIRED}.items())
     (run_dir / "config.txt").write_text("\n".join(lines) + "\n")
-    for name in names:
+    for name in REPORT_FILES:
         (run_dir / name).unlink()
     rewrite_reports(run_dir)
-    assert [(run_dir / name).read_bytes() for name in names] == before
+    assert [(run_dir / name).read_bytes() for name in REPORT_FILES] == before
 
 
 def _set_stored_config(run_dir, changes):
@@ -1205,7 +1225,7 @@ def test_compare_reads_the_metrics_that_report_rewrote(tmp_path, monkeypatch, ca
     monkeypatch.setattr(metrics, "report", fixed_f1)
     rewrite_reports(run_dir)
     assert json.loads((run_dir / "metrics_test.json").read_text())["f1"] == 0.123
-    assert json.loads((run_dir / "record.json").read_text())["metrics_test"]["f1"] != 0.123
+    _assert_no_metric_values(json.loads((run_dir / "record.json").read_text()))
     assert cli.main(["compare", "--runs", str(run_dir), "--out", str(tmp_path / "c.csv")]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert row.split()[header.split().index("f1")] == "0.1230"
@@ -1379,12 +1399,11 @@ def test_pipeline_rejects_more_labels_than_the_synthetic_corpus_has_before_any_s
 
 
 @pytest.mark.parametrize("command, missing", [
-    ("report", "catalog.tsv"), ("evaluate", "truth_test.dense"), ("compare", "config.txt"),
-    ("compare", "metrics_test.json"),
+    *((command, name) for command in ("report", "evaluate") for name in harness.RUN_INPUTS),
+    ("compare", "record.json"), ("compare", "config.txt"), ("compare", "metrics_test.json"),
 ])
-def test_cli_names_a_missing_run_file(tmp_path, capsys, command, missing):
-    run_pipeline(make_cfg(), tmp_path, run_name="r", log=lambda *a: None)
-    run_dir = tmp_path / "runs" / "r"
+def test_cli_names_a_missing_run_file(finished_run, tmp_path, capsys, command, missing):
+    run_dir = _copy_of_run(finished_run, tmp_path)
     (run_dir / missing).unlink()
     flag = "--runs" if command == "compare" else "--run"
     assert cli.main([command, flag, str(run_dir)]) == 2

@@ -629,6 +629,20 @@ def _run_file_cases():
     yield {"train": no_positives, "test": one_row}, ["a", "bb", "ccc"]
 
 
+def _store_run(run_dir, cfg, outputs, names):
+    """Write the stored inputs `harness._write_reports` scores, as
+    `harness.run_pipeline` writes them."""
+    from codeset_bench import corpus, features
+
+    run_dir.mkdir()
+    (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
+    corpus.save_catalog(corpus.LabelCatalog("code", tuple((name, 1) for name in names)),
+                        run_dir / "catalog.tsv")
+    for tag, (probs, truth) in outputs.items():
+        features.save_dense(probs, run_dir / f"probs_{tag}.dense")
+        features.save_dense(truth, run_dir / f"truth_{tag}.dense")
+
+
 def test_written_run_files_match_pinned_digest(tmp_path):
     from codeset_bench import harness
 
@@ -636,8 +650,8 @@ def test_written_run_files_match_pinned_digest(tmp_path):
     h = hashlib.sha256()
     for i, (outputs, names) in enumerate(_run_file_cases()):
         run_dir = tmp_path / str(i)
-        run_dir.mkdir()
-        harness._write_reports(run_dir, cfg, outputs, names)
+        _store_run(run_dir, cfg, outputs, names)
+        harness._write_reports(run_dir)
         for name in sorted(p.name for p in run_dir.iterdir()):
             if name.startswith(("metrics_", "pr_")):
                 h.update(name.encode() + b"\n" + (run_dir / name).read_bytes())
@@ -658,12 +672,9 @@ def test_results_tables_match_pinned_digest(tmp_path):
     presets = ({"model.preset": "logreg"}, {"model.preset": "rforest"}, {"model.family": "logreg"})
     for i, ((outputs, names), preset) in enumerate(zip(_run_file_cases(), presets)):
         run_dir = tmp_path / f"run-{i}"
-        run_dir.mkdir()
-        cfg = harness.ExperimentConfig(preset)
-        reports = harness._write_reports(run_dir, cfg, outputs, names)
-        (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
-        (run_dir / "record.json").write_text(json.dumps(
-            {"dataset_hash": "d", "metrics_test": reports["test"].to_dict()}), encoding="utf-8")
+        _store_run(run_dir, harness.ExperimentConfig(preset), outputs, names)
+        harness._write_reports(run_dir)
+        (run_dir / "record.json").write_text(json.dumps({"dataset_hash": "d"}), encoding="utf-8")
         h.update((run_dir / "summary.txt").read_bytes())
         run_dirs.append(run_dir)
     for text in harness.compare_runs(run_dirs):

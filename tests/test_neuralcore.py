@@ -757,6 +757,21 @@ def test_optimizers_skip_frozen_parameters():
     assert p.value.tolist() == [1.0]
 
 
+def test_make_optimizer_keeps_each_class_default_rate():
+    params = [nc.Parameter("w", np.array([1.0])),
+              nc.Parameter("f", np.array([1.0]), trainable=False)]
+    for kind, cls, default in (("sgd", nc.SGD, 0.01), ("rmsprop", nc.RMSprop, 0.001)):
+        assert "step" in vars(cls)  # a traced run wraps each class's own step
+        opt = nc.make_optimizer(kind, params)
+        assert type(opt) is cls and opt.lr == default and opt.params == params[:1]
+        assert nc.make_optimizer(kind, params, lr=0.5).lr == 0.5
+        params[0].grad[:] = 3.0
+        opt.zero_grad()
+        assert params[0].grad.tolist() == [0.0]
+    with pytest.raises(ConfigError, match="unknown optimizer 'adam'"):
+        nc.make_optimizer("adam", params)
+
+
 # --------------------------------------------------------- gradient check
 
 def test_gradient_check_passes_linear_model_tightly():
