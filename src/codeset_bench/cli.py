@@ -59,8 +59,8 @@ def gradcheck_suite(seed: int = 0) -> list[tuple[str, float, float]]:
     check(
         "cnn-stack",
         nc.Sequential([
-            nc.Conv1d(3, 5, 3, rng), nc.ReLU(), nc.MaxPool1d(2),
-            nc.Conv1d(5, 4, 2, rng), nc.ReLU(), nc.MaxPool1d(4), nc.Flatten(),
+            nc.Conv1d(3, 5, 3, rng), nc.MaxPool1d(2), nc.ReLU(),
+            nc.Conv1d(5, 4, 2, rng), nc.MaxPool1d(4), nc.ReLU(), nc.Flatten(),
             nc.Dense(4, 2, rng), nc.Sigmoid(),
         ]),
         rng.standard_normal((2, 12, 3)),

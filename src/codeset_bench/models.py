@@ -383,7 +383,10 @@ def build_network(
     ``width`` is the width of one input row: fnn's feature count, and the
     sequence length by which cnn sizes its flatten->fc transition. Sequence
     families need an embedding matrix (or vocab_size + embed_dim for a
-    seeded random one).
+    seeded random one). A cnn block pools before its ReLU, which then
+    touches 1/pool of the values: ReLU is monotone and returns its input or
+    0, so relu(max(a)) == max(relu(a)) bit for bit for NaN-free a, and only
+    a window with max <= 0 sends its (zero) gradient to another position.
     """
     if spec.family not in NEURAL_FAMILIES:
         raise ConfigError(f"{spec.family!r} is not a neural family")
@@ -422,9 +425,8 @@ def build_network(
                     f"sequence collapses to {length} < filter width {kernel} "
                     f"at conv block {i}"
                 )
-            layers.append(nc.Conv1d(prev_ch, filters, kernel, rng, name=f"conv{i}"))
-            layers.append(nc.ReLU())
-            layers.append(nc.MaxPool1d(pool))
+            layers += [nc.Conv1d(prev_ch, filters, kernel, rng, name=f"conv{i}"),
+                       nc.MaxPool1d(pool), nc.ReLU()]
             length = math.ceil((length - kernel + 1) / pool)
             prev_ch = filters
         layers.append(nc.Flatten())

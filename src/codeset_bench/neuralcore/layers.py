@@ -47,6 +47,7 @@ class ReLU(Layer):
         return np.where(self._mask, x, 0.0)
 
     def backward(self, grad):
+        _check_grad("relu", grad, self._mask.shape)
         return grad * self._mask
 
 
@@ -64,6 +65,11 @@ def _as_batch(x, dtype=None) -> np.ndarray:
     if x.ndim != 3:
         raise ShapeError(f"expected [batch, n, k], got shape {x.shape}")
     return x
+
+
+def _check_grad(name: str, grad, shape) -> None:
+    if grad.shape != shape:
+        raise ShapeError(f"{name} backward expects grad {shape}, got {grad.shape}")
 
 
 class Conv1d(Layer):
@@ -124,10 +130,7 @@ class Conv1d(Layer):
         h = self.width
         length = n - h + 1
         w = self.w.value
-        if grad.shape != (batch, length, w.shape[0]):
-            raise ShapeError(
-                f"conv1d backward expects grad {(batch, length, w.shape[0])}, got {grad.shape}"
-            )
+        _check_grad("conv1d", grad, (batch, length, w.shape[0]))
         grad_t = grad.transpose(0, 2, 1)
         for dt in range(h):
             self.w.grad[:, dt, :] += (grad_t @ x[:, dt : dt + length, :]).sum(axis=0)
@@ -146,9 +149,9 @@ class Conv1d(Layer):
 class MaxPool1d(Layer):
     """Per-channel window max: [B, m, f] -> [B, ceil(m/pool), f].
 
-    The tail window may be shorter. Forward takes only the max and keeps
-    the windows; backward finds in them the first position attaining
-    each window's max and routes the window's gradient there.
+    The tail window may be shorter. Forward reads the windows as a view of
+    the input, with no padded copy, and keeps it; backward routes each
+    window's gradient to its first max, or first NaN, one slot at a time.
     """
 
     def __init__(self, pool: int):
@@ -157,21 +160,26 @@ class MaxPool1d(Layer):
         self.pool = pool
 
     def forward(self, x, train: bool = False):
-        x = _as_batch(x)
+        x = self._x = _as_batch(x)
         batch, m, f = x.shape
-        n_win = math.ceil(m / self.pool)
-        # -inf padding never wins a window, so the tail keeps its own max
-        padded = np.pad(x, ((0, 0), (0, n_win * self.pool - m), (0, 0)), constant_values=-np.inf)
-        self._windows = padded.reshape(batch, n_win, self.pool, f)
-        self._length = m
-        return self._windows.max(axis=2)
+        full = m // self.pool
+        out = self._out = np.empty((batch, math.ceil(m / self.pool), f), dtype=x.dtype)
+        x[:, : full * self.pool].reshape(batch, full, self.pool, f).max(axis=2, out=out[:, :full])
+        if full < out.shape[1]:
+            x[:, full * self.pool :].max(axis=1, out=out[:, full])
+        return out
 
     def backward(self, grad):
-        windows = self._windows
-        dx = np.zeros_like(windows)
-        # windows are disjoint, so no input position receives two gradients
-        np.put_along_axis(dx, windows.argmax(axis=2)[:, :, None], grad[:, :, None], axis=2)
-        return dx.reshape(len(dx), -1, dx.shape[3])[:, : self._length]
+        _check_grad("max_pool1d", grad, self._out.shape)
+        dx = np.empty_like(self._x)  # each position is slot j of one window
+        todo = np.ones(self._out.shape, dtype=bool)  # windows not yet routed
+        for j in range(self.pool):
+            xs = self._x[:, j :: self.pool]
+            n = xs.shape[1]
+            hit = todo[:, :n] & ((xs == self._out[:, :n]) | np.isnan(xs))
+            todo[:, :n] ^= hit
+            dx[:, j :: self.pool] = np.where(hit, grad[:, :n], 0)
+        return dx
 
 
 class Flatten(Layer):

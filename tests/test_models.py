@@ -646,6 +646,41 @@ def test_bidirectional_spec_doubles_recurrent_parameters():
     assert recurrent_size(net2) == 2 * recurrent_size(net)
 
 
+@pytest.mark.parametrize("tokens", ["random", "tie-heavy"])
+def test_cnn_blocks_pool_before_relu_with_the_bytes_of_relu_before_pool(tokens):
+    spec = preset("cnn-desk")
+    r = np.random.default_rng(3)
+    # 103 positions leave both pools a short tail window
+    if tokens == "random":
+        x = r.integers(0, 31, size=(12, 103))
+    else:  # two token ids and long pad runs: equal windows and maxes <= 0
+        x = r.integers(0, 2, size=(12, 103)) * (r.random((12, 103)) < 0.3)
+    y = (r.random((12, 4)) < 0.5).astype(np.uint8)
+    nets = [build_network(spec, k=4, width=103, vocab_size=30, embed_dim=8, seed=0)
+            for _ in range(2)]
+    assert [type(layer).__name__ for layer in nets[0].layers] == [
+        "Embedding", "Conv1d", "MaxPool1d", "ReLU", "Conv1d", "MaxPool1d", "ReLU",
+        "Flatten", "Dense", "ReLU", "Dense", "Sigmoid",
+    ]
+    twin = nets[1].layers
+    for i in (2, 5):  # each conv block as Conv1d -> ReLU -> MaxPool1d
+        twin[i], twin[i + 1] = twin[i + 1], twin[i]
+    for net in nets:
+        opt = nc.make_optimizer("rmsprop", net.params())
+        for step in range(3):
+            rows = slice(4 * step, 4 * step + 4)
+            out = net.forward(x[rows], train=True)
+            assert out.dtype == np.float32
+            _, grad = nc.bce_loss(out, y[rows])
+            opt.zero_grad()
+            net.backward(grad)
+            opt.step()
+    for mine, theirs in zip(nets[0].params(), nets[1].params()):
+        assert mine.value.tobytes() == theirs.value.tobytes(), mine.name
+    probs = [predict_proba(models.TrainedModel(spec=spec, network=net), x) for net in nets]
+    assert probs[0].tobytes() == probs[1].tobytes()
+
+
 def test_count_parameters_matches_manual_sum():
     spec = ModelSpec(family="fnn", hidden=(8,), name="t")
     net = build_network(spec, k=3, width=5, seed=0)

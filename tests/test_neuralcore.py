@@ -237,6 +237,76 @@ def test_pool_gradients_match_finite_differences():
     assert err < 1e-6
 
 
+def test_pool_and_relu_backward_reject_a_gradient_of_the_wrong_shape():
+    pool = nc.MaxPool1d(3)
+    assert pool.forward(np.ones((2, 10, 4)), train=True).shape == (2, 4, 4)
+    for shape in ((2, 1, 4), (1, 4, 4), (2, 4, 1), (2, 5, 4), (2, 3, 4), (2, 4), (2, 4, 4, 1)):
+        with pytest.raises(ShapeError, match=r"max_pool1d backward expects grad \(2, 4, 4\)"):
+            pool.backward(np.ones(shape))
+    relu = nc.ReLU()
+    relu.forward(np.ones((2, 3)), train=True)
+    for shape in ((1, 3), (2, 1), (3,), (2, 3, 1)):
+        with pytest.raises(ShapeError, match=r"relu backward expects grad \(2, 3\)"):
+            relu.backward(np.ones(shape))
+
+
+# Pooling through a -inf padded copy of the input and argmax over each
+# window: the reference the layer's view-based passes must match bit for bit.
+
+def pool_reference(x, pool, grad):
+    """(out, dx) of a max pool over windows of ``pool`` positions, the tail
+    padded with -inf, and its input gradient routed to each window's argmax."""
+    batch, m, f = x.shape
+    n_win = math.ceil(m / pool)
+    padded = np.pad(x, ((0, 0), (0, n_win * pool - m), (0, 0)), constant_values=-np.inf)
+    windows = padded.reshape(batch, n_win, pool, f)
+    dx = np.zeros_like(windows)
+    np.put_along_axis(dx, windows.argmax(axis=2)[:, :, None], grad[:, :, None], axis=2)
+    return windows.max(axis=2), dx.reshape(batch, -1, f)[:, :m]
+
+
+def _pool_input(kind, shape, gen):
+    if kind == "normal":
+        return gen.standard_normal(shape)
+    x = gen.integers(-2, 3, size=shape).astype(np.float64)  # ties are common
+    if kind == "special":
+        marks = gen.integers(0, 8, size=shape)
+        for mark, value in enumerate((np.inf, -np.inf, np.nan, -0.0), start=1):
+            x[marks == mark] = value
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pool", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["normal", "ties", "special"])
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_pool_matches_padded_reference_bit_for_bit(dtype, pool, kind, train):
+    # every length up to two windows and one tail: m < pool, every tail
+    # length, and exact multiples
+    for m in range(1, 3 * pool):
+        gen = rng(m * 10 + pool)
+        x = _pool_input(kind, (3, m, 4), gen).astype(dtype)
+        layer = nc.MaxPool1d(pool)
+        out = layer.forward(x, train=train)
+        grad = gen.standard_normal(out.shape).astype(dtype)
+        dx = layer.backward(grad)
+        want_out, want_dx = pool_reference(x, pool, grad)
+        for name, actual, want in (("out", out, want_out), ("dx", dx, want_dx)):
+            assert actual.dtype == want.dtype == dtype, (name, m)
+            assert actual.shape == want.shape, (name, m)
+            assert actual.tobytes() == want.tobytes(), (name, m)
+
+
+def test_pool_forward_makes_no_padded_copy():
+    batch, m, f, pool = 16, 403, 64, 5  # a 3-position tail
+    x = rng(2).standard_normal((batch, m, f))
+    layer = nc.MaxPool1d(pool)
+    out, peak = _traced_peak(lambda: layer.forward(x, train=True))
+    assert out.shape == (batch, 81, f)
+    # out plus a few [m, f] rows, where a padded copy of x would be pool times out
+    assert peak < out.nbytes + 4 * m * f * 8 < x.nbytes
+
+
 # ---------------------------------------------------------------- sigmoid
 
 def test_sigmoid_within_four_ulp_of_scipy_expit():
