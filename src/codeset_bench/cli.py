@@ -106,12 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--run-name", default=None, help="run directory name (default: config hash)")
 
-    for name, help_text in (
-        ("evaluate", "recompute metrics JSONs from a run directory"),
-        ("report", "rewrite metrics JSONs, PR curves (.npz), and the summary table"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--run", required=True, help="run directory")
+    p_rep = sub.add_parser("report", help="rewrite metrics JSONs, PR curves (.npz), and the summary table")
+    p_rep.add_argument("--run", required=True, help="run directory")
 
     p_cmp = sub.add_parser("compare", help="tabulate runs sharing a dataset, best F1 first")
     p_cmp.add_argument("--runs", nargs="+", required=True, help="run directories")
@@ -171,8 +167,8 @@ def _dispatch(args) -> int:
         print(f"test f1: {record.metrics_test['f1']:.4f}")
         return 0
 
-    if args.command in ("evaluate", "report"):
-        reports = harness.rewrite_reports(args.run, with_curves=(args.command == "report"))
+    if args.command == "report":
+        reports = harness.rewrite_reports(args.run)
         for tag, rep in reports.items():
             print(f"{tag}: f1={rep.f1:.4f} accuracy={rep.accuracy:.4f} "
                   f"auc={rep.macro_auc:.4f} p@5={rep.precision_at_5:.4f}")

@@ -1,5 +1,5 @@
 """Config-driven experiment pipeline: prepare -> featurize -> train ->
-evaluate -> report, with content-addressed caching of each stage.
+report, with content-addressed caching of each stage.
 
 Configs are flat ``key = value`` text with dotted section prefixes
 (``dataset.k = 10``). Every key has a default in ``DEFAULTS``; unknown
@@ -19,7 +19,10 @@ generated afresh on a dataset miss and never cached.
 A run directory ``runs/<name>/`` stores the ``RUN_INPUTS`` its reports
 are scored from. ``_write_reports`` alone turns them into
 ``metrics_<tag>.json``, ``pr_<tag>.npz`` and ``summary.txt``, for
-``train`` and ``report`` alike; ``record.json`` holds no metric values.
+``train`` and ``report`` alike. Each fact is stored once: the model's
+tensors in ``checkpoint.npz``, what trained it in ``config.txt``, and the
+run's hashes, history and cache hits in ``record.json``, which holds no
+metric values and no paths.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import corpus, features, metrics, models, textproc
 from . import neuralcore as nc
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, FormatError, PipelineError
 
 # ---------------------------------------------------------------------------
 # Config schema
@@ -317,7 +320,8 @@ class RunRecord:
     history: list[tuple[float, float]]
     stopped_epoch: int
     best_epoch: int
-    # returned to the caller; record.json leaves them to metrics_test.json
+    # returned to the caller; record.json leaves the metrics to
+    # metrics_test.json, and stores no paths, which go stale when it moves
     metrics_test: dict
     cache_hits: list[str] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)
@@ -325,7 +329,7 @@ class RunRecord:
 
     def to_json(self) -> str:
         data = asdict(self)
-        del data["metrics_test"]
+        del data["metrics_test"], data["artifacts"]
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
@@ -516,6 +520,8 @@ def stage_train(
 def run_pipeline(
     cfg: ExperimentConfig, out_dir: str | Path, run_name: str | None = None, log=print
 ) -> RunRecord:
+    if run_name is not None and (Path(run_name).name != run_name or run_name == ".."):
+        raise ConfigError(f"run name {run_name!r}: expected one plain path component")
     ws = Workspace(out_dir, log=log)
     t0 = time.time()
 
@@ -545,7 +551,7 @@ def run_pipeline(
     for matrix, path in zip(matrices, dense_paths):
         features.save_dense(matrix, path)
     reports = _write_reports(run_dir)
-    _save_model(model, run_dir / "checkpoint", cfg)
+    _save_model(model, run_dir / "checkpoint.npz")
 
     record = RunRecord(
         config_hash=run_hash,
@@ -570,25 +576,18 @@ def run_pipeline(
     return record
 
 
-def _save_model(model: models.TrainedModel, ckpt_dir: Path, cfg: ExperimentConfig) -> None:
-    manifest = {
-        "preset": cfg["model.preset"] or cfg["model.family"],
-        "family": model.spec.family,
-        "seed": cfg.values["train.seed"],
-        "stopped_epoch": model.stopped_epoch,
-        "best_epoch": model.best_epoch,
-    }
+def _save_model(model: models.TrainedModel, path: Path) -> None:
     if model.spec.family == "rforest":
-        models_save_forest(model, ckpt_dir, manifest)
+        models_save_forest(model, path)
     elif model.network is not None:
-        nc.save_checkpoint(ckpt_dir, nc.model_tensors(model.network), manifest)
+        nc.save_checkpoint(path, nc.model_tensors(model.network))
     else:
-        nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
+        nc.save_checkpoint(path, model.submodels)
 
 
-def models_save_forest(model: models.TrainedModel, ckpt_dir: Path, manifest: dict) -> None:
+def models_save_forest(model: models.TrainedModel, path: Path) -> None:
     # a function of its own so that a traced run can time forest saves by name
-    nc.save_checkpoint(ckpt_dir, model.submodels, manifest)
+    nc.save_checkpoint(path, model.submodels)
 
 
 # the stored inputs of a run's reports, in the order `run_pipeline` writes them
@@ -606,18 +605,28 @@ def _run_files(run_dir: Path, names: tuple[str, ...]) -> list[Path]:
     return [run_dir / name for name in names]
 
 
-def _write_reports(run_dir: Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
+def _load_truth(path: Path) -> np.ndarray:
+    """A stored truth matrix as uint8; FormatError names the file when it
+    holds a value other than 0 and 1."""
+    truth = features.load_dense(path)
+    labels = (truth != 0).view(np.uint8)
+    if not np.array_equal(labels, truth):
+        raise FormatError(f"{path}: truth values must be 0 or 1")
+    return labels
+
+
+def _write_reports(run_dir: Path) -> dict[str, metrics.MetricsReport]:
     """Score ``run_dir``'s stored ``RUN_INPUTS``, all read first: write
-    ``metrics_<tag>.json`` for the train and test split, deciding at
-    ``train.threshold`` (inclusive), and, ``with_curves``, each split's
-    ``pr_<tag>.npz`` and the train/test ``summary.txt``. Only the config
-    keys the reports read are parsed: a stored run may name a retired
-    key, or hold a value that later config checks refuse."""
+    ``metrics_<tag>.json`` and ``pr_<tag>.npz`` for the train and test
+    split, deciding at ``train.threshold`` (inclusive), and the train/test
+    ``summary.txt``. Only the config keys the reports read are parsed: a
+    stored run may name a retired key, or hold a value that later config
+    checks refuse."""
     config, catalog, *dense = _run_files(run_dir, RUN_INPUTS)
     stored = parse_config_text(config.read_text(encoding="utf-8"))
     cfg = {key: _parse(key, stored.get(key, DEFAULTS[key])) for key in REPORT_KEYS}
     label_names = corpus.load_catalog(catalog).names
-    outputs = {tag: (features.load_dense(probs), features.load_dense(truth).astype(np.uint8))
+    outputs = {tag: (features.load_dense(probs), _load_truth(truth))
                for tag, probs, truth in zip(("train", "test"), dense[::2], dense[1::2])}
     reports = {}
     for tag, (probs, truth) in outputs.items():
@@ -626,22 +635,20 @@ def _write_reports(run_dir: Path, with_curves: bool = True) -> dict[str, metrics
             probs=probs, predicted=predicted, truth=truth, label_names=label_names
         ))
         (run_dir / f"metrics_{tag}.json").write_text(rep.to_json(), encoding="utf-8")
-        if with_curves:
-            metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.npz")
+        metrics.write_pr_curves(curves, run_dir / f"pr_{tag}.npz")
         reports[tag] = rep
-    if with_curves:
-        name = cfg["model.preset"] or cfg["model.family"]
-        with open(run_dir / "summary.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"model: {name}   track: {cfg['feature.track']}\n\n")
-            rows = [(split, reports[split].to_dict()) for split in ("train", "test")]
-            fh.write(_results_table("split", rows, 8))
+    name = cfg["model.preset"] or cfg["model.family"]
+    with open(run_dir / "summary.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"model: {name}   track: {cfg['feature.track']}\n\n")
+        rows = [(split, reports[split].to_dict()) for split in ("train", "test")]
+        fh.write(_results_table("split", rows, 8))
     return reports
 
 
-def rewrite_reports(run_dir: str | Path, with_curves: bool = True) -> dict[str, metrics.MetricsReport]:
+def rewrite_reports(run_dir: str | Path) -> dict[str, metrics.MetricsReport]:
     """Rescore a stored run directory, as ``train`` scored it when it
     wrote the run; see ``_write_reports``."""
-    return _write_reports(Path(run_dir), with_curves)
+    return _write_reports(Path(run_dir))
 
 
 # ---------------------------------------------------------------------------

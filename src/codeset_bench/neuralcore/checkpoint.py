@@ -1,5 +1,6 @@
-"""Checkpoint layout: a ``key = value`` text manifest and one uncompressed
-``tensors.npz`` holding every named array in its own dtype."""
+"""Checkpoint format: one uncompressed ``.npz`` file holding every named
+array in its own dtype. It holds tensors only; the run directory's
+``config.txt`` and ``record.json`` say what trained them."""
 
 from __future__ import annotations
 
@@ -9,38 +10,18 @@ import numpy as np
 
 from ..errors import FormatError, read_numpy
 
-MANIFEST_NAME = "manifest.txt"
-TENSORS_NAME = "tensors.npz"
+
+def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
+    """Write the named tensors to the file ``path``, under that exact name."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **tensors)
 
 
-def save_checkpoint(
-    out_dir: str | Path, tensors: dict[str, np.ndarray], manifest: dict[str, object]
-) -> Path:
-    """Write the manifest and the named tensors under out_dir."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        for key in sorted(manifest):
-            fh.write(f"{key} = {manifest[key]}\n")
-    np.savez(out_dir / TENSORS_NAME, **tensors)
-    return out_dir
-
-
-def load_checkpoint(ckpt_dir: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    ckpt_dir = Path(ckpt_dir)
-    manifest: dict[str, str] = {}
-    manifest_path = ckpt_dir / MANIFEST_NAME
-    if manifest_path.exists():
-        for line in manifest_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
-            manifest[key.strip()] = value.strip()
-    tensors_path = ckpt_dir / TENSORS_NAME
-    if not tensors_path.exists():
-        raise FormatError(f"{ckpt_dir}: missing {TENSORS_NAME}")
-    tensors = read_numpy(tensors_path, lambda fh: dict(np.lib.npyio.NpzFile(fh, allow_pickle=False)))
-    return tensors, manifest
+def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """The named tensors of the checkpoint file ``path``."""
+    if not Path(path).is_file():
+        raise FormatError(f"{path}: no checkpoint file")
+    return read_numpy(path, lambda fh: dict(np.lib.npyio.NpzFile(fh, allow_pickle=False)))
 
 
 def model_tensors(model) -> dict[str, np.ndarray]:

@@ -186,6 +186,11 @@ def test_preset_rejects_the_architecture_keys_it_would_ignore(key, value):
         make_cfg(**{"model.preset": "gru-desk", "feature.track": "wordseq", key: value})
 
 
+def test_config_without_a_preset_or_family_is_refused():
+    with pytest.raises(ConfigError, match="set model.preset or model.family"):
+        ExperimentConfig({})
+
+
 def test_preset_takes_bidirectional_and_default_architecture_values():
     cfg = make_cfg(**{"model.preset": "gru-desk", "feature.track": "wordseq",
                       "model.bidirectional": "true", "model.fc": "0", "model.dropout": "0"})
@@ -517,6 +522,31 @@ def test_failed_stage_build_publishes_nothing(tmp_path):
     record = run_pipeline(cfg, ws.root, run_name="after", log=lambda *a: None)
     assert record.cache_hits == []
     assert ws.stage_cached("dataset", h)
+
+
+def test_stage_published_first_by_another_run_is_kept(tmp_path):
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    final = ws.stage_dir("dataset", "k")
+    with ws.new_stage("dataset", "k") as d:
+        (d / "train.npz").write_text("this run")
+        final.mkdir()  # the other run publishes while this one writes
+        (final / "train.npz").write_text("other run")
+        (final / ".complete").write_text("k\n")
+    assert (final / "train.npz").read_text() == "other run"
+    assert sorted(p.name for p in final.parent.iterdir()) == ["k"]
+    assert ws.stage_cached("dataset", "k")
+
+
+def test_stage_rename_failure_without_a_marker_is_raised(tmp_path):
+    ws = Workspace(tmp_path / "ws", log=lambda *a: None)
+    final = ws.stage_dir("dataset", "k")
+    with pytest.raises(OSError):
+        with ws.new_stage("dataset", "k") as d:
+            (d / "train.npz").write_text("this run")
+            final.mkdir()  # a non-empty directory with no marker blocks the rename
+            (final / "stray").write_text("")
+    assert sorted(p.name for p in final.parent.iterdir()) == ["k"]
+    assert not ws.stage_cached("dataset", "k")
 
 
 RACE_ROUNDS = 4
@@ -937,7 +967,7 @@ def test_frozen_embedding_leaves_the_feature_stage_matrix_untouched(tmp_path):
         ws = Workspace(tmp_path)
         stored = features.load_dense(
             ws.stage_dir("features", ws.stage_key(cfg, "features")) / "embedding.npy")
-        arrays, _ = nc.load_checkpoint(tmp_path / "runs" / str(trainable) / "checkpoint")
+        arrays = nc.load_checkpoint(tmp_path / "runs" / str(trainable) / "checkpoint.npz")
         same = arrays["emb.M"].tobytes() == stored.astype(np.float32).tobytes()
         assert same == (not trainable)
 
@@ -955,13 +985,11 @@ def finished_run(tmp_path_factory):
 def test_run_writes_all_artifacts(finished_run):
     root, record = finished_run
     run_dir = root / "runs" / "base"
-    for name in ("config.txt", "catalog.tsv", "probs_train.dense", "probs_test.dense",
-                 "truth_train.dense", "truth_test.dense", "metrics_train.json",
-                 "metrics_test.json", "pr_train.npz", "pr_test.npz", "summary.txt",
-                 "record.json"):
-        assert (run_dir / name).exists(), name
-    assert sorted(p.name for p in (run_dir / "checkpoint").iterdir()) == [
-        "manifest.txt", "tensors.npz"]
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted([
+        "config.txt", "catalog.tsv", "probs_train.dense", "probs_test.dense",
+        "truth_train.dense", "truth_test.dense", "metrics_train.json", "metrics_test.json",
+        "pr_train.npz", "pr_test.npz", "summary.txt", "checkpoint.npz", "record.json"])
+    assert all(p.is_file() for p in run_dir.iterdir())
 
 
 def test_record_fields_are_consistent(finished_run):
@@ -973,6 +1001,8 @@ def test_record_fields_are_consistent(finished_run):
     assert data["split_sizes"]["train"] >= data["split_sizes"]["val"]
     assert 0.0 < data["coverage"] <= 1.0
     _assert_no_metric_values(data)
+    # paths go stale when the directory moves; only the returned record has them
+    assert "artifacts" not in data
     run_dir = Path(record.artifacts["run_dir"])
     assert record.metrics_test == json.loads((run_dir / "metrics_test.json").read_text())
     assert set(record.metrics_test) >= {"precision", "recall", "f1", "hamming_loss"}
@@ -1115,6 +1145,41 @@ def test_deferred_scipy_sparse_loading_changes_no_run_byte(tmp_path):
         assert fresh == here, name
 
 
+@pytest.mark.parametrize("value", [0.7, 2.0, -1.0, np.nan])
+@pytest.mark.parametrize("tag", ["train", "test"])
+def test_rewrite_reports_refuses_truth_other_than_0_and_1(finished_run, tmp_path, tag, value):
+    run_dir = _copy_of_run(finished_run, tmp_path)
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    truth = features.load_dense(run_dir / f"truth_{tag}.dense")
+    truth[0, 0] = value
+    features.save_dense(truth, run_dir / f"truth_{tag}.dense")
+    with pytest.raises(FormatError, match=rf"truth_{tag}\.dense: truth values must be 0 or 1"):
+        rewrite_reports(run_dir)
+    # refused before any report is written
+    after = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != f"truth_{tag}.dense"}
+    assert after == {k: v for k, v in before.items() if k != f"truth_{tag}.dense"}
+
+
+@pytest.mark.parametrize("name", ["..", ".", "a/b", "/abs", "../escaped", "a/"],
+                         ids=["parent", "current", "nested", "absolute", "escaping", "slash"])
+def test_run_name_must_be_one_plain_path_component(tmp_path, name):
+    with pytest.raises(ConfigError, match=re.escape(repr(name))):
+        run_pipeline(make_cfg(), tmp_path / "ws", run_name=name, log=lambda *a: None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_train_refuses_a_run_name_outside_runs(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SYNTH.items()))
+    ws = tmp_path / "ws"
+    argv = ["train", "--config", str(cfg), "--out-dir", str(ws), "--run-name", "../x"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: run name '../x': expected one plain path component\n"
+    assert captured.out == ""
+    assert not ws.exists() and not (tmp_path / "x").exists()
+
+
 def test_rewrite_reports_rejects_a_nan_probability(finished_run, tmp_path):
     run_dir = _copy_of_run(finished_run, tmp_path)
     probs = features.load_dense(run_dir / "probs_test.dense")
@@ -1250,9 +1315,8 @@ def test_forest_checkpoint_round_trips(tmp_path):
     x = rng.standard_normal((60, 3))
     y = (x[:, 0] > 0).astype(np.uint8).reshape(-1, 1)
     model = models.train_random_forest_ovr(x, y, n_trees=4, max_depth=3, seed=0)
-    models_save_forest(model, tmp_path, {"family": "rforest"})
-    arrays, manifest = nc.load_checkpoint(tmp_path)
-    assert manifest == {"family": "rforest"}
+    models_save_forest(model, tmp_path / "checkpoint.npz")
+    arrays = nc.load_checkpoint(tmp_path / "checkpoint.npz")
     probs_before = models.predict_proba(model, x)
     model.submodels = arrays
     assert np.array_equal(models.predict_proba(model, x), probs_before)
@@ -1263,9 +1327,8 @@ def test_logreg_checkpoint_round_trips(tmp_path):
     x = rng.standard_normal((50, 4))
     y = (x[:, :3] > 0).astype(np.uint8)
     model = models.train_logreg_ovr(x, y, iters=30)
-    harness._save_model(model, tmp_path, make_cfg())
-    arrays, manifest = nc.load_checkpoint(tmp_path)
-    assert manifest["family"] == "logreg"
+    harness._save_model(model, tmp_path / "checkpoint.npz")
+    arrays = nc.load_checkpoint(tmp_path / "checkpoint.npz")
     assert sorted(arrays) == ["W", "b"]
     probs_before = models.predict_proba(model, x)
     model.submodels = arrays
@@ -1399,7 +1462,7 @@ def test_pipeline_rejects_more_labels_than_the_synthetic_corpus_has_before_any_s
 
 
 @pytest.mark.parametrize("command, missing", [
-    *((command, name) for command in ("report", "evaluate") for name in harness.RUN_INPUTS),
+    *(("report", name) for name in harness.RUN_INPUTS),
     ("compare", "record.json"), ("compare", "config.txt"), ("compare", "metrics_test.json"),
 ])
 def test_cli_names_a_missing_run_file(finished_run, tmp_path, capsys, command, missing):
@@ -1418,9 +1481,28 @@ def test_cli_train_and_evaluate_flow(tmp_path, capsys):
                      "--run-name", "demo"]) == 0
     out = capsys.readouterr().out
     assert "demo" in out
-    assert cli.main(["evaluate", "--run", str(ws / "runs" / "demo")]) == 0
     assert cli.main(["report", "--run", str(ws / "runs" / "demo")]) == 0
+    assert cli.main(["evaluate", "--run", str(ws / "runs" / "demo")]) == 1  # folded into report
     assert cli.main(["compare", "--runs", str(ws / "runs" / "demo")]) == 0
+
+
+FIRST_LINES = {
+    "prepare": r"splits: train=\d+ val=\d+ test=\d+",
+    "featurize": r"track: tfidf40k kind: sparse shapes: \(\d+, \d+\)(, \(\d+, \d+\)){2}",
+    "gradcheck": r"dense +max rel err \S+  \(tol 1e-06\)  ok",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_LINES))
+def test_cli_command_prints_its_first_line(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SYNTH.items()))
+    argv = [command]
+    if command != "gradcheck":
+        argv += ["--config", str(cfg), "--out-dir", str(tmp_path / "ws")]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(FIRST_LINES[command], out.splitlines()[0]), out
 
 
 def test_cli_seed_flag_overrides_every_seed_key(tmp_path):

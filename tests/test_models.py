@@ -728,8 +728,8 @@ def test_built_networks_train_in_float32_and_predict_float64(spec, monkeypatch, 
 
     probs = predict_proba(model, x)
     assert probs.dtype == np.float64
-    nc.save_checkpoint(tmp_path, nc.model_tensors(net), {})
-    tensors, _ = nc.load_checkpoint(tmp_path)
+    nc.save_checkpoint(tmp_path / "ckpt.npz", nc.model_tensors(net))
+    tensors = nc.load_checkpoint(tmp_path / "ckpt.npz")
     assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
     fresh = build_network(spec, k=y.shape[1], width=x.shape[1], vocab_size=kw.get("vocab_size"),
                           embed_dim=kw.get("embed_dim", 32), seed=1)

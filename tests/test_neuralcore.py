@@ -6,6 +6,7 @@ established against central finite differences.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -900,12 +901,14 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
         "layer0.w": rng(0).standard_normal((4, 3)),
         "layer0.b": rng(1).standard_normal(3),
     }
-    nc.save_checkpoint(tmp_path, tensors, {"arch": "dense", "epoch": 7})
-    loaded_tensors, manifest = nc.load_checkpoint(tmp_path)
-    assert manifest["arch"] == "dense"
-    assert manifest["epoch"] == "7"
+    path = tmp_path / "ckpt"  # no suffix: the file is written under the name given
+    nc.save_checkpoint(path, tensors)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    loaded = nc.load_checkpoint(path)
+    assert sorted(loaded) == sorted(tensors)
     for name, value in tensors.items():
-        assert np.array_equal(loaded_tensors[name], value)
+        assert loaded[name].dtype == value.dtype
+        assert loaded[name].tobytes() == value.tobytes()
 
 
 def test_restore_model_round_trip(tmp_path):
@@ -916,42 +919,76 @@ def test_restore_model_round_trip(tmp_path):
     model = build(0)
     x = rng(2).standard_normal((5, 3))
     before = model.forward(x)
-    nc.save_checkpoint(tmp_path, nc.model_tensors(model), {})
+    nc.save_checkpoint(tmp_path / "ckpt.npz", nc.model_tensors(model))
     fresh = build(7)
     assert not np.allclose(fresh.forward(x), before)
-    tensors, _ = nc.load_checkpoint(tmp_path)
+    tensors = nc.load_checkpoint(tmp_path / "ckpt.npz")
     nc.restore_model(fresh, tensors)
     assert np.array_equal(fresh.forward(x), before)
 
 
+def test_load_checkpoint_reads_the_earlier_directory_layouts_archive(tmp_path):
+    # runs written before the checkpoint became one file stored the same
+    # archive as checkpoint/tensors.npz, next to a manifest.txt
+    d = tmp_path / "checkpoint"
+    d.mkdir()
+    (d / "manifest.txt").write_text("family = logreg\n")
+    tensors = {"W": rng(0).standard_normal((4, 3)), "b": np.zeros(3)}
+    np.savez(d / "tensors.npz", **tensors)
+    loaded = nc.load_checkpoint(d / "tensors.npz")
+    assert {k: v.tobytes() for k, v in loaded.items()} == {
+        k: v.tobytes() for k, v in tensors.items()}
+
+
+# each writer leaves a directory whose checkpoint.npz is missing or malformed
+
+
 def _checkpoint_without_archive(d):
+    # the earlier layout's manifest, with no archive anywhere
     (d / "manifest.txt").write_text("arch = dense\n")
 
 
 def _checkpoint_in_blob_layout(d):
-    # the earlier layout: an index of one binary blob per tensor
+    # an earlier layout still: an index of one binary blob per tensor
     (d / "tensors.idx").write_text("t0000.bin\tlayer0.w\n")
     (d / "t0000.bin").write_bytes(b"float64 2\n" + np.ones(2).tobytes())
 
 
+def _checkpoint_is_a_directory(d):
+    (d / "checkpoint.npz").mkdir()
+
+
 def _checkpoint_truncated(d):
-    nc.save_checkpoint(d, {"w": np.ones((30, 30))}, {})
-    data = (d / "tensors.npz").read_bytes()
-    (d / "tensors.npz").write_bytes(data[: len(data) // 2])
+    nc.save_checkpoint(d / "checkpoint.npz", {"w": np.ones((30, 30))})
+    data = (d / "checkpoint.npz").read_bytes()
+    (d / "checkpoint.npz").write_bytes(data[: len(data) // 2])
 
 
 def _checkpoint_not_a_zip(d):
-    (d / "tensors.npz").write_text("w 1.0 2.0\n")
+    (d / "checkpoint.npz").write_text("w 1.0 2.0\n")
 
 
-@pytest.mark.parametrize("write", [_checkpoint_without_archive, _checkpoint_in_blob_layout,
-                                   _checkpoint_truncated, _checkpoint_not_a_zip])
-def test_load_checkpoint_rejects_malformed_directories(tmp_path, write):
+def _checkpoint_holding_an_object_array(d):
+    np.savez(d / "checkpoint.npz", w=np.array([{"a": 1}], dtype=object))
+
+
+@pytest.mark.parametrize("write, error", [
+    pytest.param(write, error, id=write.__name__) for write, error in (
+        (_checkpoint_without_archive, "no checkpoint file"),
+        (_checkpoint_in_blob_layout, "no checkpoint file"),
+        (_checkpoint_is_a_directory, "no checkpoint file"),
+        (_checkpoint_truncated, ""),
+        (_checkpoint_not_a_zip, ""),
+        (_checkpoint_holding_an_object_array, ""),
+    )
+])
+def test_load_checkpoint_rejects_malformed_directories(tmp_path, write, error):
     d = tmp_path / "ckpt"
     d.mkdir()
     write(d)
-    with pytest.raises(FormatError, match="ckpt"):
-        nc.load_checkpoint(d)
+    path = d / "checkpoint.npz"
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {error}")):
+        nc.load_checkpoint(path)
 
 
 def test_model_tensors_rejects_duplicate_names():
@@ -962,8 +999,8 @@ def test_model_tensors_rejects_duplicate_names():
 
 def test_restore_model_rejects_shape_mismatch(tmp_path):
     model = nc.Sequential([nc.Dense(3, 4, rng(0))])
-    nc.save_checkpoint(tmp_path, nc.model_tensors(model), {})
-    tensors, _ = nc.load_checkpoint(tmp_path)
+    nc.save_checkpoint(tmp_path / "ckpt.npz", nc.model_tensors(model))
+    tensors = nc.load_checkpoint(tmp_path / "ckpt.npz")
     wrong = nc.Sequential([nc.Dense(3, 5, rng(0))])
     with pytest.raises(Exception):
         nc.restore_model(wrong, tensors)
@@ -977,8 +1014,8 @@ def test_restore_model_rejects_dtype_mismatch(tmp_path, saved, model):
             p.value = p.value.astype(dtype)
         return net
 
-    nc.save_checkpoint(tmp_path, nc.model_tensors(build(saved)), {})
-    tensors, _ = nc.load_checkpoint(tmp_path)
+    nc.save_checkpoint(tmp_path / "ckpt.npz", nc.model_tensors(build(saved)))
+    tensors = nc.load_checkpoint(tmp_path / "ckpt.npz")
     with pytest.raises(FormatError, match="fc.W"):
         nc.restore_model(build(model), tensors)
 
