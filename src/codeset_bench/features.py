@@ -451,8 +451,10 @@ def load_word2vec_text(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read the text embedding format back as (tokens, vectors)."""
     line = 1
     with open(path, encoding="utf-8") as fh:
-        try:  # a header of two non-negative counts, then one token + dim values per line
+        try:  # a header of two counts of at least 1, then one token + dim values per line
             count, dim = (int(v) for v in fh.readline().split())
+            if count < 1 or dim < 1:
+                raise FormatError(f"{path}:1: header {count} {dim}: counts must be >= 1")
             vectors = np.empty((count, dim), dtype=np.float64)
             tokens: list[str] = []
             for line in range(2, count + 2):

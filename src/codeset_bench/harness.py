@@ -2,12 +2,13 @@
 report, with content-addressed caching of each stage.
 
 Configs are flat ``key = value`` text with dotted section prefixes
-(``dataset.k = 10``). Every key has a default in ``DEFAULTS``; unknown
-keys are rejected. A key listed in ``CHOICES`` takes one of its values;
-every other key has the type its default reads as (boolean, integer,
-number, else text). ``ExperimentConfig`` parses every key once, then
-checks the values that conflict across keys, so a bad value raises
-``ConfigError`` naming its key before any stage runs.
+(``dataset.k = 10``). ``KEYS`` declares every key in one row: its
+default, whose text fixes its type (boolean, integer, number, else
+text), and its allowed values or least value; unknown keys are rejected.
+``ExperimentConfig`` parses every key once against its row, then checks
+the values that conflict across keys and that the model plan can be
+built, so a bad value raises ``ConfigError`` naming its key before any
+stage runs.
 
 The dataset and feature stages are cached, each in a directory named by
 the SHA-256 key of what its ``STAGES`` row says it reads: the upstream
@@ -45,52 +46,63 @@ import numpy as np
 
 from . import corpus, features, metrics, models, textproc
 from . import neuralcore as nc
-from .errors import ConfigError, FormatError, PipelineError
+from .errors import ConfigError, DatasetError, FormatError, PipelineError
 
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
 
-DEFAULTS: dict[str, str] = {
-    "dataset.source": "synthetic",
-    "dataset.notes": "",
-    "dataset.diagnoses": "",
-    "dataset.mode": "code",
-    "dataset.k": "10",
-    "dataset.split_seed": "0",
-    "dataset.sanitize": "true",
-    "dataset.synthetic.n_labels": "10",
-    "dataset.synthetic.n_notes": "400",
-    "dataset.synthetic.order_sensitive": "false",
-    "dataset.synthetic.seed": "0",
-    "feature.track": "tfidf40k",
-    "feature.remove_stopwords": "false",
-    "feature.w2v_dim": "100",
-    "feature.epochs": "5",
-    "feature.min_count": "1",
-    "feature.seq_len": "1500",
-    "feature.embedding_source": "self",
-    "feature.pretrained_path": "",
-    "feature.embedding_trainable": "true",
-    "feature.seed": "0",
-    "model.preset": "",
-    "model.family": "",
-    "model.hidden": "",
-    "model.conv_blocks": "",
-    "model.fc": "0",
-    "model.dropout": "0.0",
-    "model.bidirectional": "false",
-    "model.logreg_iters": "50",
-    "model.rf_trees": "64",
-    "model.rf_depth": "10",
-    "train.max_epochs": "200",
-    "train.patience": "5",
-    "train.batch_size": "32",
-    "train.optimizer": "rmsprop",
-    "train.learning_rate": "",
-    "train.threshold": "0.5",
-    "train.seed": "0",
+TRACK_KINDS = {
+    "tfidf40k": "sparse",
+    "tfidf20k": "sparse",
+    "w2v-avg": "dense",
+    "wordseq": "sequence",
 }
+
+# Every config key: its default text, which also fixes its type (boolean,
+# integer, number, else text), and its rule: a tuple of the allowed values,
+# the least value a number may take, or None for any value of its type.
+KEYS: dict[str, tuple[str, tuple[str, ...] | int | None]] = {
+    "dataset.source": ("synthetic", ("synthetic", "csv")),
+    "dataset.notes": ("", None),
+    "dataset.diagnoses": ("", None),
+    "dataset.mode": ("code", ("code", "category")),
+    "dataset.k": ("10", 1),
+    "dataset.split_seed": ("0", 0),
+    "dataset.sanitize": ("true", None),
+    "dataset.synthetic.n_labels": ("10", 1),
+    "dataset.synthetic.n_notes": ("400", 1),
+    "dataset.synthetic.order_sensitive": ("false", None),
+    "dataset.synthetic.seed": ("0", 0),
+    "feature.track": ("tfidf40k", tuple(TRACK_KINDS)),
+    "feature.remove_stopwords": ("false", None),
+    "feature.w2v_dim": ("100", 1),
+    "feature.epochs": ("5", 1),
+    "feature.min_count": ("1", 0),
+    "feature.seq_len": ("1500", 1),
+    "feature.embedding_source": ("self", ("self", "pretrained", "random")),
+    "feature.pretrained_path": ("", None),
+    "feature.embedding_trainable": ("true", None),
+    "feature.seed": ("0", 0),
+    "model.preset": ("", ("", *models.PRESETS)),
+    "model.family": ("", ("", *models.FAMILIES)),
+    "model.hidden": ("", None),
+    "model.conv_blocks": ("", None),
+    "model.fc": ("0", 0),
+    "model.dropout": ("0.0", None),
+    "model.bidirectional": ("false", None),
+    "model.logreg_iters": ("50", 0),
+    "model.rf_trees": ("64", 1),
+    "model.rf_depth": ("10", 0),
+    "train.max_epochs": ("200", 1),
+    "train.patience": ("5", 1),
+    "train.batch_size": ("32", 1),
+    "train.optimizer": ("rmsprop", models.OPTIMIZERS),
+    "train.learning_rate": ("", None),
+    "train.threshold": ("0.5", None),
+    "train.seed": ("0", 0),
+}
+DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
 # Every cached stage: the stage it follows, the prefixes of the config keys
 # it reads, the config keys naming files it reads, each with the test of the
@@ -109,24 +121,6 @@ STAGES = {
     "features": Stage("dataset", ("dataset.", "feature."),
                       {"feature.pretrained_path": PRETRAINED_SOURCE}, (
         "features.py", "neuralcore/core.py", "data/stopwords_en.txt")),
-}
-
-TRACK_KINDS = {
-    "tfidf40k": "sparse",
-    "tfidf20k": "sparse",
-    "w2v-avg": "dense",
-    "wordseq": "sequence",
-}
-
-# the allowed values of each key that takes one of a fixed set
-CHOICES: dict[str, tuple[str, ...]] = {
-    "dataset.source": ("synthetic", "csv"),
-    "dataset.mode": ("code", "category"),
-    "feature.track": tuple(TRACK_KINDS),
-    "feature.embedding_source": ("self", "pretrained", "random"),
-    "model.preset": ("", *models.PRESETS),
-    "model.family": ("", *models.FAMILIES),
-    "train.optimizer": models.OPTIMIZERS,
 }
 
 
@@ -151,16 +145,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def _parse(key: str, text: str):
-    """One value: a ``CHOICES`` key must hold one of its choices; every
-    other key is read as the type its default reads as (boolean,
-    integer, number, else text)."""
-    if key in CHOICES:
-        if text not in CHOICES[key]:
-            raise ConfigError(
-                f"{key}: expected one of {', '.join(map(repr, CHOICES[key]))}, got {text!r}"
-            )
+    """One value, held to its ``KEYS`` rule: one of the allowed values, or
+    the type its default reads as (boolean, integer, number, else text)
+    and, for a number with a least value, at least that."""
+    default, rule = KEYS[key]
+    if isinstance(rule, tuple):
+        if text not in rule:
+            raise ConfigError(f"{key}: expected one of {', '.join(map(repr, rule))}, got {text!r}")
         return text
-    default = DEFAULTS[key]
     if default in ("true", "false"):
         if text.lower() in ("true", "1", "yes", "false", "0", "no"):
             return text.lower() in ("true", "1", "yes")
@@ -171,9 +163,12 @@ def _parse(key: str, text: str):
         except ValueError:
             continue
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+        if rule is not None and value < rule:
+            raise ConfigError(f"{key}: must be >= {rule}, got {value}")
+        return value
     return text
 
 
@@ -209,21 +204,13 @@ class ExperimentConfig:
 
     # validation -----------------------------------------------------------
     def _validate(self) -> None:
-        """Range checks, and checks that involve more than one key or build
-        a spec, so that a bad value raises ConfigError before any stage runs."""
+        """The checks that involve more than one key, bound a value other
+        than from below, or build a spec, so that a bad value raises
+        ConfigError before any stage runs."""
         if self["dataset.source"] == "csv" and not (
             self["dataset.notes"] and self["dataset.diagnoses"]
         ):
             raise ConfigError("csv source needs dataset.notes and dataset.diagnoses")
-        for key, least in (("dataset.k", 1), ("dataset.split_seed", 0),
-                           ("dataset.synthetic.seed", 0), ("feature.seed", 0), ("train.seed", 0),
-                           ("dataset.synthetic.n_labels", 1), ("dataset.synthetic.n_notes", 1),
-                           ("feature.w2v_dim", 1), ("feature.seq_len", 1), ("feature.epochs", 1),
-                           ("feature.min_count", 0), ("model.logreg_iters", 0), ("model.fc", 0),
-                           ("model.rf_trees", 1), ("model.rf_depth", 0), ("train.max_epochs", 1),
-                           ("train.patience", 1), ("train.batch_size", 1)):
-            if self[key] < least:
-                raise ConfigError(f"{key}: must be >= {least}, got {self[key]}")
         if not 0.0 <= self["model.dropout"] < 1.0:
             raise ConfigError(f"model.dropout: must lie in [0, 1), got {self['model.dropout']}")
         if not 0.0 < self["train.threshold"] < 1.0:
@@ -243,14 +230,19 @@ class ExperimentConfig:
         track = self["feature.track"]
         if track == "w2v-avg" and source == "random":
             raise ConfigError("feature.embedding_source: w2v-avg needs a real embedding, not random")
+        self.train_config()
+        self.synthetic_spec()
         spec = self.model_spec()
         if TRACK_KINDS[track] not in models.FAMILY_INPUT_KINDS[spec.family]:
             raise ConfigError(
                 f"feature track {track!r} ({TRACK_KINDS[track]}) is incompatible "
                 f"with model family {spec.family!r}"
             )
-        self.train_config()
-        self.synthetic_spec()
+        if spec.family == "cnn":
+            try:
+                models.conv_length(spec.conv_blocks, self["feature.seq_len"])
+            except ConfigError as exc:
+                raise ConfigError(f"feature.seq_len: {exc}") from None
 
     # resolved objects -----------------------------------------------------
     def model_spec(self) -> models.ModelSpec:
@@ -453,7 +445,10 @@ def _resolve_embedding(
         return result.vocabulary, features.EmbeddingMatrix(result.vocabulary, result.vectors)
     vocab = features.embedding_vocabulary(train_docs, cfg["feature.min_count"])
     if source == "pretrained":
-        tokens, vectors = features.load_word2vec_text(cfg["feature.pretrained_path"])
+        path = cfg["feature.pretrained_path"]
+        tokens, vectors = features.load_word2vec_text(path)
+        if vocab.token_to_index.keys().isdisjoint(tokens):
+            raise DatasetError(f"{path}: covers none of the {len(vocab)} vocabulary tokens")
         return vocab, features.align_embeddings(vocab, tokens, vectors)
     return vocab, None  # random: model stage draws its own matrix
 
@@ -527,18 +522,13 @@ def run_pipeline(
 
     def staged(stage, fn, *args):
         try:
-            return fn(cfg, ws, *args)
+            return fn(cfg, *args)
         except PipelineError as exc:
             raise PipelineError(f"stage {stage}: {exc}") from exc
 
-    train, val, test, catalog = staged("dataset", stage_dataset)
-    feats = staged("features", stage_features, (train, val, test))
-
-    y_train, y_val, y_test = train.labels, val.labels, test.labels
-    try:
-        model = stage_train(cfg, feats, y_train, y_val)
-    except PipelineError as exc:
-        raise PipelineError(f"stage train: {exc}") from exc
+    train, val, test, catalog = staged("dataset", stage_dataset, ws)
+    feats = staged("features", stage_features, ws, (train, val, test))
+    model = staged("train", stage_train, feats, train.labels, val.labels)
 
     run_hash = hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()
     run_dir = ws.root / "runs" / (run_name or run_hash[:12])
@@ -546,8 +536,8 @@ def run_pipeline(
     config_path, catalog_path, *dense_paths = (run_dir / name for name in RUN_INPUTS)
     config_path.write_text(cfg.canonical_text(), encoding="utf-8")
     corpus.save_catalog(catalog, catalog_path)
-    matrices = (models.predict_proba(model, feats.train), y_train,
-                models.predict_proba(model, feats.test), y_test)
+    matrices = (models.predict_proba(model, feats.train), train.labels,
+                models.predict_proba(model, feats.test), test.labels)
     for matrix, path in zip(matrices, dense_paths):
         features.save_dense(matrix, path)
     reports = _write_reports(run_dir)

@@ -56,6 +56,10 @@ class ModelSpec:
             raise ConfigError(f"unknown model family {self.family!r}")
         if self.bidirectional and self.family not in RECURRENT_FAMILIES:
             raise ConfigError("bidirectional applies to recurrent families only")
+        if self.family in RECURRENT_FAMILIES and not self.hidden:
+            raise ConfigError(f"model.hidden: {self.family} needs at least one hidden size")
+        if self.family == "cnn" and not self.conv_blocks:
+            raise ConfigError("model.conv_blocks: cnn needs at least one conv block")
 
 
 PRESETS: dict[str, ModelSpec] = {
@@ -415,19 +419,11 @@ def build_network(
     layers = [nc.Embedding(matrix, trainable=train_embedding)]
 
     if spec.family == "cnn":
-        if not spec.conv_blocks:
-            raise ConfigError("cnn spec has no conv blocks")
-        length = width
+        length = conv_length(spec.conv_blocks, width)
         prev_ch = emb_dim
         for i, (filters, kernel, pool) in enumerate(spec.conv_blocks):
-            if length < kernel:
-                raise ConfigError(
-                    f"sequence collapses to {length} < filter width {kernel} "
-                    f"at conv block {i}"
-                )
             layers += [nc.Conv1d(prev_ch, filters, kernel, rng, name=f"conv{i}"),
                        nc.MaxPool1d(pool), nc.ReLU()]
-            length = math.ceil((length - kernel + 1) / pool)
             prev_ch = filters
         layers.append(nc.Flatten())
         flat = length * prev_ch
@@ -438,8 +434,6 @@ def build_network(
         return _with_head(layers, flat, k, rng)
 
     # recurrent families
-    if not spec.hidden:
-        raise ConfigError("recurrent spec needs at least one hidden size")
     cell = {"rnn_simple": nc.SimpleRNN, "lstm": nc.LSTM, "gru": nc.GRU}[spec.family]
     prev = emb_dim
     for i, units in enumerate(spec.hidden):
@@ -455,6 +449,18 @@ def build_network(
         if spec.dropout > 0:
             layers.append(nc.Dropout(spec.dropout, rng))
     return _with_head(layers, prev, k, rng)
+
+
+def conv_length(conv_blocks: tuple[tuple[int, int, int], ...], length: int) -> int:
+    """The sequence length left after ``conv_blocks`` (a valid convolution,
+    then pooling that keeps a partial tail window) from ``length``;
+    ConfigError when a block's filter is wider than what reaches it."""
+    for i, (_, kernel, pool) in enumerate(conv_blocks):
+        if length < kernel:
+            raise ConfigError(
+                f"sequence collapses to {length} < filter width {kernel} at conv block {i}")
+        length = math.ceil((length - kernel + 1) / pool)
+    return length
 
 
 def _with_head(layers: list, width: int, k: int, rng) -> nc.Sequential:

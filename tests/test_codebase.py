@@ -53,3 +53,10 @@ def test_every_top_level_name_in_the_package_is_read_somewhere():
     unread = [f"{path.relative_to(ROOT)}: {name}" for name, path, i in definitions
               if not any(name in names for p, j, names in reads if (p, j) != (path, i))]
     assert unread == []
+
+
+def test_every_config_key_is_named_in_the_readme():
+    from codeset_bench import harness
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [key for key in harness.DEFAULTS if f"`{key}`" not in readme] == []

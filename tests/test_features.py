@@ -531,7 +531,8 @@ def test_load_sequences_refuses_negative_indices_naming_the_path(tmp_path, dtype
 def test_malformed_word2vec_text_is_format_error_naming_path_and_line(tmp_path):
     # the file comes from outside the program, so no ValueError may escape
     path = tmp_path / "vectors.txt"
-    cases = {"two 3\n": 1, "-1 3\n": 1, "1 3\na 1 x 3\n": 2}
+    # a header naming no vector or vectors of width 0 holds no embedding
+    cases = {"two 3\n": 1, "-1 3\n": 1, "1 3\na 1 x 3\n": 2, "2 0\n": 1, "0 3\n": 1}
     for text, line in cases.items():
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{line}: "):

@@ -153,7 +153,7 @@ def _typed(value):
     ("dataset.synthetic.n_labels", "0"),
     ("feature.min_count", "-1"),
 ] + [(key, "x") for key, default in harness.DEFAULTS.items() if _typed(default)]
-  + [(key, "x") for key in harness.CHOICES]
+  + [(key, "x") for key, (_, rule) in harness.KEYS.items() if isinstance(rule, tuple)]
   + [(key, "x") for key in RETIRED])
 def test_malformed_value_is_config_error_naming_its_key(key, value):
     # every key is parsed and range-checked when the config is built, not
@@ -172,6 +172,8 @@ def test_range_checks_keep_the_boundary_values():
                       "train.learning_rate": "1e-9"})
     assert cfg.model_spec().conv_blocks == ((1, 1, 1),)
     assert cfg.train_config().learning_rate == 1e-9
+    # an fnn needs no hidden layer; a recurrent family and a cnn do
+    assert make_cfg(**{"model.preset": "", "model.family": "fnn"}).model_spec().hidden == ()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -1215,6 +1217,15 @@ def test_category_mode_names_a_code_that_has_no_category(tmp_path):
     assert isinstance(info.value.__cause__, DatasetError)
 
 
+def test_a_train_stage_failure_is_named_and_keeps_its_cause(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericError("loss is nan")
+    monkeypatch.setattr(models, "fit", fail)
+    with pytest.raises(PipelineError, match="^stage train: loss is nan$") as info:
+        run_pipeline(make_cfg(), tmp_path / "ws", log=lambda *a: None)
+    assert isinstance(info.value.__cause__, NumericError)
+
+
 def test_probs_dense_matrices_align_with_truth(finished_run):
     root, _ = finished_run
     from codeset_bench.features import load_dense
@@ -1424,6 +1435,41 @@ def test_cli_train_with_a_missing_pretrained_embedding_exits_two(tmp_path, capsy
     assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "ws")]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: stage features: missing input .*absent\.txt\n", err)
+
+
+@pytest.mark.parametrize("plan, key", [
+    ({"model.family": "lstm"}, "model.hidden"),
+    ({"model.family": "cnn"}, "model.conv_blocks"),
+    ({"model.preset": "cnn-desk", "model.family": "", "feature.seq_len": "12"}, "feature.seq_len"),
+    ({"model.preset": "cnn-best", "model.family": "", "feature.seq_len": "100"}, "feature.seq_len"),
+], ids=["lstm-without-hidden", "cnn-without-blocks", "cnn-desk-short", "cnn-best-short"])
+def test_cli_train_refuses_a_model_plan_that_cannot_be_built(tmp_path, capsys, plan, key):
+    # checked when the config is built, so no stage is cached for a model
+    # that could never train on it
+    cfg = tmp_path / "run.cfg"
+    settings = {**FAST_SYNTH, **SEQ_FEATURES, "model.hidden": "", **plan}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "ws")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "ws" / "cache").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"feature.track": "w2v-avg", "model.preset": "logreg"},
+    {**SEQ_FEATURES, "model.family": "cnn", "model.hidden": "", "model.conv_blocks": "4:3:2"},
+], ids=["w2v-avg-logreg", "wordseq-cnn"])
+def test_pretrained_embedding_covering_no_vocabulary_token_names_its_file(tmp_path, overrides):
+    # the tokenizer lowercases, so neither token can match; aligned, the
+    # file would give an all-zero embedding and a model scoring AUC 0.5
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("2 8\n" + "".join(f"{t}{' 0.5' * 8}\n" for t in ("SignAA", "FILLB")))
+    cfg = make_cfg(**{**overrides, "feature.embedding_source": "pretrained",
+                      "feature.pretrained_path": vectors})
+    with pytest.raises(PipelineError, match=f"^stage features: {re.escape(str(vectors))}: "
+                                            "covers none") as raised:
+        run_pipeline(cfg, tmp_path / "ws", log=lambda *a: None)
+    assert isinstance(raised.value.__cause__, DatasetError)
+    assert not list((tmp_path / "ws" / "runs").glob("*"))
 
 
 def test_cli_prepare_rejects_more_labels_than_the_synthetic_corpus_has(tmp_path, capsys):

@@ -764,7 +764,12 @@ def test_predict_exact_threshold_is_positive():
 def test_model_spec_validation():
     with pytest.raises(ConfigError):
         ModelSpec(family="transformer")
-    with pytest.raises(ConfigError):
-        # conv stack requirement is enforced when the network is realized
-        build_network(ModelSpec(family="cnn", name="t"),
-                      k=2, width=8, vocab_size=10, seed=0)
+    # a cnn without conv blocks, or a recurrent family without hidden
+    # sizes, is refused when its spec is built, not when its network is
+    with pytest.raises(ConfigError, match="^model.conv_blocks: "):
+        ModelSpec(family="cnn", name="t")
+    with pytest.raises(ConfigError, match="^model.hidden: "):
+        ModelSpec(family="gru", name="t")
+    with pytest.raises(ConfigError, match="collapses to 3 < filter width 5 at conv block 0"):
+        build_network(ModelSpec(family="cnn", conv_blocks=((2, 5, 1),), name="t"),
+                      k=2, width=3, vocab_size=10, seed=0)
