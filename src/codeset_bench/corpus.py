@@ -381,8 +381,6 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_labels < 1 or self.n_notes < 1:
-            raise ConfigError("n_labels and n_notes must be positive")
         if self.keywords_per_label < 1:
             raise ConfigError("each label needs a non-empty keyword lexicon")
         if not (0.0 < self.label_rate <= 1.0):

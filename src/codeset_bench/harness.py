@@ -97,7 +97,7 @@ KEYS: dict[str, tuple[str, tuple[str, ...] | int | None]] = {
     "train.max_epochs": ("200", 1),
     "train.patience": ("5", 1),
     "train.batch_size": ("32", 1),
-    "train.optimizer": ("rmsprop", models.OPTIMIZERS),
+    "train.optimizer": ("rmsprop", tuple(nc.OPTIMIZERS)),
     "train.learning_rate": ("", None),
     "train.threshold": ("0.5", None),
     "train.seed": ("0", 0),
@@ -231,9 +231,8 @@ class ExperimentConfig:
         if track == "w2v-avg" and source == "random":
             raise ConfigError("feature.embedding_source: w2v-avg needs a real embedding, not random")
         self.train_config()
-        self.synthetic_spec()
         spec = self.model_spec()
-        if TRACK_KINDS[track] not in models.FAMILY_INPUT_KINDS[spec.family]:
+        if TRACK_KINDS[track] not in models.FAMILY_READS[spec.family][0]:
             raise ConfigError(
                 f"feature track {track!r} ({TRACK_KINDS[track]}) is incompatible "
                 f"with model family {spec.family!r}"
@@ -265,7 +264,7 @@ class ExperimentConfig:
             family=family,
             hidden=self._ints("model.hidden", self["model.hidden"].split(",")),
             conv_blocks=blocks,
-            fc=self["model.fc"] or None,
+            fc=self["model.fc"],
             dropout=self["model.dropout"],
             bidirectional=self["model.bidirectional"],
             name=family,

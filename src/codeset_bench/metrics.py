@@ -12,7 +12,7 @@ Every label column's AUC, AP and PR curve come from one scorer that sorts
 a block of columns at once, each by descending score with tied scores in
 ascending index order; ``report``, ``macro_auc`` and ``average_precision``
 all call it. A split's PR curves are flat arrays, stored as they are in
-one ``.npz``.
+one ``.npz`` by ``write_pr_curves``; ``np.load`` reads them back.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericError, ShapeError, read_numpy
+from .errors import ConfigError, NumericError, ShapeError
 
 
 @dataclass
@@ -312,22 +312,3 @@ def write_pr_curves(curves: dict[str, np.ndarray], path: str | Path) -> None:
     with open(path, "wb") as fh:
         np.savez(fh, **{key: curves[key] for key in PR_KEYS})
 
-
-def load_pr_curves(path: str | Path) -> dict[str, np.ndarray]:
-    """The ``PR_KEYS`` arrays ``write_pr_curves`` wrote; FormatError, naming
-    the path, for a malformed file, a missing key, a wrong dtype or counts
-    that do not add up to the point columns."""
-    def read(fh):
-        with np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive:
-            return {key: archive[key] for key in PR_KEYS}
-
-    arrays = read_numpy(path, read)
-    label, count = arrays["label"], arrays["count"]
-    points = [arrays[key] for key in PR_KEYS[2:]]
-    n = points[0].size
-    if (label.dtype.kind != "U" or label.ndim != 1 or count.dtype != np.int64
-            or count.shape != label.shape or (count < 0).any() or count.sum() != n
-            or any(a.dtype != np.float64 or a.shape != (n,) for a in points)):
-        raise FormatError(f"{path}: want a 1-D unicode label, a non-negative int64 count per "
-                          "label summing to the length of 1-D float64 point columns")
-    return arrays

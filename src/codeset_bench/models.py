@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -16,37 +16,35 @@ from . import neuralcore as nc
 from .errors import ConfigError, DatasetError, NumericError, ShapeError
 from .features import EmbeddingMatrix
 
-FAMILIES = ("logreg", "rforest", "fnn", "cnn", "rnn_simple", "lstm", "gru")
 NEURAL_FAMILIES = ("fnn", "cnn", "rnn_simple", "lstm", "gru")
 RECURRENT_FAMILIES = ("rnn_simple", "lstm", "gru")
-OPTIMIZERS = ("sgd", "rmsprop")
-
-# feature kinds each family can consume; the feature track decides the kind
-FAMILY_INPUT_KINDS = {
-    "logreg": ("sparse", "dense"),
-    "rforest": ("dense", "sparse"),
-    "fnn": ("sparse", "dense"),
-    "cnn": ("sequence",),
-    "rnn_simple": ("sequence",),
-    "lstm": ("sequence",),
-    "gru": ("sequence",),
+# per family: the feature kinds it can consume (the feature track decides
+# the kind) and the ModelSpec fields it reads; it refuses any other field
+# set away from its default
+FAMILY_READS = {
+    "logreg": (("sparse", "dense"), ()),
+    "rforest": (("dense", "sparse"), ()),
+    "fnn": (("sparse", "dense"), ("hidden", "dropout")),
+    "cnn": (("sequence",), ("conv_blocks", "fc")),
+    **dict.fromkeys(RECURRENT_FAMILIES, (("sequence",), ("hidden", "dropout", "bidirectional"))),
 }
+FAMILIES = tuple(FAMILY_READS)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture plan for one model. The feature track, not the spec,
-    decides the kind of features it reads (``FAMILY_INPUT_KINDS``).
+    decides the kind of features it reads (``FAMILY_READS``).
 
     hidden: dense widths (fnn) or recurrent unit counts (rnn/lstm/gru).
     conv_blocks: (filters, width, pool) triples applied in order (cnn).
-    fc: trailing fully-connected width after the conv stack (cnn).
+    fc: trailing fully-connected width after the conv stack (cnn); 0 for none.
     """
 
     family: str
     hidden: tuple[int, ...] = ()
     conv_blocks: tuple[tuple[int, int, int], ...] = ()
-    fc: int | None = None
+    fc: int = 0
     dropout: float = 0.0
     bidirectional: bool = False
     name: str = ""
@@ -54,8 +52,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}")
-        if self.bidirectional and self.family not in RECURRENT_FAMILIES:
-            raise ConfigError("bidirectional applies to recurrent families only")
+        reads = ("family", *FAMILY_READS[self.family][1], "name")
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"model.{f.name}: {self.family} does not read it, "
+                                  "leave it at its default")
         if self.family in RECURRENT_FAMILIES and not self.hidden:
             raise ConfigError(f"model.hidden: {self.family} needs at least one hidden size")
         if self.family == "cnn" and not self.conv_blocks:
@@ -99,17 +100,6 @@ class TrainConfig:
     optimizer: str = "rmsprop"
     learning_rate: float | None = None  # None = optimizer default
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
-            raise ConfigError("max_epochs, patience, batch_size must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-
-
-# training regimes reported for the published runs
-CNN_REGIME = TrainConfig(max_epochs=500, patience=10)
-RNN_REGIME = TrainConfig(max_epochs=200, patience=5)
 
 
 @dataclass

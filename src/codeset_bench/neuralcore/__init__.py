@@ -31,7 +31,7 @@ from .layers import (
     Sigmoid,
 )
 from .losses import BCE_EPS, bce_loss
-from .optim import RMSprop, SGD, make_optimizer
+from .optim import OPTIMIZERS, RMSprop, SGD, make_optimizer
 from .recurrent import GRU, LSTM, Bidirectional, SimpleRNN
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "LSTM",
     "Layer",
     "MaxPool1d",
+    "OPTIMIZERS",
     "Parameter",
     "ReLU",
     "RMSprop",

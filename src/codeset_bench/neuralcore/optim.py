@@ -54,8 +54,11 @@ class RMSprop(Optimizer):
             p.value -= self.lr * p.grad / np.sqrt(s + RMSPROP_EPS)
 
 
+# every optimizer by its config name (``train.optimizer``)
+OPTIMIZERS = {"sgd": SGD, "rmsprop": RMSprop}
+
+
 def make_optimizer(kind: str, params: list[Parameter], lr: float | None = None) -> Optimizer:
-    classes = {"sgd": SGD, "rmsprop": RMSprop}
-    if kind not in classes:
+    if kind not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {kind!r}")
-    return classes[kind](params) if lr is None else classes[kind](params, lr)
+    return OPTIMIZERS[kind](params) if lr is None else OPTIMIZERS[kind](params, lr)

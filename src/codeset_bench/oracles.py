@@ -14,9 +14,11 @@ Each oracle converts its inputs to Python lists once, with `.tolist()`,
 and then loops over plain floats and ints. The conversion is exact
 (float64 becomes a Python float bit for bit, label bits become ints or
 bools), so the values are the ones a loop over numpy scalars would give;
-it only avoids boxing a numpy scalar at every element access. The loops
-run as builtins (`compress`, `map`, `sum`) where those do the same
-arithmetic in the same order.
+it only avoids boxing a numpy scalar at every element access. The one
+exception is `oracle_label_auc`, which loops over whatever column it is
+given: `oracle_macro_auc` passes it the per-column lists it converts once
+per matrix. The loops run as builtins (`compress`, `map`, `sum`) where
+those do the same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -70,9 +72,18 @@ def oracle_hamming(predicted, truth) -> float:
     return wrong / p.size
 
 
-def _count_auc(s: list[float], t: list[bool]) -> float | None:
-    pos = list(compress(s, t))
-    neg = sorted(compress(s, map(not_, t)))
+def oracle_label_auc(scores, truth) -> float | None:
+    """One label column's AUC by pairwise comparison count, or None when
+    the column holds one class: each (positive, negative) pair scores 1
+    when the positive outranks the negative, 0.5 on a tie. Each positive
+    bisects the sorted negatives for the lower and the tied ones. The
+    bisection points are integers, summed exactly and halved once, so for
+    scores without NaN the total is exactly the one a double loop over all
+    pairs adds up. ``scores`` and ``truth`` are any sequences of numbers
+    and of bits; a numpy column yields scalars that compare as the Python
+    numbers ``.tolist()`` would give."""
+    pos = list(compress(scores, truth))
+    neg = sorted(compress(scores, map(not_, truth)))
     if not pos or not neg:
         return None
     # each positive wins over the negatives below it and half of the tied
@@ -82,25 +93,13 @@ def _count_auc(s: list[float], t: list[bool]) -> float | None:
     return wins / (len(pos) * len(neg))
 
 
-def oracle_label_auc(scores, truth) -> float | None:
-    """Pairwise comparison count: each (positive, negative) pair scores
-    1 when the positive outranks the negative, 0.5 on a tie. Each positive
-    bisects the sorted negatives for the lower and the tied ones. The
-    bisection points are integers, summed exactly and halved once, so for
-    scores without NaN the total is exactly the one a double loop over all
-    pairs adds up."""
-    return _count_auc(
-        np.asarray(scores, dtype=float).tolist(), np.asarray(truth).astype(bool).tolist()
-    )
-
-
 def oracle_macro_auc(probs, truth) -> tuple[float, int]:
     cols = np.asarray(probs, dtype=float).T.tolist()
     t_cols = np.asarray(truth).astype(bool).T.tolist()
     aucs = []
     excluded = 0
     for s, t in zip(cols, t_cols):
-        a = _count_auc(s, t)
+        a = oracle_label_auc(s, t)
         if a is None:
             excluded += 1
         else:

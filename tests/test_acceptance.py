@@ -272,14 +272,13 @@ def test_gated_recurrence_beats_order_blind_baseline(tmp_path):
 
 
 def test_early_stopping_epoch_and_weight_restoration():
-    """Under both stock regimes (500 epochs / patience 10 and 200 / 5) a
-    scripted validation-loss sequence stops exactly `patience` epochs
-    after the best one, and the best epoch's weights come back."""
-    assert (models.CNN_REGIME.max_epochs, models.CNN_REGIME.patience) == (500, 10)
-    assert (models.RNN_REGIME.max_epochs, models.RNN_REGIME.patience) == (200, 5)
-
-    # (regime, best epoch): losses fall until `best`, then plateau above it.
-    for regime, best in ((models.CNN_REGIME, 2), (models.RNN_REGIME, 3)):
+    """Under both regimes of the published runs (cnn: 500 epochs /
+    patience 10; rnn: 200 / 5) a scripted validation-loss sequence stops
+    exactly `patience` epochs after the best one, and the best epoch's
+    weights come back."""
+    # ((max_epochs, patience), best epoch): losses fall until `best`, then
+    # plateau above it.
+    for (max_epochs, patience), best in (((500, 10), 2), ((200, 5), 3)):
         state = {"weights": 0, "saved": None, "train_calls": 0}
 
         def train_epoch(epoch):
@@ -298,9 +297,9 @@ def test_early_stopping_epoch_and_weight_restoration():
 
         history, stopped, best_epoch = models.run_training_loop(
             train_epoch, val_epoch, snapshot, restore,
-            max_epochs=regime.max_epochs, patience=regime.patience,
+            max_epochs=max_epochs, patience=patience,
         )
-        assert stopped == best + regime.patience
+        assert stopped == best + patience
         assert best_epoch == best
         assert state["train_calls"] == stopped  # no work past the stop
         assert state["weights"] == best  # best-epoch weights restored

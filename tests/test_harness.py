@@ -188,6 +188,57 @@ def test_preset_rejects_the_architecture_keys_it_would_ignore(key, value):
         make_cfg(**{"model.preset": "gru-desk", "feature.track": "wordseq", key: value})
 
 
+# a value away from the default for every architecture key
+SET_MODEL_KEYS = {"model.hidden": "8", "model.conv_blocks": "4:3:2", "model.fc": "16",
+                  "model.dropout": "0.5", "model.bidirectional": "true"}
+# the architecture keys each family reads
+FAMILY_KEYS = {
+    "logreg": (), "rforest": (), "fnn": ("model.hidden", "model.dropout"),
+    "cnn": ("model.conv_blocks", "model.fc"),
+    **dict.fromkeys(("rnn_simple", "lstm", "gru"),
+                    ("model.hidden", "model.dropout", "model.bidirectional")),
+}
+
+
+def _family_cfg(family, **overrides):
+    """A config of ``family`` on a track it reads, with the architecture
+    keys it needs."""
+    track = "wordseq" if "sequence" in models.FAMILY_READS[family][0] else "tfidf40k"
+    needed = {key: SET_MODEL_KEYS[key] for key in ("model.hidden", "model.conv_blocks")
+              if key in FAMILY_KEYS[family]}
+    return make_cfg(**{"model.preset": "", "model.family": family, "feature.track": track,
+                       **needed, **overrides})
+
+
+@pytest.mark.parametrize("family, key", [(family, key) for family, reads in FAMILY_KEYS.items()
+                                         for key in SET_MODEL_KEYS if key not in reads])
+def test_family_refuses_an_architecture_key_it_never_reads(family, key):
+    # the ignored value would still move config.txt and the run hash
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {family} does not read it"):
+        _family_cfg(family, **{key: SET_MODEL_KEYS[key]})
+
+
+def test_family_takes_every_architecture_key_it_reads_and_the_defaults_of_the_rest():
+    for family, reads in FAMILY_KEYS.items():
+        defaults = {key: harness.DEFAULTS[key] for key in SET_MODEL_KEYS if key not in reads}
+        assert _family_cfg(family, **{key: SET_MODEL_KEYS[key] for key in reads},
+                           **defaults).model_spec().family == family
+
+
+@pytest.mark.parametrize("name", sorted(models.PRESETS))
+def test_every_preset_and_its_bidirectional_variant_builds(name):
+    family = models.PRESETS[name].family
+    preset = {"model.preset": name, "model.family": "", "model.hidden": "",
+              "model.conv_blocks": ""}
+    assert _family_cfg(family, **preset).model_spec() == models.PRESETS[name]
+    bidi = {**preset, "model.bidirectional": "true"}
+    if family in models.RECURRENT_FAMILIES:
+        assert _family_cfg(family, **bidi).model_spec().name == name + "-bidi"
+    else:
+        with pytest.raises(ConfigError, match="^model.bidirectional: "):
+            _family_cfg(family, **bidi)
+
+
 def test_config_without_a_preset_or_family_is_refused():
     with pytest.raises(ConfigError, match="set model.preset or model.family"):
         ExperimentConfig({})
@@ -1442,7 +1493,10 @@ def test_cli_train_with_a_missing_pretrained_embedding_exits_two(tmp_path, capsy
     ({"model.family": "cnn"}, "model.conv_blocks"),
     ({"model.preset": "cnn-desk", "model.family": "", "feature.seq_len": "12"}, "feature.seq_len"),
     ({"model.preset": "cnn-best", "model.family": "", "feature.seq_len": "100"}, "feature.seq_len"),
-], ids=["lstm-without-hidden", "cnn-without-blocks", "cnn-desk-short", "cnn-best-short"])
+    ({"model.family": "cnn", "model.conv_blocks": "4:3:2", "model.dropout": "0.5"},
+     "model.dropout"),
+], ids=["lstm-without-hidden", "cnn-without-blocks", "cnn-desk-short", "cnn-best-short",
+        "cnn-with-dropout"])
 def test_cli_train_refuses_a_model_plan_that_cannot_be_built(tmp_path, capsys, plan, key):
     # checked when the config is built, so no stage is cached for a model
     # that could never train on it

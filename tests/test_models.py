@@ -14,8 +14,6 @@ from codeset_bench import models
 from codeset_bench import neuralcore as nc
 from codeset_bench.errors import ConfigError, DatasetError, NumericError, ShapeError
 from codeset_bench.models import (
-    CNN_REGIME,
-    RNN_REGIME,
     ModelSpec,
     TrainConfig,
     build_network,
@@ -53,16 +51,25 @@ def test_unknown_preset_rejected():
         preset("fnn-huge")
 
 
-def test_regimes_pin_epoch_budgets():
-    assert (CNN_REGIME.max_epochs, CNN_REGIME.patience) == (500, 10)
-    assert (RNN_REGIME.max_epochs, RNN_REGIME.patience) == (200, 5)
+# the ModelSpec fields each family reads; it refuses any other one set away
+# from its default
+FAMILY_FIELDS = {
+    "logreg": (), "rforest": (), "fnn": ("hidden", "dropout"), "cnn": ("conv_blocks", "fc"),
+    **dict.fromkeys(("rnn_simple", "lstm", "gru"), ("hidden", "dropout", "bidirectional")),
+}
+# a value away from the default for every architecture field
+SET_FIELDS = {"hidden": (8,), "conv_blocks": ((4, 3, 2),), "fc": 16, "dropout": 0.5,
+              "bidirectional": True}
+REFUSED_FIELDS = [(family, name) for family, reads in FAMILY_FIELDS.items()
+                  for name in SET_FIELDS if name not in reads]
 
 
-def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(max_epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(optimizer="adamw")
+@pytest.mark.parametrize("family, name", REFUSED_FIELDS)
+def test_model_spec_refuses_a_field_its_family_never_reads(family, name):
+    needed = {key: SET_FIELDS[key] for key in FAMILY_FIELDS[family]
+              if key in ("hidden", "conv_blocks")}
+    with pytest.raises(ConfigError, match=f"^model.{name}: {family} does not read it"):
+        ModelSpec(family, **needed, **{name: SET_FIELDS[name]})
 
 
 # ------------------------------------------------------ logistic regression
